@@ -188,6 +188,32 @@ void BM_InsertDedupSoA(benchmark::State& state) {
 }
 BENCHMARK(BM_InsertDedupSoA)->Arg(512)->Arg(4096);
 
+// One iteration's store work on the Qwen shape (L = 24, J = 60) at a full 1000-map store: a
+// session observes all 24 layers, then the iteration's map is inserted with RDY dedup. Passing
+// the session lets the insert reuse its full-map dots instead of rescanning all 1440 columns.
+void BM_IterationScan(benchmark::State& state) {
+  const ModelConfig model = QwenMoeConfig();
+  const size_t records = 1000;
+  ExpertMapStore store = FilledStore(model, records, 72);
+  Rng rng(23);
+  std::vector<StoredIteration> incoming;
+  for (int i = 0; i < 16; ++i) {
+    incoming.push_back(RandomRecord(model, rng, 72));
+  }
+  TrajectorySearchSession session(&store);
+  size_t next = 0;
+  for (auto _ : state) {
+    const StoredIteration& record = incoming[next++ % incoming.size()];
+    session.Reset();
+    for (int l = 0; l < model.num_layers; ++l) {
+      benchmark::DoNotOptimize(session.ObserveLayer(record.map.Layer(l)));
+    }
+    benchmark::DoNotOptimize(store.Insert(record, &session));
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(records));
+}
+BENCHMARK(BM_IterationScan);
+
 // Semantic search through the sharded store. Args: (records, shards). The shards == 1 row is
 // the pure-delegation path (must track BM_SemanticSearchSoA); higher shard counts measure the
 // shard-major scan + reduce overhead at identical total record count.

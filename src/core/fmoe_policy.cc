@@ -172,8 +172,8 @@ void FmoePolicy::OnGateOutput(EngineHandle& engine, const IterationContext& cont
 
 void FmoePolicy::OnIterationEnd(EngineHandle& engine, const IterationContext& context,
                                 const std::vector<std::vector<double>>& layer_probs) {
+  const HybridMatcher& matcher = MatcherForSlot(context.batch_slot);
   if (log_scores_) {
-    const HybridMatcher& matcher = MatcherForSlot(context.batch_slot);
     IterationScoreSample sample;
     sample.semantic = matcher.semantic_score();
     sample.semantic_valid = matcher.semantic_found();
@@ -187,9 +187,11 @@ void FmoePolicy::OnIterationEnd(EngineHandle& engine, const IterationContext& co
   record.request_id = context.request->id;
   record.iteration = context.iteration;
   // The store mutates immediately (matcher state cannot diverge across latency scales); the
-  // published job carries the update's modeled cost, occupying the background worker.
-  const int target_shard = store_.RouteEmbedding(record.embedding);
-  const uint64_t flops = store_.Insert(std::move(record));
+  // published job carries the update's modeled cost, occupying the background worker. The
+  // slot's session already streamed this map against the store, so the RDY pass reuses it.
+  const ShardInsertResult inserted = store_.Insert(std::move(record), &matcher.session());
+  const int target_shard = inserted.shard;
+  const uint64_t flops = inserted.flops;
   // Per-shard pseudo-threads (§5i): only sharded stores register tracks, so default-run
   // (1-shard) traces keep the exact track table the §5f goldens pin.
   if (TraceRecorder* trace = engine.trace(); trace != nullptr && store_.num_shards() > 1) {

@@ -53,6 +53,9 @@ class HybridMatcher {
   bool semantic_found() const { return semantic_.found; }
   bool trajectory_found() const { return trajectory_.found; }
 
+  // This iteration's trajectory session; the end-of-iteration insert reuses its dots.
+  const ShardedTrajectorySession& session() const { return session_; }
+
   // Search work (flops) performed since the last call; feeds the async-overhead model.
   // Trajectory work is charged incrementally: 2·J·N per observed layer (the session's dot
   // extension) plus 3·N per rematch (score normalization), not a recomputed-prefix scan.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "src/util/logging.h"
 #include "src/util/math.h"
@@ -309,9 +310,10 @@ void ExpertMapStore::IndexRecord(size_t slot) {
   inv_emb_norms_[slot] = emb_norms_[slot] == 0.0 ? 0.0 : 1.0 / emb_norms_[slot];
 }
 
-uint64_t ExpertMapStore::Insert(StoredIteration record) {
-  ++generation_;
+uint64_t ExpertMapStore::Insert(StoredIteration record,
+                                const TrajectorySearchSession* session) {
   if (records_.size() < capacity_) {
+    ++generation_;
     records_.push_back(std::move(record));
     map_rows_.resize(records_.size() * static_cast<size_t>(map_dim_));
     emb_rows_.resize(records_.size() * emb_stride_, 0.0f);
@@ -324,6 +326,7 @@ uint64_t ExpertMapStore::Insert(StoredIteration record) {
     return 0;
   }
   if (dedup_ == StoreDedupPolicy::kFifo) {
+    ++generation_;
     records_[next_fifo_slot_] = std::move(record);
     IndexRecord(next_fifo_slot_);
     next_fifo_slot_ = (next_fifo_slot_ + 1) % capacity_;
@@ -339,15 +342,22 @@ uint64_t ExpertMapStore::Insert(StoredIteration record) {
   const double inv_map_qnorm = map_qnorm == 0.0 ? 0.0 : 1.0 / map_qnorm;
   const size_t norm_stride = static_cast<size_t>(model_.num_layers + 1);
   const size_t full = static_cast<size_t>(model_.num_layers);
-  Q8Coeffs folded;
-  FoldQ8ScanCoeffs(map_query, 0, &folded);
+  const std::span<const double> session_dots =
+      session != nullptr && session->store() == this ? session->FullMapDots(map_query)
+                                                     : std::span<const double>();
   std::vector<double> trajectory(n, 0.0);
-  RunPartitioned(n, search_threads_, [&](size_t begin, size_t end) {
-    ScanMapColumns(map_query, 0, begin, end, &folded, trajectory.data() + begin);
-    for (size_t i = begin; i < end; ++i) {
-      trajectory[i] *= inv_map_qnorm * inv_prefix_norms_[i * norm_stride + full];
-    }
-  });
+  if (session_dots.size() == n) {
+    std::copy(session_dots.begin(), session_dots.end(), trajectory.begin());
+  } else {
+    Q8Coeffs folded;
+    FoldQ8ScanCoeffs(map_query, 0, &folded);
+    RunPartitioned(n, search_threads_, [&](size_t begin, size_t end) {
+      ScanMapColumns(map_query, 0, begin, end, &folded, trajectory.data() + begin);
+    });
+  }
+  for (size_t i = 0; i < n; ++i) {
+    trajectory[i] *= inv_map_qnorm * inv_prefix_norms_[i * norm_stride + full];
+  }
 
   const std::vector<float> emb_query = ToFloat(record.embedding);
   const double emb_qnorm = std::sqrt(DotF(emb_query, emb_query));
@@ -375,6 +385,7 @@ uint64_t ExpertMapStore::Insert(StoredIteration record) {
   }
   const uint64_t flops = n * 2ULL * static_cast<uint64_t>(map_dim_) +
                          compared * 2ULL * record.embedding.size();
+  ++generation_;  // Only now: `session` had to be read against the unchanged store.
   records_[most_redundant] = std::move(record);
   IndexRecord(most_redundant);
   return flops;
@@ -534,6 +545,12 @@ void TrajectorySearchSession::Reset() {
   prefix_sqnorm_ = 0.0;
   generation_ = store_->generation();
   dots_.assign(store_->size(), 0.0);
+  track_full_ = store_->map_precision() == MapPrecision::kFp32 &&
+                store_->dedup_policy() == StoreDedupPolicy::kRedundancy &&
+                store_->size() == store_->capacity();
+  const size_t tracked = track_full_ ? store_->size() : 0;
+  open_partial_.assign(tracked, 0.0f);
+  full_dots_.assign(tracked, 0.0);
 }
 
 bool TrajectorySearchSession::IsStale() const {
@@ -544,6 +561,7 @@ uint64_t TrajectorySearchSession::Rebuild() {
   const size_t n = store_->size();
   dots_.assign(n, 0.0);
   generation_ = store_->generation();
+  track_full_ = false;  // The store changed under this iteration; its insert rescans.
   if (n == 0 || prefix_.empty()) {
     return 0;
   }
@@ -576,9 +594,26 @@ uint64_t TrajectorySearchSession::ObserveLayer(std::span<const double> probs) {
   // Extend each record's running dot by only the newly observed layer: the layer's J values
   // occupy columns [offset, offset + J) of the layer-major matrix, so this is J contiguous
   // sequential column passes — a few microseconds even at a 4096-record store.
-  store_->FoldQ8ScanCoeffs(block, offset, &q8_scratch_);
-  store_->ScanMapColumns(block, offset, 0, n, &q8_scratch_, dots_.data());
+  if (track_full_) {
+    const size_t stride = store_->capacity();
+    AccumulateColumnsFused(block, store_->map_cols_data() + offset * stride, stride, n, offset,
+                           static_cast<size_t>(store_->map_dim()), dots_.data(),
+                           open_partial_.data(), full_dots_.data());
+  } else {
+    store_->FoldQ8ScanCoeffs(block, offset, &q8_scratch_);
+    store_->ScanMapColumns(block, offset, 0, n, &q8_scratch_, dots_.data());
+  }
   return n * 2ULL * static_cast<uint64_t>(J);
+}
+
+std::span<const double> TrajectorySearchSession::FullMapDots(std::span<const float> map) const {
+  const bool complete =
+      track_full_ && !IsStale() && observed_layers_ == store_->model().num_layers;
+  if (!complete || map.size() != prefix_.size() ||
+      std::memcmp(map.data(), prefix_.data(), map.size() * sizeof(float)) != 0) {
+    return {};
+  }
+  return full_dots_;
 }
 
 SearchResult TrajectorySearchSession::CurrentBest() {

@@ -56,6 +56,26 @@
 // prefix norms at rematch time. Sessions watch the store's generation counter: any insert or
 // clear invalidates the cached dots and the next call transparently rebuilds them (charging
 // the full rebuild work to its flops).
+//
+// One column pass per iteration. When the iteration ends, its full map is inserted, and a full
+// store then runs the RDY dedup, whose trajectory term dots that map against every record —
+// the very columns, floats and products the session already streamed layer by layer. The
+// partial sums cannot simply be reused, because the two scans round in different groups: the
+// session flushes its float partials every 16 coefficients *of each layer* (restarting at
+// every layer boundary, J = 60 or 8), while the one-shot RDY scan flushes every 16 columns of
+// the *absolute* grid. So the session extends with AccumulateColumnsFused: every column value
+// is loaded and multiplied once, and the product goes into both groupings — the per-layer one
+// into the running dots, exactly as before, and the absolute-grid one into a per-record float
+// partial that stays open across ObserveLayer calls and flushes into full-map dots. After all
+// L layers those dots equal the one-shot RDY scan bit for bit, and Insert(record, session)
+// uses them instead of scanning. Insert falls back to the scan whenever the session cannot
+// vouch for them: it is stale (another batch slot inserted, or it rebuilt mid-iteration), it
+// observed fewer than L layers (e.g. trajectory search disabled), its observed floats differ
+// from the inserted map, the store is not fp32 (int8 folds coefficients per call; fp16 keeps
+// the plain scan), or the store was not full with redundancy dedup when the iteration began
+// (no dedup would follow, so the session does not track). Either way the modelled RDY cost —
+// the flops Insert returns, which become kMapUpdate virtual seconds — is the full pass, so
+// virtual time cannot move.
 #ifndef FMOE_SRC_CORE_MAP_STORE_H_
 #define FMOE_SRC_CORE_MAP_STORE_H_
 
@@ -105,6 +125,8 @@ struct SearchResult {
   uint64_t flops = 0;   // Work the search performed (feeds the async-overhead model).
 };
 
+class TrajectorySearchSession;
+
 class ExpertMapStore {
  public:
   ExpertMapStore(const ModelConfig& model, size_t capacity, int prefetch_distance,
@@ -116,11 +138,16 @@ class ExpertMapStore {
   const ModelConfig& model() const { return model_; }
   int prefetch_distance() const { return prefetch_distance_; }
   MapPrecision map_precision() const { return precision_; }
+  StoreDedupPolicy dedup_policy() const { return dedup_; }
   const StoredIteration& Get(size_t index) const;
 
   // Inserts a record; when at capacity, replaces the most redundant existing record (by RDY).
   // Returns the work performed (0 flops while filling, one full RDY pass when deduplicating).
-  uint64_t Insert(StoredIteration record);
+  // `session`, when given, is the session that observed this record's map on this store; its
+  // full-map dots replace the RDY trajectory scan when it can vouch for them (see "One column
+  // pass per iteration" above). The result — slot, flops, stored bytes — is identical either
+  // way.
+  uint64_t Insert(StoredIteration record, const TrajectorySearchSession* session = nullptr);
 
   // Highest-cosine record by iteration embedding (Eq. 4). Records whose embedding dimension
   // differs from the query are skipped and not charged.
@@ -258,6 +285,12 @@ class TrajectorySearchSession {
   SearchResult CurrentBest();
 
   int observed_layers() const { return observed_layers_; }
+  const ExpertMapStore* store() const { return store_; }
+
+  // Per record, the dot of `map` (a full L·J float map) with the record's map row — bitwise
+  // what the store's one-shot RDY scan of `map` computes. Empty unless this session observed
+  // exactly `map`, all L layers, through the fused kernel, against the unchanged store.
+  std::span<const double> FullMapDots(std::span<const float> map) const;
 
  private:
   bool IsStale() const;
@@ -270,6 +303,12 @@ class TrajectorySearchSession {
   std::vector<float> prefix_;    // Observed prefix, float-quantized like the stored rows.
   double prefix_sqnorm_ = 0.0;
   std::vector<double> dots_;     // Running dot(prefix, map row) per record.
+  // Full-map dots for the RDY dedup of this iteration's insert. Tracked only when that insert
+  // will dedup against an fp32 store (full at Reset, redundancy policy), and dropped for the
+  // rest of the iteration by a rebuild.
+  bool track_full_ = false;
+  std::vector<float> open_partial_;  // Per record: the absolute-grid group still open.
+  std::vector<double> full_dots_;    // Per record: flushed absolute-grid groups.
   Q8Coeffs q8_scratch_;          // Reused fold buffer (kInt8 stores only) — no steady-state
                                  // allocation after the first fold at a given prefix length.
 };

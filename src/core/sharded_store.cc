@@ -83,10 +83,15 @@ int ShardedMapStore::RouteEmbedding(std::span<const double> embedding) const {
   return router_.Route(embedding);
 }
 
-uint64_t ShardedMapStore::Insert(StoredIteration record) {
-  const size_t target = static_cast<size_t>(router_.Route(record.embedding));
+ShardInsertResult ShardedMapStore::Insert(StoredIteration record,
+                                          const ShardedTrajectorySession* session) {
+  ShardInsertResult result;
+  result.shard = router_.Route(record.embedding);
+  const size_t target = static_cast<size_t>(result.shard);
   std::unique_lock<std::shared_mutex> lock(*mutexes_[target]);
-  return shards_[target]->Insert(std::move(record));
+  result.flops = shards_[target]->Insert(
+      std::move(record), session != nullptr ? &session->shard_session(result.shard) : nullptr);
+  return result;
 }
 
 SearchResult ShardedMapStore::SemanticSearch(std::span<const double> embedding) const {

@@ -35,6 +35,13 @@
 
 namespace fmoe {
 
+class ShardedTrajectorySession;
+
+struct ShardInsertResult {
+  int shard = 0;        // Shard the router sent the record to.
+  uint64_t flops = 0;   // Work the shard's insert performed (ExpertMapStore::Insert).
+};
+
 class ShardedMapStore {
  public:
   // `capacity` is the total record budget, split evenly across shards (remainder to the
@@ -65,8 +72,11 @@ class ShardedMapStore {
   int RouteEmbedding(std::span<const double> embedding) const;
 
   // Routes the record to its semantic shard and inserts there (dedup, if any, is per shard —
-  // the RDY pass only scans the target shard). Returns the flops performed.
-  uint64_t Insert(StoredIteration record);
+  // the RDY pass only scans the target shard). `session`, when given, is the inserting slot's
+  // session for this iteration; the target shard's session stands in for the RDY scan where
+  // it can (ExpertMapStore::Insert).
+  ShardInsertResult Insert(StoredIteration record,
+                           const ShardedTrajectorySession* session = nullptr);
 
   // Best record across all shards; result.shard/result.index locate it. Shards are scanned
   // in ascending id and reduced with strict `>`, so ties go to the lowest (shard, index).
@@ -110,6 +120,9 @@ class ShardedTrajectorySession {
   uint64_t ObserveLayer(std::span<const double> probs);
   SearchResult CurrentBest();
   int observed_layers() const { return observed_layers_; }
+  const TrajectorySearchSession& shard_session(int s) const {
+    return sessions_[static_cast<size_t>(s)];
+  }
 
  private:
   const ShardedMapStore* store_;  // Not owned.

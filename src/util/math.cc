@@ -57,6 +57,13 @@ void AccumulateColumns(std::span<const float> coeffs, const float* cols, size_t 
   KAccumulateColumns(coeffs, cols, col_stride, count, out);
 }
 
+void AccumulateColumnsFused(std::span<const float> coeffs, const float* cols, size_t col_stride,
+                            size_t count, size_t first_col, size_t end_col, double* out,
+                            float* open, double* full_out) {
+  KAccumulateColumnsFused(coeffs, cols, col_stride, count, first_col, end_col, out, open,
+                          full_out);
+}
+
 uint16_t Fp16FromFloat(float value) { return KFloatToHalf(value); }
 
 float Fp16ToFloat(uint16_t bits) { return KHalfToFloat(bits); }
@@ -140,17 +147,30 @@ void TopKIndicesInto(std::span<const double> values, size_t k, std::vector<size_
 
 std::vector<size_t> MassCoverIndices(std::span<const double> probs, double threshold,
                                      size_t min_count) {
-  std::vector<size_t> order = TopKIndices(probs, probs.size());
-  min_count = std::min(min_count, probs.size());
+  // Repeated selection instead of a full sort: each step takes the best entry ranked after the
+  // previous pick under (value desc, index asc). That order is strict and total, so the picks
+  // are exactly the sorted prefix, and the loop stops as soon as the cover is met — usually
+  // after a handful of O(n) passes.
+  const size_t n = probs.size();
+  min_count = std::min(min_count, n);
   std::vector<size_t> picked;
   picked.reserve(min_count);
   double mass = 0.0;
-  for (size_t idx : order) {
-    if (picked.size() >= min_count && mass >= threshold) {
-      break;
+  while (picked.size() < n && (picked.size() < min_count || mass < threshold)) {
+    size_t best = n;
+    for (size_t j = 0; j < n; ++j) {
+      if (!picked.empty()) {
+        const size_t last = picked.back();
+        if (probs[j] > probs[last] || (probs[j] == probs[last] && j <= last)) {
+          continue;  // Ranked at or before the previous pick.
+        }
+      }
+      if (best == n || probs[j] > probs[best]) {  // Strict >: lower index wins ties.
+        best = j;
+      }
     }
-    picked.push_back(idx);
-    mass += probs[idx];
+    picked.push_back(best);
+    mass += probs[best];
   }
   return picked;
 }

@@ -66,6 +66,18 @@ void CosineAgainstRows(std::span<const float> query, double inv_query_norm, cons
 void AccumulateColumns(std::span<const float> coeffs, const float* cols, size_t col_stride,
                        size_t count, double* out);
 
+// AccumulateColumns that also keeps a second grouping of the same products, for a caller that
+// streams columns [0, end_col) of one matrix in several consecutive calls (the store's
+// per-layer trajectory session) but also needs the one-call result over all of them (RDY
+// dedup). `coeffs` are the coefficients of columns [first_col, first_col + coeffs.size()).
+// `out` receives exactly AccumulateColumns(coeffs, cols, col_stride, count, out). `open` holds
+// count floats, zero before the first call, that carry each element's unflushed partial across
+// calls; once calls have covered every column of [0, end_col) in order, `full_out` has
+// received exactly what one AccumulateColumns call over all end_col coefficients adds.
+void AccumulateColumnsFused(std::span<const float> coeffs, const float* cols, size_t col_stride,
+                            size_t count, size_t first_col, size_t end_col, double* out,
+                            float* open, double* full_out);
+
 // ---- Reduced-precision column kernels (quantized Expert Map Store, DESIGN.md §5g) ----
 
 // IEEE binary16 conversions (round-to-nearest-even; bit-exact, no hardware dependency).
@@ -150,6 +162,9 @@ void CosineAgainstRows(std::span<const float> query, double inv_query_norm, cons
                        double* out);
 void AccumulateColumns(std::span<const float> coeffs, const float* cols, size_t col_stride,
                        size_t count, double* out);
+void AccumulateColumnsFused(std::span<const float> coeffs, const float* cols, size_t col_stride,
+                            size_t count, size_t first_col, size_t end_col, double* out,
+                            float* open, double* full_out);
 void AccumulateColumnsF16(std::span<const float> coeffs, const uint16_t* cols,
                           size_t col_stride, size_t count, double* out);
 void AccumulateColumnsQ8(const Q8Coeffs& coeffs, const uint8_t* cols, size_t col_stride,

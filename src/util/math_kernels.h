@@ -134,6 +134,87 @@ static inline void KAccumulateColumns(std::span<const float> coeffs, const float
   }
 }
 
+// Adds the float lanes of `acc` (kFusedLanes lane groups) into dst[0, 8·kFusedLanes) as
+// doubles: dst[i] += (double)lane_i, the same flush KAccumulateColumns applies to its tile.
+inline constexpr size_t kFusedLanes = 4;
+static inline void KFlushLanes(const simd::F32x8 (&acc)[kFusedLanes], double* dst) {
+  float lanes[8 * kFusedLanes];
+  for (size_t v = 0; v < kFusedLanes; ++v) {
+    simd::Store(lanes + 8 * v, acc[v]);
+  }
+  for (size_t j = 0; j < 8 * kFusedLanes; j += 4) {
+    simd::Store(dst + j, simd::Add(simd::LoadF64x4(dst + j), simd::WidenF32x4(lanes + j)));
+  }
+}
+
+// KAccumulateColumns plus a second accumulation of the same products on the absolute column
+// grid. Each column value is loaded and multiplied once; the float product feeds the call's
+// own group (flushed into `out` every kColFlushCoeffs coefficients of *this call*, exactly as
+// KAccumulateColumns) and the caller's persistent per-element float partial `open`, which is
+// flushed into `full_out` whenever absolute column first_col + k closes a 16-column group of
+// [0, end_col). Chaining calls over consecutive column ranges therefore rebuilds, in
+// `full_out`, the single-call KAccumulateColumns result over all of [0, end_col) bit for bit.
+// Per element the float and double additions happen in exactly the order KAccumulateColumns
+// performs them; only the loop nest differs: blocks of 8·kFusedLanes elements keep both
+// accumulators in registers across a 16-coefficient group, so the second grouping costs
+// additions, not memory traffic.
+static inline void KAccumulateColumnsFused(std::span<const float> coeffs, const float* cols,
+                                           size_t col_stride, size_t count, size_t first_col,
+                                           size_t end_col, double* out, float* open,
+                                           double* full_out) {
+  constexpr size_t kRows = 8 * kFusedLanes;
+  const size_t body = count - count % kRows;
+  const auto closes_full_group = [&](size_t k) {
+    const size_t done = first_col + k + 1;  // Absolute columns consumed so far.
+    return done % kColFlushCoeffs == 0 || done == end_col;
+  };
+  for (size_t k0 = 0; k0 < coeffs.size(); k0 += kColFlushCoeffs) {
+    const size_t k_end = std::min(coeffs.size(), k0 + kColFlushCoeffs);
+    for (size_t r = 0; r < body; r += kRows) {
+      simd::F32x8 group[kFusedLanes];
+      simd::F32x8 part[kFusedLanes];
+      for (size_t v = 0; v < kFusedLanes; ++v) {
+        group[v] = simd::ZeroF32x8();
+        part[v] = simd::LoadF32x8(open + r + 8 * v);
+      }
+      for (size_t k = k0; k < k_end; ++k) {
+        const float* __restrict col = cols + k * col_stride + r;
+        const simd::F32x8 vc = simd::BroadcastF32x8(coeffs[k]);
+        for (size_t v = 0; v < kFusedLanes; ++v) {
+          const simd::F32x8 prod = simd::Mul(vc, simd::LoadF32x8(col + 8 * v));
+          group[v] = simd::Add(group[v], prod);
+          part[v] = simd::Add(part[v], prod);
+        }
+        if (closes_full_group(k)) {
+          KFlushLanes(part, full_out + r);
+          for (size_t v = 0; v < kFusedLanes; ++v) {
+            part[v] = simd::ZeroF32x8();
+          }
+        }
+      }
+      KFlushLanes(group, out + r);
+      for (size_t v = 0; v < kFusedLanes; ++v) {
+        simd::Store(open + r + 8 * v, part[v]);
+      }
+    }
+    for (size_t i = body; i < count; ++i) {
+      float group = 0.0f;
+      float part = open[i];
+      for (size_t k = k0; k < k_end; ++k) {
+        const float prod = coeffs[k] * cols[k * col_stride + i];
+        group += prod;
+        part += prod;
+        if (closes_full_group(k)) {
+          full_out[i] += static_cast<double>(part);
+          part = 0.0f;
+        }
+      }
+      out[i] += static_cast<double>(group);
+      open[i] = part;
+    }
+  }
+}
+
 // ---- fp16 helpers (bit-exact, dependency-free; shared verbatim by both TUs) ----
 
 static inline float KHalfToFloat(uint16_t h) {

@@ -30,6 +30,13 @@ void AccumulateColumns(std::span<const float> coeffs, const float* cols, size_t 
   KAccumulateColumns(coeffs, cols, col_stride, count, out);
 }
 
+void AccumulateColumnsFused(std::span<const float> coeffs, const float* cols, size_t col_stride,
+                            size_t count, size_t first_col, size_t end_col, double* out,
+                            float* open, double* full_out) {
+  KAccumulateColumnsFused(coeffs, cols, col_stride, count, first_col, end_col, out, open,
+                          full_out);
+}
+
 void AccumulateColumnsF16(std::span<const float> coeffs, const uint16_t* cols,
                           size_t col_stride, size_t count, double* out) {
   KAccumulateColumnsF16(coeffs, cols, col_stride, count, out);

@@ -6,6 +6,7 @@
 #include <sstream>
 #include <vector>
 
+#include "src/core/map_matcher.h"
 #include "src/core/map_store.h"
 #include "src/core/map_store_io.h"
 #include "src/core/shard_router.h"
@@ -64,7 +65,7 @@ TEST_P(SingleShardIdentityTest, MatchesBareStoreBitwise) {
   for (const StoredIteration& record : records) {
     StoredIteration a = record;
     StoredIteration b = record;
-    EXPECT_EQ(bare.Insert(std::move(a)), sharded.Insert(std::move(b)));
+    EXPECT_EQ(bare.Insert(std::move(a)), sharded.Insert(std::move(b)).flops);
     ASSERT_EQ(bare.size(), sharded.size());
     ASSERT_EQ(bare.generation(), sharded.generation(0));
   }
@@ -353,6 +354,51 @@ TEST(ShardedStoreIoTest, LegacyFileLoadsIntoMultiShardStore) {
   const StoreIoResult io = LoadStore(in, &dest);
   ASSERT_TRUE(io.ok) << io.error;
   EXPECT_EQ(dest.size(), bare.size());
+}
+
+// --- inserts through the matcher's session: identical to plain inserts ---
+
+TEST(ShardedSessionInsertTest, MatchesPlainInsertAcrossShardsWithAndWithoutTrajectory) {
+  const ModelConfig model = Tiny();
+  for (const bool use_trajectory : {true, false}) {
+    ShardedMapStore plain(model, 32, 2, StoreDedupPolicy::kRedundancy, MapPrecision::kFp32, 4,
+                          kSemanticRouterSeed);
+    ShardedMapStore fused(model, 32, 2, StoreDedupPolicy::kRedundancy, MapPrecision::kFp32, 4,
+                          kSemanticRouterSeed);
+    MatcherOptions options;
+    options.use_trajectory = use_trajectory;
+    HybridMatcher matcher(&fused, model, 2, options);
+    Rng rng(59);
+    int reused = 0;
+    for (uint64_t i = 0; i < 96; ++i) {
+      StoredIteration record = RandomRecord(model, rng, i);
+      matcher.BeginIteration(record.embedding);
+      for (int l = 0; l < model.num_layers; ++l) {
+        matcher.ObserveLayer(l, record.map.Layer(l));
+      }
+      const int target = fused.RouteEmbedding(record.embedding);
+      const std::span<const double> flat = record.map.Flat();
+      const std::vector<float> floats(flat.begin(), flat.end());
+      reused += matcher.session().shard_session(target).FullMapDots(floats).empty() ? 0 : 1;
+
+      StoredIteration copy = record;
+      const ShardInsertResult a = plain.Insert(std::move(copy));
+      const ShardInsertResult b = fused.Insert(std::move(record), &matcher.session());
+      EXPECT_EQ(a.shard, target);
+      EXPECT_EQ(a.shard, b.shard);
+      EXPECT_EQ(a.flops, b.flops);
+    }
+    std::ostringstream plain_out;
+    std::ostringstream fused_out;
+    ASSERT_TRUE(SaveStore(plain, plain_out).ok);
+    ASSERT_TRUE(SaveStore(fused, fused_out).ok);
+    EXPECT_EQ(plain_out.str(), fused_out.str()) << "use_trajectory=" << use_trajectory;
+    if (use_trajectory) {
+      EXPECT_GT(reused, 0);
+    } else {
+      EXPECT_EQ(reused, 0);  // No layer observed: every insert rescans.
+    }
+  }
 }
 
 // --- capacity split ---

@@ -1,6 +1,14 @@
 #include "src/core/map_store.h"
 
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
+
+#include "src/core/map_store_io.h"
+#include "src/util/math.h"
+#include "src/util/rng.h"
 
 namespace fmoe {
 namespace {
@@ -169,6 +177,130 @@ TEST(ExpertMapStoreTest, InsertWorkScalesWithStoreSize) {
   const uint64_t small_flops = small.Insert(MakeRecord(100, 1));
   const uint64_t large_flops = large.Insert(MakeRecord(100, 1));
   EXPECT_GT(large_flops, small_flops);
+}
+
+// --- Insert with session dots: identical to the plain RDY scan -------------------------------
+
+StoredIteration RandomRecord(const ModelConfig& model, Rng& rng, uint64_t id) {
+  StoredIteration record;
+  record.request_id = id;
+  record.map = ExpertMap(model.num_layers, model.experts_per_layer);
+  std::vector<double> row(static_cast<size_t>(model.experts_per_layer));
+  for (int l = 0; l < model.num_layers; ++l) {
+    for (double& v : row) {
+      v = rng.NextDouble();
+    }
+    NormalizeInPlace(row);
+    record.map.SetLayer(l, row);
+  }
+  record.embedding = {rng.NextGaussian(), rng.NextGaussian(), rng.NextGaussian()};
+  return record;
+}
+
+std::vector<float> FloatMap(const StoredIteration& record) {
+  const std::span<const double> flat = record.map.Flat();
+  return std::vector<float>(flat.begin(), flat.end());
+}
+
+std::string SavedBytes(const ExpertMapStore& store) {
+  std::ostringstream out;
+  EXPECT_TRUE(SaveStore(store, out).ok);
+  return out.str();
+}
+
+// Two stores fed the same records: `plain` inserts without a session, `fused` inserts through
+// a session that observed the record's map first. Tiny's 4x6 map (24 columns) ends in a tail
+// group; Qwen's 24x60 map starts most layers off the 16-column grid.
+class SessionDotsInsertTest : public ::testing::TestWithParam<MapPrecision> {};
+
+TEST_P(SessionDotsInsertTest, PicksSameSlotFlopsAndBytesAsPlainInsert) {
+  const MapPrecision precision = GetParam();
+  for (const ModelConfig& model : {TinyTestConfig(), QwenMoeConfig()}) {
+    ExpertMapStore plain(model, 12, 2, StoreDedupPolicy::kRedundancy, precision);
+    ExpertMapStore fused(model, 12, 2, StoreDedupPolicy::kRedundancy, precision);
+    TrajectorySearchSession session(&fused);
+    Rng rng(71);
+    int reused = 0;
+    for (uint64_t i = 0; i < 40; ++i) {
+      StoredIteration record = RandomRecord(model, rng, i);
+      session.Reset();
+      for (int l = 0; l < model.num_layers; ++l) {
+        session.ObserveLayer(record.map.Layer(l));
+      }
+      reused += session.FullMapDots(FloatMap(record)).empty() ? 0 : 1;
+      StoredIteration copy = record;
+      ASSERT_EQ(plain.Insert(std::move(copy)), fused.Insert(std::move(record), &session))
+          << model.name << " insert " << i;
+      for (size_t s = 0; s < plain.size(); ++s) {
+        ASSERT_EQ(plain.Get(s).request_id, fused.Get(s).request_id) << "slot " << s;
+      }
+    }
+    EXPECT_EQ(SavedBytes(plain), SavedBytes(fused)) << model.name;
+    // Only fp32 stores take the session's dots (one per at-capacity insert); fp16 and int8
+    // always rescan.
+    EXPECT_EQ(reused, precision == MapPrecision::kFp32 ? 40 - 12 : 0) << model.name;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllPrecisions, SessionDotsInsertTest,
+                         ::testing::Values(MapPrecision::kFp32, MapPrecision::kFp16,
+                                           MapPrecision::kInt8));
+
+TEST(SessionDotsInsertTest, StaleSessionFallsBackToTheScan) {
+  const ModelConfig model = QwenMoeConfig();
+  ExpertMapStore plain(model, 8, 2);
+  ExpertMapStore fused(model, 8, 2);
+  Rng rng(73);
+  for (uint64_t i = 0; i < 8; ++i) {
+    StoredIteration record = RandomRecord(model, rng, i);
+    StoredIteration copy = record;
+    plain.Insert(std::move(copy));
+    fused.Insert(std::move(record));
+  }
+  TrajectorySearchSession session(&fused);
+  for (const bool mid_iteration : {false, true}) {
+    // Another slot inserts either after this session observed every layer (stale at insert
+    // time) or between two layers (the session rebuilds and stops tracking full-map dots).
+    StoredIteration record = RandomRecord(model, rng, 100);
+    StoredIteration other = RandomRecord(model, rng, 101);
+    session.Reset();
+    for (int l = 0; l < model.num_layers; ++l) {
+      if (mid_iteration && l == model.num_layers / 2) {
+        StoredIteration other_copy = other;
+        plain.Insert(std::move(other_copy));
+        fused.Insert(std::move(other));
+      }
+      session.ObserveLayer(record.map.Layer(l));
+    }
+    if (!mid_iteration) {
+      StoredIteration other_copy = other;
+      plain.Insert(std::move(other_copy));
+      fused.Insert(std::move(other));
+    }
+    EXPECT_TRUE(session.FullMapDots(FloatMap(record)).empty());
+    StoredIteration copy = record;
+    EXPECT_EQ(plain.Insert(std::move(copy)), fused.Insert(std::move(record), &session));
+    EXPECT_EQ(SavedBytes(plain), SavedBytes(fused));
+  }
+}
+
+TEST(SessionDotsInsertTest, DotsOnlyVouchForTheObservedMap) {
+  const ModelConfig model = TinyTestConfig();
+  ExpertMapStore store(model, 4, 2);
+  Rng rng(79);
+  for (uint64_t i = 0; i < 4; ++i) {
+    store.Insert(RandomRecord(model, rng, i));
+  }
+  const StoredIteration observed = RandomRecord(model, rng, 10);
+  const StoredIteration different = RandomRecord(model, rng, 11);
+  TrajectorySearchSession session(&store);
+  for (int l = 0; l < model.num_layers - 1; ++l) {
+    session.ObserveLayer(observed.map.Layer(l));
+    EXPECT_TRUE(session.FullMapDots(FloatMap(observed)).empty()) << "only " << l + 1 << " layers";
+  }
+  session.ObserveLayer(observed.map.Layer(model.num_layers - 1));
+  EXPECT_EQ(session.FullMapDots(FloatMap(observed)).size(), store.size());
+  EXPECT_TRUE(session.FullMapDots(FloatMap(different)).empty());
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <limits>
 #include <numeric>
 #include <random>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -291,6 +292,48 @@ TEST(MassCoverIndicesTest, MinCountCappedAtSize) {
 TEST(MassCoverIndicesTest, FullThresholdSelectsEverything) {
   const std::vector<double> probs{0.4, 0.3, 0.2, 0.1};
   EXPECT_EQ(MassCoverIndices(probs, 1.0, 1).size(), 4u);
+}
+
+// The sort-based selection MassCoverIndices replaced: fully order all entries, then take the
+// shortest prefix meeting both conditions.
+std::vector<size_t> MassCoverBySort(std::span<const double> probs, double threshold,
+                                    size_t min_count) {
+  const std::vector<size_t> order = TopKIndices(probs, probs.size());
+  min_count = std::min(min_count, probs.size());
+  std::vector<size_t> picked;
+  double mass = 0.0;
+  for (size_t idx : order) {
+    if (picked.size() >= min_count && mass >= threshold) {
+      break;
+    }
+    picked.push_back(idx);
+    mass += probs[idx];
+  }
+  return picked;
+}
+
+TEST(MassCoverIndicesTest, SelectionMatchesSortReferenceWithTies) {
+  std::mt19937_64 rng(0x3A55);
+  std::uniform_int_distribution<int> level(0, 4);
+  std::uniform_real_distribution<double> uniform(0.0, 1.0);
+  for (const size_t n : {0u, 1u, 2u, 3u, 7u, 8u, 33u, 60u, 64u, 128u}) {
+    for (int trial = 0; trial < 20; ++trial) {
+      // Even trials draw from five levels, so ties (including all-zero runs) are common.
+      std::vector<double> probs(n);
+      for (double& p : probs) {
+        p = trial % 2 == 0 ? 0.25 * level(rng) : uniform(rng);
+      }
+      NormalizeInPlace(probs);
+      for (const double threshold : {0.0, 0.1, 0.5, 0.9, 1.0, 1.5}) {
+        for (const size_t min_count : {size_t{0}, size_t{1}, size_t{2}, size_t{5}, n + 1}) {
+          ASSERT_EQ(MassCoverIndices(probs, threshold, min_count),
+                    MassCoverBySort(probs, threshold, min_count))
+              << "n=" << n << " trial=" << trial << " threshold=" << threshold
+              << " min_count=" << min_count;
+        }
+      }
+    }
+  }
 }
 
 TEST(NormalizeInPlaceTest, SumsToOne) {

@@ -11,6 +11,7 @@
 #include <cstring>
 #include <limits>
 #include <random>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -141,6 +142,46 @@ TEST(SimdEquivalenceTest, AccumulateColumnsBitwiseMatchesScalar) {
       ExpectBitwiseEqual(expected, actual,
                          "AccumulateColumns count=" + std::to_string(count) +
                              " coeffs=" + std::to_string(num_coeffs));
+    }
+  }
+}
+
+// The fused kernel run layer by layer (J columns per call, so first_col is rarely a multiple
+// of 16 and the last group of [0, L·J) may be a tail) must reproduce two unfused scans bit for
+// bit: `out` equals per-layer AccumulateColumns, and `full_out` equals one AccumulateColumns
+// call over all L·J columns. The dispatched build must match the scalar reference on both.
+TEST(SimdEquivalenceTest, AccumulateColumnsFusedMatchesUnfusedScansAndScalar) {
+  std::mt19937_64 rng(0xF05E);
+  const size_t kLayers = 3;
+  for (const size_t J : {8u, 60u, 64u, 128u}) {
+    const size_t end_col = kLayers * J;
+    for (const size_t count : {1u, 7u, 15u, 16u, 17u, 999u, 1000u, 2049u}) {
+      const size_t stride = count + 3;
+      const std::vector<float> coeffs = RandomFloats(rng, end_col);
+      const std::vector<float> cols = RandomFloats(rng, end_col * stride);
+      const std::vector<double> start = RandomDoubles(rng, count);
+      const std::vector<double> full_start = RandomDoubles(rng, count);
+
+      std::vector<double> per_layer = start;
+      std::vector<double> one_shot = full_start;
+      AccumulateColumns(coeffs, cols.data(), stride, count, one_shot.data());
+      std::vector<double> out = start, full = full_start;
+      std::vector<double> ref_out = start, ref_full = full_start;
+      std::vector<float> open(count, 0.0f), ref_open(count, 0.0f);
+      for (size_t l = 0; l < kLayers; ++l) {
+        const std::span<const float> block(coeffs.data() + l * J, J);
+        const float* layer_cols = cols.data() + l * J * stride;
+        AccumulateColumns(block, layer_cols, stride, count, per_layer.data());
+        AccumulateColumnsFused(block, layer_cols, stride, count, l * J, end_col, out.data(),
+                               open.data(), full.data());
+        scalar::AccumulateColumnsFused(block, layer_cols, stride, count, l * J, end_col,
+                                       ref_out.data(), ref_open.data(), ref_full.data());
+      }
+      const std::string what = " J=" + std::to_string(J) + " count=" + std::to_string(count);
+      ExpectBitwiseEqual(per_layer, out, "fused out vs per-layer AccumulateColumns" + what);
+      ExpectBitwiseEqual(one_shot, full, "fused full_out vs one-shot AccumulateColumns" + what);
+      ExpectBitwiseEqual(ref_out, out, "fused out dispatched vs scalar" + what);
+      ExpectBitwiseEqual(ref_full, full, "fused full_out dispatched vs scalar" + what);
     }
   }
 }
