@@ -31,6 +31,7 @@ done
 # command lines are skipped.
 for doc in *.md; do
   case "$doc" in ISSUE.md) continue ;; esac  # Transient work item, module-relative paths.
+  case "$doc" in ROADMAP.md) continue ;; esac  # Names planned files that do not exist yet.
   while IFS= read -r ref; do
     [ -z "$ref" ] && continue
     case "$ref" in

@@ -23,11 +23,6 @@ uint64_t MixKeys(uint64_t a, uint64_t b, uint64_t c, uint64_t d) {
   return SplitMix64(state);
 }
 
-double HashedUniform(uint64_t key) {
-  uint64_t s = key;
-  return static_cast<double>(SplitMix64(s) >> 11) * 0x1.0p-53;
-}
-
 // Deterministic standard Gaussian from a hash key (Box-Muller over two derived uniforms).
 double HashedGaussian(uint64_t key) {
   uint64_t s = key;
@@ -174,44 +169,61 @@ void GateSimulator::DistributionInto(const RequestRouting& routing, int iteratio
     SoftmaxInPlace(*out, profile_.temperature);
     return;
   }
-  // Prefill: the recorded map entry is the mean gate output over sampled prompt tokens.
-  const int samples = std::max(1, profile_.prefill_token_samples);
-  out->assign(static_cast<size_t>(config_.experts_per_layer), 0.0);
-  for (int t = 0; t < samples; ++t) {
-    const std::vector<double> p =
-        TokenDistribution(routing, iteration, layer, static_cast<uint64_t>(t) + 1);
-    AddInPlace(*out, p);
+  PrefillScratch scratch;
+  PrefillInto(routing, layer, /*prompt_tokens=*/0, out, /*activated=*/nullptr, &scratch);
+}
+
+void GateSimulator::PrefillInto(const RequestRouting& routing, int layer, int prompt_tokens,
+                                std::vector<double>* mean, std::vector<int>* activated,
+                                PrefillScratch* scratch) const {
+  FMOE_CHECK(layer >= 0 && layer < config_.num_layers);
+  // The recorded map entry is the mean gate output over the sampled prompt tokens; the
+  // activated experts are the union of top-K over the first min(samples, prompt_tokens) of
+  // those same tokens, so one pass serves both.
+  const int mean_samples = std::max(1, profile_.prefill_token_samples);
+  const int union_samples =
+      std::max(1, std::min(profile_.prefill_token_samples, std::max(prompt_tokens, 1)));
+  const int samples = mean != nullptr ? mean_samples : union_samples;
+  const size_t k = static_cast<size_t>(config_.top_k);
+  if (mean != nullptr) {
+    mean->assign(static_cast<size_t>(config_.experts_per_layer), 0.0);
   }
-  NormalizeInPlace(*out);
+  if (activated != nullptr) {
+    activated->clear();
+  }
+  std::vector<double>& token = scratch->token;
+  for (int t = 0; t < samples; ++t) {
+    LogitsInto(routing, /*iteration=*/0, layer, static_cast<uint64_t>(t) + 1, &token);
+    SoftmaxInPlace(token, profile_.temperature);
+    if (mean != nullptr) {
+      AddInPlace(*mean, token);
+    }
+    if (activated != nullptr && t < union_samples) {
+      TopKIndicesInto(token, k, &scratch->top);
+      activated->insert(activated->end(), scratch->top.begin(), scratch->top.end());
+    }
+  }
+  if (mean != nullptr) {
+    NormalizeInPlace(*mean);
+  }
+  if (activated != nullptr) {
+    std::sort(activated->begin(), activated->end());
+    activated->erase(std::unique(activated->begin(), activated->end()), activated->end());
+  }
 }
 
 std::vector<int> GateSimulator::ActivatedExperts(const RequestRouting& routing, int iteration,
                                                  int layer, int prompt_tokens) const {
-  const size_t k = static_cast<size_t>(config_.top_k);
+  std::vector<int> out;
   if (iteration > 0) {
     const std::vector<double> p = TokenDistribution(routing, iteration, layer, 0);
-    const std::vector<size_t> top = TopKIndices(p, k);
-    std::vector<int> out(top.begin(), top.end());
+    const std::vector<size_t> top = TopKIndices(p, static_cast<size_t>(config_.top_k));
+    out.assign(top.begin(), top.end());
     std::sort(out.begin(), out.end());
     return out;
   }
-  // Prefill: union of top-K over representative tokens.
-  const int samples =
-      std::max(1, std::min(profile_.prefill_token_samples, std::max(prompt_tokens, 1)));
-  std::vector<bool> active(static_cast<size_t>(config_.experts_per_layer), false);
-  for (int t = 0; t < samples; ++t) {
-    const std::vector<double> p =
-        TokenDistribution(routing, iteration, layer, static_cast<uint64_t>(t) + 1);
-    for (size_t idx : TopKIndices(p, k)) {
-      active[idx] = true;
-    }
-  }
-  std::vector<int> out;
-  for (int j = 0; j < config_.experts_per_layer; ++j) {
-    if (active[static_cast<size_t>(j)]) {
-      out.push_back(j);
-    }
-  }
+  PrefillScratch scratch;
+  PrefillInto(routing, layer, prompt_tokens, /*mean=*/nullptr, &out, &scratch);
   return out;
 }
 

@@ -68,9 +68,9 @@ class GateSimulator {
   std::vector<double> Distribution(const RequestRouting& routing, int iteration,
                                    int layer) const;
 
-  // Allocation-free Distribution for the decode path: `out` is overwritten (and only grows
-  // capacity once warm). The prefill aggregate still allocates per token sample — prefill is
-  // one iteration per request, not the steady state.
+  // Distribution into a reused buffer: `out` is overwritten (and only grows capacity once
+  // warm). Decode iterations allocate nothing; the prefill aggregate allocates its per-token
+  // buffers on every call — the engine uses PrefillInto instead.
   void DistributionInto(const RequestRouting& routing, int iteration, int layer,
                         std::vector<double>* out) const;
 
@@ -79,6 +79,21 @@ class GateSimulator {
   // touches more experts (prompt_tokens matters only when iteration == 0).
   std::vector<int> ActivatedExperts(const RequestRouting& routing, int iteration, int layer,
                                     int prompt_tokens) const;
+
+  // Per-token buffers PrefillInto reuses across calls.
+  struct PrefillScratch {
+    std::vector<double> token;
+    std::vector<size_t> top;
+  };
+
+  // Both prefill (iteration 0) outputs of `layer` from one pass over the sampled prompt
+  // tokens, each token's distribution computed once: `mean` (if non-null) receives
+  // Distribution(routing, 0, layer) and `activated` (if non-null)
+  // ActivatedExperts(routing, 0, layer, prompt_tokens), both bitwise. DistributionInto and
+  // ActivatedExperts delegate here at iteration 0.
+  void PrefillInto(const RequestRouting& routing, int layer, int prompt_tokens,
+                   std::vector<double>* mean, std::vector<int>* activated,
+                   PrefillScratch* scratch) const;
 
   // Noisy estimate of Distribution(routing, iteration, layer) as seen by a speculative
   // predictor looking `distance` layers ahead. Fidelity decays with distance.

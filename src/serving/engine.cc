@@ -704,11 +704,11 @@ double ServingEngine::RunIteration(std::vector<BatchMember*>& active) {
       const int iteration = member->next_iteration;
       const bool is_prefill = iteration == 0;
       std::vector<double>& probs = layer_probs_[m][static_cast<size_t>(layer)];
-      gate_.DistributionInto(routing, iteration, layer, &probs);
       if (is_prefill) {
-        activated_ =
-            gate_.ActivatedExperts(routing, iteration, layer, member->request.prompt_tokens);
+        gate_.PrefillInto(routing, layer, member->request.prompt_tokens, &probs, &activated_,
+                          &prefill_scratch_);
       } else {
+        gate_.DistributionInto(routing, iteration, layer, &probs);
         TopKIndicesInto(probs, static_cast<size_t>(model_.top_k), &top_scratch_);
         activated_.assign(top_scratch_.begin(), top_scratch_.end());
         std::sort(activated_.begin(), activated_.end());

@@ -317,6 +317,7 @@ class ServingEngine : public EngineHandle {
   std::vector<int> tokens_by_expert_;  // Dense per-layer token counts, indexed by expert.
   std::vector<int> activated_;
   std::vector<size_t> top_scratch_;
+  GateSimulator::PrefillScratch prefill_scratch_;
   std::vector<ExpertJob> jobs_;
   std::vector<CacheEntry> evicted_scratch_;
 };

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <iterator>
 #include <map>
 #include <string>
 #include <vector>
@@ -55,7 +56,16 @@ struct StreamOptions {
   // Constant factor = the engine's steady state (one rebase, then pure scheduled crossings);
   // random factors force a rebase per decay (correct but slow path).
   bool constant_decay = true;
+  // Pin-heavy mix: pins are held across many evicting inserts and released in random order,
+  // and resident entries are repeatedly pinned and unpinned with nothing changed in between
+  // (the path where the indexed cache keeps the entry's heap node instead of re-pushing).
+  bool pin_heavy = false;
 };
+
+// Operation kinds of the pin-heavy mix, drawn uniformly: 5/16 inserts, 2/16 pins, 2/16
+// releases of a held pin, 2/16 pin/unpin round trips, one each of the rest. Kinds 0-7 are the
+// default mix's; 8 = pin/unpin round trip, 9 = release a random held pin.
+constexpr uint64_t kPinHeavyMix[16] = {0, 0, 0, 0, 0, 1, 2, 2, 9, 9, 8, 8, 4, 6, 7, 5};
 
 // Drives both caches through an identical random operation stream, asserting equivalence
 // after every operation. The indexed cache's index stats land in *stats_out (ASSERT_* macros
@@ -74,7 +84,9 @@ void RunStream(const std::string& policy_name, const StreamOptions& options,
   for (int op = 0; op < options.ops; ++op) {
     now += rng.NextDouble();
     const uint64_t key = rng.NextBounded(96);
-    switch (rng.NextBounded(8)) {
+    const uint64_t kind =
+        options.pin_heavy ? kPinHeavyMix[rng.NextBounded(16)] : rng.NextBounded(8);
+    switch (kind) {
       case 0: {  // Insert.
         CacheEntry entry;
         entry.key = key;
@@ -168,6 +180,29 @@ void RunStream(const std::string& policy_name, const StreamOptions& options,
         }
         break;
       }
+      case 8: {  // Pin/unpin round trips of an unchanged resident entry.
+        if (indexed.Contains(key)) {
+          for (int trip = 0; trip < 3; ++trip) {
+            indexed.Pin(key);
+            reference.Pin(key);
+            indexed.Unpin(key);
+            reference.Unpin(key);
+          }
+        }
+        break;
+      }
+      case 9: {  // Release one held pin, chosen at random.
+        if (!pins.empty()) {
+          auto it = pins.begin();
+          std::advance(it, static_cast<long>(rng.NextBounded(pins.size())));
+          indexed.Unpin(it->first);
+          reference.Unpin(it->first);
+          if (--it->second == 0) {
+            pins.erase(it);
+          }
+        }
+        break;
+      }
     }
 
     ASSERT_EQ(indexed.size(), reference.size()) << "op " << op;
@@ -219,6 +254,15 @@ TEST_P(CachePropertyTest, IndexedMatchesReferenceUnderRandomDecay) {
   options.constant_decay = false;
   options.ops = 2000;
   RunStream(std::get<0>(GetParam()), options);
+}
+
+TEST_P(CachePropertyTest, IndexedMatchesReferenceUnderPinHeavyStream) {
+  StreamOptions options;
+  options.seed = std::get<1>(GetParam()) ^ 0x9172;
+  options.pin_heavy = true;
+  CacheIndexStats stats;
+  RunStream(std::get<0>(GetParam()), options, &stats);
+  EXPECT_GT(stats.victim_picks, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <utility>
+#include <vector>
+
+#include "src/cache/reference_cache.h"
+#include "src/util/rng.h"
 
 namespace fmoe {
 namespace {
@@ -232,6 +238,139 @@ TEST_F(ExpertCacheTest, NestedPinUnpin) {
   EXPECT_FALSE(cache.Insert(Entry(2), 1.0, &evicted));
   cache.Unpin(1);
   EXPECT_TRUE(cache.Insert(Entry(2), 2.0, &evicted));
+}
+
+TEST_F(ExpertCacheTest, PinnedBestVictimIsSkippedAndEvictedAfterUnpin) {
+  ExpertCache cache(30, &lru_);
+  for (uint64_t key = 1; key <= 3; ++key) {
+    CacheEntry entry = Entry(key);
+    entry.last_access = static_cast<double>(key);
+    cache.Insert(entry, entry.last_access, nullptr);
+  }
+  // Key 1 is the oldest access, so its heap node sits at the best-victim position when pinned.
+  cache.Pin(1);
+  CacheEntry fourth = Entry(4);
+  fourth.last_access = 4.0;
+  std::vector<CacheEntry> evicted;
+  ASSERT_TRUE(cache.Insert(fourth, 4.0, &evicted));
+  ASSERT_EQ(evicted.size(), 1u);
+  EXPECT_EQ(evicted[0].key, 2u);
+  cache.Unpin(1);
+  CacheEntry fifth = Entry(5);
+  fifth.last_access = 5.0;
+  ASSERT_TRUE(cache.Insert(fifth, 5.0, &evicted));
+  ASSERT_EQ(evicted.size(), 1u);
+  EXPECT_EQ(evicted[0].key, 1u);
+}
+
+// LRU entries whose last accesses are adjacent doubles sit at different heap primaries, yet
+// at a late `now` their scores round to the same value: the victim is then the first of them
+// in iteration order (smallest label), which a pick must find by walking past the heap top.
+// `roles[i]` is the index, in Keys() order, of the entry given the i-th smallest last access;
+// `touched` (if >= 0) is re-accessed at `now`, leaving a stale node among the tied ones.
+uint64_t TiedLruVictim(const std::vector<size_t>& roles, int touched, uint64_t* reference_victim) {
+  const LruEvictionPolicy lru;
+  std::vector<uint64_t> order;
+  {
+    ExpertCache probe(1000, &lru);
+    for (uint64_t key = 1; key <= roles.size(); ++key) {
+      probe.Insert(Entry(key), 0.0, nullptr);
+    }
+    order = probe.Keys();
+  }
+  std::vector<double> access(roles.size());
+  double t = 0.1;
+  for (size_t i = 0; i < roles.size(); ++i) {
+    access[roles[i]] = t;
+    t = std::nextafter(t, 1.0);
+  }
+  const double now = 1e6;
+  ExpertCache cache(10 * roles.size(), &lru);
+  ReferenceExpertCache reference(10 * roles.size(), &lru);
+  for (uint64_t key = 1; key <= roles.size(); ++key) {
+    const size_t rank = static_cast<size_t>(
+        std::find(order.begin(), order.end(), key) - order.begin());
+    CacheEntry entry = Entry(key);
+    entry.last_access = access[rank];
+    cache.Insert(entry, entry.last_access, nullptr);
+    reference.Insert(entry, entry.last_access, nullptr);
+  }
+  if (touched >= 0) {
+    cache.Touch(order[static_cast<size_t>(touched)], now);
+    reference.Touch(order[static_cast<size_t>(touched)], now);
+  }
+  std::vector<CacheEntry> evicted;
+  std::vector<CacheEntry> reference_evicted;
+  cache.Insert(Entry(100), now, &evicted);
+  reference.Insert(Entry(100), now, &reference_evicted);
+  *reference_victim = reference_evicted.at(0).key;
+  return evicted.at(0).key;
+}
+
+TEST_F(ExpertCacheTest, EqualScoreBelowTheTopWinsOnIterationOrder) {
+  // The top (oldest access) is last in iteration order; the runner-up ties it on score.
+  uint64_t want = 0;
+  EXPECT_EQ(TiedLruVictim({1, 0}, -1, &want), want);
+  // A stale node of a re-accessed entry sits between the top and the tied entry.
+  EXPECT_EQ(TiedLruVictim({2, 1, 0}, 1, &want), want);
+  EXPECT_EQ(TiedLruVictim({3, 1, 2, 0}, 1, &want), want);
+}
+
+TEST_F(ExpertCacheTest, PinUnpinWithoutChangeKeepsTheHeapNode) {
+  const EvictionPolicy* const policies[] = {&lru_, &lfu_, &priority_};
+  for (const EvictionPolicy* policy : policies) {
+    ExpertCache cache(100, policy);
+    for (uint64_t key = 1; key <= 4; ++key) {
+      CacheEntry entry = Entry(key);
+      entry.last_access = static_cast<double>(key);
+      entry.frequency = static_cast<double>(key);
+      entry.probability = 0.1 * static_cast<double>(key);
+      cache.Insert(entry, entry.last_access, nullptr);
+    }
+    const uint64_t pushes = cache.index_stats().heap_pushes;
+    cache.Pin(2);
+    cache.Unpin(2);
+    cache.Pin(3);
+    cache.Pin(3);
+    cache.Unpin(3);
+    cache.Unpin(3);
+    EXPECT_EQ(cache.index_stats().heap_pushes, pushes) << policy->name();
+  }
+}
+
+TEST_F(ExpertCacheTest, PinTouchUnpinPushesOnce) {
+  ExpertCache cache(100, &lfu_);
+  cache.Insert(Entry(1), 0.0, nullptr);
+  cache.Insert(Entry(2), 0.0, nullptr);
+  const uint64_t pushes = cache.index_stats().heap_pushes;
+  cache.Pin(1);
+  cache.Touch(1, 1.0);  // Changes the key while pinned: nothing is pushed yet.
+  EXPECT_EQ(cache.index_stats().heap_pushes, pushes);
+  cache.Unpin(1);
+  EXPECT_EQ(cache.index_stats().heap_pushes, pushes + 1);
+  // The re-pushed node carries the touched frequency: key 2 is now the LFU victim.
+  std::vector<CacheEntry> evicted;
+  ASSERT_TRUE(cache.Insert(Entry(3, 90), 2.0, &evicted));
+  ASSERT_EQ(evicted.size(), 1u);
+  EXPECT_EQ(evicted[0].key, 2u);
+}
+
+TEST_F(ExpertCacheTest, HeapNodesStayWithinCompactionBound) {
+  ExpertCache cache(10000, &priority_);
+  for (uint64_t key = 0; key < 64; ++key) {
+    cache.Insert(Entry(key), 0.0, nullptr);
+  }
+  Rng rng(3);
+  for (int op = 0; op < 10000; ++op) {
+    const uint64_t key = rng.NextBounded(64);
+    if (rng.NextBool(0.5)) {
+      cache.Touch(key, static_cast<double>(op));
+    } else {
+      cache.SetProbability(key, rng.NextDouble());
+    }
+    ASSERT_LE(cache.index_stats().heap_nodes, 2 * cache.size() + 16) << "op " << op;
+  }
+  EXPECT_GT(cache.index_stats().heap_rebuilds, 0u);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include "src/moe/gate_simulator.h"
 
 #include <algorithm>
+#include <cstring>
 #include <numeric>
 #include <vector>
 
@@ -238,6 +239,35 @@ TEST(GateSimulatorTest, BlendedRequestLeansTowardSecondCluster) {
   const auto p1 = gate.Distribution(pure1, 1, 0);
   const auto pb = gate.Distribution(blended, 1, 0);
   EXPECT_GT(CosineSimilarity(pb, p1), CosineSimilarity(p0, p1));
+}
+
+bool BitwiseEqual(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(GateSimulatorTest, PrefillIntoMatchesDistributionAndActivatedExperts) {
+  for (const ModelConfig& config : {MixtralConfig(), QwenMoeConfig()}) {
+    const GateSimulator gate(config, GateProfile{}, 11);
+    GateSimulator::PrefillScratch scratch;  // Reused across every call, as the engine does.
+    std::vector<double> mean;
+    std::vector<int> activated;
+    for (int r = 0; r < 50; ++r) {
+      RequestRouting routing = MakeRouting(r % 24, static_cast<uint64_t>(r) * 7919 + 1);
+      routing.blend_cluster = (r * 7) % 24;
+      routing.blend_weight = 0.1 * (r % 5);
+      routing.noise_multiplier = 0.5 + 0.05 * r;
+      for (int layer = 0; layer < config.num_layers; ++layer) {
+        for (const int prompt_tokens : {1, 3, 16, 500}) {
+          gate.PrefillInto(routing, layer, prompt_tokens, &mean, &activated, &scratch);
+          ASSERT_TRUE(BitwiseEqual(mean, gate.Distribution(routing, 0, layer)))
+              << config.name << " routing " << r << " layer " << layer << " n " << prompt_tokens;
+          ASSERT_EQ(activated, gate.ActivatedExperts(routing, 0, layer, prompt_tokens))
+              << config.name << " routing " << r << " layer " << layer << " n " << prompt_tokens;
+        }
+      }
+    }
+  }
 }
 
 // Property sweep: every paper model yields valid distributions at every layer.
