@@ -1,7 +1,6 @@
 #include "src/cache/expert_cache.h"
 
 #include <algorithm>
-#include <bit>
 
 #include "src/obs/control_signals.h"
 #include "src/obs/trace_recorder.h"
@@ -189,36 +188,17 @@ void ExpertCache::ScheduleCrossing(uint32_t slot) {
   // Else: the entry stays active past the rebase horizon; the rebase reschedules it.
 }
 
-EvictionIndexKey ExpertCache::CurrentIndexKey(uint32_t slot) {
+void ExpertCache::PushHeapNode(uint32_t slot) {
   MaterializeSlot(slot);
-  return policy_->IndexKey(MaterializedEntry(slot), inv_decay_);
-}
-
-std::vector<ExpertCache::HeapNode>& ExpertCache::AppendNode(uint32_t slot,
-                                                            const EvictionIndexKey& key) {
+  const CacheEntry view = MaterializedEntry(slot);
+  const EvictionIndexKey key = policy_->IndexKey(view, inv_decay_);
   std::vector<HeapNode>& heap = key.frozen ? frozen_heap_ : active_heap_;
   heap.push_back(HeapNode{key.primary, oracle_.label(slot), slot, gen_[slot]});
-  indexed_[slot] = 1;
-  node_primary_[slot] = key.primary;
-  node_frozen_[slot] = key.frozen ? 1 : 0;
-  return heap;
-}
-
-void ExpertCache::Unindex(uint32_t slot) {
-  ++gen_[slot];
-  indexed_[slot] = 0;
-}
-
-void ExpertCache::PushHeapNode(uint32_t slot) { PushHeapNode(slot, CurrentIndexKey(slot)); }
-
-void ExpertCache::PushHeapNode(uint32_t slot, const EvictionIndexKey& key) {
-  std::vector<HeapNode>& heap = AppendNode(slot, key);
   std::push_heap(heap.begin(), heap.end(), NodeAfter{});
   ++index_stats_.heap_pushes;
-  if (frozen_heap_.size() + active_heap_.size() > 2 * occupied_ + 16) {
+  if (heap_nodes() > 2 * occupied_ + 16) {
     RebuildHeaps();  // Compaction: drop accumulated stale nodes.
   }
-  index_stats_.heap_nodes = frozen_heap_.size() + active_heap_.size();
 }
 
 void ExpertCache::RebuildHeaps() {
@@ -226,14 +206,16 @@ void ExpertCache::RebuildHeaps() {
   frozen_heap_.clear();
   active_heap_.clear();
   for (uint32_t s = 0; s < occupied_flag_.size(); ++s) {
-    indexed_[s] = 0;
-    if (occupied_flag_[s] && pin_count_[s] == 0) {
-      AppendNode(s, CurrentIndexKey(s));
+    if (!occupied_flag_[s] || pin_count_[s] > 0) {
+      continue;
     }
+    MaterializeSlot(s);
+    const EvictionIndexKey key = policy_->IndexKey(MaterializedEntry(s), inv_decay_);
+    std::vector<HeapNode>& heap = key.frozen ? frozen_heap_ : active_heap_;
+    heap.push_back(HeapNode{key.primary, oracle_.label(s), s, gen_[s]});
   }
   std::make_heap(frozen_heap_.begin(), frozen_heap_.end(), NodeAfter{});
   std::make_heap(active_heap_.begin(), active_heap_.end(), NodeAfter{});
-  index_stats_.heap_nodes = frozen_heap_.size() + active_heap_.size();
 }
 
 double ExpertCache::ExactScore(uint32_t slot, double now) {
@@ -242,19 +224,11 @@ double ExpertCache::ExactScore(uint32_t slot, double now) {
 }
 
 bool ExpertCache::BestCandidate(std::vector<HeapNode>& heap, double now, Candidate* out) {
-  // A node is a candidate while its generation is current and its slot unpinned.
-  const auto live = [&](const HeapNode& n) {
-    return n.gen == gen_[n.slot] && pin_count_[n.slot] == 0;
-  };
-  // Pop non-candidates until a live top emerges. A current node of a pinned slot is dropped
-  // here rather than at Pin (so a pin that changes nothing costs nothing), and its slot is
-  // marked unindexed for Unpin to re-push.
+  // A node is live while its generation is current (pinned slots have none).
+  const auto live = [&](const HeapNode& n) { return n.gen == gen_[n.slot]; };
+  // Pop stale nodes until a live top emerges.
   const auto clean_top = [&] {
     while (!heap.empty() && !live(heap.front())) {
-      const uint32_t slot = heap.front().slot;
-      if (heap.front().gen == gen_[slot]) {
-        Unindex(slot);
-      }
       std::pop_heap(heap.begin(), heap.end(), NodeAfter{});
       heap.pop_back();
       ++index_stats_.heap_pops;
@@ -334,7 +308,6 @@ bool ExpertCache::PickVictim(double now, uint64_t* victim) {
   Candidate active;
   const bool have_frozen = BestCandidate(frozen_heap_, now, &frozen);
   const bool have_active = BestCandidate(active_heap_, now, &active);
-  index_stats_.heap_nodes = frozen_heap_.size() + active_heap_.size();
   if (!have_frozen && !have_active) {
     return false;
   }
@@ -377,9 +350,6 @@ uint32_t ExpertCache::AllocSlot() {
   reduced_precision_.push_back(0);
   gen_.push_back(0);
   freq_gen_.push_back(0);
-  indexed_.push_back(0);
-  node_primary_.push_back(0.0);
-  node_frozen_.push_back(0);
   return slot;
 }
 
@@ -397,7 +367,7 @@ void ExpertCache::InsertResident(const CacheEntry& entry) {
   occupied_flag_[slot] = 1;
   prefetch_pending_[slot] = entry.prefetch_pending ? 1 : 0;
   reduced_precision_[slot] = entry.reduced_precision ? 1 : 0;
-  Unindex(slot);
+  ++gen_[slot];
   ++freq_gen_[slot];
   TableInsert(entry.key, slot);
   const IterationOrderOracle::InsertResult order = oracle_.Insert(entry.key, slot);
@@ -423,7 +393,7 @@ CacheEntry ExpertCache::RemoveResident(uint64_t key) {
   used_bytes_ -= bytes_[slot];
   --occupied_;
   occupied_flag_[slot] = 0;
-  Unindex(slot);      // Invalidate heap nodes.
+  ++gen_[slot];       // Invalidate heap nodes.
   ++freq_gen_[slot];  // Invalidate crossing schedule entries (slot recycles).
   free_slots_.push_back(slot);
   return out;
@@ -556,7 +526,7 @@ void ExpertCache::Touch(uint64_t key, double now) {
   MaterializeSlot(slot);
   freq_[slot] += 1.0;
   last_access_[slot] = now;
-  Unindex(slot);
+  ++gen_[slot];
   ++freq_gen_[slot];  // The frequency trajectory changed: any scheduled crossing is stale.
   if (pin_count_[slot] == 0) {
     PushHeapNode(slot);
@@ -590,7 +560,7 @@ void ExpertCache::DecayFrequencies(double factor) {
       ++index_stats_.crossing_fires;
       MaterializeSlot(slot);
       FMOE_CHECK(freq_[slot] <= kEvictionFrequencyFloor);
-      Unindex(slot);
+      ++gen_[slot];
       if (pin_count_[slot] == 0) {
         PushHeapNode(slot);
       }
@@ -606,7 +576,7 @@ void ExpertCache::SetProbability(uint64_t key, double probability) {
   }
   prob_[slot] = probability;
   if (uses_probability_) {
-    Unindex(slot);
+    ++gen_[slot];
     if (pin_count_[slot] == 0) {
       PushHeapNode(slot);
     }
@@ -617,29 +587,19 @@ void ExpertCache::SetProbability(uint64_t key, double probability) {
 void ExpertCache::Pin(uint64_t key) {
   const uint32_t slot = LookupSlot(key);
   FMOE_CHECK_MSG(slot != kNilSlot, "pinning absent expert " << key);
-  // A pinned entry is not an eviction candidate, but its heap node stays: victim picks skip
-  // and drop it (BestCandidate), and Unpin keeps it when nothing changed in between.
-  ++pin_count_[slot];
+  if (pin_count_[slot]++ == 0) {
+    ++gen_[slot];  // Pinned entries are not eviction candidates; drop their heap nodes.
+  }
 }
 
 void ExpertCache::Unpin(uint64_t key) {
   const uint32_t slot = LookupSlot(key);
   FMOE_CHECK_MSG(slot != kNilSlot, "unpinning absent expert " << key);
   FMOE_CHECK(pin_count_[slot] > 0);
-  if (--pin_count_[slot] > 0) {
-    return;
+  if (--pin_count_[slot] == 0) {
+    ++gen_[slot];
+    PushHeapNode(slot);  // Re-index at the entry's current (possibly now-frozen) state.
   }
-  // Re-index at the entry's current (possibly now-frozen) state, unless the slot's node is
-  // still in a heap with exactly that key.
-  const EvictionIndexKey index_key = CurrentIndexKey(slot);
-  if (indexed_[slot] &&
-      std::bit_cast<uint64_t>(index_key.primary) ==
-          std::bit_cast<uint64_t>(node_primary_[slot]) &&
-      index_key.frozen == (node_frozen_[slot] != 0)) {
-    return;
-  }
-  Unindex(slot);
-  PushHeapNode(slot, index_key);
 }
 
 std::vector<uint64_t> ExpertCache::EvictionOrder(double now) const {

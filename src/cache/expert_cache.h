@@ -9,13 +9,12 @@
 // array indexed by a dense slot handle, slots recycle through a free list, and an
 // open-addressed hash table maps keys to slots. Victim selection is O(log n) amortized via
 // two lazy-invalidation min-heaps of (primary, iteration-order label) index keys. A pick
-// peeks at the top and its smaller child before popping anything; pinned entries keep their
-// node (picks skip and drop it, Unpin keeps it when the key is bitwise unchanged); stale
-// nodes are compacted away past 2·occupied + 16. See DESIGN.md §5d for the full scheme
-// (frozen/active split, epoch-based lazy decay, floor-crossing schedule, order oracle).
-// The semantics, including tie-breaking under equal eviction scores
-// and the exact floating-point trajectory of decayed frequencies, are bit-identical to the
-// naive linear-scan implementation preserved in reference_cache.h.
+// peeks at the top and its smaller child before popping anything, and stale nodes are
+// compacted away past 2·occupied + 16. See DESIGN.md §5d for the full scheme (frozen/active
+// split, epoch-based lazy decay, floor-crossing schedule, order oracle). The semantics,
+// including tie-breaking under equal eviction scores and the exact floating-point trajectory
+// of decayed frequencies, are bit-identical to the naive linear-scan implementation
+// preserved in reference_cache.h.
 #ifndef FMOE_SRC_CACHE_EXPERT_CACHE_H_
 #define FMOE_SRC_CACHE_EXPERT_CACHE_H_
 
@@ -48,7 +47,7 @@ struct CacheIndexStats {
   uint64_t decay_calls = 0;
   uint64_t crossing_fires = 0;  // Active entries frozen at their precomputed floor epoch.
   uint64_t victim_picks = 0;
-  uint64_t heap_nodes = 0;      // Nodes in both heaps (live + stale) after the last index op.
+  uint64_t heap_nodes = 0;      // Nodes in both heaps (live + stale), counted when read.
 };
 
 class ExpertCache;
@@ -123,7 +122,11 @@ class ExpertCache {
   }
   size_t size() const { return occupied_; }
   const CacheStats& stats() const { return stats_; }
-  const CacheIndexStats& index_stats() const { return index_stats_; }
+  CacheIndexStats index_stats() const {
+    CacheIndexStats stats = index_stats_;
+    stats.heap_nodes = heap_nodes();
+    return stats;
+  }
   const IterationOrderOracle::Stats& order_stats() const { return oracle_.stats(); }
 
   // Attaches a trace recorder (pure observer: never influences eviction decisions).
@@ -229,17 +232,13 @@ class ExpertCache {
   void Rebase(double factor);
 
   // --- Eviction index. ---
-  EvictionIndexKey CurrentIndexKey(uint32_t slot);  // Materializes the slot first.
-  // Appends the slot's node (no heap fix-up) and records it as the slot's indexed key.
-  std::vector<HeapNode>& AppendNode(uint32_t slot, const EvictionIndexKey& key);
-  void Unindex(uint32_t slot);            // Bumps the generation: the slot's node goes stale.
   void PushHeapNode(uint32_t slot);       // Materializes, indexes, lazily compacts.
-  void PushHeapNode(uint32_t slot, const EvictionIndexKey& key);
   void ScheduleCrossing(uint32_t slot);   // Precomputes the entry's floor-crossing epoch.
   void RebuildHeaps();
   double ExactScore(uint32_t slot, double now);
   bool BestCandidate(std::vector<HeapNode>& heap, double now, Candidate* out);
   bool PickVictim(double now, uint64_t* victim);
+  size_t heap_nodes() const { return frozen_heap_.size() + active_heap_.size(); }
 
   // --- Residency. ---
   uint32_t AllocSlot();
@@ -274,10 +273,6 @@ class ExpertCache {
   std::vector<uint8_t> reduced_precision_;
   std::vector<uint32_t> gen_;       // Bumped by any score-relevant event; heap node validity.
   std::vector<uint32_t> freq_gen_;  // Bumped when the frequency trajectory changes; schedule validity.
-  // Whether a heap holds a node with the slot's current generation, and that node's key.
-  std::vector<uint8_t> indexed_;
-  std::vector<double> node_primary_;
-  std::vector<uint8_t> node_frozen_;
   std::vector<uint32_t> free_slots_;
 
   // Open-addressed key -> slot table (power-of-two capacity).

@@ -316,28 +316,6 @@ TEST_F(ExpertCacheTest, EqualScoreBelowTheTopWinsOnIterationOrder) {
   EXPECT_EQ(TiedLruVictim({3, 1, 2, 0}, 1, &want), want);
 }
 
-TEST_F(ExpertCacheTest, PinUnpinWithoutChangeKeepsTheHeapNode) {
-  const EvictionPolicy* const policies[] = {&lru_, &lfu_, &priority_};
-  for (const EvictionPolicy* policy : policies) {
-    ExpertCache cache(100, policy);
-    for (uint64_t key = 1; key <= 4; ++key) {
-      CacheEntry entry = Entry(key);
-      entry.last_access = static_cast<double>(key);
-      entry.frequency = static_cast<double>(key);
-      entry.probability = 0.1 * static_cast<double>(key);
-      cache.Insert(entry, entry.last_access, nullptr);
-    }
-    const uint64_t pushes = cache.index_stats().heap_pushes;
-    cache.Pin(2);
-    cache.Unpin(2);
-    cache.Pin(3);
-    cache.Pin(3);
-    cache.Unpin(3);
-    cache.Unpin(3);
-    EXPECT_EQ(cache.index_stats().heap_pushes, pushes) << policy->name();
-  }
-}
-
 TEST_F(ExpertCacheTest, PinTouchUnpinPushesOnce) {
   ExpertCache cache(100, &lfu_);
   cache.Insert(Entry(1), 0.0, nullptr);
