@@ -14,9 +14,7 @@
 namespace fmoe {
 
 // Floors that keep eviction scores finite for never-hit / zero-probability entries while
-// preserving ordering (a never-hit entry is always a better victim than a hit one). Shared
-// with the cache's indexed eviction structure, which needs the frequency floor to tell
-// decay-sensitive entries from plateaued ones.
+// preserving ordering (a never-hit entry is always a better victim than a hit one).
 inline constexpr double kEvictionFrequencyFloor = 0.5;
 inline constexpr double kEvictionProbabilityFloor = 1e-4;
 
@@ -34,29 +32,18 @@ struct CacheEntry {
   bool reduced_precision = false;  // Weights resident at reduced precision (lossy extension).
 };
 
-// Comparable key the expert cache's lazy eviction heaps order entries by. `primary` sorts
-// ascending — a *lower* primary means a *higher* eviction score, i.e. evicted sooner — so the
-// best victim sits at the top of a min-heap. `frozen` marks keys that are invariant under
-// uniform frequency decay (last-access times, sub-floor plateau scores); non-frozen keys are
-// expressed in decay-normalized units (frequency divided by the cumulative decay product), so
-// uniform aging never reorders them and the heap needs no per-decay maintenance.
-struct EvictionIndexKey {
-  double primary = 0.0;
-  bool frozen = true;
-};
-
 class EvictionPolicy {
  public:
   virtual ~EvictionPolicy() = default;
   virtual std::string name() const = 0;
   // Higher score = evicted sooner.
   virtual double EvictionScore(const CacheEntry& entry, double now) const = 0;
-  // Index key for the cache's eviction heaps. `entry.frequency` must be fully materialized
-  // (all pending decay folded in); `inv_decay` is the reciprocal of the cumulative decay
-  // product since the cache's current normalization base.
-  virtual EvictionIndexKey IndexKey(const CacheEntry& entry, double inv_decay) const = 0;
+  // True when EvictionScore is exactly the age `now - entry.last_access`: the cache then keeps
+  // last_access in its score column and the victim scan computes the age. Otherwise the score
+  // must not depend on `now`, and the cache keeps the score itself.
+  virtual bool score_is_age() const { return false; }
   // Whether EvictionScore depends on the entry's frequency / probability. The cache uses
-  // these to decide which mutations must re-index an entry.
+  // these to decide which mutations must refresh an entry's score.
   virtual bool uses_frequency() const { return false; }
   virtual bool uses_probability() const { return false; }
 };
@@ -66,7 +53,7 @@ class LruEvictionPolicy : public EvictionPolicy {
  public:
   std::string name() const override { return "LRU"; }
   double EvictionScore(const CacheEntry& entry, double now) const override;
-  EvictionIndexKey IndexKey(const CacheEntry& entry, double inv_decay) const override;
+  bool score_is_age() const override { return true; }
 };
 
 // Least-frequently-used (MoE-Infinity): evict the lowest hit count.
@@ -74,7 +61,6 @@ class LfuEvictionPolicy : public EvictionPolicy {
  public:
   std::string name() const override { return "LFU"; }
   double EvictionScore(const CacheEntry& entry, double now) const override;
-  EvictionIndexKey IndexKey(const CacheEntry& entry, double inv_decay) const override;
   bool uses_frequency() const override { return true; }
 };
 
@@ -83,7 +69,6 @@ class PriorityLfuEvictionPolicy : public EvictionPolicy {
  public:
   std::string name() const override { return "fMoE-PriorityLFU"; }
   double EvictionScore(const CacheEntry& entry, double now) const override;
-  EvictionIndexKey IndexKey(const CacheEntry& entry, double inv_decay) const override;
   bool uses_frequency() const override { return true; }
   bool uses_probability() const override { return true; }
 };

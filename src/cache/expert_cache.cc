@@ -1,13 +1,18 @@
 #include "src/cache/expert_cache.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "src/obs/control_signals.h"
 #include "src/obs/trace_recorder.h"
 #include "src/util/logging.h"
+#include "src/util/math.h"
 
 namespace fmoe {
 namespace {
+
+// Score-column sentinel of free and pinned slots: NaN compares false, so no scan picks it.
+constexpr double kNoScore = std::numeric_limits<double>::quiet_NaN();
 
 // splitmix64 finalizer: expert keys are small dense integers, so the open-addressed table
 // needs real avalanche to avoid probe clustering.
@@ -23,6 +28,7 @@ uint64_t MixKey(uint64_t x) {
 ExpertCache::ExpertCache(uint64_t capacity_bytes, const EvictionPolicy* policy)
     : capacity_bytes_(capacity_bytes), policy_(policy) {
   FMOE_CHECK(policy != nullptr);
+  age_scores_ = policy->score_is_age();
   uses_frequency_ = policy->uses_frequency();
   uses_probability_ = policy->uses_probability();
   table_keys_.assign(16, 0);
@@ -100,35 +106,15 @@ void ExpertCache::TableGrow() {
   }
 }
 
-// --- Lazy decay. ---
+// --- Eviction. ---
 
-double ExpertCache::MaterializedFrequency(uint32_t slot) const {
-  double f = freq_[slot];
-  const uint64_t e = epoch_[slot];
-  if (f == 0.0 || e == decay_epoch_) {
-    return f;  // 0 * factor == 0 exactly, at every step of the fold.
-  }
-  for (size_t i = static_cast<size_t>(e - base_epoch_); i < epoch_factors_.size(); ++i) {
-    f *= epoch_factors_[i];
-  }
-  return f;
-}
-
-void ExpertCache::MaterializeSlot(uint32_t slot) {
-  // Storing a materialized value is always safe: the fold applies the logged factors in the
-  // order an eager sweep would have, so the stored double is bitwise what the seed
-  // implementation would hold.
-  freq_[slot] = MaterializedFrequency(slot);
-  epoch_[slot] = decay_epoch_;
-}
-
-CacheEntry ExpertCache::MaterializedEntry(uint32_t slot) const {
+CacheEntry ExpertCache::EntryAt(uint32_t slot) const {
   CacheEntry entry;
   entry.key = key_[slot];
   entry.bytes = bytes_[slot];
   entry.ready_at = ready_at_[slot];
   entry.last_access = last_access_[slot];
-  entry.frequency = MaterializedFrequency(slot);
+  entry.frequency = freq_[slot];
   entry.probability = prob_[slot];
   entry.pin_count = pin_count_[slot];
   entry.prefetch_pending = prefetch_pending_[slot] != 0;
@@ -137,193 +123,26 @@ CacheEntry ExpertCache::MaterializedEntry(uint32_t slot) const {
   return entry;
 }
 
-void ExpertCache::Rebase(double factor) {
-  ++index_stats_.rebases;
-  for (uint32_t s = 0; s < occupied_flag_.size(); ++s) {
-    if (occupied_flag_[s]) {
-      MaterializeSlot(s);
-    }
+void ExpertCache::RefreshScore(uint32_t slot) {
+  if (pin_count_[slot] > 0) {
+    score_[slot] = kNoScore;
+  } else if (age_scores_) {
+    score_[slot] = last_access_[slot];
+  } else {
+    score_[slot] = policy_->EvictionScore(EntryAt(slot), /*now=*/0.0);  // Ignores now.
   }
-  epoch_factors_.clear();
-  base_epoch_ = decay_epoch_;
-  decay_product_ = 1.0;
-  inv_decay_ = 1.0;
-  sched_factor_ = factor;
-  crossings_.clear();
-  RebuildHeaps();
-  // Heap rebuild deliberately skips crossing scheduling (schedules normally survive a
-  // compaction); after a rebase the cleared schedule must be rebuilt for every active entry,
-  // pinned ones included — a pin does not pause frequency decay.
-  if (uses_frequency_) {
-    for (uint32_t s = 0; s < occupied_flag_.size(); ++s) {
-      if (occupied_flag_[s] && freq_[s] > kEvictionFrequencyFloor) {
-        ScheduleCrossing(s);
-      }
-    }
-  }
-}
-
-// --- Eviction index. ---
-
-void ExpertCache::ScheduleCrossing(uint32_t slot) {
-  // Predict the epoch at which this active entry's frequency decays to the plateau, by
-  // replaying the exact fold the future decays will perform. Valid only while every future
-  // decay uses sched_factor_; a different factor triggers a rebase that reschedules.
-  if (!uses_frequency_ || sched_factor_ <= 0.0 || sched_factor_ >= 1.0) {
-    return;
-  }
-  double f = freq_[slot];  // Materialized by the caller.
-  if (f <= kEvictionFrequencyFloor) {
-    return;
-  }
-  uint64_t e = decay_epoch_;
-  const uint64_t horizon = base_epoch_ + kRebaseEpochLimit;
-  while (f > kEvictionFrequencyFloor && e < horizon) {
-    f *= sched_factor_;
-    ++e;
-  }
-  if (f <= kEvictionFrequencyFloor) {
-    crossings_[e].emplace_back(slot, freq_gen_[slot]);
-  }
-  // Else: the entry stays active past the rebase horizon; the rebase reschedules it.
-}
-
-void ExpertCache::PushHeapNode(uint32_t slot) {
-  MaterializeSlot(slot);
-  const CacheEntry view = MaterializedEntry(slot);
-  const EvictionIndexKey key = policy_->IndexKey(view, inv_decay_);
-  std::vector<HeapNode>& heap = key.frozen ? frozen_heap_ : active_heap_;
-  heap.push_back(HeapNode{key.primary, oracle_.label(slot), slot, gen_[slot]});
-  std::push_heap(heap.begin(), heap.end(), NodeAfter{});
-  ++index_stats_.heap_pushes;
-  if (heap_nodes() > 2 * occupied_ + 16) {
-    RebuildHeaps();  // Compaction: drop accumulated stale nodes.
-  }
-}
-
-void ExpertCache::RebuildHeaps() {
-  ++index_stats_.heap_rebuilds;
-  frozen_heap_.clear();
-  active_heap_.clear();
-  for (uint32_t s = 0; s < occupied_flag_.size(); ++s) {
-    if (!occupied_flag_[s] || pin_count_[s] > 0) {
-      continue;
-    }
-    MaterializeSlot(s);
-    const EvictionIndexKey key = policy_->IndexKey(MaterializedEntry(s), inv_decay_);
-    std::vector<HeapNode>& heap = key.frozen ? frozen_heap_ : active_heap_;
-    heap.push_back(HeapNode{key.primary, oracle_.label(s), s, gen_[s]});
-  }
-  std::make_heap(frozen_heap_.begin(), frozen_heap_.end(), NodeAfter{});
-  std::make_heap(active_heap_.begin(), active_heap_.end(), NodeAfter{});
-}
-
-double ExpertCache::ExactScore(uint32_t slot, double now) {
-  MaterializeSlot(slot);
-  return policy_->EvictionScore(MaterializedEntry(slot), now);
-}
-
-bool ExpertCache::BestCandidate(std::vector<HeapNode>& heap, double now, Candidate* out) {
-  // A node is live while its generation is current (pinned slots have none).
-  const auto live = [&](const HeapNode& n) { return n.gen == gen_[n.slot]; };
-  // Pop stale nodes until a live top emerges.
-  const auto clean_top = [&] {
-    while (!heap.empty() && !live(heap.front())) {
-      std::pop_heap(heap.begin(), heap.end(), NodeAfter{});
-      heap.pop_back();
-      ++index_stats_.heap_pops;
-    }
-  };
-  clean_top();
-  if (heap.empty()) {
-    return false;
-  }
-  const HeapNode& top = heap.front();
-  const double top_score = ExactScore(top.slot, now);
-  // Peek first. After the top, the walk below visits the smaller root child next whenever
-  // that child is live: heap order puts every other node at or after it. If the child shares
-  // the top's primary or scores strictly lower (or there is no child), the walk would stop
-  // right there and return the top, so return it without popping or pushing anything.
-  bool settled = heap.size() == 1;
-  if (!settled) {
-    const HeapNode& next = heap.size() > 2 && NodeAfter{}(heap[1], heap[2]) ? heap[2] : heap[1];
-    settled = live(next) &&
-              (next.primary == top.primary || ExactScore(next.slot, now) < top_score);
-  }
-  if (settled) {
-    *out = Candidate{top.slot, top.label, top_score};
-    return true;
-  }
-  pick_scratch_.clear();
-  std::pop_heap(heap.begin(), heap.end(), NodeAfter{});
-  HeapNode node = heap.back();
-  heap.pop_back();
-  ++index_stats_.heap_pops;
-  pick_scratch_.push_back(node);
-  Candidate best{node.slot, node.label, top_score};
-  double level_primary = node.primary;
-  // A lower (primary, label) means a better victim, so the top is the winner — except when
-  // floating-point rounding lands entries at *different* primaries but *equal* (or even
-  // inverted) exact scores, where the seed scan's tie-break is the iteration-order label
-  // across all of them. Walk further primary levels while their exact score still competes.
-  // Nodes sharing the current primary cannot win (same score function of the primary for
-  // frozen keys, larger label), so a repeated primary terminates the walk, which keeps this
-  // O(log n) even when the whole heap sits on one plateau primary.
-  while (true) {
-    clean_top();
-    if (heap.empty() || heap.front().primary == level_primary) {
-      break;
-    }
-    const double score = ExactScore(heap.front().slot, now);
-    if (score > best.score) {
-      // Rounding inverted primary order vs exact scores; the eager scan maximizes the exact
-      // score, so the deeper node wins outright.
-      best = Candidate{heap.front().slot, heap.front().label, score};
-    } else if (score == best.score) {
-      if (heap.front().label < best.label) {
-        best = Candidate{heap.front().slot, heap.front().label, score};
-      }
-    } else {
-      break;  // Strictly worse level; deeper ones are worse still.
-    }
-    std::pop_heap(heap.begin(), heap.end(), NodeAfter{});
-    node = heap.back();
-    heap.pop_back();
-    ++index_stats_.heap_pops;
-    pick_scratch_.push_back(node);
-    level_primary = node.primary;
-  }
-  // Everything popped stays live (a chosen victim's nodes die via its generation bump).
-  for (const HeapNode& n : pick_scratch_) {
-    heap.push_back(n);
-    std::push_heap(heap.begin(), heap.end(), NodeAfter{});
-  }
-  *out = best;
-  return true;
 }
 
 bool ExpertCache::PickVictim(double now, uint64_t* victim) {
   ++index_stats_.victim_picks;
-  Candidate frozen;
-  Candidate active;
-  const bool have_frozen = BestCandidate(frozen_heap_, now, &frozen);
-  const bool have_active = BestCandidate(active_heap_, now, &active);
-  if (!have_frozen && !have_active) {
+  // Every slot in score_ has been inserted into the oracle once, so it has a label; free and
+  // pinned slots hold NaN and never win.
+  const size_t slot = ArgMaxScore(score_.data(), oracle_.labels(), score_.size(), now,
+                                  age_scores_);
+  if (slot == score_.size()) {
     return false;
   }
-  const Candidate* pick = nullptr;
-  if (!have_active) {
-    pick = &frozen;
-  } else if (!have_frozen) {
-    pick = &active;
-  } else if (frozen.score != active.score) {
-    pick = frozen.score > active.score ? &frozen : &active;
-  } else {
-    // Equal exact scores across the heaps: the seed scan keeps the first entry in hash-map
-    // iteration order, i.e. the smaller label.
-    pick = frozen.label < active.label ? &frozen : &active;
-  }
-  *victim = key_[pick->slot];
+  *victim = key_[slot];
   return true;
 }
 
@@ -342,14 +161,12 @@ uint32_t ExpertCache::AllocSlot() {
   last_access_.push_back(0.0);
   freq_.push_back(0.0);
   prob_.push_back(0.0);
-  epoch_.push_back(0);
   pin_count_.push_back(0);
   transfer_tag_.push_back(0);
   occupied_flag_.push_back(0);
   prefetch_pending_.push_back(0);
   reduced_precision_.push_back(0);
-  gen_.push_back(0);
-  freq_gen_.push_back(0);
+  score_.push_back(kNoScore);
   return slot;
 }
 
@@ -361,40 +178,28 @@ void ExpertCache::InsertResident(const CacheEntry& entry) {
   last_access_[slot] = entry.last_access;
   freq_[slot] = entry.frequency;
   prob_[slot] = entry.probability;
-  epoch_[slot] = decay_epoch_;
   pin_count_[slot] = entry.pin_count;
   transfer_tag_[slot] = entry.transfer_tag;
   occupied_flag_[slot] = 1;
   prefetch_pending_[slot] = entry.prefetch_pending ? 1 : 0;
   reduced_precision_[slot] = entry.reduced_precision ? 1 : 0;
-  ++gen_[slot];
-  ++freq_gen_[slot];
+  RefreshScore(slot);
   TableInsert(entry.key, slot);
-  const IterationOrderOracle::InsertResult order = oracle_.Insert(entry.key, slot);
+  oracle_.Insert(entry.key, slot);
   used_bytes_ += entry.bytes;
   ++occupied_;
-  if (order.labels_invalidated) {
-    RebuildHeaps();  // Covers the fresh slot too.
-  } else if (pin_count_[slot] == 0) {
-    PushHeapNode(slot);
-  }
-  if (uses_frequency_ && freq_[slot] > kEvictionFrequencyFloor) {
-    ScheduleCrossing(slot);
-  }
 }
 
 CacheEntry ExpertCache::RemoveResident(uint64_t key) {
   const uint32_t slot = LookupSlot(key);
   FMOE_CHECK(slot != kNilSlot);
-  MaterializeSlot(slot);
-  const CacheEntry out = MaterializedEntry(slot);
+  const CacheEntry out = EntryAt(slot);
   TableErase(key);
   oracle_.Erase(key, slot);
   used_bytes_ -= bytes_[slot];
   --occupied_;
   occupied_flag_[slot] = 0;
-  ++gen_[slot];       // Invalidate heap nodes.
-  ++freq_gen_[slot];  // Invalidate crossing schedule entries (slot recycles).
+  score_[slot] = kNoScore;
   free_slots_.push_back(slot);
   return out;
 }
@@ -523,48 +328,22 @@ bool ExpertCache::Remove(uint64_t key, CacheEntry* removed) {
 void ExpertCache::Touch(uint64_t key, double now) {
   const uint32_t slot = LookupSlot(key);
   FMOE_CHECK_MSG(slot != kNilSlot, "touching absent expert " << key);
-  MaterializeSlot(slot);
   freq_[slot] += 1.0;
   last_access_[slot] = now;
-  ++gen_[slot];
-  ++freq_gen_[slot];  // The frequency trajectory changed: any scheduled crossing is stale.
-  if (pin_count_[slot] == 0) {
-    PushHeapNode(slot);
-  }
-  if (uses_frequency_) {
-    ScheduleCrossing(slot);  // freq >= 1 after a touch, so the entry is active again.
-  }
+  RefreshScore(slot);
 }
 
 void ExpertCache::DecayFrequencies(double factor) {
   FMOE_CHECK(factor > 0.0 && factor <= 1.0);
-  ++index_stats_.decay_calls;
-  const bool factor_changed = uses_frequency_ && factor != sched_factor_;
-  if (factor_changed || decay_epoch_ - base_epoch_ >= kRebaseEpochLimit ||
-      decay_product_ < kRebaseProductFloor) {
-    Rebase(factor);
+  // Free slots decay too; their fields are overwritten on reuse.
+  for (double& freq : freq_) {
+    freq *= factor;
   }
-  ++decay_epoch_;
-  epoch_factors_.push_back(factor);
-  decay_product_ *= factor;
-  inv_decay_ = 1.0 / decay_product_;
-  // Fire due floor crossings: the scheduled entries' frequencies just decayed onto the
-  // plateau, so their index keys migrate from the active heap to the frozen one.
-  while (!crossings_.empty() && crossings_.begin()->first <= decay_epoch_) {
-    const std::vector<std::pair<uint32_t, uint32_t>> due = std::move(crossings_.begin()->second);
-    crossings_.erase(crossings_.begin());
-    for (const auto& [slot, fgen] : due) {
-      if (!occupied_flag_[slot] || freq_gen_[slot] != fgen) {
-        continue;  // Touched, evicted, or recycled since scheduling.
+  if (uses_frequency_) {
+    for (uint32_t s = 0; s < occupied_flag_.size(); ++s) {
+      if (occupied_flag_[s]) {
+        RefreshScore(s);
       }
-      ++index_stats_.crossing_fires;
-      MaterializeSlot(slot);
-      FMOE_CHECK(freq_[slot] <= kEvictionFrequencyFloor);
-      ++gen_[slot];
-      if (pin_count_[slot] == 0) {
-        PushHeapNode(slot);
-      }
-      // Pinned entries get their (frozen) node pushed on the unpin instead.
     }
   }
 }
@@ -576,51 +355,50 @@ void ExpertCache::SetProbability(uint64_t key, double probability) {
   }
   prob_[slot] = probability;
   if (uses_probability_) {
-    ++gen_[slot];
-    if (pin_count_[slot] == 0) {
-      PushHeapNode(slot);
-    }
-    // The frequency trajectory is untouched: crossing schedules stay valid.
+    RefreshScore(slot);
   }
 }
 
 void ExpertCache::Pin(uint64_t key) {
   const uint32_t slot = LookupSlot(key);
   FMOE_CHECK_MSG(slot != kNilSlot, "pinning absent expert " << key);
-  if (pin_count_[slot]++ == 0) {
-    ++gen_[slot];  // Pinned entries are not eviction candidates; drop their heap nodes.
-  }
+  ++pin_count_[slot];
+  score_[slot] = kNoScore;  // Pinned entries are not eviction candidates.
 }
 
 void ExpertCache::Unpin(uint64_t key) {
   const uint32_t slot = LookupSlot(key);
   FMOE_CHECK_MSG(slot != kNilSlot, "unpinning absent expert " << key);
   FMOE_CHECK(pin_count_[slot] > 0);
-  if (--pin_count_[slot] == 0) {
-    ++gen_[slot];
-    PushHeapNode(slot);  // Re-index at the entry's current (possibly now-frozen) state.
-  }
+  --pin_count_[slot];
+  RefreshScore(slot);
 }
 
 std::vector<uint64_t> ExpertCache::EvictionOrder(double now) const {
-  std::vector<std::pair<double, uint64_t>> scored;
-  scored.reserve(occupied_);
+  struct Ranked {
+    double score;
+    uint64_t label;
+    uint64_t key;
+  };
+  std::vector<Ranked> ranked;
+  ranked.reserve(occupied_);
   for (uint32_t s = 0; s < occupied_flag_.size(); ++s) {
     if (!occupied_flag_[s] || pin_count_[s] > 0) {
       continue;
     }
-    scored.emplace_back(policy_->EvictionScore(MaterializedEntry(s), now), key_[s]);
+    ranked.push_back({policy_->EvictionScore(EntryAt(s), now), oracle_.label(s), key_[s]});
   }
-  std::sort(scored.begin(), scored.end(), [](const auto& a, const auto& b) {
-    if (a.first != b.first) {
-      return a.first > b.first;
+  // The victim scan's order: higher score first, equal scores by iteration-order label.
+  std::sort(ranked.begin(), ranked.end(), [](const Ranked& a, const Ranked& b) {
+    if (a.score != b.score) {
+      return a.score > b.score;
     }
-    return a.second < b.second;
+    return a.label < b.label;
   });
   std::vector<uint64_t> keys;
-  keys.reserve(scored.size());
-  for (const auto& [score, key] : scored) {
-    keys.push_back(key);
+  keys.reserve(ranked.size());
+  for (const Ranked& r : ranked) {
+    keys.push_back(r.key);
   }
   return keys;
 }

@@ -7,11 +7,10 @@
 //
 // Storage is slot-based structure-of-arrays: every per-entry field lives in its own parallel
 // array indexed by a dense slot handle, slots recycle through a free list, and an
-// open-addressed hash table maps keys to slots. Victim selection is O(log n) amortized via
-// two lazy-invalidation min-heaps of (primary, iteration-order label) index keys. A pick
-// peeks at the top and its smaller child before popping anything, and stale nodes are
-// compacted away past 2·occupied + 16. See DESIGN.md §5d for the full scheme (frozen/active
-// split, epoch-based lazy decay, floor-crossing schedule, order oracle). The semantics,
+// open-addressed hash table maps keys to slots. Victim selection is one O(n) SIMD argmax
+// (ArgMaxScore, src/util/math.h) over a per-slot score column kept exact on every mutation;
+// equal scores go to the entry first in the seed's hash-map iteration order, which the order
+// oracle labels. Frequency decay is an eager sweep. See DESIGN.md §5d. The semantics,
 // including tie-breaking under equal eviction scores and the exact floating-point trajectory
 // of decayed frequencies, are bit-identical to the naive linear-scan implementation
 // preserved in reference_cache.h.
@@ -19,7 +18,6 @@
 #define FMOE_SRC_CACHE_EXPERT_CACHE_H_
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "src/cache/eviction_policy.h"
@@ -36,26 +34,23 @@ struct CacheStats {
   uint64_t rejected_insertions = 0;  // Did not fit even after evicting all unpinned entries.
 };
 
-// Instrumentation for the indexed eviction structure. Tests and bench_cache use these to
-// verify the steady-state complexity claims (no per-decay O(n) sweeps, bounded heap growth)
-// without timing anything.
+// Victim-pick instrumentation, read by bench_cache and perfbench.
 struct CacheIndexStats {
+  // The three heap counters stay so existing readers (perfbench's cache.heap_* metrics) keep
+  // working. They always read 0: victims come from a scan of the score column, and no heap
+  // exists.
   uint64_t heap_pushes = 0;
-  uint64_t heap_pops = 0;       // Stale nodes discarded + candidates examined during picks.
-  uint64_t heap_rebuilds = 0;   // Compactions and rebuilds forced by relabels/rebases.
-  uint64_t rebases = 0;         // Epoch-log folds (factor change, horizon, underflow guard).
-  uint64_t decay_calls = 0;
-  uint64_t crossing_fires = 0;  // Active entries frozen at their precomputed floor epoch.
+  uint64_t heap_pops = 0;
+  uint64_t heap_rebuilds = 0;
   uint64_t victim_picks = 0;
-  uint64_t heap_nodes = 0;      // Nodes in both heaps (live + stale), counted when read.
 };
 
 class ExpertCache;
 
 // Accessor handle for one resident entry (the SoA layout has no per-entry struct to point
 // at). Invalidated by Insert/Remove, like the old CacheEntry pointer. Setters route
-// score-relevant writes (probability) through the eviction index; transfer bookkeeping
-// writes are index-neutral.
+// score-relevant writes (probability) through the score column; transfer bookkeeping
+// writes leave it alone.
 class EntryRef {
  public:
   EntryRef() = default;
@@ -65,7 +60,7 @@ class EntryRef {
   uint64_t bytes() const;
   double ready_at() const;
   double last_access() const;
-  double frequency() const;  // Fully materialized (all pending decay folded in).
+  double frequency() const;
   double probability() const;
   int pin_count() const;
   bool prefetch_pending() const;
@@ -122,11 +117,7 @@ class ExpertCache {
   }
   size_t size() const { return occupied_; }
   const CacheStats& stats() const { return stats_; }
-  CacheIndexStats index_stats() const {
-    CacheIndexStats stats = index_stats_;
-    stats.heap_nodes = heap_nodes();
-    return stats;
-  }
+  const CacheIndexStats& index_stats() const { return index_stats_; }
   const IterationOrderOracle::Stats& order_stats() const { return oracle_.stats(); }
 
   // Attaches a trace recorder (pure observer: never influences eviction decisions).
@@ -174,12 +165,11 @@ class ExpertCache {
 
   // Ages all hit frequencies by `factor` in (0, 1]: freq *= factor. Without aging, LFU-style
   // policies entrench the first working set forever; the engine decays once per iteration.
-  // O(1) amortized: the factor is appended to an epoch log and folded into each entry's
-  // stored frequency lazily, in application order, so materialized values are bitwise
-  // identical to an eager per-entry sweep.
+  // O(n): one sweep over the slots, then a score refresh when the policy reads frequency.
   void DecayFrequencies(double factor);
 
-  // Keys ordered by descending eviction score (most evictable first); for tests/inspection.
+  // Keys ordered by descending eviction score (most evictable first, equal scores in
+  // iteration order), so front() is the next victim; for tests/inspection.
   std::vector<uint64_t> EvictionOrder(double now) const;
 
   // All resident keys, in the legacy hash-map iteration order.
@@ -190,30 +180,6 @@ class ExpertCache {
   friend class ConstEntryRef;
 
   static constexpr uint32_t kNilSlot = 0xffffffffu;
-  // Rebase (fold the epoch log into every entry) at this log length or when the cumulative
-  // decay product nears the subnormal range where normalized heap keys would lose precision.
-  static constexpr uint64_t kRebaseEpochLimit = 4096;
-  static constexpr double kRebaseProductFloor = 1e-250;
-
-  struct HeapNode {
-    double primary = 0.0;
-    uint64_t label = 0;
-    uint32_t slot = 0;
-    uint32_t gen = 0;
-  };
-  struct NodeAfter {  // Min-heap comparator: lowest (primary, label) on top.
-    bool operator()(const HeapNode& a, const HeapNode& b) const {
-      if (a.primary != b.primary) {
-        return a.primary > b.primary;
-      }
-      return a.label > b.label;
-    }
-  };
-  struct Candidate {
-    uint32_t slot = 0;
-    uint64_t label = 0;
-    double score = 0.0;
-  };
 
   // --- Key -> slot open-addressed table (linear probing, backward-shift deletion). ---
   uint32_t LookupSlot(uint64_t key) const;
@@ -221,24 +187,11 @@ class ExpertCache {
   void TableErase(uint64_t key);
   void TableGrow();
 
-  // --- Lazy decay. ---
-  // Folds the epoch log into the entry's stored frequency, factor by factor in application
-  // order (bitwise identical to eager repeated multiplication).
-  double MaterializedFrequency(uint32_t slot) const;
-  void MaterializeSlot(uint32_t slot);
-  CacheEntry MaterializedEntry(uint32_t slot) const;
-  // Materializes everything, clears the epoch log, rebuilds heaps and crossing schedule
-  // against the new normalization base and scheduling factor.
-  void Rebase(double factor);
-
-  // --- Eviction index. ---
-  void PushHeapNode(uint32_t slot);       // Materializes, indexes, lazily compacts.
-  void ScheduleCrossing(uint32_t slot);   // Precomputes the entry's floor-crossing epoch.
-  void RebuildHeaps();
-  double ExactScore(uint32_t slot, double now);
-  bool BestCandidate(std::vector<HeapNode>& heap, double now, Candidate* out);
+  // --- Eviction. ---
+  CacheEntry EntryAt(uint32_t slot) const;
+  // Recomputes the slot's score column entry from its fields (the sentinel while pinned).
+  void RefreshScore(uint32_t slot);
   bool PickVictim(double now, uint64_t* victim);
-  size_t heap_nodes() const { return frozen_heap_.size() + active_heap_.size(); }
 
   // --- Residency. ---
   uint32_t AllocSlot();
@@ -251,6 +204,7 @@ class ExpertCache {
   TraceRecorder* trace_ = nullptr;  // Not owned; null = tracing disabled.
   StallStateMachine* stall_observer_ = nullptr;  // Not owned; null = no live signals.
   int trace_track_ = 0;
+  bool age_scores_ = false;
   bool uses_frequency_ = false;
   bool uses_probability_ = false;
   uint64_t used_bytes_ = 0;
@@ -265,14 +219,14 @@ class ExpertCache {
   std::vector<double> last_access_;
   std::vector<double> freq_;
   std::vector<double> prob_;
-  std::vector<uint64_t> epoch_;  // Absolute decay epoch freq_ is materialized at.
   std::vector<int> pin_count_;
   std::vector<uint64_t> transfer_tag_;
   std::vector<uint8_t> occupied_flag_;
   std::vector<uint8_t> prefetch_pending_;
   std::vector<uint8_t> reduced_precision_;
-  std::vector<uint32_t> gen_;       // Bumped by any score-relevant event; heap node validity.
-  std::vector<uint32_t> freq_gen_;  // Bumped when the frequency trajectory changes; schedule validity.
+  // Score column, the victim scan's input: the eviction score, or last_access when the
+  // policy's score is an age; NaN (never picked) for free and pinned slots.
+  std::vector<double> score_;
   std::vector<uint32_t> free_slots_;
 
   // Open-addressed key -> slot table (power-of-two capacity).
@@ -280,21 +234,6 @@ class ExpertCache {
   std::vector<uint32_t> table_slots_;
   size_t table_mask_ = 0;
   size_t table_used_ = 0;
-
-  // Lazy decay state.
-  uint64_t decay_epoch_ = 0;
-  uint64_t base_epoch_ = 0;
-  std::vector<double> epoch_factors_;  // Factor applied at epoch base_epoch_ + i + 1.
-  double decay_product_ = 1.0;         // Product of epoch_factors_.
-  double inv_decay_ = 1.0;
-  double sched_factor_ = -1.0;  // Factor the crossing schedule assumes; < 0 = none seen yet.
-  // Epoch -> (slot, freq_gen) of active entries whose frequency plateaus at that epoch.
-  std::map<uint64_t, std::vector<std::pair<uint32_t, uint32_t>>> crossings_;
-
-  // Lazy-invalidation eviction heaps (min by (primary, label); stale gens dropped on pop).
-  std::vector<HeapNode> frozen_heap_;
-  std::vector<HeapNode> active_heap_;
-  std::vector<HeapNode> pick_scratch_;
 
   IterationOrderOracle oracle_;
   std::vector<CacheEntry> victims_scratch_;
@@ -306,7 +245,7 @@ inline uint64_t EntryRef::key() const { return cache_->key_[slot_]; }
 inline uint64_t EntryRef::bytes() const { return cache_->bytes_[slot_]; }
 inline double EntryRef::ready_at() const { return cache_->ready_at_[slot_]; }
 inline double EntryRef::last_access() const { return cache_->last_access_[slot_]; }
-inline double EntryRef::frequency() const { return cache_->MaterializedFrequency(slot_); }
+inline double EntryRef::frequency() const { return cache_->freq_[slot_]; }
 inline double EntryRef::probability() const { return cache_->prob_[slot_]; }
 inline int EntryRef::pin_count() const { return cache_->pin_count_[slot_]; }
 inline bool EntryRef::prefetch_pending() const {
@@ -329,9 +268,7 @@ inline uint64_t ConstEntryRef::key() const { return cache_->key_[slot_]; }
 inline uint64_t ConstEntryRef::bytes() const { return cache_->bytes_[slot_]; }
 inline double ConstEntryRef::ready_at() const { return cache_->ready_at_[slot_]; }
 inline double ConstEntryRef::last_access() const { return cache_->last_access_[slot_]; }
-inline double ConstEntryRef::frequency() const {
-  return cache_->MaterializedFrequency(slot_);
-}
+inline double ConstEntryRef::frequency() const { return cache_->freq_[slot_]; }
 inline double ConstEntryRef::probability() const { return cache_->prob_[slot_]; }
 inline int ConstEntryRef::pin_count() const { return cache_->pin_count_[slot_]; }
 inline bool ConstEntryRef::prefetch_pending() const {

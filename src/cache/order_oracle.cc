@@ -14,7 +14,7 @@ void IterationOrderOracle::EnsureSlot(uint32_t slot) {
   }
 }
 
-IterationOrderOracle::InsertResult IterationOrderOracle::Insert(uint64_t key, uint32_t slot) {
+void IterationOrderOracle::Insert(uint64_t key, uint32_t slot) {
   EnsureSlot(slot);
   key_of_[slot] = key;
 
@@ -49,12 +49,11 @@ IterationOrderOracle::InsertResult IterationOrderOracle::Insert(uint64_t key, ui
       predicted = map_.cbegin()->first == key;
     }
   }
-  if (!predicted) {
+  if (predicted) {
+    LinkBefore(slot, succ);
+  } else {
     RebuildFromMap();
-    return InsertResult{labels_[slot], true};
   }
-  const bool relabeled = LinkBefore(slot, succ);
-  return InsertResult{labels_[slot], relabeled};
 }
 
 void IterationOrderOracle::Erase(uint64_t key, uint32_t slot) {
@@ -64,7 +63,7 @@ void IterationOrderOracle::Erase(uint64_t key, uint32_t slot) {
   Unlink(slot);
 }
 
-bool IterationOrderOracle::LinkBefore(uint32_t slot, uint32_t succ) {
+void IterationOrderOracle::LinkBefore(uint32_t slot, uint32_t succ) {
   if (succ == kNil) {  // Append at the tail (only reachable when the list is empty).
     prev_[slot] = tail_;
     next_[slot] = kNil;
@@ -77,9 +76,8 @@ bool IterationOrderOracle::LinkBefore(uint32_t slot, uint32_t succ) {
     labels_[slot] = tail_ == head_ ? kLabelBase : labels_[prev_[slot]] + kLabelGap;
     if (tail_ != head_ && labels_[slot] <= labels_[prev_[slot]]) {
       Relabel();
-      return true;
     }
-    return false;
+    return;
   }
   const uint32_t pred = prev_[succ];
   prev_[slot] = pred;
@@ -93,18 +91,17 @@ bool IterationOrderOracle::LinkBefore(uint32_t slot, uint32_t succ) {
   if (pred == kNil) {  // New global head: extend the label range downward.
     if (labels_[succ] < kLabelGap) {
       Relabel();
-      return true;
+    } else {
+      labels_[slot] = labels_[succ] - kLabelGap;
     }
-    labels_[slot] = labels_[succ] - kLabelGap;
-    return false;
+    return;
   }
   const uint64_t gap = labels_[succ] - labels_[pred];
   if (gap < 2) {  // Midpoint exhausted: renumber everything.
     Relabel();
-    return true;
+  } else {
+    labels_[slot] = labels_[pred] + gap / 2;
   }
-  labels_[slot] = labels_[pred] + gap / 2;
-  return false;
 }
 
 void IterationOrderOracle::Unlink(uint32_t slot) {

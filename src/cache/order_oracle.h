@@ -28,26 +28,22 @@ namespace fmoe {
 
 class IterationOrderOracle {
  public:
-  struct InsertResult {
-    uint64_t label = 0;
-    // True when the insert relabeled the list (midpoint exhaustion, rehash rebuild): every
-    // label handed out earlier is stale and anything caching labels must be rebuilt.
-    bool labels_invalidated = false;
-  };
-
   struct Stats {
     uint64_t rebuilds = 0;  // Mirror rebuilt by iterating the real map (rehash / mispredict).
     uint64_t relabels = 0;  // Labels reassigned after midpoint exhaustion.
   };
 
-  // Key must not be present. `slot` is the caller's dense handle for the key.
-  InsertResult Insert(uint64_t key, uint32_t slot);
+  // Key must not be present. `slot` is the caller's dense handle for the key. May relabel
+  // other slots (midpoint exhaustion, rehash rebuild), so labels are read live, never cached.
+  void Insert(uint64_t key, uint32_t slot);
 
   // Key must be present and mapped to `slot`.
   void Erase(uint64_t key, uint32_t slot);
 
   // Label of a resident slot; labels ascend along the map's iteration order.
   uint64_t label(uint32_t slot) const { return labels_[slot]; }
+  // Slot-indexed label array, covering every slot ever inserted (free slots hold stale labels).
+  const uint64_t* labels() const { return labels_.data(); }
 
   size_t size() const { return map_.size(); }
   const Stats& stats() const { return stats_; }
@@ -61,9 +57,9 @@ class IterationOrderOracle {
   static constexpr uint64_t kLabelGap = 1ull << 20;
 
   void EnsureSlot(uint32_t slot);
-  // Links `slot` immediately before `succ` (kNil = append at tail). Returns true when the
-  // list had to be relabeled to make room.
-  bool LinkBefore(uint32_t slot, uint32_t succ);
+  // Links `slot` immediately before `succ` (kNil = append at tail), relabeling the list when
+  // there is no room between its neighbours' labels.
+  void LinkBefore(uint32_t slot, uint32_t succ);
   void Unlink(uint32_t slot);
   void Relabel();
   void RebuildFromMap();

@@ -154,12 +154,9 @@ std::vector<uint64_t> ReferenceExpertCache::EvictionOrder(double now) const {
     }
     scored.emplace_back(policy_->EvictionScore(entry, now), key);
   }
-  std::sort(scored.begin(), scored.end(), [](const auto& a, const auto& b) {
-    if (a.first != b.first) {
-      return a.first > b.first;
-    }
-    return a.second < b.second;
-  });
+  // Stable over map order: equal scores stay in iteration order, as PickVictim breaks ties.
+  std::stable_sort(scored.begin(), scored.end(),
+                   [](const auto& a, const auto& b) { return a.first > b.first; });
   std::vector<uint64_t> keys;
   keys.reserve(scored.size());
   for (const auto& [score, key] : scored) {

@@ -145,6 +145,11 @@ void TopKIndicesInto(std::span<const double> values, size_t k, std::vector<size_
   KTopKIndicesInto(values, k, out);
 }
 
+size_t ArgMaxScore(const double* column, const uint64_t* labels, size_t n, double now,
+                   bool age_mode) {
+  return KArgMaxScore(column, labels, n, now, age_mode);
+}
+
 std::vector<size_t> MassCoverIndices(std::span<const double> probs, double threshold,
                                      size_t min_count) {
   // Repeated selection instead of a full sort: each step takes the best entry ranked after the

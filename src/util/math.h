@@ -134,6 +134,13 @@ std::vector<size_t> TopKIndices(std::span<const double> values, size_t k);
 // Allocation-free TopKIndices: `out` is overwritten with the result and only grows capacity.
 void TopKIndicesInto(std::span<const double> values, size_t k, std::vector<size_t>* out);
 
+// Index of the highest score in column[0, n): the score is column[i], or now - column[i] when
+// `age_mode`. Equal scores go to the smaller labels[i]; NaN entries are never picked. Returns
+// n when there is no candidate (n == 0 or every entry NaN). The expert cache's victim pick
+// (DESIGN.md §5d).
+size_t ArgMaxScore(const double* column, const uint64_t* labels, size_t n, double now,
+                   bool age_mode);
+
 // Smallest prefix of the descending-sorted distribution whose mass reaches `threshold`,
 // subject to returning at least `min_count` entries (capped at values.size()).
 // This is exactly fMoE's Eq. (6)-(8) expert selection operator.
@@ -171,6 +178,8 @@ void AccumulateColumnsQ8(const Q8Coeffs& coeffs, const uint8_t* cols, size_t col
                          size_t count, double* out);
 void SoftmaxInPlace(std::vector<double>& logits, double temperature = 1.0);
 void TopKIndicesInto(std::span<const double> values, size_t k, std::vector<size_t>* out);
+size_t ArgMaxScore(const double* column, const uint64_t* labels, size_t n, double now,
+                   bool age_mode);
 }  // namespace scalar
 
 }  // namespace fmoe

@@ -523,6 +523,84 @@ static inline void KTopKIndicesInto(std::span<const double> values, size_t k,
   out->resize(k);
 }
 
+// Four score lanes of the ArgMaxScore column: the stored values, or their ages now - v.
+template <bool kAge>
+static inline simd::F64x4 KScoreLanes(const double* p, simd::F64x4 vnow) {
+  if constexpr (kAge) {
+    return simd::Sub(vnow, simd::LoadF64x4(p));
+  } else {
+    return simd::LoadF64x4(p);
+  }
+}
+
+// Two passes, compares only. Pass 1 takes the maximum score over four independent
+// accumulators; Max(v, acc) keeps acc when v is NaN, so NaN entries never enter it. Pass 2
+// finds the smallest label among the entries equal to that maximum: blocks with no such entry
+// are skipped, and inside a block an unequal lane reads as the largest label, so the running
+// minimum costs one rarely-taken branch per lane even when every entry ties. Max and == are
+// exact, so the chosen index is the same on every backend whatever the lane order.
+template <bool kAge>
+static inline size_t KArgMaxScoreImpl(const double* column, const uint64_t* labels, size_t n,
+                                      double now) {
+  const auto score = [&](size_t i) { return kAge ? now - column[i] : column[i]; };
+  const simd::F64x4 vnow = simd::BroadcastF64x4(now);
+  const simd::F64x4 vnone = simd::BroadcastF64x4(-std::numeric_limits<double>::infinity());
+  simd::F64x4 acc[4] = {vnone, vnone, vnone, vnone};
+  size_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    for (size_t v = 0; v < 4; ++v) {
+      acc[v] = simd::Max(KScoreLanes<kAge>(column + i + 4 * v, vnow), acc[v]);
+    }
+  }
+  for (; i + 4 <= n; i += 4) {
+    acc[0] = simd::Max(KScoreLanes<kAge>(column + i, vnow), acc[0]);
+  }
+  double best = simd::ReduceMax(simd::Max(simd::Max(acc[0], acc[1]), simd::Max(acc[2], acc[3])));
+  for (; i < n; ++i) {
+    const double s = score(i);
+    if (s > best) {
+      best = s;
+    }
+  }
+  constexpr uint64_t kNoLabel = std::numeric_limits<uint64_t>::max();
+  size_t arg = n;
+  uint64_t arg_label = kNoLabel;
+  const auto offer = [&](bool equal, size_t j) {
+    const uint64_t label = equal ? labels[j] : kNoLabel;
+    if (label < arg_label) {
+      arg_label = label;
+      arg = j;
+    }
+  };
+  const simd::F64x4 vbest = simd::BroadcastF64x4(best);
+  for (i = 0; i + 4 <= n; i += 4) {
+    const int mask = simd::EqMask(KScoreLanes<kAge>(column + i, vnow), vbest);
+    if (mask != 0) {
+      for (size_t lane = 0; lane < 4; ++lane) {
+        offer(((mask >> lane) & 1) != 0, i + lane);
+      }
+    }
+  }
+  for (; i < n; ++i) {
+    offer(score(i) == best, i);
+  }
+  if (arg == n) {
+    // No candidate, or the only one carries label kNoLabel itself.
+    for (i = 0; i < n; ++i) {
+      if (score(i) == best) {
+        return i;
+      }
+    }
+  }
+  return arg;
+}
+
+static inline size_t KArgMaxScore(const double* column, const uint64_t* labels, size_t n,
+                                  double now, bool age_mode) {
+  return age_mode ? KArgMaxScoreImpl<true>(column, labels, n, now)
+                  : KArgMaxScoreImpl<false>(column, labels, n, now);
+}
+
 }  // namespace
 }  // namespace fmoe
 

@@ -55,5 +55,10 @@ void TopKIndicesInto(std::span<const double> values, size_t k, std::vector<size_
   KTopKIndicesInto(values, k, out);
 }
 
+size_t ArgMaxScore(const double* column, const uint64_t* labels, size_t n, double now,
+                   bool age_mode) {
+  return KArgMaxScore(column, labels, n, now, age_mode);
+}
+
 }  // namespace scalar
 }  // namespace fmoe

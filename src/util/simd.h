@@ -220,6 +220,7 @@ static inline F64x4 ZeroF64x4() { return {_mm256_setzero_pd()}; }
 static inline F64x4 LoadF64x4(const double* p) { return {_mm256_loadu_pd(p)}; }
 static inline F64x4 BroadcastF64x4(double x) { return {_mm256_set1_pd(x)}; }
 static inline F64x4 Add(F64x4 a, F64x4 b) { return {_mm256_add_pd(a.v, b.v)}; }
+static inline F64x4 Sub(F64x4 a, F64x4 b) { return {_mm256_sub_pd(a.v, b.v)}; }
 static inline F64x4 Mul(F64x4 a, F64x4 b) { return {_mm256_mul_pd(a.v, b.v)}; }
 static inline F64x4 Div(F64x4 a, F64x4 b) { return {_mm256_div_pd(a.v, b.v)}; }
 static inline F64x4 Max(F64x4 a, F64x4 b) { return {_mm256_max_pd(a.v, b.v)}; }
@@ -231,6 +232,10 @@ static inline F64x4 WidenF32x4(const float* p) {
 // Bit i set iff lane i of a > lane i of b (ordered compare: false for NaN).
 static inline int GtMask(F64x4 a, F64x4 b) {
   return _mm256_movemask_pd(_mm256_cmp_pd(a.v, b.v, _CMP_GT_OQ));
+}
+// Bit i set iff lane i of a == lane i of b (ordered compare: false for NaN, +0 == -0).
+static inline int EqMask(F64x4 a, F64x4 b) {
+  return _mm256_movemask_pd(_mm256_cmp_pd(a.v, b.v, _CMP_EQ_OQ));
 }
 // Bit i set iff lane i is finite ((v - v) == 0 fails for inf and NaN).
 static inline int FiniteMask(F64x4 a) {
@@ -265,6 +270,9 @@ static inline F64x4 BroadcastF64x4(double x) { return {_mm_set1_pd(x), _mm_set1_
 static inline F64x4 Add(F64x4 a, F64x4 b) {
   return {_mm_add_pd(a.lo, b.lo), _mm_add_pd(a.hi, b.hi)};
 }
+static inline F64x4 Sub(F64x4 a, F64x4 b) {
+  return {_mm_sub_pd(a.lo, b.lo), _mm_sub_pd(a.hi, b.hi)};
+}
 static inline F64x4 Mul(F64x4 a, F64x4 b) {
   return {_mm_mul_pd(a.lo, b.lo), _mm_mul_pd(a.hi, b.hi)};
 }
@@ -285,6 +293,10 @@ static inline F64x4 WidenF32x4(const float* p) {
 static inline int GtMask(F64x4 a, F64x4 b) {
   return _mm_movemask_pd(_mm_cmpgt_pd(a.lo, b.lo)) |
          (_mm_movemask_pd(_mm_cmpgt_pd(a.hi, b.hi)) << 2);
+}
+static inline int EqMask(F64x4 a, F64x4 b) {
+  return _mm_movemask_pd(_mm_cmpeq_pd(a.lo, b.lo)) |
+         (_mm_movemask_pd(_mm_cmpeq_pd(a.hi, b.hi)) << 2);
 }
 static inline int FiniteMask(F64x4 a) {
   const __m128d zero = _mm_setzero_pd();
@@ -315,6 +327,11 @@ static inline F64x4 Add(F64x4 a, F64x4 b) {
   for (int k = 0; k < 4; ++k) r.v[k] = a.v[k] + b.v[k];
   return r;
 }
+static inline F64x4 Sub(F64x4 a, F64x4 b) {
+  F64x4 r;
+  for (int k = 0; k < 4; ++k) r.v[k] = a.v[k] - b.v[k];
+  return r;
+}
 static inline F64x4 Mul(F64x4 a, F64x4 b) {
   F64x4 r;
   for (int k = 0; k < 4; ++k) r.v[k] = a.v[k] * b.v[k];
@@ -341,6 +358,11 @@ static inline F64x4 WidenF32x4(const float* p) {
 static inline int GtMask(F64x4 a, F64x4 b) {
   int mask = 0;
   for (int k = 0; k < 4; ++k) mask |= (a.v[k] > b.v[k]) ? (1 << k) : 0;
+  return mask;
+}
+static inline int EqMask(F64x4 a, F64x4 b) {
+  int mask = 0;
+  for (int k = 0; k < 4; ++k) mask |= (a.v[k] == b.v[k]) ? (1 << k) : 0;
   return mask;
 }
 static inline int FiniteMask(F64x4 a) {

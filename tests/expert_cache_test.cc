@@ -316,39 +316,52 @@ TEST_F(ExpertCacheTest, EqualScoreBelowTheTopWinsOnIterationOrder) {
   EXPECT_EQ(TiedLruVictim({3, 1, 2, 0}, 1, &want), want);
 }
 
-TEST_F(ExpertCacheTest, PinTouchUnpinPushesOnce) {
-  ExpertCache cache(100, &lfu_);
-  cache.Insert(Entry(1), 0.0, nullptr);
-  cache.Insert(Entry(2), 0.0, nullptr);
-  const uint64_t pushes = cache.index_stats().heap_pushes;
-  cache.Pin(1);
-  cache.Touch(1, 1.0);  // Changes the key while pinned: nothing is pushed yet.
-  EXPECT_EQ(cache.index_stats().heap_pushes, pushes);
-  cache.Unpin(1);
-  EXPECT_EQ(cache.index_stats().heap_pushes, pushes + 1);
-  // The re-pushed node carries the touched frequency: key 2 is now the LFU victim.
-  std::vector<CacheEntry> evicted;
-  ASSERT_TRUE(cache.Insert(Entry(3, 90), 2.0, &evicted));
-  ASSERT_EQ(evicted.size(), 1u);
-  EXPECT_EQ(evicted[0].key, 2u);
-}
-
-TEST_F(ExpertCacheTest, HeapNodesStayWithinCompactionBound) {
-  ExpertCache cache(10000, &priority_);
-  for (uint64_t key = 0; key < 64; ++key) {
-    cache.Insert(Entry(key), 0.0, nullptr);
-  }
-  Rng rng(3);
-  for (int op = 0; op < 10000; ++op) {
-    const uint64_t key = rng.NextBounded(64);
-    if (rng.NextBool(0.5)) {
-      cache.Touch(key, static_cast<double>(op));
-    } else {
-      cache.SetProbability(key, rng.NextDouble());
+// EvictionOrder promises "most evictable first", so its front must be the next victim, also
+// when scores tie: the LFU/PriorityLFU sub-floor plateau, or LRU entries touched at the same
+// instant. Equal scores must come out in iteration order, the order PickVictim breaks ties by,
+// not by key.
+TEST_F(ExpertCacheTest, EvictionOrderFrontIsTheNextVictimUnderTies) {
+  const EvictionPolicy* policies[] = {&lru_, &lfu_, &priority_};
+  for (const EvictionPolicy* policy : policies) {
+    ExpertCache cache(10 * 24, policy);
+    ReferenceExpertCache reference(10 * 24, policy);
+    Rng rng(11);
+    double now = 1.0;
+    int checked = 0;
+    for (int op = 0; op < 600; ++op) {
+      if (rng.NextBool(0.2)) {
+        now += 1.0;  // Runs of operations share one instant, so LRU ages tie.
+      }
+      const uint64_t kind = rng.NextBounded(4);
+      if (kind == 0 && cache.size() > 0) {
+        const std::vector<uint64_t> keys = cache.Keys();
+        const uint64_t key = keys[rng.NextBounded(keys.size())];
+        cache.Touch(key, now);
+        reference.Touch(key, now);
+      } else if (kind == 1) {
+        cache.DecayFrequencies(0.1);  // One decay puts a touched entry back on the plateau.
+        reference.DecayFrequencies(0.1);
+      } else {
+        const uint64_t key = rng.NextBounded(96);
+        if (cache.Contains(key)) {
+          continue;
+        }
+        CacheEntry entry = Entry(key);
+        entry.last_access = now;
+        entry.probability = 0.5;  // One probability: PriorityLFU ties exactly on the plateau.
+        const std::vector<uint64_t> order = cache.EvictionOrder(now);
+        ASSERT_EQ(order, reference.EvictionOrder(now)) << policy->name() << " op " << op;
+        std::vector<CacheEntry> evicted;
+        ASSERT_TRUE(cache.Insert(entry, now, &evicted));
+        ASSERT_TRUE(reference.Insert(entry, now, nullptr));
+        if (!evicted.empty()) {
+          ASSERT_EQ(evicted.front().key, order.front()) << policy->name() << " op " << op;
+          ++checked;
+        }
+      }
     }
-    ASSERT_LE(cache.index_stats().heap_nodes, 2 * cache.size() + 16) << "op " << op;
+    EXPECT_GT(checked, 100) << policy->name();
   }
-  EXPECT_GT(cache.index_stats().heap_rebuilds, 0u);
 }
 
 }  // namespace

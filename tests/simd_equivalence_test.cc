@@ -5,6 +5,7 @@
 // double-precision result. Sizes are fuzzed across every lane/block/tile boundary the kernels
 // tile by: 8-lane groups, 64-element dot blocks, 16-coefficient fp32 flush blocks,
 // 256-coefficient int8 blocks, and 2048-element output tiles.
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -373,6 +374,118 @@ TEST(SimdEquivalenceTest, TopKIndicesIntoMatchesScalarWithTies) {
       scalar::TopKIndicesInto(values, k, &expected);
       TopKIndicesInto(values, k, &actual);
       ASSERT_EQ(expected, actual) << "n=" << n << " k=" << k;
+    }
+  }
+}
+
+// The definition ArgMaxScore implements, written as the plain loop: the highest non-NaN
+// score, equal scores going to the smaller label.
+size_t NaiveArgMaxScore(const std::vector<double>& column, const std::vector<uint64_t>& labels,
+                        double now, bool age_mode) {
+  size_t arg = column.size();
+  double best = 0.0;
+  for (size_t i = 0; i < column.size(); ++i) {
+    const double score = age_mode ? now - column[i] : column[i];
+    if (std::isnan(score)) {
+      continue;
+    }
+    if (arg == column.size() || score > best || (score == best && labels[i] < labels[arg])) {
+      arg = i;
+      best = score;
+    }
+  }
+  return arg;
+}
+
+// Distinct labels in shuffled order, spaced like the cache's iteration-order labels.
+std::vector<uint64_t> ShuffledLabels(std::mt19937_64& rng, size_t n) {
+  std::vector<uint64_t> labels(n);
+  for (size_t i = 0; i < n; ++i) {
+    labels[i] = (uint64_t{1} << 62) + (uint64_t{1} << 20) * i;
+  }
+  std::shuffle(labels.begin(), labels.end(), rng);
+  return labels;
+}
+
+// Lane-group, four-accumulator (16-element) and tail boundaries, plus the resident counts of
+// Qwen at the 22% cache (317) and a cache past 1024 entries.
+const size_t kScoreSizes[] = {0, 1, 3, 4, 5, 7, 8, 9, 15, 16, 17, 63, 64, 65, 317, 1025};
+
+void ExpectArgMaxAgrees(const std::vector<double>& column, const std::vector<uint64_t>& labels,
+                        double now, bool age_mode, const std::string& what) {
+  const size_t n = column.size();
+  const size_t expected = scalar::ArgMaxScore(column.data(), labels.data(), n, now, age_mode);
+  EXPECT_EQ(ArgMaxScore(column.data(), labels.data(), n, now, age_mode), expected)
+      << what << " n=" << n << " age=" << age_mode;
+  EXPECT_EQ(NaiveArgMaxScore(column, labels, now, age_mode), expected)
+      << what << " n=" << n << " age=" << age_mode;
+}
+
+TEST(SimdEquivalenceTest, ArgMaxScoreMatchesScalarOnFuzzedColumns) {
+  std::mt19937_64 rng(0xA4C5);
+  std::uniform_int_distribution<int> level(0, 5);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const size_t n : kScoreSizes) {
+    for (int trial = 0; trial < 8; ++trial) {
+      const std::vector<uint64_t> labels = ShuffledLabels(rng, n);
+      // A few distinct levels force ties; NaN is the cache's free/pinned sentinel.
+      std::vector<double> column(n);
+      for (double& v : column) {
+        const int l = level(rng);
+        v = l == 0 ? nan : 0.5 * l;
+      }
+      for (const bool age_mode : {false, true}) {
+        ExpectArgMaxAgrees(column, labels, 10.0, age_mode, "discrete");
+      }
+      const std::vector<float> wide = RandomFloats(rng, n, -100.0f, 100.0f);
+      const std::vector<double> spread(wide.begin(), wide.end());
+      for (const bool age_mode : {false, true}) {
+        ExpectArgMaxAgrees(spread, labels, 50.0, age_mode, "spread");
+      }
+    }
+  }
+}
+
+TEST(SimdEquivalenceTest, ArgMaxScoreEdgeCases) {
+  std::mt19937_64 rng(0xA4C6);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const size_t n : kScoreSizes) {
+    const std::vector<uint64_t> labels = ShuffledLabels(rng, n);
+    const size_t smallest = static_cast<size_t>(
+        std::min_element(labels.begin(), labels.end()) - labels.begin());
+    for (const bool age_mode : {false, true}) {
+      // All sentinels: no candidate.
+      const std::vector<double> sentinels(n, nan);
+      EXPECT_EQ(ArgMaxScore(sentinels.data(), labels.data(), n, 1.0, age_mode), n);
+      EXPECT_EQ(scalar::ArgMaxScore(sentinels.data(), labels.data(), n, 1.0, age_mode), n);
+      // Every entry tied: the smallest label wins.
+      const std::vector<double> tied(n, 2.0);
+      if (n > 0) {
+        EXPECT_EQ(ArgMaxScore(tied.data(), labels.data(), n, 3.0, age_mode), smallest);
+      }
+      ExpectArgMaxAgrees(tied, labels, 3.0, age_mode, "tied");
+      // +0.0 and -0.0 are equal scores: the sign never decides, the label does.
+      std::vector<double> zeros(n);
+      for (size_t i = 0; i < n; ++i) {
+        zeros[i] = (i % 3 == 0) ? -1.0 : ((i % 2 == 0) ? 0.0 : -0.0);
+      }
+      ExpectArgMaxAgrees(zeros, labels, 0.0, age_mode, "signed zeros");
+    }
+    // Age mode: last-access values one ulp apart whose ages round to the same double tie, so
+    // the younger entry at index 0 (the smallest label) wins. Comparing raw last-access
+    // values would pick the older one at the end.
+    if (n >= 2) {
+      const double now = 1e6;
+      std::vector<double> access(n, 5.0);
+      access[0] = std::nextafter(0.1, 1.0);
+      access[n - 1] = 0.1;
+      ASSERT_EQ(now - access[0], now - access[n - 1]);
+      std::vector<uint64_t> ascending(n);
+      for (size_t i = 0; i < n; ++i) {
+        ascending[i] = (uint64_t{1} << 62) + i;
+      }
+      EXPECT_EQ(ArgMaxScore(access.data(), ascending.data(), n, now, true), 0u);
+      ExpectArgMaxAgrees(access, ascending, now, true, "ulp-apart ages");
     }
   }
 }
