@@ -9,7 +9,8 @@
 //
 // Three sections:
 //   micro  — store-shaped kernel loops (column scans, batched dots, cosine scoring), scalar
-//            vs dispatched, plus the reduced-precision column kernels (fp16/int8).
+//            vs dispatched, plus the reduced-precision column kernels (fp16/int8) and the
+//            gate's per-layer rows (GaussianRowInto noise, SoftmaxInPlace).
 //   search — TrajectorySearch against a filled store at each map precision: the user-visible
 //            scan path, including the Q8 coefficient fold.
 //   memory — MemoryBytesAtCapacity of the paper's 1K-map store at each precision.
@@ -207,6 +208,46 @@ std::vector<MicroResult> RunMicro(size_t rows, int reps) {
     });
     r.speedup = r.dispatched_elems_per_sec / r.scalar_elems_per_sec;
     results.push_back(r);
+  }
+
+  // Gate-shaped rows of J = 8 (Mixtral): each layer's expert noise and its softmax.
+  {
+    std::vector<uint64_t> keys(rows);
+    for (uint64_t& key : keys) {
+      key = rng();
+    }
+    std::vector<double> noise(rows);
+    const auto gaussian_rows = [&](void (*row_into)(const uint64_t*, size_t, double*)) {
+      for (size_t i = 0; i < rows; i += kCoeffs) {
+        row_into(keys.data() + i, kCoeffs, noise.data() + i);
+      }
+      return noise[0];
+    };
+    MicroResult r;
+    r.kernel = "GaussianRowInto J=8";
+    r.scalar_elems_per_sec =
+        TimeElems(reps, rows, [&] { return gaussian_rows(scalar::GaussianRowInto); });
+    r.dispatched_elems_per_sec =
+        TimeElems(reps, rows, [&] { return gaussian_rows(GaussianRowInto); });
+    r.speedup = r.dispatched_elems_per_sec / r.scalar_elems_per_sec;
+    results.push_back(r);
+
+    std::vector<std::vector<double>> layers(rows / kCoeffs);
+    const auto softmax_rows = [&](void (*softmax)(std::vector<double>&, double)) {
+      for (size_t l = 0; l < layers.size(); ++l) {
+        layers[l].assign(noise.begin() + l * kCoeffs, noise.begin() + (l + 1) * kCoeffs);
+        softmax(layers[l], 1.0);
+      }
+      return layers[0][0];
+    };
+    MicroResult s;
+    s.kernel = "SoftmaxInPlace J=8";
+    s.scalar_elems_per_sec =
+        TimeElems(reps, rows, [&] { return softmax_rows(scalar::SoftmaxInPlace); });
+    s.dispatched_elems_per_sec =
+        TimeElems(reps, rows, [&] { return softmax_rows(SoftmaxInPlace); });
+    s.speedup = s.dispatched_elems_per_sec / s.scalar_elems_per_sec;
+    results.push_back(s);
   }
   return results;
 }

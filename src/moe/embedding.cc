@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numbers>
+#include <cstdint>
 
 #include "src/util/logging.h"
 #include "src/util/math.h"
@@ -58,15 +58,18 @@ std::vector<double> SemanticEmbedder::IterationEmbedding(const RequestRouting& r
   embedding.reserve(static_cast<size_t>(iteration_embedding_dim()));
   // Positional component: harmonics of the iteration index relative to the expert count, the
   // period of the gate's rotation (see GateSimulator).
-  const double period = static_cast<double>(config_.experts_per_layer) *
-                        static_cast<double>(std::max(profile_.phase_period, 1));
+  const int64_t period = int64_t{config_.experts_per_layer} * std::max(profile_.phase_period, 1);
   const double scale =
       profile_.phase_weight / std::sqrt(static_cast<double>(2 * profile_.phase_harmonics));
   for (int k = 1; k <= profile_.phase_harmonics; ++k) {
-    const double angle =
-        2.0 * std::numbers::pi * static_cast<double>(iteration) * static_cast<double>(k) / period;
-    embedding.push_back(scale * std::sin(angle));
-    embedding.push_back(scale * std::cos(angle));
+    // Harmonic k sits q/period of a turn in, with q = iteration·k mod period. The sine is the
+    // cosine a quarter turn earlier, (4q + 3·period) mod 4·period quarter-steps: integer
+    // arithmetic, so each turn fraction is rounded once.
+    const int64_t q = (int64_t{iteration} * k) % period;
+    const double quarter_steps = static_cast<double>(4 * period);
+    embedding.push_back(
+        scale * CosTwoPi(static_cast<double>((4 * q + 3 * period) % (4 * period)) / quarter_steps));
+    embedding.push_back(scale * CosTwoPi(static_cast<double>(q) / static_cast<double>(period)));
   }
   return embedding;
 }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numbers>
 #include <numeric>
 
 #include "src/util/logging.h"
@@ -23,17 +22,25 @@ uint64_t MixKeys(uint64_t a, uint64_t b, uint64_t c, uint64_t d) {
   return SplitMix64(state);
 }
 
-// Deterministic standard Gaussian from a hash key (Box-Muller over two derived uniforms).
-double HashedGaussian(uint64_t key) {
-  uint64_t s = key;
-  const uint64_t u1_bits = SplitMix64(s);
-  const uint64_t u2_bits = SplitMix64(s);
-  double u1 = static_cast<double>(u1_bits >> 11) * 0x1.0p-53;
-  const double u2 = static_cast<double>(u2_bits >> 11) * 0x1.0p-53;
-  if (u1 < 1e-300) {
-    u1 = 1e-300;
+// Experts per GaussianRowInto call; every shipped model's J fits in one.
+constexpr int kNoiseChunk = 128;
+
+// Calls apply(j, g_j) for j in [0, J), g_j the standard Gaussian keyed by key_of(j); the
+// Gaussians come from one GaussianRowInto call per kNoiseChunk experts.
+template <typename KeyOf, typename Apply>
+void ForEachNoise(int J, const KeyOf& key_of, const Apply& apply) {
+  uint64_t keys[kNoiseChunk];
+  double noise[kNoiseChunk];
+  for (int j0 = 0; j0 < J; j0 += kNoiseChunk) {
+    const int m = std::min(kNoiseChunk, J - j0);
+    for (int t = 0; t < m; ++t) {
+      keys[t] = key_of(j0 + t);
+    }
+    GaussianRowInto(keys, static_cast<size_t>(m), noise);
+    for (int t = 0; t < m; ++t) {
+      apply(j0 + t, noise[t]);
+    }
   }
-  return std::sqrt(-2.0 * std::log(u1)) * std::cos(2.0 * std::numbers::pi * u2);
 }
 
 }  // namespace
@@ -129,20 +136,24 @@ void GateSimulator::LogitsInto(const RequestRouting& routing, int iteration, int
 
   std::vector<double>& logits = *out;
   logits.resize(static_cast<size_t>(J));
-  for (int j = 0; j < J; ++j) {
-    // The profile is indexed at (j - rot) mod J: the whole affinity pattern shifts by `rot`
-    // experts at this iteration.
-    const int src = ((j - rot) % J + J) % J;
-    const double base = (1.0 - w) * BaseLogit(c0, layer, src) + w * BaseLogit(c1, layer, src);
-    const uint64_t key =
-        MixKeys(routing.seed ^ seed_,
-                (static_cast<uint64_t>(static_cast<uint32_t>(iteration)) << 32) |
-                    static_cast<uint64_t>(static_cast<uint32_t>(layer)),
-                static_cast<uint64_t>(j), token_salt);
-    const double noise =
-        profile_.noise_scale * routing.noise_multiplier * HashedGaussian(key);
-    logits[static_cast<size_t>(j)] = base + noise;
-  }
+  const uint64_t iteration_layer =
+      (static_cast<uint64_t>(static_cast<uint32_t>(iteration)) << 32) |
+      static_cast<uint64_t>(static_cast<uint32_t>(layer));
+  ForEachNoise(
+      J,
+      [&](int j) {
+        return MixKeys(routing.seed ^ seed_, iteration_layer, static_cast<uint64_t>(j),
+                       token_salt);
+      },
+      [&](int j, double g) {
+        // The profile is indexed at (j - rot) mod J: the whole affinity pattern shifts by
+        // `rot` experts at this iteration.
+        const int src = ((j - rot) % J + J) % J;
+        const double base =
+            (1.0 - w) * BaseLogit(c0, layer, src) + w * BaseLogit(c1, layer, src);
+        const double noise = profile_.noise_scale * routing.noise_multiplier * g;
+        logits[static_cast<size_t>(j)] = base + noise;
+      });
 }
 
 std::vector<double> GateSimulator::TokenDistribution(const RequestRouting& routing,
@@ -243,14 +254,16 @@ std::vector<double> GateSimulator::SpeculativeDistribution(const RequestRouting&
   const double sigma =
       profile_.speculative_sigma * std::sqrt(static_cast<double>(distance));
   std::vector<double> logits = Logits(routing, iteration, layer, /*token_salt=*/0);
-  for (int j = 0; j < J; ++j) {
-    const uint64_t key = MixKeys(routing.seed ^ seed_ ^ 0xabcdef1234567890ULL,
-                                 static_cast<uint64_t>(static_cast<uint32_t>(phase)),
-                                 (static_cast<uint64_t>(static_cast<uint32_t>(layer)) << 8) |
-                                     static_cast<uint64_t>(static_cast<uint32_t>(distance)),
-                                 static_cast<uint64_t>(j));
-    logits[static_cast<size_t>(j)] += sigma * HashedGaussian(key);
-  }
+  const uint64_t layer_distance = (static_cast<uint64_t>(static_cast<uint32_t>(layer)) << 8) |
+                                  static_cast<uint64_t>(static_cast<uint32_t>(distance));
+  ForEachNoise(
+      J,
+      [&](int j) {
+        return MixKeys(routing.seed ^ seed_ ^ 0xabcdef1234567890ULL,
+                       static_cast<uint64_t>(static_cast<uint32_t>(phase)), layer_distance,
+                       static_cast<uint64_t>(j));
+      },
+      [&](int j, double g) { logits[static_cast<size_t>(j)] += sigma * g; });
   SoftmaxInPlace(logits, profile_.temperature);
   return logits;
 }

@@ -122,6 +122,20 @@ void AccumulateColumnsQ8(const Q8Coeffs& coeffs, const uint8_t* cols, size_t col
 void SoftmaxInPlace(std::vector<double>& logits, double temperature = 1.0);
 std::vector<double> Softmax(std::span<const double> logits, double temperature = 1.0);
 
+// Deterministic transcendentals (DESIGN.md §5g): pure functions of this source, bitwise equal
+// on every SIMD backend and independent of the platform libm. Log takes positive normal finite
+// x and is within 1 ulp; Exp is within 1 ulp, returns +0 for x ≤ −745.1332191019412 (the double
+// nearest ln 2^-1075; see kExpUnderflow in math_kernels.h) and +inf above ln(DBL_MAX);
+// CosTwoPi(u) = cos(2πu) for u in [0, 1), within 2e-15 absolute.
+double Log(double x);
+double Exp(double x);
+double CosTwoPi(double u);
+
+// out[i] = a standard Gaussian drawn from keys[i] alone, for i in [0, n): two SplitMix64
+// uniforms through Box-Muller on the kernels above, four keys per vector step. The gate
+// simulator's per-expert noise.
+void GaussianRowInto(const uint64_t* keys, size_t n, double* out);
+
 // Shannon entropy (natural log) of a probability distribution. Ignores zero entries.
 double Entropy(std::span<const double> probs);
 
@@ -158,8 +172,8 @@ double Clip(double x, double lo, double hi);
 
 // Scalar reference build of the hot kernels: the same kernel source compiled with the SIMD
 // backend forced to "scalar" and compiler vectorization disabled (src/util/math_scalar.cc).
-// The fp32 kernels here are the bitwise ground truth the vectorized build must match
-// (simd_equivalence_test); they also serve as the honest baseline for bench_simd.
+// These are the bitwise ground truth the vectorized build must match (simd_equivalence_test);
+// they also serve as the honest baseline for bench_simd.
 namespace scalar {
 double DotF(std::span<const float> a, std::span<const float> b);
 void DotBatched(std::span<const float> query, const float* rows, size_t row_stride,
@@ -176,6 +190,10 @@ void AccumulateColumnsF16(std::span<const float> coeffs, const uint16_t* cols,
                           size_t col_stride, size_t count, double* out);
 void AccumulateColumnsQ8(const Q8Coeffs& coeffs, const uint8_t* cols, size_t col_stride,
                          size_t count, double* out);
+double Log(double x);
+double Exp(double x);
+double CosTwoPi(double u);
+void GaussianRowInto(const uint64_t* keys, size_t n, double* out);
 void SoftmaxInPlace(std::vector<double>& logits, double temperature = 1.0);
 void TopKIndicesInto(std::span<const double> values, size_t k, std::vector<size_t>* out);
 size_t ArgMaxScore(const double* column, const uint64_t* labels, size_t n, double now,

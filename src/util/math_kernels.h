@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "src/util/math.h"
+#include "src/util/rng.h"
 #include "src/util/simd.h"
 
 namespace fmoe {
@@ -375,6 +376,182 @@ static inline void KAccumulateColumnsQ8(const Q8Coeffs& coeffs, const uint8_t* c
   }
 }
 
+// ---- Deterministic transcendental kernels (DESIGN.md §5g) ----
+//
+// Log, Exp and CosTwoPi use only IEEE + − × ÷ and sqrt, bit operations and compares, so each
+// lane's result is a function of this source alone: the same bits on every backend and under
+// any libm. Integers are rounded with the ±0x1.8p52 trick and powers of two are assembled from
+// exponent bits (no nearbyint, no ldexp). Measured against long-double references: Log within
+// 0.82 ulp, Exp within 0.88 ulp, CosTwoPi within 1.5e-16 absolute; math_kernels_test holds
+// them to 4 ulp and 2e-15 of std::.
+
+inline constexpr double kRoundMagic = 0x1.8p52;  // x + kRoundMagic − kRoundMagic = rint(x).
+
+// c[0] + z·(c[1] + z·(… + z·c[N−1])), one Mul and one Add per step.
+template <size_t N>
+static inline simd::F64x4 KHorner(simd::F64x4 z, const double (&c)[N]) {
+  simd::F64x4 acc = simd::BroadcastF64x4(c[N - 1]);
+  for (size_t i = N - 1; i-- > 0;) {
+    acc = simd::Add(simd::BroadcastF64x4(c[i]), simd::Mul(z, acc));
+  }
+  return acc;
+}
+
+// Natural log for positive normal finite x (other inputs give unspecified values). fdlibm's
+// e_log.c reduction and minimax coefficients: x = 2^k·m with m in [√½, √2), f = m − 1,
+// s = f/(2+f), log(1+f) = 2s + s·R(s²) with a degree-7 R in s², error below 1 ulp.
+static inline simd::F64x4 KLog(simd::F64x4 x) {
+  using simd::Add;
+  using simd::Mul;
+  using simd::Sub;
+  const auto c = [](double v) { return simd::BroadcastF64x4(v); };
+  const auto bits = [](uint64_t b) { return simd::BroadcastBitsF64x4(b); };
+  constexpr uint64_t kSqrtHalfBits = 0x3fe6a09e667f3bcdULL;
+  // Offsetting the bits by 1.0 − √½ carries m ≥ √2 into the next exponent.
+  const simd::F64x4 t = simd::AddBits(x, bits(0x3ff0000000000000ULL - kSqrtHalfBits));
+  // k = biased exponent − 1023, converted exactly through the 2^52 mantissa trick.
+  const simd::F64x4 k = Sub(simd::Or(simd::ShiftRightBits<52>(t), bits(0x4330000000000000ULL)),
+                            c(0x1p52 + 1023.0));
+  const simd::F64x4 m =
+      simd::AddBits(simd::And(t, bits(0x000fffffffffffffULL)), bits(kSqrtHalfBits));
+  const simd::F64x4 f = Sub(m, c(1.0));
+  const simd::F64x4 s = simd::Div(f, Add(c(2.0), f));
+  const simd::F64x4 z = Mul(s, s);
+  const simd::F64x4 w = Mul(z, z);
+  const simd::F64x4 t1 =
+      Mul(w, KHorner(w, {0x1.999999997fa04p-2, 0x1.c71c51d8e78afp-3, 0x1.39a09d078c69fp-3}));
+  const simd::F64x4 t2 = Mul(z, KHorner(w, {0x1.5555555555593p-1, 0x1.2492494229359p-2,
+                                           0x1.7466496cb03dep-3, 0x1.2f112df3e5244p-3}));
+  const simd::F64x4 r = Add(t2, t1);
+  const simd::F64x4 hfsq = Mul(Mul(c(0.5), f), f);
+  // k·ln2 split hi + lo (ln2_hi has 21 trailing zero bits, so k·ln2_hi is exact).
+  const simd::F64x4 ln2_hi = c(0x1.62e42feep-1);
+  const simd::F64x4 ln2_lo = c(0x1.a39ef35793c76p-33);
+  return Sub(Mul(k, ln2_hi), Sub(Sub(hfsq, Add(Mul(s, Add(hfsq, r)), Mul(k, ln2_lo))), f));
+}
+
+// Exp underflow rule: x is clamped to kExpUnderflow, the double nearest ln 2^-1075, whose
+// result already rounds to +0; so every x ≤ kExpUnderflow, −inf included, returns +0, and the
+// next double up returns 2^-1074. Subnormal results come from the one final IEEE multiply, so
+// they underflow gradually. x above ln(DBL_MAX) returns +inf, and NaN stays NaN.
+inline constexpr double kExpUnderflow = -0x1.74910d52d3052p+9;  // −745.1332191019412
+
+// e^x. fdlibm's e_exp.c: k = rint(x/ln2), r = x − k·ln2 in hi + lo parts, e^r from the
+// rational form 1 + 2r/(2 − c) with a degree-5 minimax c(r²), error below 1 ulp; then
+// ·2^k as two exponent-built factors 2^⌊k/2⌋·2^(k−⌊k/2⌋), each a normal double for every
+// k in [−1076, 1024], so only the last multiply can round.
+static inline simd::F64x4 KExp(simd::F64x4 x) {
+  using simd::Add;
+  using simd::Mul;
+  using simd::Sub;
+  const auto c = [](double v) { return simd::BroadcastF64x4(v); };
+  // Max(c, x) and Min(c, x) pass a NaN x through (second operand); the clamp keeps k small.
+  const simd::F64x4 xc = simd::Min(c(0x1.63p+9), simd::Max(c(kExpUnderflow), x));  // 710
+  const simd::F64x4 kr = Add(Mul(xc, c(0x1.71547652b82fep+0)), c(kRoundMagic));
+  const simd::F64x4 k = Sub(kr, c(kRoundMagic));
+  const simd::F64x4 hi = Sub(xc, Mul(k, c(0x1.62e42feep-1)));
+  const simd::F64x4 lo = Mul(k, c(0x1.a39ef35793c76p-33));
+  const simd::F64x4 r = Sub(hi, lo);
+  const simd::F64x4 t = Mul(r, r);
+  const simd::F64x4 poly =
+      Mul(t, KHorner(t, {0x1.555555555553ep-3, -0x1.6c16c16bebd93p-9, 0x1.1566aaf25de2cp-14,
+                         -0x1.bbd41c5d26bf1p-20, 0x1.6376972bea4d0p-25}));
+  const simd::F64x4 cr = Sub(r, poly);
+  const simd::F64x4 y =
+      Sub(c(1.0), Sub(Sub(lo, simd::Div(Mul(r, cr), Sub(c(2.0), cr))), hi));
+  // kr's bits are 0x1.8p52's plus k as an integer. Shifting left by 52 keeps k mod 2^12 (the
+  // constant's low 12 bits are zero), and the bias add puts k + 1023 in the exponent field.
+  // The halving shift yields 0x1.8p52's bits / 2 + ⌊k/2⌋, since those bits are even.
+  const simd::F64x4 bias = simd::BroadcastBitsF64x4(uint64_t{1023} << 52);
+  const simd::F64x4 half = simd::ShiftRightBits<1>(kr);
+  const simd::F64x4 scale1 = simd::AddBits(simd::ShiftLeftBits<52>(half), bias);
+  const simd::F64x4 scale2 =
+      simd::AddBits(simd::ShiftLeftBits<52>(simd::SubBits(kr, half)), bias);
+  return Mul(Mul(y, scale1), scale2);
+}
+
+// cos(2πu) for u in [0, 1). Reduction is exact: v = min(u, 1 − u) in [0, ½], n = rint(4v),
+// r = v − n/4 in [−⅛, ⅛] (Sterbenz), so cos(2πu) is cos(2πr), −sin(2πr) or −cos(2πr) for
+// n = 0, 1, 2. Both come from degree-6 polynomials in r² (Chebyshev fits on [0, 1/64], fit
+// error below 4e-18 relative).
+static inline simd::F64x4 KCosTwoPi(simd::F64x4 u) {
+  using simd::Add;
+  using simd::Mul;
+  using simd::Sub;
+  const auto c = [](double v) { return simd::BroadcastF64x4(v); };
+  const simd::F64x4 v = simd::Min(u, Sub(c(1.0), u));
+  const simd::F64x4 n = Sub(Add(Mul(v, c(4.0)), c(kRoundMagic)), c(kRoundMagic));
+  const simd::F64x4 r = Sub(v, Mul(n, c(0.25)));
+  const simd::F64x4 z = Mul(r, r);
+  const simd::F64x4 sin_poly =
+      KHorner(z, {0x1.921fb54442d18p+2, -0x1.4abbce625be41p+5, 0x1.466bc677587f8p+6,
+                  -0x1.32d2cce2e5b19p+6, 0x1.50782fda12d96p+5, -0x1.e30071afc3e59p+3,
+                  0x1.e3f38399551bfp+1});
+  const simd::F64x4 cos_poly =
+      KHorner(z, {-0x1.3bd3cc9be45dep+4, 0x1.03c1f081b5ac0p+6, -0x1.55d3c7e3cb241p+6,
+                  0x1.e1f5068688d5bp+5, -0x1.a6d1eef479be1p+4, 0x1.f9ce245cada0bp+2,
+                  -0x1.b2f3eb054afcdp+0});
+  const simd::F64x4 sin_r = Mul(r, sin_poly);
+  const simd::F64x4 cos_r = Add(c(1.0), Mul(z, cos_poly));
+  const simd::F64x4 value = simd::Select(simd::CmpEq(n, c(1.0)), sin_r, cos_r);
+  // 0 − value, not a sign flip, so cos(π/2) and cos(3π/2) come out +0.
+  return simd::Select(simd::CmpLt(c(0.5), n), Sub(c(0.0), value), value);
+}
+
+// Uniform in [0, 1) from the top 53 bits of each lane, (bits >> 11)·2^-53, exact: the 53-bit
+// integer is rebuilt as hi·2^32 + lo through the 2^84 and 2^52 mantissa tricks.
+static inline simd::F64x4 KUnitFromBits(simd::F64x4 lane_bits) {
+  const auto c = [](double v) { return simd::BroadcastF64x4(v); };
+  const auto bits = [](uint64_t b) { return simd::BroadcastBitsF64x4(b); };
+  const simd::F64x4 x = simd::ShiftRightBits<11>(lane_bits);
+  const simd::F64x4 hi =
+      simd::Sub(simd::Or(simd::ShiftRightBits<32>(x), bits(0x4530000000000000ULL)), c(0x1p84));
+  const simd::F64x4 lo = simd::Sub(
+      simd::Or(simd::And(x, bits(0xffffffffULL)), bits(0x4330000000000000ULL)), c(0x1p52));
+  return simd::Mul(simd::Add(hi, lo), c(0x1p-53));
+}
+
+// out[i] = standard Gaussian keyed by keys[i]: two SplitMix64 draws from the key give the
+// uniforms u1 (floored at 1e-300) and u2, and Box-Muller returns √(−2·log u1)·cos(2π·u2).
+// The draws are scalar (no 64-bit lane multiply) and fill a block before the vector pass
+// reads it, so the vector loads do not wait on just-stored lanes.
+static inline void KGaussianRowInto(const uint64_t* keys, size_t n, double* out) {
+  constexpr size_t kBlock = 64;
+  uint64_t u1_bits[kBlock];
+  uint64_t u2_bits[kBlock];
+  for (size_t b0 = 0; b0 < n; b0 += kBlock) {
+    const size_t m = std::min(kBlock, n - b0);
+    const size_t padded = (m + 3) & ~size_t{3};
+    for (size_t j = 0; j < padded; ++j) {
+      uint64_t state = j < m ? keys[b0 + j] : 0;
+      u1_bits[j] = SplitMix64(state);
+      u2_bits[j] = SplitMix64(state);
+    }
+    for (size_t j = 0; j < padded; j += 4) {
+      const simd::F64x4 u1 = simd::Max(KUnitFromBits(simd::LoadBitsF64x4(u1_bits + j)),
+                                       simd::BroadcastF64x4(1e-300));
+      const simd::F64x4 u2 = KUnitFromBits(simd::LoadBitsF64x4(u2_bits + j));
+      const simd::F64x4 g = simd::Mul(
+          simd::Sqrt(simd::Mul(simd::BroadcastF64x4(-2.0), KLog(u1))), KCosTwoPi(u2));
+      if (j + 4 <= m) {
+        simd::Store(out + b0 + j, g);
+      } else {
+        double tail[4];
+        simd::Store(tail, g);
+        std::copy(tail, tail + (m - j), out + b0 + j);
+      }
+    }
+  }
+}
+
+// The kernels at one point: lane 0 of a broadcast evaluation.
+template <simd::F64x4 (*kKernel)(simd::F64x4)>
+static inline double KAtPoint(double x) {
+  double lanes[4];
+  simd::Store(lanes, kKernel(simd::BroadcastF64x4(x)));
+  return lanes[0];
+}
+
 static inline void KSoftmaxInPlace(std::vector<double>& logits, double temperature) {
   assert(temperature > 0.0);
   if (logits.empty()) {
@@ -434,11 +611,27 @@ static inline void KSoftmaxInPlace(std::vector<double>& logits, double temperatu
     return;
   }
 
-  // exp stays scalar libm: a vector polynomial would change results bitwise, and the golden
-  // reports pin softmax outputs byte-for-byte. The sum order is the element order, as before.
+  // exp((v − max) / T) four lanes at a time; the sum stays in element order.
+  {
+    const simd::F64x4 vmax = simd::BroadcastF64x4(max_logit);
+    const simd::F64x4 vtemp = simd::BroadcastF64x4(temperature);
+    const auto exp_lanes = [&](double* q) {
+      simd::Store(q, KExp(simd::Div(simd::Sub(simd::LoadF64x4(q), vmax), vtemp)));
+    };
+    double* p = logits.data();
+    size_t i = 0;
+    for (; i + 4 <= n; i += 4) {
+      exp_lanes(p + i);
+    }
+    if (i < n) {  // Tail lanes run padded; lanes never mix, so the padding cannot leak.
+      double tail[4] = {0.0, 0.0, 0.0, 0.0};
+      std::copy(p + i, p + n, tail);
+      exp_lanes(tail);
+      std::copy(tail, tail + (n - i), p + i);
+    }
+  }
   double sum = 0.0;
-  for (double& v : logits) {
-    v = std::exp((v - max_logit) / temperature);
+  for (const double v : logits) {
     sum += v;
   }
   // Normalization is an independent IEEE divide per element — vector and scalar agree bitwise.

@@ -47,6 +47,16 @@ void AccumulateColumnsQ8(const Q8Coeffs& coeffs, const uint8_t* cols, size_t col
   KAccumulateColumnsQ8(coeffs, cols, col_stride, count, out);
 }
 
+double Log(double x) { return KAtPoint<KLog>(x); }
+
+double Exp(double x) { return KAtPoint<KExp>(x); }
+
+double CosTwoPi(double u) { return KAtPoint<KCosTwoPi>(u); }
+
+void GaussianRowInto(const uint64_t* keys, size_t n, double* out) {
+  KGaussianRowInto(keys, n, out);
+}
+
 void SoftmaxInPlace(std::vector<double>& logits, double temperature) {
   KSoftmaxInPlace(logits, temperature);
 }

@@ -7,9 +7,10 @@
 #ifndef FMOE_SRC_UTIL_RNG_H_
 #define FMOE_SRC_UTIL_RNG_H_
 
-#include <cstdint>
 #include <cmath>
-#include <numbers>
+#include <cstdint>
+
+#include "src/util/math.h"
 
 namespace fmoe {
 
@@ -71,7 +72,7 @@ class Rng {
     if (u1 < 1e-300) {
       u1 = 1e-300;
     }
-    return std::sqrt(-2.0 * std::log(u1)) * std::cos(2.0 * std::numbers::pi * u2);
+    return std::sqrt(-2.0 * Log(u1)) * CosTwoPi(u2);
   }
 
   double NextGaussian(double mean, double stddev) { return mean + stddev * NextGaussian(); }
@@ -82,11 +83,11 @@ class Rng {
     if (u < 1e-300) {
       u = 1e-300;
     }
-    return -std::log(u) / rate;
+    return -Log(u) / rate;
   }
 
   // Log-normal parameterised by the underlying normal's mu/sigma.
-  double NextLogNormal(double mu, double sigma) { return std::exp(NextGaussian(mu, sigma)); }
+  double NextLogNormal(double mu, double sigma) { return Exp(NextGaussian(mu, sigma)); }
 
   bool NextBool(double p_true) { return NextDouble() < p_true; }
 

@@ -208,6 +208,12 @@ static inline double ReduceAddPairwise(F32x8 a) {
 // ---------------------------------------------------------------------------
 // F64x4: four double lanes. NEON builds fall back to the scalar form (armv7 has no f64
 // vectors and the double paths are not the hot loops).
+//
+// Besides IEEE arithmetic, F64x4 carries what the transcendental kernels (math_kernels.h)
+// need to work on a lane's bits: CmpLt/CmpEq return all-ones/all-zero lane masks (false for
+// NaN), Select(mask, a, b) picks a where the mask is set, And/Or/AndNot (~a & b) act on
+// the raw bits, and AddBits/SubBits/ShiftLeftBits/ShiftRightBits treat each lane as a uint64
+// (wrap-around add, logical shifts). Min follows minpd: the second operand unless a < b.
 // ---------------------------------------------------------------------------
 
 #if defined(FMOE_SIMD_LEVEL_AVX2)
@@ -255,6 +261,38 @@ static inline double ReduceAddPairwiseF64(F64x4 a) {
   const __m128d s01 = _mm_add_sd(lo, _mm_unpackhi_pd(lo, lo));
   const __m128d s23 = _mm_add_sd(hi, _mm_unpackhi_pd(hi, hi));
   return _mm_cvtsd_f64(_mm_add_sd(s01, s23));
+}
+static inline F64x4 Min(F64x4 a, F64x4 b) { return {_mm256_min_pd(a.v, b.v)}; }
+static inline F64x4 Sqrt(F64x4 a) { return {_mm256_sqrt_pd(a.v)}; }
+static inline F64x4 CmpLt(F64x4 a, F64x4 b) { return {_mm256_cmp_pd(a.v, b.v, _CMP_LT_OQ)}; }
+static inline F64x4 CmpEq(F64x4 a, F64x4 b) { return {_mm256_cmp_pd(a.v, b.v, _CMP_EQ_OQ)}; }
+static inline F64x4 And(F64x4 a, F64x4 b) { return {_mm256_and_pd(a.v, b.v)}; }
+static inline F64x4 Or(F64x4 a, F64x4 b) { return {_mm256_or_pd(a.v, b.v)}; }
+static inline F64x4 AndNot(F64x4 a, F64x4 b) { return {_mm256_andnot_pd(a.v, b.v)}; }
+static inline F64x4 Select(F64x4 mask, F64x4 a, F64x4 b) {
+  return {_mm256_blendv_pd(b.v, a.v, mask.v)};
+}
+static inline F64x4 LoadBitsF64x4(const uint64_t* p) {
+  return {_mm256_castsi256_pd(_mm256_loadu_si256(reinterpret_cast<const __m256i*>(p)))};
+}
+static inline F64x4 BroadcastBitsF64x4(uint64_t bits) {
+  return {_mm256_castsi256_pd(_mm256_set1_epi64x(static_cast<long long>(bits)))};
+}
+static inline F64x4 AddBits(F64x4 a, F64x4 b) {
+  return {_mm256_castsi256_pd(
+      _mm256_add_epi64(_mm256_castpd_si256(a.v), _mm256_castpd_si256(b.v)))};
+}
+static inline F64x4 SubBits(F64x4 a, F64x4 b) {
+  return {_mm256_castsi256_pd(
+      _mm256_sub_epi64(_mm256_castpd_si256(a.v), _mm256_castpd_si256(b.v)))};
+}
+template <int kBits>
+static inline F64x4 ShiftLeftBits(F64x4 a) {
+  return {_mm256_castsi256_pd(_mm256_slli_epi64(_mm256_castpd_si256(a.v), kBits))};
+}
+template <int kBits>
+static inline F64x4 ShiftRightBits(F64x4 a) {
+  return {_mm256_castsi256_pd(_mm256_srli_epi64(_mm256_castpd_si256(a.v), kBits))};
 }
 
 #elif defined(FMOE_SIMD_LEVEL_SSE2)
@@ -311,6 +349,53 @@ static inline double ReduceAddPairwiseF64(F64x4 a) {
   const __m128d s01 = _mm_add_sd(a.lo, _mm_unpackhi_pd(a.lo, a.lo));
   const __m128d s23 = _mm_add_sd(a.hi, _mm_unpackhi_pd(a.hi, a.hi));
   return _mm_cvtsd_f64(_mm_add_sd(s01, s23));
+}
+static inline F64x4 Min(F64x4 a, F64x4 b) {
+  return {_mm_min_pd(a.lo, b.lo), _mm_min_pd(a.hi, b.hi)};
+}
+static inline F64x4 Sqrt(F64x4 a) { return {_mm_sqrt_pd(a.lo), _mm_sqrt_pd(a.hi)}; }
+static inline F64x4 CmpLt(F64x4 a, F64x4 b) {
+  return {_mm_cmplt_pd(a.lo, b.lo), _mm_cmplt_pd(a.hi, b.hi)};
+}
+static inline F64x4 CmpEq(F64x4 a, F64x4 b) {
+  return {_mm_cmpeq_pd(a.lo, b.lo), _mm_cmpeq_pd(a.hi, b.hi)};
+}
+static inline F64x4 And(F64x4 a, F64x4 b) {
+  return {_mm_and_pd(a.lo, b.lo), _mm_and_pd(a.hi, b.hi)};
+}
+static inline F64x4 Or(F64x4 a, F64x4 b) { return {_mm_or_pd(a.lo, b.lo), _mm_or_pd(a.hi, b.hi)}; }
+static inline F64x4 AndNot(F64x4 a, F64x4 b) {
+  return {_mm_andnot_pd(a.lo, b.lo), _mm_andnot_pd(a.hi, b.hi)};
+}
+// No blendv below SSE4.1: (mask & a) | (~mask & b).
+static inline F64x4 Select(F64x4 mask, F64x4 a, F64x4 b) {
+  return Or(And(mask, a), AndNot(mask, b));
+}
+static inline F64x4 LoadBitsF64x4(const uint64_t* p) {
+  return {_mm_castsi128_pd(_mm_loadu_si128(reinterpret_cast<const __m128i*>(p))),
+          _mm_castsi128_pd(_mm_loadu_si128(reinterpret_cast<const __m128i*>(p + 2)))};
+}
+static inline F64x4 BroadcastBitsF64x4(uint64_t bits) {
+  const __m128d b = _mm_castsi128_pd(_mm_set1_epi64x(static_cast<long long>(bits)));
+  return {b, b};
+}
+static inline F64x4 AddBits(F64x4 a, F64x4 b) {
+  return {_mm_castsi128_pd(_mm_add_epi64(_mm_castpd_si128(a.lo), _mm_castpd_si128(b.lo))),
+          _mm_castsi128_pd(_mm_add_epi64(_mm_castpd_si128(a.hi), _mm_castpd_si128(b.hi)))};
+}
+static inline F64x4 SubBits(F64x4 a, F64x4 b) {
+  return {_mm_castsi128_pd(_mm_sub_epi64(_mm_castpd_si128(a.lo), _mm_castpd_si128(b.lo))),
+          _mm_castsi128_pd(_mm_sub_epi64(_mm_castpd_si128(a.hi), _mm_castpd_si128(b.hi)))};
+}
+template <int kBits>
+static inline F64x4 ShiftLeftBits(F64x4 a) {
+  return {_mm_castsi128_pd(_mm_slli_epi64(_mm_castpd_si128(a.lo), kBits)),
+          _mm_castsi128_pd(_mm_slli_epi64(_mm_castpd_si128(a.hi), kBits))};
+}
+template <int kBits>
+static inline F64x4 ShiftRightBits(F64x4 a) {
+  return {_mm_castsi128_pd(_mm_srli_epi64(_mm_castpd_si128(a.lo), kBits)),
+          _mm_castsi128_pd(_mm_srli_epi64(_mm_castpd_si128(a.hi), kBits))};
 }
 
 #else  // NEON double paths and scalar share the plain form.
@@ -377,6 +462,78 @@ static inline double ReduceMax(F64x4 a) {
 }
 static inline double ReduceAddPairwiseF64(F64x4 a) {
   return (a.v[0] + a.v[1]) + (a.v[2] + a.v[3]);
+}
+static inline F64x4 Min(F64x4 a, F64x4 b) {
+  F64x4 r;
+  for (int k = 0; k < 4; ++k) r.v[k] = a.v[k] < b.v[k] ? a.v[k] : b.v[k];
+  return r;
+}
+static inline F64x4 Sqrt(F64x4 a) {
+  F64x4 r;
+  for (int k = 0; k < 4; ++k) r.v[k] = std::sqrt(a.v[k]);
+  return r;
+}
+
+// Lane bit patterns as uint64, for the compare masks and the bit-level ops below.
+static inline uint64_t LaneBits(double x) {
+  uint64_t bits;
+  std::memcpy(&bits, &x, sizeof(bits));
+  return bits;
+}
+static inline double LaneFromBits(uint64_t bits) {
+  double x;
+  std::memcpy(&x, &bits, sizeof(x));
+  return x;
+}
+template <typename Op>
+static inline F64x4 MapBits(F64x4 a, F64x4 b, Op op) {
+  F64x4 r;
+  for (int k = 0; k < 4; ++k) r.v[k] = LaneFromBits(op(LaneBits(a.v[k]), LaneBits(b.v[k])));
+  return r;
+}
+static inline F64x4 CmpLt(F64x4 a, F64x4 b) {
+  F64x4 r;
+  for (int k = 0; k < 4; ++k) r.v[k] = LaneFromBits(a.v[k] < b.v[k] ? ~uint64_t{0} : 0);
+  return r;
+}
+static inline F64x4 CmpEq(F64x4 a, F64x4 b) {
+  F64x4 r;
+  for (int k = 0; k < 4; ++k) r.v[k] = LaneFromBits(a.v[k] == b.v[k] ? ~uint64_t{0} : 0);
+  return r;
+}
+static inline F64x4 And(F64x4 a, F64x4 b) {
+  return MapBits(a, b, [](uint64_t x, uint64_t y) { return x & y; });
+}
+static inline F64x4 Or(F64x4 a, F64x4 b) {
+  return MapBits(a, b, [](uint64_t x, uint64_t y) { return x | y; });
+}
+static inline F64x4 AndNot(F64x4 a, F64x4 b) {
+  return MapBits(a, b, [](uint64_t x, uint64_t y) { return ~x & y; });
+}
+static inline F64x4 Select(F64x4 mask, F64x4 a, F64x4 b) {
+  return Or(And(mask, a), AndNot(mask, b));
+}
+static inline F64x4 LoadBitsF64x4(const uint64_t* p) {
+  F64x4 r;
+  for (int k = 0; k < 4; ++k) r.v[k] = LaneFromBits(p[k]);
+  return r;
+}
+static inline F64x4 BroadcastBitsF64x4(uint64_t bits) {
+  return BroadcastF64x4(LaneFromBits(bits));
+}
+static inline F64x4 AddBits(F64x4 a, F64x4 b) {
+  return MapBits(a, b, [](uint64_t x, uint64_t y) { return x + y; });
+}
+static inline F64x4 SubBits(F64x4 a, F64x4 b) {
+  return MapBits(a, b, [](uint64_t x, uint64_t y) { return x - y; });
+}
+template <int kBits>
+static inline F64x4 ShiftLeftBits(F64x4 a) {
+  return MapBits(a, a, [](uint64_t x, uint64_t) { return x << kBits; });
+}
+template <int kBits>
+static inline F64x4 ShiftRightBits(F64x4 a) {
+  return MapBits(a, a, [](uint64_t x, uint64_t) { return x >> kBits; });
 }
 
 #endif

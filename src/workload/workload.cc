@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "src/util/logging.h"
+#include "src/util/math.h"
 
 namespace fmoe {
 
@@ -45,7 +46,7 @@ WorkloadGenerator::WorkloadGenerator(const DatasetProfile& profile, uint64_t see
   cluster_cdf_.resize(static_cast<size_t>(profile_.num_clusters));
   double total = 0.0;
   for (int c = 0; c < profile_.num_clusters; ++c) {
-    total += std::pow(static_cast<double>(c + 1), -profile_.cluster_skew);
+    total += Exp(-profile_.cluster_skew * Log(static_cast<double>(c + 1)));
     cluster_cdf_[static_cast<size_t>(c)] = total;
   }
   for (double& v : cluster_cdf_) {

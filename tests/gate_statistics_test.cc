@@ -2,6 +2,7 @@
 // (DESIGN.md §3b): long-horizon load balance, within-phase routing stability, semantic
 // clustering of trajectories, and the speculation-accuracy ordering between policies' views.
 #include <algorithm>
+#include <cmath>
 #include <map>
 #include <numeric>
 #include <vector>
@@ -10,6 +11,7 @@
 
 #include "src/moe/gate_simulator.h"
 #include "src/util/math.h"
+#include "src/util/rng.h"
 #include "src/util/stats.h"
 
 namespace fmoe {
@@ -190,6 +192,37 @@ TEST(GateStatisticsTest, NoiseMultiplierControlsPredictability) {
     return similarity.mean();
   };
   EXPECT_GT(mean_similarity_to_reference(0.3), mean_similarity_to_reference(2.0) + 0.05);
+}
+
+TEST(GateStatisticsTest, NoiseKernelIsStandardNormal) {
+  // The per-expert gate noise (GaussianRowInto over hash keys) is N(0, 1): sample mean and
+  // variance within 5 standard errors, and the Kolmogorov-Smirnov distance to Φ below the
+  // α = 0.001 critical value 1.95/√n, over 10^6 keys fed in gate-row-sized chunks.
+  constexpr size_t kSamples = 1000000;
+  constexpr size_t kRow = 60;
+  std::vector<uint64_t> keys(kSamples);
+  uint64_t state = 0x9a7e;
+  for (uint64_t& key : keys) {
+    key = SplitMix64(state);
+  }
+  std::vector<double> g(kSamples);
+  for (size_t i = 0; i < kSamples; i += kRow) {
+    GaussianRowInto(keys.data() + i, std::min(kRow, kSamples - i), g.data() + i);
+  }
+  RunningStat moments;
+  for (const double x : g) {
+    moments.Add(x);
+  }
+  const double n = static_cast<double>(kSamples);
+  EXPECT_LT(std::fabs(moments.mean()), 5.0 / std::sqrt(n));
+  EXPECT_LT(std::fabs(moments.variance() - 1.0), 5.0 * std::sqrt(2.0 / n));
+  std::sort(g.begin(), g.end());
+  double ks = 0.0;
+  for (size_t i = 0; i < kSamples; ++i) {
+    const double phi = 0.5 * std::erfc(-g[i] / std::sqrt(2.0));
+    ks = std::max({ks, phi - static_cast<double>(i) / n, static_cast<double>(i + 1) / n - phi});
+  }
+  EXPECT_LT(ks, 1.95 / std::sqrt(n));
 }
 
 }  // namespace

@@ -339,6 +339,45 @@ TEST(SimdEquivalenceTest, SoftmaxInPlaceBitwiseMatchesScalar) {
   }
 }
 
+// Row lengths around the 4-lane step of the vector Exp/Gaussian kernels, up to Qwen's J = 60.
+const size_t kRowSizes[] = {1, 3, 4, 5, 6, 7, 8, 15, 16, 60, 61};
+
+TEST(SimdEquivalenceTest, GaussianRowIntoBitwiseMatchesScalar) {
+  std::mt19937_64 rng(0x6A55);
+  for (const size_t n : kRowSizes) {
+    for (int trial = 0; trial < 50; ++trial) {
+      std::vector<uint64_t> keys(n);
+      for (uint64_t& key : keys) {
+        key = rng();
+      }
+      keys[0] = trial == 0 ? 0 : keys[0];  // Key 0 included once per size.
+      std::vector<double> expected(n);
+      std::vector<double> actual(n);
+      scalar::GaussianRowInto(keys.data(), n, expected.data());
+      GaussianRowInto(keys.data(), n, actual.data());
+      ExpectBitwiseEqual(expected, actual, "GaussianRowInto n=" + std::to_string(n));
+    }
+  }
+}
+
+TEST(SimdEquivalenceTest, SoftmaxInPlaceRowsBitwiseMatchScalar) {
+  std::mt19937_64 rng(0x50F8);
+  std::normal_distribution<double> logit(0.0, 3.0);
+  for (const size_t n : kRowSizes) {
+    for (int trial = 0; trial < 50; ++trial) {
+      std::vector<double> expected(n);
+      for (double& x : expected) {
+        x = logit(rng);
+      }
+      std::vector<double> actual = expected;
+      const double temperature = trial % 2 == 0 ? 1.0 : 0.7;
+      scalar::SoftmaxInPlace(expected, temperature);
+      SoftmaxInPlace(actual, temperature);
+      ExpectBitwiseEqual(expected, actual, "SoftmaxInPlace row n=" + std::to_string(n));
+    }
+  }
+}
+
 TEST(SimdEquivalenceTest, SoftmaxNonFiniteGuardMatchesScalar) {
   const double inf = std::numeric_limits<double>::infinity();
   const double nan = std::numeric_limits<double>::quiet_NaN();
