@@ -18,6 +18,7 @@
 //   --json PATH  Also write the results as JSON to PATH (the BENCH_admission.json format).
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -44,15 +45,9 @@ struct Cell {
   ExperimentResult result;
 };
 
-ExperimentOptions BaseOptions() {
-  ExperimentOptions options = bench::SweepOptions(TinyTestConfig(), LmsysLikeProfile());
-  options.max_decode_tokens = 16;
-  return options;
-}
-
 DatasetProfile Prompts() {
   DatasetProfile prompts = LmsysLikeProfile();
-  prompts.max_decode_tokens = 16;  // Replay runners take requests as given: cap at the source.
+  prompts.max_decode_tokens = 16;  // Arrival lists are served as given: cap at the source.
   return prompts;
 }
 
@@ -125,21 +120,27 @@ int Run(bool small, const std::string& json_path) {
   burst.burst_rate = 2000.0;
   burst.period_sec = 4.0;
   burst.burst_fraction = 0.25;
-  const std::vector<Request> burst_trace = MakeBurstTrace(burst, Prompts(), count, kSeed);
   // Overload: sustained arrivals past what the batch can serve, so queues grow unboundedly.
-  const std::vector<Request> overload_trace =
-      MakeOverloadTrace(1000.0, Prompts(), count, kSeed);
-
-  const std::vector<std::pair<std::string, const std::vector<Request>*>> traces{
-      {"burst", &burst_trace}, {"overload", &overload_trace}};
+  using Arrivals = std::shared_ptr<const std::vector<Request>>;
+  const std::vector<std::pair<std::string, Arrivals>> traces{
+      {"burst", std::make_shared<const std::vector<Request>>(
+                    MakeBurstTrace(burst, Prompts(), count, kSeed))},
+      {"overload", std::make_shared<const std::vector<Request>>(
+                       MakeOverloadTrace(1000.0, Prompts(), count, kSeed))}};
 
   std::vector<Cell> cells;
-  for (const auto& [trace_name, requests] : traces) {
+  for (const auto& [trace_name, arrivals] : traces) {
     for (const bool closed_loop : {false, true}) {
+      ExperimentTask task;
+      task.system = "fMoE";
+      task.options = bench::SweepOptions(TinyTestConfig(), LmsysLikeProfile());
+      task.mode = ExperimentMode::kScheduled;
+      task.arrivals = arrivals;
+      task.scheduler = MakeSched(closed_loop);
       Cell cell;
       cell.trace = trace_name;
       cell.policy = closed_loop ? "gradient" : "open-loop";
-      cell.result = RunScheduledReplay("fMoE", BaseOptions(), *requests, MakeSched(closed_loop));
+      cell.result = RunTask(task);
       cells.push_back(std::move(cell));
     }
   }

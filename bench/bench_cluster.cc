@@ -22,8 +22,9 @@
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "src/harness/experiment.h"
+#include "src/harness/plan.h"
 #include "src/harness/report.h"
+#include "src/harness/runner.h"
 #include "src/moe/model_config.h"
 #include "src/serving/cluster.h"
 #include "src/util/table.h"
@@ -35,6 +36,7 @@ namespace {
 struct Cell {
   int replicas = 1;
   RouterPolicy policy = RouterPolicy::kRoundRobin;
+  size_t task = 0;
   ExperimentResult result;
 };
 
@@ -98,24 +100,21 @@ int Run(bool small, const std::string& json_path) {
   trace.mean_arrival_rate = trace_rate;
 
   std::vector<Cell> cells;
+  ExperimentPlan plan;
   for (const int replicas : replica_counts) {
-    if (replicas == 1) {
-      // One engine: the router never fires, so a single row covers all policies.
-      Cell cell;
-      cell.replicas = 1;
-      cell.policy = RouterPolicy::kRoundRobin;
-      cell.result = RunCluster("fMoE", BaseOptions(requests, 1, cell.policy), trace, requests);
-      cells.push_back(std::move(cell));
-      continue;
-    }
-    for (const RouterPolicy policy : policies) {
+    // One engine: the router never fires, so a single row covers all policies.
+    for (const RouterPolicy policy :
+         replicas == 1 ? std::vector<RouterPolicy>{RouterPolicy::kRoundRobin} : policies) {
       Cell cell;
       cell.replicas = replicas;
       cell.policy = policy;
-      cell.result =
-          RunCluster("fMoE", BaseOptions(requests, replicas, policy), trace, requests);
+      cell.task = plan.AddOnline("fMoE", BaseOptions(requests, replicas, policy), trace, requests);
       cells.push_back(std::move(cell));
     }
+  }
+  std::vector<ExperimentResult> results = RunPlan(plan);
+  for (Cell& cell : cells) {
+    cell.result = std::move(results[cell.task]);
   }
 
   double r1_rps = 0.0;

@@ -6,7 +6,8 @@
 #include <cstdlib>
 #include <iostream>
 
-#include "src/harness/experiment.h"
+#include "src/harness/plan.h"
+#include "src/harness/runner.h"
 #include "src/util/stats.h"
 #include "src/util/table.h"
 
@@ -16,22 +17,23 @@ int main(int argc, char** argv) {
   fmoe::ExperimentOptions options;
   options.model = fmoe::PhiMoeConfig();
   options.dataset = fmoe::LmsysLikeProfile();
-  options.max_decode_tokens = 32;
   options.store_capacity = 512;
 
   fmoe::TraceProfile trace;
   trace.mean_arrival_rate = 0.15;  // Gentle load with occasional bursts.
-  trace.max_decode_tokens = 48;
+  trace.max_decode_tokens = 48;  // Online requests take their lengths from the trace.
 
   fmoe::PrintBanner(std::cout, "Online trace replay: " + options.model.name + ", " +
                                    std::to_string(num_requests) + " requests (cold start)");
 
   fmoe::AsciiTable table(
       {"system", "mean e2e (s)", "p50 (s)", "p90 (s)", "p99 (s)", "hit rate"});
+  fmoe::ExperimentPlan plan;
   for (const std::string& system :
        {std::string("DeepSpeed-Inference"), std::string("MoE-Infinity"), std::string("fMoE")}) {
-    const fmoe::ExperimentResult result =
-        fmoe::RunOnline(system, options, trace, num_requests);
+    plan.AddOnline(system, options, trace, num_requests);
+  }
+  for (const fmoe::ExperimentResult& result : fmoe::RunPlan(plan)) {
     const fmoe::EmpiricalCdf cdf(result.request_latencies);
     table.AddRow({result.system, fmoe::AsciiTable::Num(result.mean_e2e, 2),
                   fmoe::AsciiTable::Num(cdf.Quantile(0.5), 2),

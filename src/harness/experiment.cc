@@ -13,20 +13,33 @@ namespace {
 
 constexpr double kGiB = 1024.0 * 1024.0 * 1024.0;
 
-DatasetProfile ApplyCaps(DatasetProfile dataset, const ExperimentOptions& options) {
-  if (options.max_decode_tokens > 0) {
-    dataset.max_decode_tokens = options.max_decode_tokens;
-  }
-  return dataset;
-}
+// One serving engine and everything it points at. The engine is declared last, so it is
+// destroyed before its policy, oracle tape and admission controller.
+struct Replica {
+  SystemSpec spec;
+  std::unique_ptr<GateDecisionRecorder> tape;       // options.oracle only.
+  std::unique_ptr<AdmissionController> controller;  // Closed-loop online runs only.
+  std::unique_ptr<ServingEngine> engine;
+};
 
-EngineConfig MakeEngineConfig(const ExperimentOptions& options, const SystemSpec& spec) {
+// Builds replica `index` of `count`: the system's policy, its engine and, with
+// options.oracle, the gate-decision tape (attached before any warmup, whose metrics reset
+// clears it, so it covers exactly the measured requests). A replica of a cluster (count > 1)
+// prefixes its trace tracks, leaves tracing to replica 0 (one timeline per recorder), and in
+// partition mode takes its share of the cache budget.
+Replica MakeReplica(const ExperimentTask& task, int index, int count) {
+  const ExperimentOptions& options = task.options;
+  Replica replica;
+  replica.spec = MakeSystem(task.system, options.model, options.prefetch_distance,
+                            options.store_capacity, options.low_precision_threshold,
+                            options.map_precision, options.host_stage_candidates,
+                            options.map_shards);
   EngineConfig config;
   config.prefetch_distance = options.prefetch_distance;
   config.gpu_count = options.gpu_count;
-  config.expert_cache_bytes = spec.preload_all ? 0 : ResolveCacheBytes(options);
-  config.cache_policy = spec.cache_policy;
-  config.preload_all = spec.preload_all;
+  config.expert_cache_bytes = replica.spec.preload_all ? 0 : ResolveCacheBytes(options);
+  config.cache_policy = replica.spec.cache_policy;
+  config.preload_all = replica.spec.preload_all;
   config.frequency_decay = options.frequency_decay;
   config.placement = options.placement;
   config.gate = options.gate;
@@ -36,176 +49,282 @@ EngineConfig MakeEngineConfig(const ExperimentOptions& options, const SystemSpec
   config.matcher_queue_depth = options.matcher_queue_depth;
   config.tier = options.tier;
   config.trace = options.trace;
-  return config;
-}
-
-SystemSpec MakeSystemFor(const std::string& system_name, const ExperimentOptions& options) {
-  return MakeSystem(system_name, options.model, options.prefetch_distance,
-                    options.store_capacity, options.low_precision_threshold,
-                    options.map_precision, options.host_stage_candidates,
-                    options.map_shards);
-}
-
-// `oracle_recorder` is the engine's gate-decision tape when options.oracle is on (null
-// otherwise); the clairvoyant replay runs here, after the engine has finished the window.
-void FillResult(const std::string& system_name, const ExperimentOptions& options,
-                const ServingEngine& engine, const SystemSpec& spec,
-                const GateDecisionRecorder* oracle_recorder, ExperimentResult* result) {
-  const RunMetrics& metrics = engine.metrics();
-  result->system = system_name;
-  result->mean_ttft = metrics.MeanTtft();
-  result->mean_tpot = metrics.MeanTpot();
-  result->hit_rate = metrics.HitRate();
-  result->mean_e2e = metrics.MeanEndToEnd();
-  result->iterations = metrics.iterations();
-  result->breakdown = metrics.breakdown();
-  result->deferred = metrics.deferred();
-  result->cache_capacity_gb = static_cast<double>(engine.cache().capacity_bytes()) / kGiB;
-  result->cache_used_gb = static_cast<double>(engine.cache().used_bytes()) / kGiB;
-  result->request_latencies = metrics.EndToEndLatencies();
-  result->low_precision_share = metrics.LowPrecisionShare();
-  if (engine.store().enabled()) {
-    result->tier_enabled = true;
-    result->tier = engine.store().stats();
-    result->host_capacity_gb =
-        static_cast<double>(engine.store().host().capacity_bytes()) / kGiB;
-    result->host_used_gb = static_cast<double>(engine.store().host().used_bytes()) / kGiB;
-  }
-  if (options.keep_iteration_records) {
-    result->iteration_records = metrics.iteration_records();
-  }
-  if (const auto* fmoe_policy = dynamic_cast<const FmoePolicy*>(spec.policy.get())) {
-    result->mean_semantic_score = fmoe_policy->MeanSemanticScore();
-    result->mean_trajectory_score = fmoe_policy->MeanTrajectoryScore();
-    if (options.enable_score_log) {
-      result->score_log = fmoe_policy->score_log();
+  if (count > 1) {
+    config.trace_track_prefix = "replica" + std::to_string(index) + "/";
+    if (index > 0) {
+      config.trace = nullptr;
+    }
+    if (options.cluster_memory == ClusterMemoryMode::kPartition && !replica.spec.preload_all) {
+      config.expert_cache_bytes =
+          std::max<uint64_t>(config.expert_cache_bytes / static_cast<uint64_t>(count), 1);
     }
   }
-  if (oracle_recorder != nullptr) {
-    result->oracle_enabled = true;
+  replica.engine =
+      std::make_unique<ServingEngine>(options.model, config, replica.spec.policy.get());
+  if (options.oracle) {
+    replica.tape = std::make_unique<GateDecisionRecorder>();
+    replica.engine->SetOracleRecorder(replica.tape.get());
+  }
+  return replica;
+}
+
+// One engine's view of the run; the clairvoyant replay of its tape runs here, after the
+// engine has finished the window.
+ExperimentResult FillResult(const ExperimentTask& task, const Replica& replica) {
+  const ExperimentOptions& options = task.options;
+  const ServingEngine& engine = *replica.engine;
+  const RunMetrics& metrics = engine.metrics();
+  ExperimentResult result;
+  result.system = task.system;
+  result.mean_ttft = metrics.MeanTtft();
+  result.mean_tpot = metrics.MeanTpot();
+  result.hit_rate = metrics.HitRate();
+  result.mean_e2e = metrics.MeanEndToEnd();
+  result.iterations = metrics.iterations();
+  result.breakdown = metrics.breakdown();
+  result.deferred = metrics.deferred();
+  result.cache_capacity_gb = static_cast<double>(engine.cache().capacity_bytes()) / kGiB;
+  result.cache_used_gb = static_cast<double>(engine.cache().used_bytes()) / kGiB;
+  result.request_latencies = metrics.EndToEndLatencies();
+  result.low_precision_share = metrics.LowPrecisionShare();
+  if (engine.store().enabled()) {
+    result.tier_enabled = true;
+    result.tier = engine.store().stats();
+    result.host_capacity_gb = static_cast<double>(engine.store().host().capacity_bytes()) / kGiB;
+    result.host_used_gb = static_cast<double>(engine.store().host().used_bytes()) / kGiB;
+  }
+  if (options.keep_iteration_records) {
+    result.iteration_records = metrics.iteration_records();
+  }
+  if (const auto* fmoe_policy = dynamic_cast<const FmoePolicy*>(replica.spec.policy.get())) {
+    result.mean_semantic_score = fmoe_policy->MeanSemanticScore();
+    result.mean_trajectory_score = fmoe_policy->MeanTrajectoryScore();
+    if (options.enable_score_log) {
+      result.score_log = fmoe_policy->score_log();
+    }
+  }
+  if (replica.tape != nullptr) {
+    result.oracle_enabled = true;
     OracleConfig oracle_config;
     oracle_config.expert_bytes = options.model.expert_bytes;
     oracle_config.link = engine.config().gpu.link;
-    result->oracle = ComputeOracleReport(*oracle_recorder, oracle_config,
-                                         metrics.breakdown().demand_stall);
+    result.oracle =
+        ComputeOracleReport(*replica.tape, oracle_config, metrics.breakdown().demand_stall);
   }
+  return result;
 }
 
-// Serves `request` on `engine`, first offering it to `controller` (may be null) for SLO
-// shedding against the wait it has already accrued. Returns true when it was served. This is
-// the cluster-side admission point: RunCluster serves routed arrivals back to back, so the
-// only admission decision is shed-or-serve (batch limits belong to the scheduler protocol).
-bool ServeWithAdmission(ServingEngine* engine, AdmissionController* controller,
-                        const Request& request) {
-  if (controller == nullptr) {
-    engine->ServeRequest(request);
-    return true;
+// Merges the replicas' results: arrival-order latencies (`assignment[i]` is the replica that
+// served arrival i, -1 if it was shed; each replica served its subset in arrival order),
+// counter sums and count-weighted means. One replica's result is returned as is, so a
+// single-engine run reports exactly that engine's numbers. Tier stats, iteration records and
+// score logs are per-engine and not merged.
+ExperimentResult MergeReplicas(const ExperimentTask& task, const std::vector<Replica>& replicas,
+                               const std::vector<int>& assignment) {
+  std::vector<ExperimentResult> parts;
+  parts.reserve(replicas.size());
+  for (const Replica& replica : replicas) {
+    parts.push_back(FillResult(task, replica));
   }
-  controller->OnArrived();
-  const double now = std::max(engine->now(), request.arrival_time);
-  controller->BeginAdmission(now);
-  if (controller->ShouldReject(request, now)) {
-    controller->OnRejected();
-    return false;
+  if (parts.size() == 1) {
+    return std::move(parts[0]);
   }
-  engine->ServeRequest(request);
-  controller->OnAdmitted();
-  return true;
+  ExperimentResult result;
+  result.system = task.system;
+  double ttft_weighted = 0.0;
+  double tpot_weighted = 0.0;
+  double e2e_sum = 0.0;
+  uint64_t hits = 0;
+  uint64_t misses = 0;
+  size_t served = 0;
+  double semantic_weighted = 0.0;
+  double trajectory_weighted = 0.0;
+  double low_precision_weighted = 0.0;
+  for (size_t r = 0; r < parts.size(); ++r) {
+    const ExperimentResult& part = parts[r];
+    const RunMetrics& metrics = replicas[r].engine->metrics();
+    const auto iterations = static_cast<double>(part.iterations);
+    ttft_weighted += part.mean_ttft * static_cast<double>(metrics.requests().size());
+    tpot_weighted += part.mean_tpot * iterations;
+    for (const double latency : part.request_latencies) {
+      e2e_sum += latency;
+    }
+    hits += metrics.expert_hits();
+    misses += metrics.expert_misses();
+    served += metrics.requests().size();
+    result.iterations += part.iterations;
+    result.breakdown.Accumulate(part.breakdown);
+    result.deferred.Accumulate(part.deferred);
+    result.cache_capacity_gb += part.cache_capacity_gb;
+    result.cache_used_gb += part.cache_used_gb;
+    semantic_weighted += part.mean_semantic_score * iterations;
+    trajectory_weighted += part.mean_trajectory_score * iterations;
+    low_precision_weighted += part.low_precision_share *
+                              static_cast<double>(metrics.expert_hits() + metrics.expert_misses());
+    if (part.oracle_enabled) {
+      // Each replica's tape replayed against its own cache and links; the merged block sums
+      // the counters and recomputes the gaps over the whole cluster.
+      result.oracle_enabled = true;
+      AccumulateOracleReport(&result.oracle, part.oracle);
+    }
+  }
+  std::vector<size_t> cursor(parts.size(), 0);
+  for (const int r : assignment) {
+    if (r < 0) {
+      continue;  // Shed before service: contributes a rejection, not a latency.
+    }
+    const std::vector<double>& latencies = parts[static_cast<size_t>(r)].request_latencies;
+    size_t& next = cursor[static_cast<size_t>(r)];
+    FMOE_CHECK(next < latencies.size());
+    result.request_latencies.push_back(latencies[next++]);
+  }
+  const auto per = [](double sum, double count) { return count == 0.0 ? 0.0 : sum / count; };
+  const auto total_iterations = static_cast<double>(result.iterations);
+  const auto servings = static_cast<double>(hits + misses);
+  result.mean_ttft = per(ttft_weighted, static_cast<double>(served));
+  result.mean_tpot = per(tpot_weighted, total_iterations);
+  result.mean_e2e = per(e2e_sum, static_cast<double>(served));
+  result.hit_rate = per(static_cast<double>(hits), servings);
+  result.low_precision_share = per(low_precision_weighted, servings);
+  result.mean_semantic_score = per(semantic_weighted, total_iterations);
+  result.mean_trajectory_score = per(trajectory_weighted, total_iterations);
+  return result;
 }
 
-}  // namespace
-
-uint64_t ResolveCacheBytes(const ExperimentOptions& options) {
-  if (options.cache_bytes != 0) {
-    return options.cache_bytes;
+// Offline protocol: warm on the history split, then serve the test split in lockstep batches.
+ExperimentResult ServeOffline(const ExperimentTask& task) {
+  const ExperimentOptions& options = task.options;
+  DatasetProfile dataset = options.dataset;
+  if (options.max_decode_tokens > 0) {
+    dataset.max_decode_tokens = options.max_decode_tokens;
   }
-  const double total = static_cast<double>(options.model.total_expert_bytes());
-  return static_cast<uint64_t>(total * options.cache_fraction);
-}
+  WorkloadGenerator generator(dataset, options.seed);
+  const size_t total = options.history_requests + options.test_requests;
+  WorkloadSplit split =
+      SplitWorkload(generator.Generate(total), static_cast<double>(options.history_requests) /
+                                                   static_cast<double>(total));
 
-ExperimentResult RunOffline(const std::string& system_name, const ExperimentOptions& options) {
-  WorkloadGenerator generator(ApplyCaps(options.dataset, options), options.seed);
-  std::vector<Request> requests =
-      generator.Generate(options.history_requests + options.test_requests);
-  WorkloadSplit split = SplitWorkload(
-      std::move(requests),
-      static_cast<double>(options.history_requests) /
-          static_cast<double>(options.history_requests + options.test_requests));
-
-  SystemSpec spec = MakeSystemFor(system_name, options);
-  auto* fmoe_policy = dynamic_cast<FmoePolicy*>(spec.policy.get());
-  ServingEngine engine(options.model, MakeEngineConfig(options, spec), spec.policy.get());
-  GateDecisionRecorder oracle_recorder;
-  if (options.oracle) {
-    // Attached before warmup: the post-warmup metrics reset clears the tape, so it covers
-    // exactly the measured requests (same window as the trace recorder).
-    engine.SetOracleRecorder(&oracle_recorder);
-  }
+  Replica replica = MakeReplica(task, 0, 1);
+  ServingEngine& engine = *replica.engine;
   engine.WarmupWithHistory(split.history);
-  if (fmoe_policy != nullptr && options.enable_score_log) {
+  if (auto* fmoe_policy = dynamic_cast<FmoePolicy*>(replica.spec.policy.get());
+      fmoe_policy != nullptr && options.enable_score_log) {
     fmoe_policy->EnableScoreLog();
   }
-
-  const int batch = std::max(options.batch_size, 1);
-  for (size_t i = 0; i < split.test.size(); i += static_cast<size_t>(batch)) {
-    const size_t count = std::min(static_cast<size_t>(batch), split.test.size() - i);
+  const auto batch = static_cast<size_t>(std::max(options.batch_size, 1));
+  for (size_t i = 0; i < split.test.size(); i += batch) {
+    const size_t count = std::min(batch, split.test.size() - i);
     engine.ServeBatch(std::span<const Request>(split.test.data() + i, count));
   }
-
-  ExperimentResult result;
-  FillResult(system_name, options, engine, spec,
-             options.oracle ? &oracle_recorder : nullptr, &result);
-  return result;
+  return FillResult(task, replica);
 }
 
-ExperimentResult RunOnline(const std::string& system_name, const ExperimentOptions& options,
-                           const TraceProfile& trace, size_t request_count) {
-  TraceGenerator generator(trace, ApplyCaps(options.dataset, options), options.seed);
-  const std::vector<Request> requests = generator.Generate(request_count);
-
-  SystemSpec spec = MakeSystemFor(system_name, options);
-  ServingEngine engine(options.model, MakeEngineConfig(options, spec), spec.policy.get());
-  GateDecisionRecorder oracle_recorder;
-  if (options.oracle) {
-    engine.SetOracleRecorder(&oracle_recorder);
+// Online protocol: serves the arrivals one at a time, in order, on options.replicas engines.
+// The router picks each arrival's engine (always the one at R = 1). A closed-loop admission
+// policy gives every replica a controller that sees only its routed arrivals; the only
+// admission decision here is shed-or-serve against the wait already accrued (batch limits
+// belong to the scheduled protocol).
+ExperimentResult ServeInOrder(const ExperimentTask& task, const std::vector<Request>& arrivals) {
+  const ExperimentOptions& options = task.options;
+  const AdmissionOptions& admission = task.scheduler.admission;
+  const bool closed_loop = admission.policy != AdmissionPolicyKind::kOpenLoop;
+  const int count = std::max(options.replicas, 1);
+  std::vector<Replica> replicas;
+  replicas.reserve(static_cast<size_t>(count));
+  for (int r = 0; r < count; ++r) {
+    replicas.push_back(MakeReplica(task, r, count));
+    if (closed_loop) {
+      replicas.back().controller = MakeAdmissionController(admission);
+      replicas.back().engine->SetAdmissionController(replicas.back().controller.get());
+    }
   }
-  // Online protocol: empty history (§6.3) — serve straight off the trace, FIFO.
-  for (const Request& request : requests) {
+
+  ClusterOptions cluster_options;
+  cluster_options.replicas = count;
+  cluster_options.router = options.router_policy;
+  cluster_options.memory = options.cluster_memory;
+  RequestRouter router(cluster_options, options.seed ^ kSemanticRouterSeed);
+  std::vector<ReplicaLoad> loads(static_cast<size_t>(count));
+  std::vector<int> assignment(arrivals.size(), -1);
+  for (size_t i = 0; i < arrivals.size(); ++i) {
+    const Request& request = arrivals[i];
+    std::vector<double> prompt_embedding;
+    if (count > 1 && options.router_policy == RouterPolicy::kSemanticAffinity) {
+      prompt_embedding = replicas[0].engine->embedder().PromptEmbedding(request.routing);
+    }
+    const int r = router.Route(request, prompt_embedding, loads);
+    ServingEngine& engine = *replicas[static_cast<size_t>(r)].engine;
+    AdmissionController* controller = replicas[static_cast<size_t>(r)].controller.get();
+    if (controller != nullptr) {
+      controller->OnArrived();
+      const double now = std::max(engine.now(), request.arrival_time);
+      controller->BeginAdmission(now);
+      if (controller->ShouldReject(request, now)) {
+        controller->OnRejected();
+        continue;  // Shed at the replica door: no latency to merge, no load charged.
+      }
+    }
     engine.ServeRequest(request);
+    if (controller != nullptr) {
+      controller->OnAdmitted();
+    }
+    assignment[i] = r;
+    loads[static_cast<size_t>(r)].busy_until = engine.now();
+    ++loads[static_cast<size_t>(r)].assigned;
   }
 
-  ExperimentResult result;
-  FillResult(system_name, options, engine, spec,
-             options.oracle ? &oracle_recorder : nullptr, &result);
+  ExperimentResult result = MergeReplicas(task, replicas, assignment);
+  result.cluster_enabled = count > 1;
+  result.cluster.replicas = count;
+  result.cluster.router = options.router_policy;
+  result.cluster.memory = options.cluster_memory;
+  size_t served = 0;
+  for (int r = 0; r < count; ++r) {
+    const Replica& replica = replicas[static_cast<size_t>(r)];
+    const RunMetrics& metrics = replica.engine->metrics();
+    ClusterReplicaStats stats;
+    stats.replica = r;
+    stats.requests = metrics.requests().size();
+    stats.iterations = metrics.iterations();
+    stats.mean_e2e = metrics.MeanEndToEnd();
+    stats.hit_rate = metrics.HitRate();
+    stats.busy_until = replica.engine->now();
+    served += stats.requests;
+    result.cluster.makespan = std::max(result.cluster.makespan, stats.busy_until);
+    result.cluster.replica_stats.push_back(stats);
+    if (closed_loop) {
+      result.admission.arrived += replica.controller->counters().arrived;
+      result.admission.admitted += replica.controller->counters().admitted;
+      result.admission.rejected += replica.controller->counters().rejected;
+    }
+  }
+  result.cluster.aggregate_throughput_rps =
+      result.cluster.makespan > 0.0
+          ? static_cast<double>(served) / result.cluster.makespan
+          : 0.0;
+  result.admission_enabled = closed_loop;
+  result.admission_policy = admission.policy;
   return result;
 }
 
-ExperimentResult RunScheduledReplay(const std::string& system_name,
-                                    const ExperimentOptions& options,
-                                    const std::vector<Request>& requests,
-                                    const SchedulerOptions& sched) {
-  SystemSpec spec = MakeSystemFor(system_name, options);
-  ServingEngine engine(options.model, MakeEngineConfig(options, spec), spec.policy.get());
-  GateDecisionRecorder oracle_recorder;
-  if (options.oracle) {
-    engine.SetOracleRecorder(&oracle_recorder);
-  }
-  ContinuousBatchScheduler scheduler(&engine, sched);
-  const std::vector<RequestMetrics> completed = scheduler.Run(requests);
+// Continuous-batching protocol: the scheduler admits queued arrivals up to the batch limit
+// under task.scheduler's discipline and admission policy.
+ExperimentResult ServeScheduled(const ExperimentTask& task,
+                                const std::vector<Request>& arrivals) {
+  Replica replica = MakeReplica(task, 0, 1);
+  ContinuousBatchScheduler scheduler(replica.engine.get(), task.scheduler);
+  const std::vector<RequestMetrics> completed = scheduler.Run(arrivals);
 
-  ExperimentResult result;
-  FillResult(system_name, options, engine, spec,
-             options.oracle ? &oracle_recorder : nullptr, &result);
+  ExperimentResult result = FillResult(task, replica);
   result.scheduler_stats = scheduler.stats();
-  if (sched.admission.policy != AdmissionPolicyKind::kOpenLoop) {
+  if (task.scheduler.admission.policy != AdmissionPolicyKind::kOpenLoop) {
     result.admission_enabled = true;
-    result.admission_policy = sched.admission.policy;
+    result.admission_policy = task.scheduler.admission.policy;
     result.admission = scheduler.controller().counters();
   }
   // The scheduler owns request completion: its drained metrics (completion order) replace the
   // engine-side per-request view, and end-to-end latencies include queueing.
   result.request_latencies.clear();
-  result.scheduled_tokens = 0;
   double e2e_sum = 0.0;
   for (const RequestMetrics& metrics : completed) {
     result.request_latencies.push_back(metrics.EndToEnd());
@@ -217,281 +336,61 @@ ExperimentResult RunScheduledReplay(const std::string& system_name,
   return result;
 }
 
+}  // namespace
+
+bool ExperimentTask::HasTag(const std::string& tag) const {
+  return std::find(tags.begin(), tags.end(), tag) != tags.end();
+}
+
+uint64_t ResolveCacheBytes(const ExperimentOptions& options) {
+  if (options.cache_bytes != 0) {
+    return options.cache_bytes;
+  }
+  const double total = static_cast<double>(options.model.total_expert_bytes());
+  return static_cast<uint64_t>(total * options.cache_fraction);
+}
+
+ExperimentResult RunTask(const ExperimentTask& task, TraceRecorder* trace) {
+  if (trace != nullptr) {
+    ExperimentTask traced = task;
+    traced.options.trace = trace;
+    return RunTask(traced);
+  }
+  if (task.mode == ExperimentMode::kOffline) {
+    FMOE_CHECK_MSG(task.arrivals == nullptr,
+                   "offline tasks split a generated workload; arrivals need an online or "
+                   "scheduled task");
+    return ServeOffline(task);
+  }
+  // Arrival lengths come from the trace, so options.max_decode_tokens does not apply here.
+  std::vector<Request> generated;
+  if (task.arrivals == nullptr) {
+    generated = TraceGenerator(task.trace, task.options.dataset, task.options.seed)
+                    .Generate(task.request_count);
+  }
+  const std::vector<Request>& arrivals = task.arrivals != nullptr ? *task.arrivals : generated;
+  return task.mode == ExperimentMode::kScheduled ? ServeScheduled(task, arrivals)
+                                                 : ServeInOrder(task, arrivals);
+}
+
+ExperimentResult RunOffline(const std::string& system_name, const ExperimentOptions& options) {
+  ExperimentTask task;
+  task.system = system_name;
+  task.options = options;
+  return RunTask(task);
+}
+
 ExperimentResult RunScheduled(const std::string& system_name, const ExperimentOptions& options,
                               const TraceProfile& trace, size_t request_count,
                               const SchedulerOptions& sched) {
-  TraceGenerator generator(trace, ApplyCaps(options.dataset, options), options.seed);
-  return RunScheduledReplay(system_name, options, generator.Generate(request_count), sched);
-}
-
-ExperimentResult RunCluster(const std::string& system_name, const ExperimentOptions& options,
-                            const TraceProfile& trace, size_t request_count) {
-  TraceGenerator generator(trace, ApplyCaps(options.dataset, options), options.seed);
-  const std::vector<Request> requests = generator.Generate(request_count);
-
-  const int replicas = std::max(options.replicas, 1);
-  if (replicas == 1) {
-    // Single replica: serve exactly as RunOnline would (same engine, same loop), so the
-    // default configuration replays today's behaviour bit for bit. A closed-loop admission
-    // policy adds a shed-or-serve gate in front of each arrival (open loop leaves the engine
-    // fully detached).
-    SystemSpec spec = MakeSystemFor(system_name, options);
-    ServingEngine engine(options.model, MakeEngineConfig(options, spec), spec.policy.get());
-    GateDecisionRecorder oracle_recorder;
-    if (options.oracle) {
-      engine.SetOracleRecorder(&oracle_recorder);
-    }
-    std::unique_ptr<AdmissionController> controller;
-    if (options.admission.policy != AdmissionPolicyKind::kOpenLoop) {
-      controller = MakeAdmissionController(options.admission);
-      engine.SetAdmissionController(controller.get());
-    }
-    size_t served = 0;
-    for (const Request& request : requests) {
-      if (ServeWithAdmission(&engine, controller.get(), request)) {
-        ++served;
-      }
-    }
-    engine.SetAdmissionController(nullptr);
-    ExperimentResult result;
-    FillResult(system_name, options, engine, spec,
-               options.oracle ? &oracle_recorder : nullptr, &result);
-    if (controller != nullptr) {
-      result.admission_enabled = true;
-      result.admission_policy = options.admission.policy;
-      result.admission = controller->counters();
-    }
-    result.cluster.replicas = 1;
-    result.cluster.router = options.router_policy;
-    result.cluster.memory = options.cluster_memory;
-    ClusterReplicaStats stats;
-    stats.requests = served;
-    stats.iterations = result.iterations;
-    stats.mean_e2e = result.mean_e2e;
-    stats.hit_rate = result.hit_rate;
-    stats.busy_until = engine.now();
-    result.cluster.makespan = engine.now();
-    result.cluster.aggregate_throughput_rps =
-        engine.now() > 0.0 ? static_cast<double>(served) / engine.now() : 0.0;
-    result.cluster.replica_stats.push_back(stats);
-    return result;
-  }
-
-  ClusterOptions cluster_options;
-  cluster_options.replicas = replicas;
-  cluster_options.router = options.router_policy;
-  cluster_options.memory = options.cluster_memory;
-
-  std::vector<SystemSpec> specs;
-  std::vector<std::unique_ptr<ServingEngine>> engines;
-  // One tape per replica (each engine is its own cache + links); the per-replica gap
-  // reports are summed into one merged block below.
-  std::vector<GateDecisionRecorder> oracle_recorders(
-      options.oracle ? static_cast<size_t>(replicas) : 0);
-  specs.reserve(static_cast<size_t>(replicas));
-  engines.reserve(static_cast<size_t>(replicas));
-  for (int r = 0; r < replicas; ++r) {
-    specs.push_back(MakeSystemFor(system_name, options));
-    EngineConfig config = MakeEngineConfig(options, specs.back());
-    // Traces attach to replica 0 only (one timeline per recorder); its tracks carry the
-    // replica prefix so cluster traces are distinguishable from single-engine ones.
-    config.trace_track_prefix = "replica" + std::to_string(r) + "/";
-    if (r > 0) {
-      config.trace = nullptr;
-    }
-    if (options.cluster_memory == ClusterMemoryMode::kPartition && !specs.back().preload_all) {
-      config.expert_cache_bytes =
-          std::max<uint64_t>(config.expert_cache_bytes / static_cast<uint64_t>(replicas), 1);
-    }
-    engines.push_back(std::make_unique<ServingEngine>(options.model, config,
-                                                      specs.back().policy.get()));
-    if (options.oracle) {
-      engines.back()->SetOracleRecorder(&oracle_recorders[static_cast<size_t>(r)]);
-    }
-  }
-
-  // Per-replica controllers (closed-loop policies only): each replica's controller sees only
-  // its routed arrivals and drives only that engine's knobs, composing with the router.
-  std::vector<std::unique_ptr<AdmissionController>> controllers(
-      static_cast<size_t>(replicas));
-  if (options.admission.policy != AdmissionPolicyKind::kOpenLoop) {
-    for (int r = 0; r < replicas; ++r) {
-      controllers[static_cast<size_t>(r)] = MakeAdmissionController(options.admission);
-      engines[static_cast<size_t>(r)]->SetAdmissionController(
-          controllers[static_cast<size_t>(r)].get());
-    }
-  }
-
-  RequestRouter router(cluster_options, options.seed ^ kSemanticRouterSeed);
-  std::vector<ReplicaLoad> loads(static_cast<size_t>(replicas));
-  std::vector<int> assignment(requests.size(), 0);
-  for (size_t i = 0; i < requests.size(); ++i) {
-    std::vector<double> prompt_embedding;
-    if (options.router_policy == RouterPolicy::kSemanticAffinity) {
-      prompt_embedding = engines[0]->embedder().PromptEmbedding(requests[i].routing);
-    }
-    const int r = router.Route(requests[i], prompt_embedding, loads);
-    assignment[i] = r;
-    if (!ServeWithAdmission(engines[static_cast<size_t>(r)].get(),
-                            controllers[static_cast<size_t>(r)].get(), requests[i])) {
-      assignment[i] = -1;  // Shed at the replica door: no latency to merge, no load charged.
-      continue;
-    }
-    loads[static_cast<size_t>(r)].busy_until = engines[static_cast<size_t>(r)]->now();
-    ++loads[static_cast<size_t>(r)].assigned;
-  }
-  for (int r = 0; r < replicas; ++r) {
-    engines[static_cast<size_t>(r)]->SetAdmissionController(nullptr);
-  }
-
-  // Merge: arrival-order latencies (walk the assignment with per-replica cursors — each
-  // replica served its subset in arrival order), counter sums, and count-weighted means.
-  ExperimentResult result;
-  result.system = system_name;
-  result.cluster_enabled = true;
-  result.cluster.replicas = replicas;
-  result.cluster.router = options.router_policy;
-  result.cluster.memory = options.cluster_memory;
-
-  std::vector<std::vector<double>> replica_latencies;
-  std::vector<size_t> cursor(static_cast<size_t>(replicas), 0);
-  double ttft_weighted = 0.0;
-  double tpot_weighted = 0.0;
-  double e2e_sum = 0.0;
-  uint64_t hits = 0;
-  uint64_t misses = 0;
-  uint64_t low_precision_hits = 0;
-  size_t total_requests = 0;
-  uint64_t total_iterations = 0;
-  double semantic_weighted = 0.0;
-  double trajectory_weighted = 0.0;
-  double low_precision_weighted = 0.0;
-  double cache_capacity_gb = 0.0;
-  double cache_used_gb = 0.0;
-  for (int r = 0; r < replicas; ++r) {
-    const ServingEngine& engine = *engines[static_cast<size_t>(r)];
-    const RunMetrics& metrics = engine.metrics();
-    replica_latencies.push_back(metrics.EndToEndLatencies());
-    const size_t served = metrics.requests().size();
-    ttft_weighted += metrics.MeanTtft() * static_cast<double>(served);
-    tpot_weighted += metrics.MeanTpot() * static_cast<double>(metrics.iterations());
-    for (const double latency : replica_latencies.back()) {
-      e2e_sum += latency;
-    }
-    hits += metrics.expert_hits();
-    misses += metrics.expert_misses();
-    low_precision_hits += metrics.low_precision_hits();
-    total_requests += served;
-    total_iterations += metrics.iterations();
-    result.breakdown.Accumulate(metrics.breakdown());
-    const DeferredPipelineStats& deferred = metrics.deferred();
-    result.deferred.published += deferred.published;
-    result.deferred.applied += deferred.applied;
-    result.deferred.superseded += deferred.superseded;
-    result.deferred.dropped += deferred.dropped;
-    result.deferred.blocking += deferred.blocking;
-    result.deferred.modeled_work_s += deferred.modeled_work_s;
-    result.deferred.overlapped_s += deferred.overlapped_s;
-    result.deferred.wasted_work_s += deferred.wasted_work_s;
-    result.deferred.queue_wait_s += deferred.queue_wait_s;
-    result.deferred.decision_latency_s += deferred.decision_latency_s;
-    cache_capacity_gb += static_cast<double>(engine.cache().capacity_bytes()) / kGiB;
-    cache_used_gb += static_cast<double>(engine.cache().used_bytes()) / kGiB;
-    if (const auto* fmoe_policy =
-            dynamic_cast<const FmoePolicy*>(specs[static_cast<size_t>(r)].policy.get())) {
-      semantic_weighted +=
-          fmoe_policy->MeanSemanticScore() * static_cast<double>(metrics.iterations());
-      trajectory_weighted +=
-          fmoe_policy->MeanTrajectoryScore() * static_cast<double>(metrics.iterations());
-    }
-    low_precision_weighted += metrics.LowPrecisionShare() *
-                              static_cast<double>(metrics.expert_hits() +
-                                                  metrics.expert_misses());
-
-    ClusterReplicaStats stats;
-    stats.replica = r;
-    stats.requests = served;
-    stats.iterations = metrics.iterations();
-    stats.mean_e2e = metrics.MeanEndToEnd();
-    stats.hit_rate = metrics.HitRate();
-    stats.busy_until = engine.now();
-    result.cluster.makespan = std::max(result.cluster.makespan, engine.now());
-    result.cluster.replica_stats.push_back(stats);
-    if (options.oracle) {
-      // Each replica's tape replays against its own cache and links; the merged block sums
-      // the counters and recomputes the gaps over the whole cluster.
-      result.oracle_enabled = true;
-      OracleConfig oracle_config;
-      oracle_config.expert_bytes = options.model.expert_bytes;
-      oracle_config.link = engine.config().gpu.link;
-      AccumulateOracleReport(
-          &result.oracle,
-          ComputeOracleReport(oracle_recorders[static_cast<size_t>(r)], oracle_config,
-                              metrics.breakdown().demand_stall));
-    }
-  }
-  result.request_latencies.reserve(requests.size());
-  for (size_t i = 0; i < requests.size(); ++i) {
-    if (assignment[i] < 0) {
-      continue;  // Shed before service: contributes a rejection, not a latency.
-    }
-    const auto r = static_cast<size_t>(assignment[i]);
-    FMOE_CHECK(cursor[r] < replica_latencies[r].size());
-    result.request_latencies.push_back(replica_latencies[r][cursor[r]++]);
-  }
-  if (options.admission.policy != AdmissionPolicyKind::kOpenLoop) {
-    result.admission_enabled = true;
-    result.admission_policy = options.admission.policy;
-    for (const auto& controller : controllers) {
-      result.admission.arrived += controller->counters().arrived;
-      result.admission.admitted += controller->counters().admitted;
-      result.admission.rejected += controller->counters().rejected;
-    }
-  }
-  result.mean_ttft =
-      total_requests == 0 ? 0.0 : ttft_weighted / static_cast<double>(total_requests);
-  result.mean_tpot =
-      total_iterations == 0 ? 0.0 : tpot_weighted / static_cast<double>(total_iterations);
-  result.mean_e2e =
-      total_requests == 0 ? 0.0 : e2e_sum / static_cast<double>(total_requests);
-  const uint64_t servings = hits + misses;
-  result.hit_rate =
-      servings == 0 ? 0.0 : static_cast<double>(hits) / static_cast<double>(servings);
-  result.low_precision_share =
-      servings == 0 ? 0.0
-                    : low_precision_weighted / static_cast<double>(servings);
-  result.iterations = total_iterations;
-  result.cache_capacity_gb = cache_capacity_gb;
-  result.cache_used_gb = cache_used_gb;
-  result.mean_semantic_score =
-      total_iterations == 0 ? 0.0
-                            : semantic_weighted / static_cast<double>(total_iterations);
-  result.mean_trajectory_score =
-      total_iterations == 0 ? 0.0
-                            : trajectory_weighted / static_cast<double>(total_iterations);
-  result.cluster.aggregate_throughput_rps =
-      result.cluster.makespan > 0.0
-          ? static_cast<double>(total_requests) / result.cluster.makespan
-          : 0.0;
-  return result;
-}
-
-ExperimentResult RunReplay(const std::string& system_name, const ExperimentOptions& options,
-                           const std::vector<Request>& requests) {
-  SystemSpec spec = MakeSystemFor(system_name, options);
-  ServingEngine engine(options.model, MakeEngineConfig(options, spec), spec.policy.get());
-  GateDecisionRecorder oracle_recorder;
-  if (options.oracle) {
-    engine.SetOracleRecorder(&oracle_recorder);
-  }
-  for (const Request& request : requests) {
-    engine.ServeRequest(request);
-  }
-
-  ExperimentResult result;
-  FillResult(system_name, options, engine, spec,
-             options.oracle ? &oracle_recorder : nullptr, &result);
-  return result;
+  ExperimentTask task;
+  task.system = system_name;
+  task.options = options;
+  task.mode = ExperimentMode::kScheduled;
+  task.trace = trace;
+  task.request_count = request_count;
+  task.scheduler = sched;
+  return RunTask(task);
 }
 
 }  // namespace fmoe

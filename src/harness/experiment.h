@@ -1,13 +1,21 @@
-// Experiment runners reproducing the paper's evaluation methodology (§6.1):
-//   * RunOffline — standard 7:3 protocol: history requests warm the policy (expert-map store /
-//     EAM) and the cache, then the test requests are served and measured.
-//   * RunOnline  — cold start (empty history) against an Azure-like arrival trace; requests are
-//     served in arrival order and end-to-end latencies include queueing (§6.3).
-// Every figure bench and the integration tests are thin loops over these two calls.
+// Experiment runs reproducing the paper's evaluation methodology (§6.1). An ExperimentTask
+// describes one run as data — which requests arrive, and how they are served — and RunTask
+// executes it. The serving discipline is task.mode:
+//   * kOffline   — standard 7:3 protocol: history requests warm the policy (expert-map store /
+//     EAM) and the cache, then the test requests are served in lockstep batches and measured.
+//   * kOnline    — cold start (empty history); arrivals are served one at a time in arrival
+//     order, so end-to-end latencies include queueing (§6.3). options.replicas > 1 routes
+//     them across that many engines (DESIGN.md §5i).
+//   * kScheduled — cold start through the continuous-batching scheduler (task.scheduler).
+// Online and scheduled tasks serve task.arrivals when it is set (a loaded trace CSV, a burst
+// trace), else a trace generated from (task.trace, task.request_count, options.seed).
+// Every figure bench, fmoe_sim and the integration tests run through RunTask; RunOffline and
+// RunScheduled are shorthands for the two most common tasks.
 #ifndef FMOE_SRC_HARNESS_EXPERIMENT_H_
 #define FMOE_SRC_HARNESS_EXPERIMENT_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -38,7 +46,9 @@ struct ExperimentOptions {
   int gpu_count = 6;                // Paper testbed: six RTX 3090s.
   uint64_t cache_bytes = 0;         // Expert-cache budget; 0 => cache_fraction of all experts.
   double cache_fraction = 0.22;
-  int max_decode_tokens = 48;       // Speed cap on generation length; <= 0 keeps the dataset's.
+  // Speed cap on generation length; <= 0 keeps the dataset's. Offline only: online and
+  // scheduled arrivals take their lengths from the trace (or the caller's list) as given.
+  int max_decode_tokens = 48;
   uint64_t seed = 42;
   size_t store_capacity = 512;      // fMoE map-store capacity for experiments.
   bool enable_score_log = false;    // Per-iteration similarity log (Fig. 8).
@@ -65,21 +75,15 @@ struct ExperimentOptions {
   // Semantic-cluster shard count for the fMoE Expert Map Store (DESIGN.md §5i). 1 replays
   // the unsharded store byte-identically.
   int map_shards = 1;
-  // Admission policy + controller knobs (DESIGN.md §5j) for the runners that queue requests:
-  // RunCluster reads this directly (one controller per replica); RunScheduled takes its
-  // SchedulerOptions parameter as the authority (set sched.admission — fmoe_sim wires both
-  // from the same flags). The default open-loop policy replays every legacy path
-  // byte-identically.
-  AdmissionOptions admission;
-  // Cluster knobs (RunCluster only; ignored by the single-engine runners). replicas = 1
-  // replays RunOnline byte-identically regardless of router/memory settings.
+  // Cluster knobs (kOnline tasks only; DESIGN.md §5i). replicas = 1 serves on one engine, and
+  // the router and memory mode are then inert.
   int replicas = 1;
   RouterPolicy router_policy = RouterPolicy::kRoundRobin;
   ClusterMemoryMode cluster_memory = ClusterMemoryMode::kReplicate;
   GateProfile gate;
   HardwareProfile hardware;
   // Optional virtual-time trace recorder (not owned; must outlive the run). Pure observer:
-  // attaching one changes nothing about the run. For RunOffline the warmup phase resets it,
+  // attaching one changes nothing about the run. For offline tasks the warmup phase resets it,
   // so the recorded trace covers exactly the measured requests.
   TraceRecorder* trace = nullptr;
   // Clairvoyant oracle (DESIGN.md §5k): record the gate-decision tape and compute the
@@ -106,7 +110,7 @@ struct ExperimentResult {
   double mean_semantic_score = 0.0;    // fMoE-family systems only.
   double mean_trajectory_score = 0.0;  // fMoE-family systems only.
   double low_precision_share = 0.0;    // Share of expert servings at reduced precision.
-  // Scheduled runs only (RunScheduled): continuous-batching counters and the total output
+  // Scheduled runs only: continuous-batching counters and the total output
   // tokens of the completed requests (for SchedulerStats::Throughput).
   SchedulerStats scheduler_stats;
   uint64_t scheduled_tokens = 0;
@@ -116,13 +120,13 @@ struct ExperimentResult {
   TierStats tier;
   double host_capacity_gb = 0.0;
   double host_used_gb = 0.0;
-  // Cluster runs only (RunCluster with replicas > 1): per-replica stats and the aggregate
-  // makespan/throughput summary. cluster_enabled is false on single-replica runs (the
-  // report omits the block and the result is byte-identical to RunOnline).
+  // Online runs: per-replica stats and the aggregate makespan/throughput summary.
+  // cluster_enabled is true only with replicas > 1; single-replica runs fill the summary
+  // for benches, but the report omits the block.
   bool cluster_enabled = false;
   ClusterSummary cluster;
-  // Closed-loop runs only (a non-open-loop admission policy on the scheduled or cluster
-  // runners): the active policy and the conservation counters, merged across replicas.
+  // Closed-loop runs only (a non-open-loop task.scheduler.admission on an online or
+  // scheduled task): the active policy and the conservation counters, summed over replicas.
   // admission_enabled is false on open-loop runs, so legacy reports stay byte-identical.
   bool admission_enabled = false;
   AdmissionPolicyKind admission_policy = AdmissionPolicyKind::kOpenLoop;
@@ -134,41 +138,43 @@ struct ExperimentResult {
   OracleReport oracle;
 };
 
+enum class ExperimentMode { kOffline, kOnline, kScheduled };
+
+struct ExperimentTask {
+  std::string system;
+  ExperimentOptions options;
+  ExperimentMode mode = ExperimentMode::kOffline;
+  // Arrivals of online and scheduled tasks: `arrivals` when set (sorted by arrival time and
+  // served as given; shared so plan tasks can reuse one list), else `request_count` requests
+  // generated from `trace` at options.seed. Offline tasks take neither.
+  std::shared_ptr<const std::vector<Request>> arrivals;
+  TraceProfile trace;
+  size_t request_count = 0;
+  // Scheduled tasks: batch limit and queue discipline. Online and scheduled tasks: the
+  // admission policy, the only one a run honours (open loop, the default, never sheds). An
+  // online task runs one controller per replica: it sees that replica's routed arrivals,
+  // sheds them at the door against the SLO, and drives that engine's prefetch distance.
+  SchedulerOptions scheduler;
+  // Free-form "key=value" labels benches use to locate results in the ordered vector
+  // (e.g. "model=Mixtral-8x7B", "system=fMoE", "d=3").
+  std::vector<std::string> tags;
+
+  bool HasTag(const std::string& tag) const;
+};
+
+// Executes one task. A non-null `trace` is attached to the task's engine (replica 0 of a
+// cluster) for the duration of the run. Online request_latencies are in arrival order;
+// scheduled ones in completion order. With a shedding admission policy they cover served
+// requests only.
+ExperimentResult RunTask(const ExperimentTask& task, TraceRecorder* trace = nullptr);
+
+// RunTask of an offline task.
 ExperimentResult RunOffline(const std::string& system_name, const ExperimentOptions& options);
 
-ExperimentResult RunOnline(const std::string& system_name, const ExperimentOptions& options,
-                           const TraceProfile& trace, size_t request_count);
-
-// Continuous-batching protocol: requests from the trace are admitted by a
-// ContinuousBatchScheduler (batch limit + queue discipline + admission policy from `sched`)
-// instead of the online protocol's FIFO one-at-a-time loop. request_latencies holds
-// end-to-end latencies in completion order (what the scheduler drains), not arrival order;
-// with a shedding admission policy it covers served requests only.
+// RunTask of a scheduled task over `request_count` generated arrivals.
 ExperimentResult RunScheduled(const std::string& system_name, const ExperimentOptions& options,
                               const TraceProfile& trace, size_t request_count,
                               const SchedulerOptions& sched);
-
-// RunScheduled over a caller-supplied request sequence (must be sorted by arrival time) —
-// e.g. a burst/overload trace from src/workload/burst.h or a loaded CSV.
-ExperimentResult RunScheduledReplay(const std::string& system_name,
-                                    const ExperimentOptions& options,
-                                    const std::vector<Request>& requests,
-                                    const SchedulerOptions& sched);
-
-// Multi-replica cluster protocol (DESIGN.md §5i): the trace's requests are routed across
-// `options.replicas` independent engines by `options.router_policy` and served in arrival
-// order. Per-request latencies are reported in arrival order (merged across replicas).
-// With replicas == 1 this is RunOnline, bit for bit. A non-open-loop options.admission
-// policy runs one controller per replica (composing with the router): each replica's
-// controller sees only its routed arrivals, may shed them against the SLO, and drives that
-// engine's prefetch distance; latencies then cover admitted requests only.
-ExperimentResult RunCluster(const std::string& system_name, const ExperimentOptions& options,
-                            const TraceProfile& trace, size_t request_count);
-
-// Replay protocol: serves a caller-supplied request sequence (e.g. loaded from a trace CSV)
-// in order on one engine, cold-started like RunOnline.
-ExperimentResult RunReplay(const std::string& system_name, const ExperimentOptions& options,
-                           const std::vector<Request>& requests);
 
 // Resolves the cache budget an options struct implies, in bytes.
 uint64_t ResolveCacheBytes(const ExperimentOptions& options);

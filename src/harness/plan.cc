@@ -1,14 +1,8 @@
 #include "src/harness/plan.h"
 
-#include <algorithm>
-
 #include "src/util/rng.h"
 
 namespace fmoe {
-
-bool ExperimentTask::HasTag(const std::string& tag) const {
-  return std::find(tags.begin(), tags.end(), tag) != tags.end();
-}
 
 size_t ExperimentPlan::Add(ExperimentTask task) {
   const size_t index = tasks_.size();
@@ -52,19 +46,6 @@ size_t ExperimentPlan::AddScheduled(std::string system, ExperimentOptions option
   task.trace = trace;
   task.request_count = request_count;
   task.scheduler = scheduler;
-  task.tags = std::move(tags);
-  return Add(std::move(task));
-}
-
-size_t ExperimentPlan::AddCluster(std::string system, ExperimentOptions options,
-                                  TraceProfile trace, size_t request_count,
-                                  std::vector<std::string> tags) {
-  ExperimentTask task;
-  task.system = std::move(system);
-  task.options = std::move(options);
-  task.mode = ExperimentMode::kCluster;
-  task.trace = trace;
-  task.request_count = request_count;
   task.tags = std::move(tags);
   return Add(std::move(task));
 }

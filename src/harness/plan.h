@@ -1,17 +1,19 @@
 // Declarative experiment plans.
 //
-// Every paper figure is a cross-product of independent RunOffline/RunOnline calls (3 models x
-// 2 datasets x 5 systems, a prefetch-distance sweep, ...). An ExperimentPlan captures that
-// cross-product as data — an ordered vector of ExperimentTask — so the runner (runner.h) can
-// execute it on any number of worker threads and hand back results in plan order, and so the
-// figure benches shrink to "declare plan, run, render over ordered results".
+// Every paper figure is a cross-product of independent experiment tasks (3 models x 2
+// datasets x 5 systems, a prefetch-distance sweep, ...). An ExperimentPlan captures that
+// cross-product as data — an ordered vector of ExperimentTask (experiment.h) — so the runner
+// (runner.h) can execute it on any number of worker threads and hand back results in plan
+// order, and so the figure benches shrink to "declare plan, run, render over ordered results".
 //
-// Determinism contract: a task's behaviour is a pure function of (system, options, trace,
-// request_count). The only random seed a task ever sees is options.seed, which is fixed at
-// Add() time: either the value the caller set explicitly, or — when the caller leaves
-// kSeedFromPlan in place — a value derived from (plan_seed, task_index) alone. Nothing about
-// execution (worker id, scheduling order, completion order) can influence a result, which is
-// what makes `--jobs=1` and `--jobs=N` byte-identical.
+// Determinism contract: a task's behaviour is a pure function of (system, options, mode,
+// arrivals or trace + request_count, scheduler). A caller-supplied arrival list is shared
+// read-only, so tasks that reuse it cannot influence each other. The only random seed a task
+// ever sees is options.seed, which is fixed at Add() time: either the value the caller set
+// explicitly, or — when the caller leaves kSeedFromPlan in place — a value derived from
+// (plan_seed, task_index) alone. Nothing about execution (worker id, scheduling order,
+// completion order) can influence a result, which is what makes `--jobs=1` and `--jobs=N`
+// byte-identical.
 #ifndef FMOE_SRC_HARNESS_PLAN_H_
 #define FMOE_SRC_HARNESS_PLAN_H_
 
@@ -24,25 +26,9 @@
 
 namespace fmoe {
 
-enum class ExperimentMode { kOffline, kOnline, kScheduled, kCluster };
-
 // Sentinel: "derive this task's seed from (plan_seed, task_index)". ExperimentOptions
 // defaults its seed to 42 for backwards compatibility, so derivation is opt-in per task.
 inline constexpr uint64_t kSeedFromPlan = ~0ULL;
-
-struct ExperimentTask {
-  std::string system;
-  ExperimentOptions options;
-  ExperimentMode mode = ExperimentMode::kOffline;
-  TraceProfile trace;        // Online / scheduled tasks only.
-  size_t request_count = 0;  // Online / scheduled tasks only (trace length).
-  SchedulerOptions scheduler;  // Scheduled tasks only (batch limit, queue discipline).
-  // Free-form "key=value" labels benches use to locate results in the ordered vector
-  // (e.g. "model=Mixtral-8x7B", "system=fMoE", "d=3").
-  std::vector<std::string> tags;
-
-  bool HasTag(const std::string& tag) const;
-};
 
 class ExperimentPlan {
  public:
@@ -60,10 +46,6 @@ class ExperimentPlan {
   size_t AddScheduled(std::string system, ExperimentOptions options, TraceProfile trace,
                       size_t request_count, SchedulerOptions scheduler,
                       std::vector<std::string> tags = {});
-  // Cluster task (RunCluster): replicas/router/memory come from options (see
-  // ExperimentOptions). options.replicas == 1 is RunOnline bit for bit.
-  size_t AddCluster(std::string system, ExperimentOptions options, TraceProfile trace,
-                    size_t request_count, std::vector<std::string> tags = {});
 
   // Model x dataset x system cross-product in row-major declaration order (model outermost,
   // system innermost — the iteration order every figure bench uses). `make_options` is

@@ -204,10 +204,9 @@ void WritePlanReportJson(const ExperimentPlan& plan,
     const ExperimentTask& task = tasks[i];
     out << "{\"index\":" << i << ",";
     out << "\"system\":\"" << JsonEscape(task.system) << "\",";
-    const char* mode = task.mode == ExperimentMode::kOffline      ? "offline"
-                       : task.mode == ExperimentMode::kOnline     ? "online"
-                       : task.mode == ExperimentMode::kScheduled  ? "scheduled"
-                                                                  : "cluster";
+    const char* mode = task.mode == ExperimentMode::kOffline  ? "offline"
+                       : task.mode == ExperimentMode::kOnline ? "online"
+                                                              : "scheduled";
     out << "\"mode\":\"" << mode << "\",";
     out << "\"seed\":" << task.options.seed << ",";
     out << "\"tags\":[";

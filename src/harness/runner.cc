@@ -4,28 +4,6 @@
 
 namespace fmoe {
 
-ExperimentResult RunTask(const ExperimentTask& task, TraceRecorder* trace) {
-  const ExperimentTask* run = &task;
-  ExperimentTask traced;
-  if (trace != nullptr) {
-    traced = task;
-    traced.options.trace = trace;
-    run = &traced;
-  }
-  switch (run->mode) {
-    case ExperimentMode::kOffline:
-      return RunOffline(run->system, run->options);
-    case ExperimentMode::kOnline:
-      return RunOnline(run->system, run->options, run->trace, run->request_count);
-    case ExperimentMode::kScheduled:
-      return RunScheduled(run->system, run->options, run->trace, run->request_count,
-                          run->scheduler);
-    case ExperimentMode::kCluster:
-      return RunCluster(run->system, run->options, run->trace, run->request_count);
-  }
-  return ExperimentResult{};  // Unreachable; all modes handled above.
-}
-
 std::vector<ExperimentResult> RunPlan(const ExperimentPlan& plan, const RunnerOptions& options,
                                       const std::function<void(size_t)>& on_done) {
   const std::vector<ExperimentTask>& tasks = plan.tasks();

@@ -1,17 +1,21 @@
 // fmoe_sim — command-line driver for the fMoE serving simulator.
 //
-// Runs the paper's offline (7:3) or online (trace replay) protocol for any registered system
-// and prints a table, JSON, or CSV. The systems run as a declarative ExperimentPlan through
-// the deterministic parallel runner: --jobs only changes wall-clock time, never output.
+// Runs the paper's offline (7:3), online (in-order arrivals on one or more replicas) or
+// scheduled (continuous batching) protocol for any registered system and prints a table,
+// JSON, or CSV. Arrivals come from the synthetic trace or a --trace-csv file. The systems run
+// as a declarative ExperimentPlan through the deterministic parallel runner: --jobs only
+// changes wall-clock time, never output.
 // Examples:
 //
 //   fmoe_sim --model mixtral --system fMoE
 //   fmoe_sim --model qwen --system all --format csv --jobs 4
 //   fmoe_sim --model phi --mode online --requests 64 --trace-rate 0.1 --format json
+//   fmoe_sim --model tiny --mode scheduled --trace-csv trace.csv --admission-policy gradient
 //   fmoe_sim --model mixtral --system fMoE --save-store /tmp/mixtral.store
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <memory>
 #include <vector>
 
 #include "src/core/fmoe_policy.h"
@@ -24,7 +28,6 @@
 #include "src/obs/perfetto_export.h"
 #include "src/obs/stall_report.h"
 #include "src/obs/trace_recorder.h"
-#include "src/util/thread_pool.h"
 #include "src/workload/trace_io.h"
 #include "src/serving/engine.h"
 #include "src/util/flags.h"
@@ -83,8 +86,9 @@ int main(int argc, char** argv) {
                   "system to run, 'all' for the paper's five, or any registry name "
                   "(see src/harness/systems.h)");
   flags.AddString("mode", "offline",
-                  "protocol: offline (7:3 split) | online (trace replay) | scheduled "
-                  "(continuous batching through the admission-controlled scheduler)");
+                  "protocol: offline (7:3 split) | online (arrivals served in order on "
+                  "--replicas engines) | scheduled (continuous batching through the "
+                  "admission-controlled scheduler)");
   flags.AddInt("history", 80, "history requests used to warm the policy (offline mode)");
   flags.AddInt("requests", 24, "measured requests (test split or trace length)");
   flags.AddInt("batch", 1, "lockstep batch size (offline mode)");
@@ -92,9 +96,9 @@ int main(int argc, char** argv) {
   flags.AddString("discipline", "fcfs",
                   "scheduled mode queue discipline: fcfs | sjf (shortest job first)");
   flags.AddString("admission-policy", "open-loop",
-                  "admission control for scheduled/cluster runs: open-loop (fixed knobs, "
-                  "never rejects; the byte-identical default) | gradient (closed-loop AIMD on "
-                  "live stall-attribution signals; DESIGN.md 5j)");
+                  "admission control for online (one controller per replica) and scheduled "
+                  "runs: open-loop (fixed knobs, never rejects; the byte-identical default) | "
+                  "gradient (closed-loop AIMD on live stall-attribution signals; DESIGN.md 5j)");
   flags.AddDouble("slo-ms", 0.0,
                   "end-to-end latency objective in milliseconds; the gradient policy sheds "
                   "queued requests whose wait already burns the budget (0 = no shedding)");
@@ -106,7 +110,9 @@ int main(int argc, char** argv) {
   flags.AddDouble("admission-update-s", 0.05,
                   "gradient controller update cadence in virtual seconds");
   flags.AddInt("distance", 3, "prefetch distance d in layers");
-  flags.AddInt("max-decode", 32, "cap on decode tokens per request (0 = dataset default)");
+  flags.AddInt("max-decode", 32,
+               "offline mode: cap on decode tokens per request (0 = dataset default); online "
+               "and scheduled arrivals take the trace's lengths");
   flags.AddInt("store-capacity", 512, "fMoE Expert Map Store capacity");
   flags.AddString("map-precision", "fp32",
                   "Expert Map Store column precision: fp32 | fp16 | int8 (fMoE-family "
@@ -141,8 +147,8 @@ int main(int argc, char** argv) {
                "semantic-cluster shards for the fMoE Expert Map Store (DESIGN.md 5i); 1 "
                "replays the unsharded store byte-identically");
   flags.AddInt("replicas", 1,
-               "serving-engine replicas (online mode only); 1 replays the single-engine "
-               "online protocol byte-identically");
+               "serving-engine replicas (online mode only): arrivals are routed across them by "
+               "--router-policy, each replica with its own admission controller");
   flags.AddString("router-policy", "round-robin",
                   "cluster request router: round-robin | least-loaded | semantic-affinity "
                   "(used when --replicas > 1)");
@@ -157,9 +163,9 @@ int main(int argc, char** argv) {
   flags.AddBool("latencies", false, "include per-request latencies in JSON output");
   flags.AddString("save-store", "", "after an fMoE run, save its Expert Map Store here");
   flags.AddString("trace-csv", "",
-                  "online mode: replay requests from this CSV instead of the synthetic trace "
-                  "(columns: request_id,arrival_time_s,prompt_tokens,decode_tokens[,cluster,"
-                  "seed])");
+                  "online / scheduled mode: serve the requests in this CSV instead of the "
+                  "synthetic trace (columns: request_id,arrival_time_s,prompt_tokens,"
+                  "decode_tokens[,cluster,seed])");
   flags.AddString("export-trace", "",
                   "write the generated online trace to this CSV and exit (for editing/replay)");
   flags.AddString("trace-out", "",
@@ -242,16 +248,16 @@ int main(int argc, char** argv) {
               << "' (expected replicate | partition)\n";
     return 1;
   }
-  if (!ParseAdmissionPolicy(flags.GetString("admission-policy"), &options.admission.policy)) {
+  SchedulerOptions sched;
+  if (!ParseAdmissionPolicy(flags.GetString("admission-policy"), &sched.admission.policy)) {
     std::cerr << "error: unknown admission policy '" << flags.GetString("admission-policy")
               << "' (expected open-loop | gradient)\n";
     return 1;
   }
-  options.admission.slo_sec = flags.GetDouble("slo-ms") * 1e-3;
-  options.admission.window_sec = flags.GetDouble("admission-window-s");
-  options.admission.gain = flags.GetDouble("admission-gain");
-  options.admission.update_period_sec = flags.GetDouble("admission-update-s");
-  SchedulerOptions sched;
+  sched.admission.slo_sec = flags.GetDouble("slo-ms") * 1e-3;
+  sched.admission.window_sec = flags.GetDouble("admission-window-s");
+  sched.admission.gain = flags.GetDouble("admission-gain");
+  sched.admission.update_period_sec = flags.GetDouble("admission-update-s");
   sched.max_batch_size = static_cast<int>(flags.GetInt("max-batch"));
   if (sched.max_batch_size < 1) {
     std::cerr << "error: --max-batch must be >= 1\n";
@@ -264,7 +270,6 @@ int main(int argc, char** argv) {
     std::cerr << "error: unknown discipline '" << discipline << "' (expected fcfs | sjf)\n";
     return 1;
   }
-  sched.admission = options.admission;
 
   std::vector<std::string> systems;
   if (flags.GetString("system") == "all") {
@@ -273,14 +278,17 @@ int main(int argc, char** argv) {
     systems.push_back(flags.GetString("system"));
   }
 
-  const std::string mode = flags.GetString("mode");
-  const bool online = mode == "online";
-  const bool scheduled = mode == "scheduled";
-  if (!online && !scheduled && mode != "offline") {
-    std::cerr << "error: unknown mode '" << mode << "'\n";
+  const std::string mode_name = flags.GetString("mode");
+  ExperimentMode mode = ExperimentMode::kOffline;
+  if (mode_name == "online") {
+    mode = ExperimentMode::kOnline;
+  } else if (mode_name == "scheduled") {
+    mode = ExperimentMode::kScheduled;
+  } else if (mode_name != "offline") {
+    std::cerr << "error: unknown mode '" << mode_name << "'\n";
     return 1;
   }
-  if (options.replicas > 1 && !online) {
+  if (options.replicas > 1 && mode != ExperimentMode::kOnline) {
     std::cerr << "error: --replicas > 1 needs --mode online (the cluster protocol routes an "
                  "arrival trace)\n";
     return 1;
@@ -302,25 +310,25 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  // Custom trace replay: load requests from CSV once, then serve them online per system.
-  std::vector<Request> csv_requests;
-  const bool use_csv = !flags.GetString("trace-csv").empty();
-  if (use_csv && options.replicas > 1) {
-    std::cerr << "error: --trace-csv replay does not support --replicas > 1\n";
-    return 1;
-  }
-  if (use_csv) {
-    const TraceIoResult io =
-        ReadTraceCsvFromFile(flags.GetString("trace-csv"), options.dataset, &csv_requests);
+  // Custom arrivals: load the CSV once; every system's task shares the list read-only.
+  std::shared_ptr<const std::vector<Request>> csv_requests;
+  const std::string trace_csv = flags.GetString("trace-csv");
+  if (!trace_csv.empty()) {
+    if (mode == ExperimentMode::kOffline) {
+      std::cerr << "error: --trace-csv needs --mode online or scheduled (the offline protocol "
+                   "splits a generated workload into history and test)\n";
+      return 1;
+    }
+    auto requests = std::make_shared<std::vector<Request>>();
+    const TraceIoResult io = ReadTraceCsvFromFile(trace_csv, options.dataset, requests.get());
     if (!io.ok) {
       std::cerr << "error: reading trace failed: " << io.error << "\n";
       return 1;
     }
-    std::cerr << "replaying " << io.rows << " requests from " << flags.GetString("trace-csv")
-              << "\n";
+    std::cerr << "replaying " << io.rows << " requests from " << trace_csv << "\n";
+    csv_requests = std::move(requests);
   }
 
-  const int jobs = static_cast<int>(flags.GetInt("jobs"));
   const std::string trace_out = flags.GetString("trace-out");
   const size_t trace_task = static_cast<size_t>(flags.GetInt("trace-task"));
   TraceRecorder recorder;
@@ -329,41 +337,26 @@ int main(int argc, char** argv) {
               << " systems)\n";
     return 1;
   }
-  std::vector<ExperimentResult> results;
-  if (use_csv) {
-    // Replay tasks share the loaded request vector (read-only); each index runs one system and
-    // writes only its own slot, so any job count yields the same result vector.
-    results.resize(systems.size());
-    ParallelForIndex(systems.size(), jobs <= 0 ? ThreadPool::HardwareThreads() : jobs,
-                     [&](size_t i) {
-                       ExperimentOptions task_options = options;
-                       if (!trace_out.empty() && i == trace_task) {
-                         task_options.trace = &recorder;
-                       }
-                       results[i] = RunReplay(systems[i], task_options, csv_requests);
-                     });
-  } else {
-    ExperimentPlan plan(options.seed);
-    for (const std::string& system : systems) {
-      if (online && options.replicas > 1) {
-        plan.AddCluster(system, options, trace, options.test_requests, {"system=" + system});
-      } else if (online) {
-        plan.AddOnline(system, options, trace, options.test_requests, {"system=" + system});
-      } else if (scheduled) {
-        plan.AddScheduled(system, options, trace, options.test_requests, sched,
-                          {"system=" + system});
-      } else {
-        plan.AddOffline(system, options, {"system=" + system});
-      }
-    }
-    RunnerOptions runner;
-    runner.jobs = jobs;
-    if (!trace_out.empty()) {
-      runner.trace = &recorder;
-      runner.trace_task = trace_task;
-    }
-    results = RunPlan(plan, runner);
+  ExperimentPlan plan(options.seed);
+  for (const std::string& system : systems) {
+    ExperimentTask task;
+    task.system = system;
+    task.options = options;
+    task.mode = mode;
+    task.arrivals = csv_requests;
+    task.trace = trace;
+    task.request_count = options.test_requests;
+    task.scheduler = sched;
+    task.tags = {"system=" + system};
+    plan.Add(std::move(task));
   }
+  RunnerOptions runner;
+  runner.jobs = static_cast<int>(flags.GetInt("jobs"));
+  if (!trace_out.empty()) {
+    runner.trace = &recorder;
+    runner.trace_task = trace_task;
+  }
+  const std::vector<ExperimentResult> results = RunPlan(plan, runner);
 
   if (!trace_out.empty()) {
     const std::string process_name = "fmoe_sim [" + std::to_string(trace_task) + "] " +

@@ -1,6 +1,6 @@
 // Multi-replica cluster suite (DESIGN.md §5i): router policy parsing, routing behaviour per
-// policy, the replicas == 1 byte-identity contract against RunOnline, and request
-// conservation across replicas.
+// policy, router and memory knobs being inert at replicas == 1, and request conservation
+// across replicas of an online task.
 #include "src/serving/cluster.h"
 
 #include <gtest/gtest.h>
@@ -8,8 +8,9 @@
 #include <sstream>
 #include <vector>
 
-#include "src/harness/experiment.h"
+#include "src/harness/plan.h"
 #include "src/harness/report.h"
+#include "src/harness/runner.h"
 #include "src/workload/workload.h"
 
 namespace fmoe {
@@ -116,27 +117,34 @@ TraceProfile FastTrace() {
   return trace;
 }
 
-TEST(RunClusterTest, SingleReplicaMatchesRunOnlineByteIdentically) {
+// Online task over FastTrace() on `options.replicas` engines.
+ExperimentResult RunOnlineTask(const ExperimentOptions& options) {
+  ExperimentPlan plan;
+  plan.AddOnline("fMoE", options, FastTrace(), 16);
+  return RunPlan(plan)[0];
+}
+
+TEST(RunClusterTest, SingleReplicaRouterAndMemoryKnobsAreInert) {
   ExperimentOptions options = SmallOptions();
   options.replicas = 1;
-  // Router/memory knobs must be inert at R == 1.
+  const ExperimentResult defaults = RunOnlineTask(options);
   options.router_policy = RouterPolicy::kSemanticAffinity;
   options.cluster_memory = ClusterMemoryMode::kPartition;
+  const ExperimentResult knobs = RunOnlineTask(options);
+  EXPECT_FALSE(knobs.cluster_enabled);
 
-  const ExperimentResult online = RunOnline("fMoE", options, FastTrace(), 16);
-  const ExperimentResult cluster = RunCluster("fMoE", options, FastTrace(), 16);
-  EXPECT_FALSE(cluster.cluster_enabled);
-
-  std::ostringstream online_json;
-  std::ostringstream cluster_json;
-  WriteResultJson(online, /*include_latencies=*/true, online_json);
-  WriteResultJson(cluster, /*include_latencies=*/true, cluster_json);
-  EXPECT_EQ(online_json.str(), cluster_json.str());
+  std::ostringstream defaults_json;
+  std::ostringstream knobs_json;
+  WriteResultJson(defaults, /*include_latencies=*/true, defaults_json);
+  WriteResultJson(knobs, /*include_latencies=*/true, knobs_json);
+  EXPECT_EQ(defaults_json.str(), knobs_json.str());
 
   // The summary is still filled for benches even though the report omits it.
-  EXPECT_EQ(1, cluster.cluster.replicas);
-  EXPECT_GT(cluster.cluster.makespan, 0.0);
-  EXPECT_GT(cluster.cluster.aggregate_throughput_rps, 0.0);
+  EXPECT_EQ(1, knobs.cluster.replicas);
+  ASSERT_EQ(1u, knobs.cluster.replica_stats.size());
+  EXPECT_EQ(16u, knobs.cluster.replica_stats[0].requests);
+  EXPECT_GT(knobs.cluster.makespan, 0.0);
+  EXPECT_GT(knobs.cluster.aggregate_throughput_rps, 0.0);
 }
 
 TEST(RunClusterTest, RequestsAreConservedAcrossReplicas) {
@@ -146,7 +154,7 @@ TEST(RunClusterTest, RequestsAreConservedAcrossReplicas) {
     ExperimentOptions options = SmallOptions();
     options.replicas = 3;
     options.router_policy = policy;
-    const ExperimentResult result = RunCluster("fMoE", options, FastTrace(), 16);
+    const ExperimentResult result = RunOnlineTask(options);
     ASSERT_TRUE(result.cluster_enabled);
     ASSERT_EQ(3u, result.cluster.replica_stats.size());
     size_t total = 0;
@@ -166,8 +174,8 @@ TEST(RunClusterTest, ClusterRunsAreDeterministic) {
   ExperimentOptions options = SmallOptions();
   options.replicas = 2;
   options.router_policy = RouterPolicy::kSemanticAffinity;
-  const ExperimentResult a = RunCluster("fMoE", options, FastTrace(), 16);
-  const ExperimentResult b = RunCluster("fMoE", options, FastTrace(), 16);
+  const ExperimentResult a = RunOnlineTask(options);
+  const ExperimentResult b = RunOnlineTask(options);
   std::ostringstream ja;
   std::ostringstream jb;
   WriteResultJson(a, /*include_latencies=*/true, ja);
@@ -179,9 +187,9 @@ TEST(RunClusterTest, PartitionModeShrinksPerReplicaCache) {
   ExperimentOptions options = SmallOptions();
   options.replicas = 4;
   options.cluster_memory = ClusterMemoryMode::kPartition;
-  const ExperimentResult partitioned = RunCluster("fMoE", options, FastTrace(), 16);
+  const ExperimentResult partitioned = RunOnlineTask(options);
   options.cluster_memory = ClusterMemoryMode::kReplicate;
-  const ExperimentResult replicated = RunCluster("fMoE", options, FastTrace(), 16);
+  const ExperimentResult replicated = RunOnlineTask(options);
   // Aggregate cache capacity: replicate = R x budget, partition = ~1 x budget.
   EXPECT_GT(replicated.cache_capacity_gb, partitioned.cache_capacity_gb * 2.0);
 }
@@ -189,9 +197,9 @@ TEST(RunClusterTest, PartitionModeShrinksPerReplicaCache) {
 TEST(RunClusterTest, ReportIncludesClusterBlockOnlyWhenEnabled) {
   ExperimentOptions options = SmallOptions();
   options.replicas = 2;
-  const ExperimentResult multi = RunCluster("fMoE", options, FastTrace(), 16);
+  const ExperimentResult multi = RunOnlineTask(options);
   options.replicas = 1;
-  const ExperimentResult single = RunCluster("fMoE", options, FastTrace(), 16);
+  const ExperimentResult single = RunOnlineTask(options);
   std::ostringstream multi_json;
   std::ostringstream single_json;
   WriteResultJson(multi, /*include_latencies=*/false, multi_json);

@@ -1,5 +1,5 @@
-// Harness-level behaviour: option plumbing, protocol differences, and determinism of the two
-// experiment runners (everything the figure benches rely on but the integration tests do not
+// Harness-level behaviour: option plumbing, protocol differences, and determinism of offline
+// and online tasks (everything the figure benches rely on but the integration tests do not
 // pin explicitly).
 #include "src/harness/experiment.h"
 
@@ -22,12 +22,23 @@ ExperimentOptions TinyOptions() {
   return options;
 }
 
+ExperimentResult RunOnlineTask(const std::string& system, const ExperimentOptions& options,
+                               const TraceProfile& trace, size_t request_count) {
+  ExperimentTask task;
+  task.system = system;
+  task.options = options;
+  task.mode = ExperimentMode::kOnline;
+  task.trace = trace;
+  task.request_count = request_count;
+  return RunTask(task);
+}
+
 TEST(HarnessTest, OnlineRunsAreDeterministic) {
   const ExperimentOptions options = TinyOptions();
   TraceProfile trace;
   trace.mean_arrival_rate = 3.0;
-  const ExperimentResult a = RunOnline("fMoE", options, trace, 12);
-  const ExperimentResult b = RunOnline("fMoE", options, trace, 12);
+  const ExperimentResult a = RunOnlineTask("fMoE", options, trace, 12);
+  const ExperimentResult b = RunOnlineTask("fMoE", options, trace, 12);
   EXPECT_DOUBLE_EQ(a.mean_e2e, b.mean_e2e);
   EXPECT_EQ(a.request_latencies, b.request_latencies);
 }
@@ -41,9 +52,31 @@ TEST(HarnessTest, OnlineUsesTraceLengthsNotDatasetCaps) {
   trace.mean_arrival_rate = 5.0;
   trace.min_decode_tokens = 16;
   trace.max_decode_tokens = 16;
-  const ExperimentResult result = RunOnline("fMoE", options, trace, 4);
+  const ExperimentResult result = RunOnlineTask("fMoE", options, trace, 4);
   // 4 requests x (1 prefill + 16 decode) iterations.
   EXPECT_EQ(result.iterations, 4u * 17u);
+}
+
+TEST(HarnessTest, SingleReplicaOnlineHonoursAdmission) {
+  // Online admission is shed-or-serve at the engine's door: with arrivals far above the
+  // service rate and a 1 ms SLO, queued requests blow their wait budget and are shed, even
+  // on one engine.
+  ExperimentTask task;
+  task.system = "fMoE";
+  task.options = TinyOptions();
+  task.mode = ExperimentMode::kOnline;
+  task.trace.mean_arrival_rate = 200.0;
+  task.request_count = 12;
+  task.scheduler.admission.policy = AdmissionPolicyKind::kGradient;
+  task.scheduler.admission.slo_sec = 0.001;
+  const ExperimentResult result = RunTask(task);
+  EXPECT_TRUE(result.admission_enabled);
+  EXPECT_EQ(result.admission_policy, AdmissionPolicyKind::kGradient);
+  EXPECT_EQ(result.admission.arrived, 12u);
+  EXPECT_GT(result.admission.rejected, 0u);
+  EXPECT_EQ(result.admission.admitted + result.admission.rejected, result.admission.arrived);
+  EXPECT_EQ(result.request_latencies.size(), result.admission.admitted);
+  EXPECT_FALSE(result.cluster_enabled);
 }
 
 TEST(HarnessTest, CacheBytesOverrideReachesEngine) {

@@ -24,6 +24,17 @@ ExperimentOptions FastOptions() {
   return options;
 }
 
+ExperimentResult RunOnlineTask(const std::string& system, const ExperimentOptions& options,
+                               const TraceProfile& trace, size_t request_count) {
+  ExperimentTask task;
+  task.system = system;
+  task.options = options;
+  task.mode = ExperimentMode::kOnline;
+  task.trace = trace;
+  task.request_count = request_count;
+  return RunTask(task);
+}
+
 TEST(IntegrationTest, FmoeBeatsOnDemandBaseline) {
   const ExperimentOptions options = FastOptions();
   const ExperimentResult fmoe = RunOffline("fMoE", options);
@@ -99,7 +110,7 @@ TEST(IntegrationTest, OnlineServingProducesLatencies) {
   ExperimentOptions options = FastOptions();
   TraceProfile trace;
   trace.mean_arrival_rate = 5.0;
-  const ExperimentResult result = RunOnline("fMoE", options, trace, 16);
+  const ExperimentResult result = RunOnlineTask("fMoE", options, trace, 16);
   ASSERT_EQ(result.request_latencies.size(), 16u);
   for (double latency : result.request_latencies) {
     EXPECT_GT(latency, 0.0);
@@ -113,8 +124,8 @@ TEST(IntegrationTest, OnlineFmoeBeatsOnlineDeepSpeed) {
   options.max_decode_tokens = 24;
   TraceProfile trace;
   trace.mean_arrival_rate = 2.0;
-  const ExperimentResult fmoe = RunOnline("fMoE", options, trace, 40);
-  const ExperimentResult deepspeed = RunOnline("DeepSpeed-Inference", options, trace, 40);
+  const ExperimentResult fmoe = RunOnlineTask("fMoE", options, trace, 40);
+  const ExperimentResult deepspeed = RunOnlineTask("DeepSpeed-Inference", options, trace, 40);
   EXPECT_LT(fmoe.mean_e2e, deepspeed.mean_e2e);
 }
 

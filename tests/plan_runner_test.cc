@@ -6,8 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <set>
+#include <sstream>
 
+#include "src/harness/report.h"
 #include "src/harness/runner.h"
 
 namespace fmoe {
@@ -34,7 +37,14 @@ TraceProfile TinyTrace() {
   return trace;
 }
 
-// A plan exercising all three modes with heterogeneous per-task cost, so parallel execution
+// The requests a TinyOptions()/TinyTrace() task generates, as a caller-supplied list.
+std::shared_ptr<const std::vector<Request>> TinyArrivals(size_t count) {
+  return std::make_shared<const std::vector<Request>>(
+      TraceGenerator(TinyTrace(), TinyOptions().dataset, TinyOptions().seed).Generate(count));
+}
+
+// A plan exercising all three modes, a two-replica online task, and tasks sharing one
+// caller-supplied arrival list, with heterogeneous per-task cost so parallel execution
 // actually interleaves completions out of plan order.
 ExperimentPlan MixedPlan() {
   ExperimentPlan plan(/*plan_seed=*/7);
@@ -47,6 +57,21 @@ ExperimentPlan MixedPlan() {
   SchedulerOptions sched;
   sched.max_batch_size = 2;
   plan.AddScheduled("fMoE", TinyOptions(), TinyTrace(), 8, sched, {"kind=scheduled"});
+  ExperimentOptions cluster = TinyOptions();
+  cluster.replicas = 2;
+  cluster.router_policy = RouterPolicy::kSemanticAffinity;
+  plan.AddOnline("fMoE", cluster, TinyTrace(), 8, {"kind=cluster"});
+  const auto arrivals = TinyArrivals(8);
+  for (const ExperimentMode mode : {ExperimentMode::kOnline, ExperimentMode::kScheduled}) {
+    ExperimentTask task;
+    task.system = "ProMoE";
+    task.options = TinyOptions();
+    task.mode = mode;
+    task.arrivals = arrivals;
+    task.scheduler = sched;
+    task.tags = {"kind=arrivals"};
+    plan.Add(std::move(task));
+  }
   return plan;
 }
 
@@ -186,6 +211,48 @@ TEST(RunnerTest, RunTaskMatchesDirectHarnessCalls) {
   const ExperimentResult via_runner = RunTask(task);
   const ExperimentResult direct = RunOffline("fMoE", TinyOptions());
   ExpectBitwiseEqual(via_runner, direct);
+}
+
+std::string ReportJson(const ExperimentResult& result) {
+  std::ostringstream out;
+  WriteResultJson(result, /*include_latencies=*/true, out);
+  return out.str();
+}
+
+// A caller-supplied arrival list replaces the task's trace and request_count: handing a
+// scheduled task the very requests its trace would generate reproduces the report.
+TEST(RunnerTest, ScheduledCallerArrivalsMatchGeneratedTrace) {
+  SchedulerOptions sched;
+  sched.max_batch_size = 2;
+  ExperimentTask task;
+  task.system = "fMoE";
+  task.options = TinyOptions();
+  task.mode = ExperimentMode::kScheduled;
+  task.arrivals = TinyArrivals(8);
+  task.scheduler = sched;
+  const ExperimentResult caller = RunTask(task);
+  EXPECT_EQ(caller.scheduler_stats.arrived_requests, 8u);
+  EXPECT_EQ(ReportJson(caller),
+            ReportJson(RunScheduled("fMoE", TinyOptions(), TinyTrace(), 8, sched)));
+}
+
+// The same for online tasks, on one engine and routed across two.
+TEST(RunnerTest, OnlineCallerArrivalsMatchGeneratedTrace) {
+  for (const int replicas : {1, 2}) {
+    SCOPED_TRACE("replicas " + std::to_string(replicas));
+    ExperimentOptions options = TinyOptions();
+    options.replicas = replicas;
+    ExperimentPlan plan;
+    const size_t generated = plan.AddOnline("fMoE", options, TinyTrace(), 8);
+    ExperimentTask task = plan.tasks()[generated];
+    task.arrivals = TinyArrivals(8);
+    task.trace = TraceProfile{};
+    task.request_count = 0;
+    plan.Add(std::move(task));
+    const std::vector<ExperimentResult> results = RunPlan(plan);
+    EXPECT_EQ(results[1].request_latencies.size(), 8u);
+    EXPECT_EQ(ReportJson(results[1]), ReportJson(results[0]));
+  }
 }
 
 TEST(RunnerTest, ProgressCallbackFiresOncePerTask) {
