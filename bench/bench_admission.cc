@@ -120,13 +120,15 @@ int Run(bool small, const std::string& json_path) {
   burst.burst_rate = 2000.0;
   burst.period_sec = 4.0;
   burst.burst_fraction = 0.25;
+  const auto burst_trace = std::make_shared<const std::vector<Request>>(
+      MakeBurstTrace(burst, Prompts(), count, kSeed));
   // Overload: sustained arrivals past what the batch can serve, so queues grow unboundedly.
+  const auto overload_trace = std::make_shared<const std::vector<Request>>(
+      MakeOverloadTrace(1000.0, Prompts(), count, kSeed));
+
   using Arrivals = std::shared_ptr<const std::vector<Request>>;
-  const std::vector<std::pair<std::string, Arrivals>> traces{
-      {"burst", std::make_shared<const std::vector<Request>>(
-                    MakeBurstTrace(burst, Prompts(), count, kSeed))},
-      {"overload", std::make_shared<const std::vector<Request>>(
-                       MakeOverloadTrace(1000.0, Prompts(), count, kSeed))}};
+  const std::vector<std::pair<std::string, Arrivals>> traces{{"burst", burst_trace},
+                                                             {"overload", overload_trace}};
 
   std::vector<Cell> cells;
   for (const auto& [trace_name, arrivals] : traces) {

@@ -135,7 +135,7 @@ ExperimentResult MergeReplicas(const ExperimentTask& task, const std::vector<Rep
   double tpot_weighted = 0.0;
   double e2e_sum = 0.0;
   uint64_t hits = 0;
-  uint64_t misses = 0;
+  uint64_t servings = 0;
   size_t served = 0;
   double semantic_weighted = 0.0;
   double trajectory_weighted = 0.0;
@@ -144,13 +144,14 @@ ExperimentResult MergeReplicas(const ExperimentTask& task, const std::vector<Rep
     const ExperimentResult& part = parts[r];
     const RunMetrics& metrics = replicas[r].engine->metrics();
     const auto iterations = static_cast<double>(part.iterations);
+    const uint64_t replica_servings = metrics.expert_hits() + metrics.expert_misses();
     ttft_weighted += part.mean_ttft * static_cast<double>(metrics.requests().size());
     tpot_weighted += part.mean_tpot * iterations;
     for (const double latency : part.request_latencies) {
       e2e_sum += latency;
     }
     hits += metrics.expert_hits();
-    misses += metrics.expert_misses();
+    servings += replica_servings;
     served += metrics.requests().size();
     result.iterations += part.iterations;
     result.breakdown.Accumulate(part.breakdown);
@@ -159,8 +160,7 @@ ExperimentResult MergeReplicas(const ExperimentTask& task, const std::vector<Rep
     result.cache_used_gb += part.cache_used_gb;
     semantic_weighted += part.mean_semantic_score * iterations;
     trajectory_weighted += part.mean_trajectory_score * iterations;
-    low_precision_weighted += part.low_precision_share *
-                              static_cast<double>(metrics.expert_hits() + metrics.expert_misses());
+    low_precision_weighted += part.low_precision_share * static_cast<double>(replica_servings);
     if (part.oracle_enabled) {
       // Each replica's tape replayed against its own cache and links; the merged block sums
       // the counters and recomputes the gaps over the whole cluster.
@@ -180,12 +180,11 @@ ExperimentResult MergeReplicas(const ExperimentTask& task, const std::vector<Rep
   }
   const auto per = [](double sum, double count) { return count == 0.0 ? 0.0 : sum / count; };
   const auto total_iterations = static_cast<double>(result.iterations);
-  const auto servings = static_cast<double>(hits + misses);
   result.mean_ttft = per(ttft_weighted, static_cast<double>(served));
   result.mean_tpot = per(tpot_weighted, total_iterations);
   result.mean_e2e = per(e2e_sum, static_cast<double>(served));
-  result.hit_rate = per(static_cast<double>(hits), servings);
-  result.low_precision_share = per(low_precision_weighted, servings);
+  result.hit_rate = per(static_cast<double>(hits), static_cast<double>(servings));
+  result.low_precision_share = per(low_precision_weighted, static_cast<double>(servings));
   result.mean_semantic_score = per(semantic_weighted, total_iterations);
   result.mean_trajectory_score = per(trajectory_weighted, total_iterations);
   return result;
@@ -253,8 +252,9 @@ ExperimentResult ServeInOrder(const ExperimentTask& task, const std::vector<Requ
       prompt_embedding = replicas[0].engine->embedder().PromptEmbedding(request.routing);
     }
     const int r = router.Route(request, prompt_embedding, loads);
-    ServingEngine& engine = *replicas[static_cast<size_t>(r)].engine;
-    AdmissionController* controller = replicas[static_cast<size_t>(r)].controller.get();
+    const auto slot = static_cast<size_t>(r);
+    ServingEngine& engine = *replicas[slot].engine;
+    AdmissionController* controller = replicas[slot].controller.get();
     if (controller != nullptr) {
       controller->OnArrived();
       const double now = std::max(engine.now(), request.arrival_time);
@@ -269,8 +269,8 @@ ExperimentResult ServeInOrder(const ExperimentTask& task, const std::vector<Requ
       controller->OnAdmitted();
     }
     assignment[i] = r;
-    loads[static_cast<size_t>(r)].busy_until = engine.now();
-    ++loads[static_cast<size_t>(r)].assigned;
+    loads[slot].busy_until = engine.now();
+    ++loads[slot].assigned;
   }
 
   ExperimentResult result = MergeReplicas(task, replicas, assignment);
