@@ -94,18 +94,6 @@ void FmoePolicy::ApplyCommand(EngineHandle& engine, const PrefetchCommand& comma
 
 void FmoePolicy::PublishMatchWork(EngineHandle& engine, double cost_seconds, uint64_t topic,
                                   std::vector<PrefetchCommand> commands) {
-  if (!options_.publish_deferred) {
-    // Legacy inline path: charge the async work and apply immediately, bypassing the pub-sub
-    // pipeline entirely.
-    if (cost_seconds > 0.0) {
-      engine.AddAsyncWork(OverheadCategory::kMapMatching, cost_seconds);
-    }
-    for (const PrefetchCommand& command : commands) {
-      ApplyCommand(engine, command, options_.low_precision_threshold,
-                   options_.low_precision_fraction, options_.host_stage_candidates);
-    }
-    return;
-  }
   DeferredApply apply;
   if (!commands.empty()) {
     apply = [commands = std::move(commands),
@@ -207,12 +195,7 @@ void FmoePolicy::OnIterationEnd(EngineHandle& engine, const IterationContext& co
     trace->Counter(track, "store.shard" + std::to_string(target_shard) + ".size",
                    engine.now(), static_cast<double>(store_.shard(target_shard).size()));
   }
-  const double cost =
-      static_cast<double>(flops) / options_.search_throughput_flops;
-  if (!options_.publish_deferred) {
-    engine.AddAsyncWork(OverheadCategory::kMapUpdate, cost);
-    return;
-  }
+  const double cost = static_cast<double>(flops) / options_.search_throughput_flops;
   engine.PublishDeferred(OverheadCategory::kMapUpdate, PublishMode::kAsync, cost,
                          /*topic=*/0, /*apply=*/nullptr);
 }

@@ -44,11 +44,6 @@ struct FmoeOptions {
   // Synchronous context-collection cost per MoE layer per iteration (gathering L gate
   // distributions + the iteration embedding; Fig. 15 keeps the total in the low ms).
   double context_collection_sec_per_layer = 1.0e-5;
-  // Route match/prefetch work through EngineHandle::PublishDeferred (the pub-sub pipeline,
-  // §4.3): prefetch commands apply when the modeled matcher worker finishes the job. false
-  // uses the legacy inline path (AddAsyncWork + immediate commands), which equals the
-  // published path at matcher_latency_scale == 0 — the replay-equivalence test pins this.
-  bool publish_deferred = true;
   // Mixed-precision extension (Hobbit-style): prefetch candidates whose matched probability
   // is below this threshold at reduced precision (half the bytes). 0 disables the feature
   // (the paper's lossless default).
@@ -117,8 +112,7 @@ class FmoePolicy : public OffloadPolicy {
   static void ApplyCommand(EngineHandle& engine, const PrefetchCommand& command,
                            double low_precision_threshold, double low_precision_fraction,
                            int host_stage_candidates);
-  // Publishes `cost_seconds` of matcher work carrying `commands` on `topic` (kAsync), or runs
-  // the legacy inline path when publish_deferred is off.
+  // Publishes `cost_seconds` of matcher work carrying `commands` on `topic` (kAsync).
   void PublishMatchWork(EngineHandle& engine, double cost_seconds, uint64_t topic,
                         std::vector<PrefetchCommand> commands);
 

@@ -1,7 +1,7 @@
 // Tests for the pub-sub deferred-work pipeline: MatcherWorker scheduling semantics
-// (serial worker timeline, topic supersession, bounded depth) and the replay-equivalence
-// guarantee — matcher_latency_scale == 0 reproduces the legacy synchronous engine
-// bit-for-bit, while nonzero scales degrade hit rate without touching the critical path.
+// (serial worker timeline, topic supersession, bounded depth) and the engine-level contract —
+// at matcher_latency_scale == 0 every published job applies at its publish instant, while
+// nonzero scales degrade hit rate without touching the critical path.
 #include "src/serving/deferred.h"
 
 #include <algorithm>
@@ -108,8 +108,8 @@ TEST(MatcherWorkerTest, PopReportsQueueSequence) {
 }
 
 // ---------------------------------------------------------------------------
-// Replay equivalence: the published pipeline at matcher_latency_scale == 0 must reproduce
-// the legacy synchronous fMoE policy bit-for-bit — same clock, same hits, same breakdown.
+// Replay equivalence: fMoE through the published pipeline at several matcher speeds. Scale 0
+// applies every job inline; any scale must be deterministic run to run.
 
 std::vector<Request> ReplayWorkload(size_t count) {
   WorkloadGenerator generator(LmsysLikeProfile(), /*seed=*/7);
@@ -130,11 +130,10 @@ EngineConfig ReplayEngineConfig(const ModelConfig& model, double matcher_latency
   return config;
 }
 
-RunMetrics RunFmoe(bool publish_deferred, double matcher_latency_scale) {
+RunMetrics RunFmoe(double matcher_latency_scale) {
   const ModelConfig model = TinyTestConfig();
   FmoeOptions options;
   options.store_capacity = 64;
-  options.publish_deferred = publish_deferred;
   FmoePolicy policy(model, /*prefetch_distance=*/2, options);
   ServingEngine engine(model, ReplayEngineConfig(model, matcher_latency_scale), &policy);
   for (const Request& request : ReplayWorkload(8)) {
@@ -147,8 +146,7 @@ void ExpectBitIdentical(const RunMetrics& a, const RunMetrics& b) {
   EXPECT_EQ(a.expert_hits(), b.expert_hits());
   EXPECT_EQ(a.expert_misses(), b.expert_misses());
   EXPECT_EQ(a.iterations(), b.iterations());
-  // Exact double equality, deliberately: scale 0 must *replay* the legacy engine, not
-  // approximate it.
+  // Exact double equality, deliberately: identical runs must replay, not approximate.
   EXPECT_EQ(a.MeanTtft(), b.MeanTtft());
   EXPECT_EQ(a.MeanTpot(), b.MeanTpot());
   EXPECT_EQ(a.MeanEndToEnd(), b.MeanEndToEnd());
@@ -169,26 +167,22 @@ void ExpectBitIdentical(const RunMetrics& a, const RunMetrics& b) {
 }
 
 TEST(ReplayEquivalenceTest, ScaleZeroReplaysLegacySynchronousEngine) {
-  const RunMetrics legacy = RunFmoe(/*publish_deferred=*/false, /*matcher_latency_scale=*/0.0);
-  const RunMetrics published = RunFmoe(/*publish_deferred=*/true, /*matcher_latency_scale=*/0.0);
-  ExpectBitIdentical(legacy, published);
-  // The pipeline accounted the publishes even though every job applied inline.
-  EXPECT_GT(published.deferred().published, 0u);
-  EXPECT_EQ(published.deferred().Pending(), 0u);
-  EXPECT_EQ(published.deferred().superseded, 0u);
-  EXPECT_EQ(published.deferred().dropped, 0u);
-}
-
-TEST(ReplayEquivalenceTest, LegacyPathIgnoresMatcherLatencyScale) {
-  // The legacy policy never publishes, so the worker model cannot touch it.
-  const RunMetrics a = RunFmoe(/*publish_deferred=*/false, /*matcher_latency_scale=*/0.0);
-  const RunMetrics b = RunFmoe(/*publish_deferred=*/false, /*matcher_latency_scale=*/100.0);
-  ExpectBitIdentical(a, b);
+  // At scale 0 the matcher is instantaneous: every published job applies at its publish
+  // instant, so all of its modeled work counts as overlapped and nothing waits, is
+  // superseded, or is dropped.
+  const RunMetrics published = RunFmoe(/*matcher_latency_scale=*/0.0);
+  const DeferredPipelineStats& stats = published.deferred();
+  EXPECT_GT(stats.published, 0u);
+  EXPECT_EQ(stats.applied, stats.published);
+  EXPECT_EQ(stats.overlapped_s, stats.modeled_work_s);
+  EXPECT_EQ(stats.Pending(), 0u);
+  EXPECT_EQ(stats.superseded, 0u);
+  EXPECT_EQ(stats.dropped, 0u);
 }
 
 TEST(ReplayEquivalenceTest, SlowMatcherDegradesHitRateNotCriticalPath) {
-  const RunMetrics fast = RunFmoe(/*publish_deferred=*/true, /*matcher_latency_scale=*/0.0);
-  const RunMetrics slow = RunFmoe(/*publish_deferred=*/true, /*matcher_latency_scale=*/1e6);
+  const RunMetrics fast = RunFmoe(/*matcher_latency_scale=*/0.0);
+  const RunMetrics slow = RunFmoe(/*matcher_latency_scale=*/1e6);
   // A matcher this slow starves prefetch lead time: strictly fewer hits...
   EXPECT_LT(slow.HitRate(), fast.HitRate());
   // ...but identical synchronous overhead — deferral never blocks the forward pass.
@@ -197,8 +191,8 @@ TEST(ReplayEquivalenceTest, SlowMatcherDegradesHitRateNotCriticalPath) {
 }
 
 TEST(ReplayEquivalenceTest, DeterministicAcrossIdenticalRuns) {
-  const RunMetrics a = RunFmoe(/*publish_deferred=*/true, /*matcher_latency_scale=*/3.5);
-  const RunMetrics b = RunFmoe(/*publish_deferred=*/true, /*matcher_latency_scale=*/3.5);
+  const RunMetrics a = RunFmoe(/*matcher_latency_scale=*/3.5);
+  const RunMetrics b = RunFmoe(/*matcher_latency_scale=*/3.5);
   ExpectBitIdentical(a, b);
   EXPECT_EQ(a.deferred().published, b.deferred().published);
   EXPECT_EQ(a.deferred().applied, b.deferred().applied);
