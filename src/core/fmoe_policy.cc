@@ -11,9 +11,7 @@ FmoePolicy::FmoePolicy(const ModelConfig& model, int prefetch_distance,
       prefetch_distance_(prefetch_distance),
       options_(options),
       store_(model, options.store_capacity, prefetch_distance, options.store_dedup,
-             options.map_precision, options.map_shards, kSemanticRouterSeed) {
-  store_.set_search_threads(options.search_threads);
-}
+             options.map_precision, options.map_shards, kSemanticRouterSeed) {}
 
 HybridMatcher& FmoePolicy::MatcherForSlot(int slot) {
   FMOE_CHECK(slot >= 0);

@@ -37,10 +37,6 @@ struct FmoeOptions {
   PrefetcherOptions prefetcher;
   // Models the async matcher's speed (store searches run on spare CPU/GPU cycles).
   double search_throughput_flops = 50.0e9;
-  // Threads the store's full scans (semantic search, one-shot trajectory search, RDY dedup)
-  // may use. Results are bit-identical for any value; 1 (default) avoids thread spawn
-  // overhead for the paper's store sizes.
-  int search_threads = 1;
   // Synchronous context-collection cost per MoE layer per iteration (gathering L gate
   // distributions + the iteration embedding; Fig. 15 keeps the total in the low ms).
   double context_collection_sec_per_layer = 1.0e-5;

@@ -6,28 +6,9 @@
 
 #include "src/util/logging.h"
 #include "src/util/math.h"
-#include "src/util/thread_pool.h"
 
 namespace fmoe {
 namespace {
-
-// Partitions [0, count) into contiguous chunks and runs `fn(begin, end)` on each, using up to
-// `threads` workers of the process-wide scan pool (the calling thread contributes one chunk).
-// Chunks are fixed by count/threads alone, and callers reduce the per-row outputs in row
-// order afterwards, so the result is independent of scheduling — and identical to the old
-// per-call std::thread spawning this replaced, minus the thread create/join per scan.
-template <typename Fn>
-void RunPartitioned(size_t count, int threads, Fn&& fn) {
-  constexpr size_t kMinRowsPerThread = 512;
-  const size_t max_workers = count / kMinRowsPerThread;
-  const size_t workers = std::min<size_t>(static_cast<size_t>(threads), max_workers);
-  if (workers <= 1) {
-    fn(size_t{0}, count);
-    return;
-  }
-  SharedScanPool().RunChunks(count, workers,
-                             [&fn](size_t begin, size_t end) { fn(begin, end); });
-}
 
 void UpdateBest(SearchResult* best, size_t index, double score) {
   if (!best->found || score > best->score) {  // Strict >: lowest index wins ties.
@@ -152,27 +133,21 @@ double ExpertMapStore::PrefixNorm(size_t index, int prefix_layers) const {
                       static_cast<size_t>(prefix_layers)]);
 }
 
-void ExpertMapStore::set_search_threads(int threads) {
-  FMOE_CHECK(threads >= 1);
-  search_threads_ = threads;
-}
-
 void ExpertMapStore::ScanMapColumns(std::span<const float> coeffs, size_t first_col,
-                                    size_t begin, size_t end, const Q8Coeffs* folded,
-                                    double* out) const {
+                                    const Q8Coeffs* folded, double* out) const {
   FMOE_CHECK(first_col + coeffs.size() <= static_cast<size_t>(map_dim_));
-  FMOE_CHECK(begin <= end && end <= records_.size());
-  const size_t base = first_col * capacity_ + begin;
+  const size_t base = first_col * capacity_;
+  const size_t n = records_.size();
   switch (precision_) {
     case MapPrecision::kFp32:
-      AccumulateColumns(coeffs, map_cols_.data() + base, capacity_, end - begin, out);
+      AccumulateColumns(coeffs, map_cols_.data() + base, capacity_, n, out);
       break;
     case MapPrecision::kFp16:
-      AccumulateColumnsF16(coeffs, map_cols16_.data() + base, capacity_, end - begin, out);
+      AccumulateColumnsF16(coeffs, map_cols16_.data() + base, capacity_, n, out);
       break;
     case MapPrecision::kInt8:
       FMOE_CHECK(folded != nullptr && folded->q.size() == coeffs.size());
-      AccumulateColumnsQ8(*folded, map_cols8_.data() + base, capacity_, end - begin, out);
+      AccumulateColumnsQ8(*folded, map_cols8_.data() + base, capacity_, n, out);
       break;
   }
 }
@@ -351,9 +326,7 @@ uint64_t ExpertMapStore::Insert(StoredIteration record,
   } else {
     Q8Coeffs folded;
     FoldQ8ScanCoeffs(map_query, 0, &folded);
-    RunPartitioned(n, search_threads_, [&](size_t begin, size_t end) {
-      ScanMapColumns(map_query, 0, begin, end, &folded, trajectory.data() + begin);
-    });
+    ScanMapColumns(map_query, 0, &folded, trajectory.data());
   }
   for (size_t i = 0; i < n; ++i) {
     trajectory[i] *= inv_map_qnorm * inv_prefix_norms_[i * norm_stride + full];
@@ -409,10 +382,8 @@ SearchResult ExpertMapStore::SemanticSearch(std::span<const double> embedding) c
   uint64_t compared = 0;
   if (uniform) {
     compared = n;
-    RunPartitioned(n, search_threads_, [&](size_t begin, size_t end) {
-      CosineAgainstRows(query, inv_qnorm, emb_rows_.data() + begin * emb_stride_, emb_stride_,
-                        end - begin, inv_emb_norms_.data() + begin, scores.data() + begin);
-    });
+    CosineAgainstRows(query, inv_qnorm, emb_rows_.data(), emb_stride_, n, inv_emb_norms_.data(),
+                      scores.data());
     for (size_t i = 0; i < n; ++i) {
       UpdateBest(&result, i, scores[i]);
     }
@@ -445,15 +416,13 @@ SearchResult ExpertMapStore::TrajectorySearch(std::span<const double> prefix,
   Q8Coeffs folded;
   FoldQ8ScanCoeffs(query, 0, &folded);
   std::vector<double> scores(n, 0.0);
-  RunPartitioned(n, search_threads_, [&](size_t begin, size_t end) {
-    // The prefix touches columns [0, prefix_layers·J) of the layer-major matrix — one fully
-    // sequential streaming pass, independent of the full map width.
-    ScanMapColumns(query, 0, begin, end, &folded, scores.data() + begin);
-    for (size_t i = begin; i < end; ++i) {
-      scores[i] *= inv_qnorm *
-                   inv_prefix_norms_[i * norm_stride + static_cast<size_t>(prefix_layers)];
-    }
-  });
+  // The prefix touches columns [0, prefix_layers·J) of the layer-major matrix — one fully
+  // sequential streaming pass, independent of the full map width.
+  ScanMapColumns(query, 0, &folded, scores.data());
+  for (size_t i = 0; i < n; ++i) {
+    scores[i] *= inv_qnorm *
+                 inv_prefix_norms_[i * norm_stride + static_cast<size_t>(prefix_layers)];
+  }
   for (size_t i = 0; i < n; ++i) {
     UpdateBest(&result, i, scores[i]);
   }
@@ -566,7 +535,7 @@ uint64_t TrajectorySearchSession::Rebuild() {
     return 0;
   }
   store_->FoldQ8ScanCoeffs(prefix_, 0, &q8_scratch_);
-  store_->ScanMapColumns(prefix_, 0, 0, n, &q8_scratch_, dots_.data());
+  store_->ScanMapColumns(prefix_, 0, &q8_scratch_, dots_.data());
   return n * 2ULL * prefix_.size();
 }
 
@@ -601,7 +570,7 @@ uint64_t TrajectorySearchSession::ObserveLayer(std::span<const double> probs) {
                            open_partial_.data(), full_dots_.data());
   } else {
     store_->FoldQ8ScanCoeffs(block, offset, &q8_scratch_);
-    store_->ScanMapColumns(block, offset, 0, n, &q8_scratch_, dots_.data());
+    store_->ScanMapColumns(block, offset, &q8_scratch_, dots_.data());
   }
   return n * 2ULL * static_cast<uint64_t>(J);
 }

@@ -27,10 +27,8 @@
 //                        convention.
 // With inverse norms precomputed, a cosine is one batched dot product plus one multiply — no
 // sqrt or divide anywhere on the scan (AccumulateColumns / DotBatched / CosineAgainstRows in
-// src/util/math.h). Optional search_threads > 1 partitions the rows across threads; per-row
-// arithmetic is partition-independent and the argmax reduction is performed in row order
-// afterwards, so results (including lowest-index tie-breaks) are bit-identical to the
-// single-threaded scan.
+// src/util/math.h). Per-row scores land in a row-ordered buffer and the argmax reduction runs
+// over it afterwards, so ties go to the lowest index.
 //
 // Quantized column storage (DESIGN.md §5g). The trajectory matrix dominates store memory
 // (map_dim · capacity values vs one embedding row per record), so it can optionally be held
@@ -42,8 +40,7 @@
 //     with q in [0, 255]. Each column tracks a monotone-growing value range (with margin);
 //     a value outside it triggers an O(size) requantization of that column from the exact
 //     record data. Scans fold the per-column parameters into the query coefficients
-//     (FoldQ8Coeffs) and run dequantize-free int32 accumulation — exact integer arithmetic,
-//     so partition-independence holds by construction.
+//     (FoldQ8Coeffs) and run dequantize-free int32 accumulation — exact integer arithmetic.
 // Only the column matrix is quantized: queries, embeddings, and the stored records stay
 // exact. map_rows_ and the prefix norms always hold the *dequantized* values — exactly what
 // the scans see — so cosine normalization stays consistent at any precision. The quantized
@@ -195,12 +192,11 @@ class ExpertMapStore {
   double PrefixNorm(size_t index, int prefix_layers) const;
 
   // Precision-independent streaming scan over the column matrix:
-  //   out[i - begin] += Σ_k coeffs[k] · column(first_col + k)[record i],  i in [begin, end)
+  //   out[i] += Σ_k coeffs[k] · column(first_col + k)[record i],  i in [0, size())
   // with dequantized column semantics. For kInt8, `folded` must point at the result of
-  // FoldQ8ScanCoeffs(coeffs, first_col, ...) — folded once per scan and shared read-only by
-  // partitioned callers; other precisions ignore it (null is fine).
-  void ScanMapColumns(std::span<const float> coeffs, size_t first_col, size_t begin,
-                      size_t end, const Q8Coeffs* folded, double* out) const;
+  // FoldQ8ScanCoeffs(coeffs, first_col, ...); other precisions ignore it (null is fine).
+  void ScanMapColumns(std::span<const float> coeffs, size_t first_col, const Q8Coeffs* folded,
+                      double* out) const;
   // Folds `coeffs` against the parameters of columns [first_col, first_col + coeffs.size()).
   // No-op unless map_precision() == kInt8. The scratch's buffer is reused across calls.
   void FoldQ8ScanCoeffs(std::span<const float> coeffs, size_t first_col,
@@ -208,11 +204,6 @@ class ExpertMapStore {
 
   // Bumped on every mutation (insert, replace, clear); lets sessions detect staleness.
   uint64_t generation() const { return generation_; }
-
-  // Number of threads full-store scans may use (default 1). The reduction is deterministic:
-  // any thread count returns bit-identical results, ties broken toward the lowest index.
-  void set_search_threads(int threads);
-  int search_threads() const { return search_threads_; }
 
  private:
   // Rebuilds the SoA row, norms, and prefix norms for records_[slot].
@@ -235,7 +226,6 @@ class ExpertMapStore {
   MapPrecision precision_;
   size_t next_fifo_slot_ = 0;
   int map_dim_ = 0;  // num_layers * experts_per_layer.
-  int search_threads_ = 1;
   uint64_t generation_ = 0;
   bool norms_dirty_ = false;  // Set by RequantizeColumn; cleared by IndexRecord.
 

@@ -137,12 +137,6 @@ void ShardedMapStore::Clear() {
   }
 }
 
-void ShardedMapStore::set_search_threads(int threads) {
-  for (const auto& shard : shards_) {
-    shard->set_search_threads(threads);
-  }
-}
-
 // ---- ShardedTrajectorySession ----
 
 ShardedTrajectorySession::ShardedTrajectorySession(const ShardedMapStore* store)

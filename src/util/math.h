@@ -8,8 +8,7 @@
 // blocks and flush each block total into a double accumulator — the bounded chain length
 // (<= 16 float adds between flushes) keeps the worst-case rounding error well under the 1e-6
 // the store's equivalence tests allow. Block boundaries depend only on the element index,
-// never on how callers partition the rows, so results are bitwise deterministic across
-// search_threads settings.
+// so a row's result never depends on which other rows share the call.
 //
 // The hot kernels are vectorized through src/util/simd.h (compile-time dispatch over
 // AVX2/SSE2/NEON/scalar). The abstraction fixes the logical lane layout and reduction trees,

@@ -16,8 +16,8 @@
 // float addition chain whether it lives in one __m256 lane, one of two __m128 lanes, or a
 // plain float array slot. Combined with the reduction helpers below (which commit to one
 // fixed pairwise tree), this makes the vectorized kernels bitwise identical to the scalar
-// reference, which is the determinism contract the Expert Map Store's goldens and
-// search_threads partitioning rely on (DESIGN.md §5g).
+// reference, which is the determinism contract the Expert Map Store's goldens rely on
+// (DESIGN.md §5g).
 //
 // Rules for kernel authors:
 //   * Never use fused multiply-add: Add(acc, Mul(a, b)) must stay two rounding steps on every

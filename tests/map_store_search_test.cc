@@ -2,7 +2,7 @@
 // search, the one-shot trajectory search, and the incremental TrajectorySearchSession must all
 // return the same (index, score) as a reference brute-force double-precision scan over the
 // materialized records, across randomized stores, dimension-mismatched records, zero-norm
-// prefixes, boundary store sizes, and any search_threads setting.
+// prefixes, and boundary store sizes.
 #include "src/core/map_store.h"
 
 #include <cmath>
@@ -214,60 +214,6 @@ TEST(MapStoreSearchEquivalenceTest, SessionEmptyStoreAndEmptyPrefixFindNothing) 
   Rng rng(808);
   store.Insert(RandomRecord(cfg, rng, 4));
   EXPECT_FALSE(session.CurrentBest().found);  // Nonempty store but no observed layers.
-}
-
-TEST(MapStoreSearchDeterminismTest, ThreadedSearchesAreBitIdenticalToSingleThread) {
-  const ModelConfig cfg = Tiny();
-  // Large enough that RunPartitioned actually spawns workers (>= 2 * 512 rows).
-  const size_t n = 1536;
-  Rng rng(909);
-  ExpertMapStore single(cfg, n, 1);
-  ExpertMapStore threaded(cfg, n, 1);
-  threaded.set_search_threads(4);
-  {
-    Rng fill_a(42);
-    Rng fill_b(42);
-    for (size_t i = 0; i < n; ++i) {
-      single.Insert(RandomRecord(cfg, fill_a, 8));
-      threaded.Insert(RandomRecord(cfg, fill_b, 8));
-    }
-  }
-  for (int trial = 0; trial < 4; ++trial) {
-    std::vector<double> query(8);
-    for (double& v : query) {
-      v = rng.NextGaussian();
-    }
-    const SearchResult a = single.SemanticSearch(query);
-    const SearchResult b = threaded.SemanticSearch(query);
-    EXPECT_EQ(a.found, b.found);
-    EXPECT_EQ(a.index, b.index);
-    EXPECT_EQ(a.score, b.score);  // Bitwise: same kernels per row, ordered reduction.
-    EXPECT_EQ(a.flops, b.flops);
-
-    const int l = 1 + trial;
-    std::vector<double> prefix(static_cast<size_t>(l * cfg.experts_per_layer));
-    for (double& v : prefix) {
-      v = rng.NextDouble();
-    }
-    const SearchResult ta = single.TrajectorySearch(prefix, l);
-    const SearchResult tb = threaded.TrajectorySearch(prefix, l);
-    EXPECT_EQ(ta.found, tb.found);
-    EXPECT_EQ(ta.index, tb.index);
-    EXPECT_EQ(ta.score, tb.score);
-    EXPECT_EQ(ta.flops, tb.flops);
-  }
-  // Dedup inserts (threaded RDY pass) must also pick identical victims.
-  Rng victim_a(7);
-  Rng victim_b(7);
-  for (int i = 0; i < 3; ++i) {
-    single.Insert(RandomRecord(cfg, victim_a, 8));
-    threaded.Insert(RandomRecord(cfg, victim_b, 8));
-  }
-  for (size_t i = 0; i < n; ++i) {
-    EXPECT_EQ(single.Get(i).request_id, threaded.Get(i).request_id);
-    ASSERT_EQ(single.MapRow(i).size(), threaded.MapRow(i).size());
-    EXPECT_EQ(single.MapRow(i)[0], threaded.MapRow(i)[0]);
-  }
 }
 
 TEST(MapStoreSoaViewTest, ViewsMirrorRecordsAndNorms) {
