@@ -35,6 +35,10 @@ double TieredExpertStore::HostAvailableAt(uint64_t key, double now) const {
 }
 
 double TieredExpertStore::EnsureHostSide(uint64_t key, uint64_t bytes, double now, Tier* source) {
+  if (!enabled()) {
+    *source = Tier::kHost;
+    return now;
+  }
   nvme_link_.Tick(now);  // Land any staging that has started before routing.
   EntryRef entry = host_.Find(key);
   if (entry && !entry.prefetch_pending()) {
@@ -97,6 +101,10 @@ TieredExpertStore::FillRoute TieredExpertStore::PlanGpuFill(uint64_t key, uint64
                                                             double now, double probability,
                                                             double* earliest,
                                                             uint64_t* stage_tag) {
+  if (!enabled()) {
+    *earliest = now;
+    return FillRoute::kFromHost;
+  }
   nvme_link_.Tick(now);
   EntryRef entry = host_.Find(key);
   if (entry && !entry.prefetch_pending()) {

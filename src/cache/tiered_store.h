@@ -19,8 +19,12 @@
 //   * spill    host→NVMe: host-pool evictions under pressure simply drop the copy — NVMe
 //     always holds the master, so a clean spill costs no transfer.
 //
-// With `nvme_backing == false` (the default TierConfig) the store is disabled: the engine
-// replays the legacy two-tier GPU↔host path bit-identically and none of this machinery runs.
+// With `nvme_backing == false` (the default TierConfig) the store is disabled and answers as
+// the paper's infinite host home: PlanGpuFill routes every fill kFromHost with earliest = now,
+// EnsureHostSide reports the bytes host-side at `now`, the direct path is off, staging and
+// demotion do nothing, and Tick / DecayHostFrequencies touch only an idle NVMe link and an
+// empty pool. The engine calls the store the same way in both cases; on a disabled store
+// those calls reduce to the two-tier GPU↔host transfers.
 #ifndef FMOE_SRC_CACHE_TIERED_STORE_H_
 #define FMOE_SRC_CACHE_TIERED_STORE_H_
 
@@ -41,7 +45,8 @@ class TraceRecorder;
 
 struct TierConfig {
   // Master switch: experts' off-GPU home is NVMe instead of an infinite host pool. False
-  // replays the legacy two-tier path bit-identically regardless of the other knobs.
+  // makes the NVMe-side knobs below (host pool, NVMe link, direct path, host policy) inert;
+  // kv_bytes_per_token still applies, since KV pressure shrinks the GPU budget either way.
   bool nvme_backing = false;
   // Host-RAM staging pool budget. 0 with nvme_backing gives a two-tier GPU↔NVMe hierarchy
   // (the bench baseline); > 0 inserts the host tier in between.
@@ -50,6 +55,7 @@ struct TierConfig {
   LinkConfig nvme_link{3.5e9, 80e-6};
   // Explicitly configured NVMe→GPU teleport path. Off by default: without it every byte
   // reaching the GPU must pass through host staging (the tier property tests pin this).
+  // Needs an NVMe tier: ignored unless nvme_backing is set.
   bool allow_direct_nvme_gpu = false;
   // Eviction policy of the host pool (LRU / LFU / fMoE-PriorityLFU).
   std::string host_policy = "LRU";
@@ -115,6 +121,11 @@ class TieredExpertStore {
 
   // --- Residency queries. ---
   bool HostResident(uint64_t key) const { return host_.Contains(key); }
+  // True when a demand miss on `key` takes the explicit NVMe→GPU direct path: the path is
+  // configured, the store has an NVMe tier, and no host copy exists.
+  bool DirectDemandRoute(uint64_t key) const {
+    return enabled() && config_.allow_direct_nvme_gpu && !HostResident(key);
+  }
   // Earliest instant a committed host copy of `key` can feed a GPU hop: max(now, ready_at),
   // or `now` when no such copy exists (callers use this for hops already enqueued).
   double HostAvailableAt(uint64_t key, double now) const;
@@ -123,7 +134,8 @@ class TieredExpertStore {
   // Makes `key`'s bytes available host-side and returns the earliest instant the host→GPU
   // hop may start. Ready host copy: returns immediately (host hit). Queued staging: promoted
   // to an NVMe demand load. Absent: NVMe demand load through a host bounce buffer (a host
-  // pool entry is kept when it fits). `*source` reports which tier served the bytes.
+  // pool entry is kept when it fits). `*source` reports which tier served the bytes. A
+  // disabled store returns `now` with source kHost.
   double EnsureHostSide(uint64_t key, uint64_t bytes, double now, Tier* source);
 
   // Demand load over the explicit NVMe→GPU direct path; returns the completion time.
@@ -134,7 +146,8 @@ class TieredExpertStore {
   // kChained sets `*stage_tag` (an NVMe→host staging the caller should chain on — newly
   // issued here if none was in flight). kDirect asks the caller to run the transfer on the
   // NVMe link. Never fails: when the host pool cannot hold the staging copy the transfer
-  // still runs through a transient host bounce buffer.
+  // still runs through a transient host bounce buffer. A disabled store returns kFromHost
+  // with `*earliest = now`.
   FillRoute PlanGpuFill(uint64_t key, uint64_t bytes, double now, double probability,
                         double* earliest, uint64_t* stage_tag);
 

@@ -145,9 +145,9 @@ void ServingEngine::CleanupEvicted(const std::vector<CacheEntry>& evicted) {
         LinkFor(victim.key).CancelQueuedPrefetch(victim.transfer_tag);
       }
       transfer_key_by_tag_.erase(victim.transfer_tag);
-    } else if (store_.enabled()) {
+    } else {
       // The victim carried real resident data: demote GPU→host (spilling host→NVMe under
-      // pressure happens inside the store).
+      // pressure happens inside the store; a disabled store has nowhere to demote to).
       store_.DemoteGpuVictim(victim, clock_.now());
     }
     cluster_.DeviceFor(victim.key).Free(victim.bytes);
@@ -202,25 +202,21 @@ void ServingEngine::PrefetchAsyncSized(ExpertId id, double probability, double /
     prefetch_pinned_by_layer_[static_cast<size_t>(id.layer)].push_back(key);
     ++prefetch_pinned_count_;
   }
-  if (!store_.enabled()) {
-    device.link().EnqueuePrefetch(clock_.now(), tag, entry.bytes);
-  } else {
-    double earliest = clock_.now();
-    uint64_t stage_tag = 0;
-    switch (store_.PlanGpuFill(key, entry.bytes, clock_.now(), probability, &earliest,
-                               &stage_tag)) {
-      case TieredExpertStore::FillRoute::kFromHost:
-        device.link().EnqueuePrefetchAfter(clock_.now(), tag, entry.bytes, earliest);
-        break;
-      case TieredExpertStore::FillRoute::kChained:
-        chains_by_stage_tag_[stage_tag] = ChainedPrefetch{key, tag, entry.bytes};
-        stage_tag_by_gpu_tag_[tag] = stage_tag;
-        break;
-      case TieredExpertStore::FillRoute::kDirect:
-        direct_tags_.insert(tag);
-        store_.nvme_link().EnqueuePrefetch(clock_.now(), tag, entry.bytes);
-        break;
-    }
+  double earliest = clock_.now();
+  uint64_t stage_tag = 0;
+  switch (store_.PlanGpuFill(key, entry.bytes, clock_.now(), probability, &earliest,
+                             &stage_tag)) {
+    case TieredExpertStore::FillRoute::kFromHost:
+      device.link().EnqueuePrefetchAfter(clock_.now(), tag, entry.bytes, earliest);
+      break;
+    case TieredExpertStore::FillRoute::kChained:
+      chains_by_stage_tag_[stage_tag] = ChainedPrefetch{key, tag, entry.bytes};
+      stage_tag_by_gpu_tag_[tag] = stage_tag;
+      break;
+    case TieredExpertStore::FillRoute::kDirect:
+      direct_tags_.insert(tag);
+      store_.nvme_link().EnqueuePrefetch(clock_.now(), tag, entry.bytes);
+      break;
   }
   if (signals_ != nullptr) {
     signal_machine_.OnPrefetchIssued(key);
@@ -247,9 +243,6 @@ void ServingEngine::ReleasePrefetchPins(int completed_layer) {
 }
 
 void ServingEngine::StageToHostAsync(ExpertId id, double probability) {
-  if (!store_.enabled()) {
-    return;
-  }
   const uint64_t key = KeyOf(id);
   if (cache_.Contains(key)) {
     return;  // Already GPU-resident; nothing to stage.
@@ -259,10 +252,7 @@ void ServingEngine::StageToHostAsync(ExpertId id, double probability) {
 
 double ServingEngine::DemandFillMiss(uint64_t key, PcieLink& link,
                                      TieredExpertStore::Tier* source) {
-  if (!store_.enabled()) {
-    return link.DemandLoad(clock_.now(), model_.expert_bytes);
-  }
-  if (store_.config().allow_direct_nvme_gpu && !store_.HostResident(key)) {
+  if (store_.DirectDemandRoute(key)) {
     *source = TieredExpertStore::Tier::kNvme;
     return store_.DirectDemand(key, model_.expert_bytes, clock_.now());
   }
@@ -274,12 +264,7 @@ double ServingEngine::PromoteQueuedToDemand(EntryRef& entry, uint64_t key, PcieL
                                             TieredExpertStore::Tier* source) {
   const uint64_t tag = entry.transfer_tag();
   double ready = 0.0;
-  if (!store_.enabled()) {
-    link.CancelQueuedPrefetch(tag);
-    transfer_key_by_tag_.erase(tag);
-    entry.set_transfer_tag(0);
-    ready = link.DemandLoad(clock_.now(), entry.bytes());
-  } else if (const auto chain_it = stage_tag_by_gpu_tag_.find(tag);
+  if (const auto chain_it = stage_tag_by_gpu_tag_.find(tag);
              chain_it != stage_tag_by_gpu_tag_.end()) {
     // The host→GPU hop was never enqueued (still chained behind NVMe→host staging): resolve
     // the whole chain on demand — promote the staging NVMe-side, then demand the PCIe hop
@@ -314,9 +299,7 @@ void ServingEngine::BlockingLoad(ExpertId id, double probability) {
   const uint64_t key = KeyOf(id);
   PcieLink& link = LinkFor(key);
   link.Tick(clock_.now());
-  if (store_.enabled()) {
-    store_.Tick(clock_.now());
-  }
+  store_.Tick(clock_.now());
   EntryRef entry = cache_.Find(key);
   double ready = 0.0;
   TieredExpertStore::Tier source = TieredExpertStore::Tier::kHost;
@@ -504,9 +487,7 @@ ServingEngine::ExpertJob ServingEngine::IssueExpert(ExpertId id, int tokens_rout
   const uint64_t key = KeyOf(id);
   PcieLink& link = LinkFor(key);
   link.Tick(clock_.now());
-  if (store_.enabled()) {
-    store_.Tick(clock_.now());  // Land stagings first: a chained hop may become a plain wait.
-  }
+  store_.Tick(clock_.now());  // Land stagings first: a chained hop may become a plain wait.
 
   ExpertJob job;
   job.id = id;
@@ -760,10 +741,8 @@ double ServingEngine::RunIteration(std::vector<BatchMember*>& active) {
   }
   ReleasePrefetchPins(-1);
   cache_.DecayFrequencies(config_.frequency_decay);
-  if (store_.enabled()) {
-    store_.DecayHostFrequencies(config_.frequency_decay);
-    store_.Tick(clock_.now());
-  }
+  store_.DecayHostFrequencies(config_.frequency_decay);
+  store_.Tick(clock_.now());
   cluster_.Tick(clock_.now());
 
   const double duration = clock_.now() - iteration_start;

@@ -57,8 +57,8 @@ struct EngineConfig {
   double matcher_latency_scale = 0.0;
   // Bound on pending deferred jobs; past it the oldest pending job is dropped.
   int matcher_queue_depth = 32;
-  // Multi-tier offload hierarchy (GPU ↔ host pool ↔ NVMe). Disabled by default; the default
-  // TierConfig replays the legacy two-tier path bit-identically (DESIGN.md §5h).
+  // Multi-tier offload hierarchy (GPU ↔ host pool ↔ NVMe). Disabled by default: the store
+  // then answers as the infinite host home of the two-tier world (DESIGN.md §5h).
   TierConfig tier;
   // Optional virtual-time trace recorder (not owned; must outlive the engine). A pure
   // observer: attaching one changes no timing, metrics, or policy decisions (DESIGN.md §5f).
@@ -222,9 +222,9 @@ class ServingEngine : public EngineHandle {
   ExpertJob IssueExpert(ExpertId id, int tokens_routed);
   void CompleteExpert(const ExpertJob& job);
 
-  // Demand-path helpers shared by IssueExpert and BlockingLoad. Legacy two-tier behaviour
-  // (store disabled) is bit-identical to the pre-tiering code; tiered mode routes the fill
-  // through host staging / the NVMe link and reports the serving tier.
+  // Demand-path helpers shared by IssueExpert and BlockingLoad. The store routes the fill
+  // (host copy, NVMe staging, or the direct NVMe→GPU path) and reports the serving tier; a
+  // disabled store always answers "host, available now".
   double DemandFillMiss(uint64_t key, PcieLink& link, TieredExpertStore::Tier* source);
   double PromoteQueuedToDemand(EntryRef& entry, uint64_t key, PcieLink& link,
                                TieredExpertStore::Tier* source);

@@ -104,7 +104,12 @@ TEST(GoldenMetricsTest, DisabledTierConfigIsByteIdenticalToLegacy) {
   for (const std::string& system : {std::string("fMoE"), std::string("MoE-Infinity")}) {
     legacy.push_back(RunOffline(system, GoldenOptions()));
     ExperimentOptions options = GoldenOptions();
-    options.tier = TierConfig{};  // All knobs at their defaults, nvme_backing off.
+    // nvme_backing off: the store answers as the infinite host home, so the NVMe-side knobs
+    // (direct path, link model, host policy) must all be inert.
+    options.tier = TierConfig{};
+    options.tier.allow_direct_nvme_gpu = true;
+    options.tier.nvme_link = LinkConfig{1.0e9, 200e-6};
+    options.tier.host_policy = "LFU";
     options.host_stage_candidates = 2;  // Must be a no-op without a host tier.
     disabled_tier.push_back(RunOffline(system, options));
     EXPECT_FALSE(disabled_tier.back().tier_enabled);
