@@ -183,6 +183,9 @@ void ExpertCache::InsertResident(const CacheEntry& entry) {
   occupied_flag_[slot] = 1;
   prefetch_pending_[slot] = entry.prefetch_pending ? 1 : 0;
   reduced_precision_[slot] = entry.reduced_precision ? 1 : 0;
+  if (entry.pin_count > 0) {
+    pinned_bytes_ += entry.bytes;
+  }
   RefreshScore(slot);
   TableInsert(entry.key, slot);
   oracle_.Insert(entry.key, slot);
@@ -194,6 +197,9 @@ CacheEntry ExpertCache::RemoveResident(uint64_t key) {
   const uint32_t slot = LookupSlot(key);
   FMOE_CHECK(slot != kNilSlot);
   const CacheEntry out = EntryAt(slot);
+  if (out.pin_count > 0) {
+    pinned_bytes_ -= out.bytes;
+  }
   TableErase(key);
   oracle_.Erase(key, slot);
   used_bytes_ -= bytes_[slot];
@@ -220,23 +226,20 @@ bool ExpertCache::Insert(const CacheEntry& entry, double now, std::vector<CacheE
   if (LookupSlot(entry.key) != kNilSlot) {
     return false;
   }
-  if (entry.bytes > effective_capacity_bytes()) {
+  // Evicting every unpinned entry is the most room an insert can make, so an entry that does
+  // not fit beside the pinned bytes is rejected before anything is evicted.
+  if (pinned_bytes_ + entry.bytes > effective_capacity_bytes()) {
     ++stats_.rejected_insertions;
     return false;
   }
-  // Tentatively evict until the entry fits; roll back if we run out of victims. The oracle
-  // map replays the erase/emplace sequence of the seed implementation exactly, so iteration
-  // order — and with it every future tie-break — evolves identically.
+  // Evict until the entry fits. The oracle map replays the erase/emplace sequence of the seed
+  // implementation exactly, so iteration order — and with it every future tie-break — evolves
+  // identically.
   victims_scratch_.clear();
   while (used_bytes_ + entry.bytes > effective_capacity_bytes()) {
     uint64_t victim_key = 0;
-    if (!PickVictim(now, &victim_key)) {
-      for (const CacheEntry& v : victims_scratch_) {  // Roll back: victims go home.
-        InsertResident(v);
-      }
-      ++stats_.rejected_insertions;
-      return false;
-    }
+    const bool picked = PickVictim(now, &victim_key);
+    FMOE_CHECK(picked);  // Unpinned bytes remain while the entry does not fit.
     victims_scratch_.push_back(RemoveResident(victim_key));
   }
   InsertResident(entry);
@@ -362,7 +365,9 @@ void ExpertCache::SetProbability(uint64_t key, double probability) {
 void ExpertCache::Pin(uint64_t key) {
   const uint32_t slot = LookupSlot(key);
   FMOE_CHECK_MSG(slot != kNilSlot, "pinning absent expert " << key);
-  ++pin_count_[slot];
+  if (pin_count_[slot]++ == 0) {
+    pinned_bytes_ += bytes_[slot];
+  }
   score_[slot] = kNoScore;  // Pinned entries are not eviction candidates.
 }
 
@@ -370,7 +375,9 @@ void ExpertCache::Unpin(uint64_t key) {
   const uint32_t slot = LookupSlot(key);
   FMOE_CHECK_MSG(slot != kNilSlot, "unpinning absent expert " << key);
   FMOE_CHECK(pin_count_[slot] > 0);
-  --pin_count_[slot];
+  if (--pin_count_[slot] == 0) {
+    pinned_bytes_ -= bytes_[slot];
+  }
   RefreshScore(slot);
 }
 

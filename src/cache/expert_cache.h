@@ -140,8 +140,9 @@ class ExpertCache {
 
   // Inserts an entry (evicting by policy as needed). On success the new entry is resident and
   // `evicted` (if non-null) receives the victims, which the caller must clean up (free GPU
-  // memory, cancel queued transfers). Returns false — with no state change — when the entry
-  // cannot fit even after evicting every unpinned entry, or when the key is already resident.
+  // memory, cancel queued transfers). Returns false when the entry cannot fit even after
+  // evicting every unpinned entry, or when the key is already resident; a rejected insert
+  // evicts nothing and changes no state except stats().rejected_insertions.
   bool Insert(const CacheEntry& entry, double now, std::vector<CacheEntry>* evicted);
 
   // Removes an entry outright (e.g. policy-driven offload). Returns the removed entry.
@@ -208,6 +209,7 @@ class ExpertCache {
   bool uses_frequency_ = false;
   bool uses_probability_ = false;
   uint64_t used_bytes_ = 0;
+  uint64_t pinned_bytes_ = 0;  // Bytes of entries with pin_count > 0.
   size_t occupied_ = 0;
   CacheStats stats_;
   CacheIndexStats index_stats_;

@@ -44,23 +44,22 @@ bool ReferenceExpertCache::Insert(const CacheEntry& entry, double now,
   if (entries_.contains(entry.key)) {
     return false;
   }
-  if (entry.bytes > effective_capacity_bytes()) {
+  // Reject before evicting anything when the entry cannot fit beside the pinned bytes.
+  uint64_t pinned_bytes = 0;
+  for (const auto& [key, resident] : entries_) {
+    if (resident.pin_count > 0) {
+      pinned_bytes += resident.bytes;
+    }
+  }
+  if (pinned_bytes + entry.bytes > effective_capacity_bytes()) {
     ++stats_.rejected_insertions;
     return false;
   }
-  // Tentatively evict until the entry fits; roll back if we run out of victims.
   std::vector<CacheEntry> victims;
   while (used_bytes_ + entry.bytes > effective_capacity_bytes()) {
     uint64_t victim_key = 0;
-    if (!PickVictim(now, &victim_key)) {
-      // Roll back: victims go home.
-      for (const CacheEntry& v : victims) {
-        entries_.emplace(v.key, v);
-        used_bytes_ += v.bytes;
-      }
-      ++stats_.rejected_insertions;
-      return false;
-    }
+    const bool picked = PickVictim(now, &victim_key);
+    FMOE_CHECK(picked);
     const auto it = entries_.find(victim_key);
     victims.push_back(it->second);
     used_bytes_ -= it->second.bytes;

@@ -122,8 +122,41 @@ TEST_F(ExpertCacheTest, RollbackRestoresVictimsWhenInsertUltimatelyFails) {
   // Inserting a 25-byte entry requires evicting 2 victims but only one is unpinned.
   std::vector<CacheEntry> evicted;
   EXPECT_FALSE(cache.Insert(Entry(4, 25), 3.0, &evicted));
-  EXPECT_TRUE(cache.Contains(1));  // Tentative victim restored.
+  EXPECT_TRUE(cache.Contains(1));  // Rejected up front: the unpinned entry was never evicted.
   EXPECT_EQ(cache.used_bytes(), 30u);
+}
+
+// A rejected insert must leave the cache exactly as it was: residents, their iteration order,
+// the eviction order (ties included), byte accounting, and every stat but the rejection count.
+TEST_F(ExpertCacheTest, RejectedInsertChangesNoState) {
+  for (const EvictionPolicy* policy :
+       {static_cast<const EvictionPolicy*>(&lru_), static_cast<const EvictionPolicy*>(&lfu_),
+        static_cast<const EvictionPolicy*>(&priority_)}) {
+    for (uint64_t n = 3; n <= 40; ++n) {
+      ExpertCache cache(10 * n, policy);
+      for (uint64_t key = 1; key <= n; ++key) {
+        CacheEntry entry = Entry(key);
+        entry.last_access = static_cast<double>(key % 5);
+        entry.probability = 0.1 * static_cast<double>(key % 3);
+        ASSERT_TRUE(cache.Insert(entry, entry.last_access, nullptr));
+      }
+      for (uint64_t key = 3; key <= n; ++key) {
+        cache.Pin(key);  // Only keys 1 and 2 stay evictable.
+      }
+      const std::vector<uint64_t> keys = cache.Keys();
+      const std::vector<uint64_t> order = cache.EvictionOrder(10.0);
+      const CacheStats stats = cache.stats();
+      std::vector<CacheEntry> evicted;
+      EXPECT_FALSE(cache.Insert(Entry(1000, 30), 10.0, &evicted));  // Needs three slots.
+      EXPECT_EQ(cache.Keys(), keys) << policy->name() << " n=" << n;
+      EXPECT_EQ(cache.EvictionOrder(10.0), order) << policy->name() << " n=" << n;
+      EXPECT_EQ(cache.used_bytes(), 10 * n);
+      EXPECT_TRUE(evicted.empty());
+      EXPECT_EQ(cache.stats().insertions, stats.insertions);
+      EXPECT_EQ(cache.stats().evictions, stats.evictions);
+      EXPECT_EQ(cache.stats().rejected_insertions, stats.rejected_insertions + 1);
+    }
+  }
 }
 
 TEST_F(ExpertCacheTest, RemoveReturnsEntry) {
