@@ -47,10 +47,8 @@ std::vector<double> EamPolicy::Predict(int slot, int layer) const {
 void EamPolicy::PrefetchForLayer(EngineHandle& engine, int slot, int target_layer,
                                  int current_layer) {
   const std::vector<double> predicted = Predict(slot, target_layer);
-  const size_t count = static_cast<size_t>(model_.top_k) +
-                       static_cast<size_t>(std::max(options_.extra_experts, 0));
   const double distance = static_cast<double>(target_layer - current_layer);
-  for (size_t idx : TopKIndices(predicted, count)) {
+  for (size_t idx : TopKIndices(predicted, static_cast<size_t>(model_.top_k))) {
     const ExpertId id{target_layer, static_cast<int>(idx)};
     engine.PrefetchAsync(id, predicted[idx], predicted[idx] / distance);
   }

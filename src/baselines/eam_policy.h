@@ -21,7 +21,6 @@ namespace fmoe {
 struct EamOptions {
   std::string label = "MoE-Infinity";
   double request_blend_weight = 1.5;   // Weight of the current request's own counts.
-  int extra_experts = 0;               // Prefetch top-(K + extra) of the prediction.
   double decision_overhead_sec = 2.0e-4;  // Synchronous per-layer prediction + decision cost.
   bool prefetch_at_start = true;       // Most-popular experts for layers [0, d).
 };

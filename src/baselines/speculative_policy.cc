@@ -13,7 +13,6 @@ SpeculativeOptions MixtralOffloadingOptions() {
   options.distance = 1;
   options.synchronous = true;
   options.prefetch_at_start = false;  // Needs hidden states; cannot speculate before layer 0.
-  options.extra_experts = 0;
   options.decision_overhead_sec = 1.0e-4;  // Running the next layer's gate on current states.
   return options;
 }
@@ -24,7 +23,6 @@ SpeculativeOptions ProMoeOptions(int prefetch_distance) {
   options.distance = prefetch_distance;
   options.synchronous = false;  // Proactive, decoupled from the critical path.
   options.prefetch_at_start = true;
-  options.extra_experts = 0;
   options.decision_overhead_sec = 0.0;
   options.async_cost_sec = 2.0e-5;  // Per-layer predictor inference, off the critical path.
   options.predictor_skill = 0.55;  // Trained predictors hold accuracy across the stride.
@@ -42,9 +40,7 @@ void SpeculativePolicy::FetchPrediction(EngineHandle& engine, const IterationCon
   const std::vector<double> predicted =
       engine.SpeculativeGate(context.request->routing, context.iteration, target_layer,
                              effective_distance);
-  const size_t count = static_cast<size_t>(model_.top_k) +
-                       static_cast<size_t>(std::max(options_.extra_experts, 0));
-  const std::vector<size_t> top = TopKIndices(predicted, count);
+  const std::vector<size_t> top = TopKIndices(predicted, static_cast<size_t>(model_.top_k));
   if (options_.synchronous) {
     for (size_t idx : top) {
       // Start every transfer first so they overlap across device links.

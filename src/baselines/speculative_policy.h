@@ -23,7 +23,6 @@ struct SpeculativeOptions {
   int distance = 1;              // Lookahead in layers.
   bool synchronous = false;      // Block the forward pass on speculative loads.
   bool prefetch_at_start = true; // Cover layers [0, distance) from the iteration start.
-  int extra_experts = 0;         // Prefetch top-(K + extra) of the prediction.
   double decision_overhead_sec = 0.0;  // Synchronous per-layer prediction cost.
   // Modeled cost of one asynchronous prediction job (predictor inference + issue) when
   // !synchronous: published to the background worker, so at nonzero matcher_latency_scale the
