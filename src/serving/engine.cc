@@ -265,7 +265,7 @@ double ServingEngine::PromoteQueuedToDemand(EntryRef& entry, uint64_t key, PcieL
   const uint64_t tag = entry.transfer_tag();
   double ready = 0.0;
   if (const auto chain_it = stage_tag_by_gpu_tag_.find(tag);
-             chain_it != stage_tag_by_gpu_tag_.end()) {
+      chain_it != stage_tag_by_gpu_tag_.end()) {
     // The host→GPU hop was never enqueued (still chained behind NVMe→host staging): resolve
     // the whole chain on demand — promote the staging NVMe-side, then demand the PCIe hop
     // behind the staged data's availability.
