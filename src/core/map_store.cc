@@ -94,9 +94,11 @@ ExpertMapStore::ExpertMapStore(const ModelConfig& model, size_t capacity, int pr
       col_range_hi_.assign(static_cast<size_t>(map_dim_), 0.0f);
       break;
   }
-  map_rows_.reserve(cols);
-  prefix_sqnorms_.reserve(capacity * static_cast<size_t>(model.num_layers + 1));
-  inv_prefix_norms_.reserve(capacity * static_cast<size_t>(model.num_layers + 1));
+  // The prefix-norm tables share the columns' fixed stride: row l holds every record's
+  // prefix of l layers.
+  const size_t norm_entries = capacity * static_cast<size_t>(model.num_layers + 1);
+  prefix_sqnorms_.resize(norm_entries, 0.0);
+  inv_prefix_norms_.resize(norm_entries, 0.0);
 }
 
 const StoredIteration& ExpertMapStore::Get(size_t index) const {
@@ -104,10 +106,26 @@ const StoredIteration& ExpertMapStore::Get(size_t index) const {
   return records_[index];
 }
 
-std::span<const float> ExpertMapStore::MapRow(size_t index) const {
-  FMOE_CHECK(index < records_.size());
-  return std::span<const float>(map_rows_.data() + index * static_cast<size_t>(map_dim_),
-                                static_cast<size_t>(map_dim_));
+float ExpertMapStore::ColumnValue(size_t k, size_t index) const {
+  FMOE_CHECK(index < records_.size() && k < static_cast<size_t>(map_dim_));
+  const size_t at = k * capacity_ + index;
+  switch (precision_) {
+    case MapPrecision::kFp32:
+      return map_cols_[at];
+    case MapPrecision::kFp16:
+      return Fp16ToFloat(map_cols16_[at]);
+    case MapPrecision::kInt8:
+      return col_offsets_[k] + col_scales_[k] * static_cast<float>(map_cols8_[at]);
+  }
+  return 0.0f;
+}
+
+std::vector<float> ExpertMapStore::MapRow(size_t index) const {
+  std::vector<float> row(static_cast<size_t>(map_dim_));
+  for (size_t k = 0; k < row.size(); ++k) {
+    row[k] = ColumnValue(k, index);
+  }
+  return row;
 }
 
 std::span<const float> ExpertMapStore::EmbeddingRow(size_t index) const {
@@ -128,9 +146,7 @@ double ExpertMapStore::EmbeddingNorm(size_t index) const {
 double ExpertMapStore::PrefixNorm(size_t index, int prefix_layers) const {
   FMOE_CHECK(index < records_.size());
   FMOE_CHECK(prefix_layers >= 0 && prefix_layers <= model_.num_layers);
-  return std::sqrt(
-      prefix_sqnorms_[index * static_cast<size_t>(model_.num_layers + 1) +
-                      static_cast<size_t>(prefix_layers)]);
+  return std::sqrt(prefix_sqnorms_[static_cast<size_t>(prefix_layers) * capacity_ + index]);
 }
 
 void ExpertMapStore::ScanMapColumns(std::span<const float> coeffs, size_t first_col,
@@ -192,56 +208,53 @@ void ExpertMapStore::RequantizeColumn(size_t k, float v) {
   col_offsets_[k] = lo;
   col_scales_[k] = scale;
   // Re-encode the whole column from the exact record data (records_ keeps the original
-  // doubles), and refresh the dequantized row view to match what scans now see.
+  // doubles).
   for (size_t i = 0; i < records_.size(); ++i) {
     const std::span<const double> flat = records_[i].map.Flat();
     const float exact = flat.empty() ? 0.0f : static_cast<float>(flat[k]);
-    const uint8_t q = EncodeQ8(exact, scale, lo);
-    map_cols8_[k * capacity_ + i] = q;
-    map_rows_[i * static_cast<size_t>(map_dim_) + k] = lo + scale * static_cast<float>(q);
+    map_cols8_[k * capacity_ + i] = EncodeQ8(exact, scale, lo);
   }
   norms_dirty_ = true;  // Every record's prefix norms may have shifted; IndexRecord rebuilds.
 }
 
 float ExpertMapStore::StoreColumnValue(size_t k, size_t slot, float v) {
+  const size_t at = k * capacity_ + slot;
   switch (precision_) {
     case MapPrecision::kFp32:
-      map_cols_[k * capacity_ + slot] = v;
-      return v;
-    case MapPrecision::kFp16: {
-      const uint16_t h = Fp16FromFloat(v);
-      map_cols16_[k * capacity_ + slot] = h;
-      return Fp16ToFloat(h);
-    }
-    case MapPrecision::kInt8: {
+      map_cols_[at] = v;
+      break;
+    case MapPrecision::kFp16:
+      map_cols16_[at] = Fp16FromFloat(v);
+      break;
+    case MapPrecision::kInt8:
       if (v < col_range_lo_[k] || v > col_range_hi_[k]) {
         RequantizeColumn(k, v);
       }
-      const float scale = col_scales_[k];
-      const float offset = col_offsets_[k];
-      const uint8_t q = EncodeQ8(v, scale, offset);
-      map_cols8_[k * capacity_ + slot] = q;
-      return offset + scale * static_cast<float>(q);
-    }
+      map_cols8_[at] = EncodeQ8(v, col_scales_[k], col_offsets_[k]);
+      break;
   }
-  return v;
+  return ColumnValue(k, slot);
+}
+
+void ExpertMapStore::SetPrefixNorm(size_t slot, int layer, std::span<const float> values) {
+  // Running prefix squared norms over the (dequantized) float values — entry l = ‖layers
+  // [0, l)‖² — and their inverses, with 0 standing in for 1/0 so scan-time scoring is a
+  // branch-free multiply. Entry 0 is the empty prefix, 0 from construction on.
+  const size_t from = static_cast<size_t>(layer) * capacity_ + slot;
+  const size_t to = from + capacity_;
+  const double sq = prefix_sqnorms_[from] + DotF(values, values);
+  prefix_sqnorms_[to] = sq;
+  inv_prefix_norms_[to] = sq == 0.0 ? 0.0 : 1.0 / std::sqrt(sq);
 }
 
 void ExpertMapStore::RebuildPrefixNorms(size_t slot) {
-  // Running prefix squared norms over the (dequantized) float row — entry l = ‖layers
-  // [0, l)‖² — and their inverses, with 0 standing in for 1/0 so scan-time scoring is a
-  // branch-free multiply.
-  const int J = model_.experts_per_layer;
-  const float* row = map_rows_.data() + slot * static_cast<size_t>(map_dim_);
-  double* sq = prefix_sqnorms_.data() + slot * static_cast<size_t>(model_.num_layers + 1);
-  double* inv = inv_prefix_norms_.data() + slot * static_cast<size_t>(model_.num_layers + 1);
-  sq[0] = 0.0;
-  inv[0] = 0.0;
+  const size_t J = static_cast<size_t>(model_.experts_per_layer);
+  std::vector<float> layer(J);
   for (int l = 0; l < model_.num_layers; ++l) {
-    const std::span<const float> layer(row + static_cast<size_t>(l) * static_cast<size_t>(J),
-                                       static_cast<size_t>(J));
-    sq[l + 1] = sq[l] + DotF(layer, layer);
-    inv[l + 1] = sq[l + 1] == 0.0 ? 0.0 : 1.0 / std::sqrt(sq[l + 1]);
+    for (size_t j = 0; j < J; ++j) {
+      layer[j] = ColumnValue(static_cast<size_t>(l) * J + j, slot);
+    }
+    SetPrefixNorm(slot, l, layer);
   }
 }
 
@@ -252,23 +265,26 @@ void ExpertMapStore::IndexRecord(size_t slot) {
                  "map shape mismatch: record has " << flat.size() << " values, store expects "
                                                    << map_dim_);
 
-  // Map row (empty maps index as all-zero rows and never match anything), scattered into the
-  // layer-major column matrix as well: column k of record `slot` lives at k·capacity + slot.
-  // The row keeps the dequantized value StoreColumnValue actually stored.
-  float* row = map_rows_.data() + slot * static_cast<size_t>(map_dim_);
-  for (int k = 0; k < map_dim_; ++k) {
-    const float v = flat.empty() ? 0.0f : static_cast<float>(flat[static_cast<size_t>(k)]);
-    row[k] = StoreColumnValue(static_cast<size_t>(k), slot, v);
+  // Map (empty maps index as all-zero rows and never match anything), scattered into the
+  // layer-major column matrix: column k of record `slot` lives at k·capacity + slot. Each
+  // layer's prefix norm is taken from the dequantized values StoreColumnValue actually stored.
+  const size_t J = static_cast<size_t>(model_.experts_per_layer);
+  std::vector<float> layer(J);
+  for (int l = 0; l < model_.num_layers; ++l) {
+    for (size_t j = 0; j < J; ++j) {
+      const size_t k = static_cast<size_t>(l) * J + j;
+      layer[j] = StoreColumnValue(k, slot, flat.empty() ? 0.0f : static_cast<float>(flat[k]));
+    }
+    SetPrefixNorm(slot, l, layer);
   }
 
   if (norms_dirty_) {
-    // A column requantization rewrote dequantized values across all records.
+    // A column requantization rewrote dequantized values across all records (this one's
+    // earlier layers included).
     for (size_t i = 0; i < records_.size(); ++i) {
       RebuildPrefixNorms(i);
     }
     norms_dirty_ = false;
-  } else {
-    RebuildPrefixNorms(slot);
   }
 
   // Embedding row + norm.
@@ -290,13 +306,10 @@ uint64_t ExpertMapStore::Insert(StoredIteration record,
   if (records_.size() < capacity_) {
     ++generation_;
     records_.push_back(std::move(record));
-    map_rows_.resize(records_.size() * static_cast<size_t>(map_dim_));
     emb_rows_.resize(records_.size() * emb_stride_, 0.0f);
     emb_dims_.push_back(0);
     emb_norms_.push_back(0.0);
     inv_emb_norms_.push_back(0.0);
-    prefix_sqnorms_.resize(records_.size() * static_cast<size_t>(model_.num_layers + 1));
-    inv_prefix_norms_.resize(records_.size() * static_cast<size_t>(model_.num_layers + 1));
     IndexRecord(records_.size() - 1);
     return 0;
   }
@@ -315,8 +328,8 @@ uint64_t ExpertMapStore::Insert(StoredIteration record,
   const std::vector<float> map_query = ToFloat(record.map.Flat());
   const double map_qnorm = std::sqrt(DotF(map_query, map_query));
   const double inv_map_qnorm = map_qnorm == 0.0 ? 0.0 : 1.0 / map_qnorm;
-  const size_t norm_stride = static_cast<size_t>(model_.num_layers + 1);
-  const size_t full = static_cast<size_t>(model_.num_layers);
+  const double* inv_full_norms =
+      inv_prefix_norms_.data() + static_cast<size_t>(model_.num_layers) * capacity_;
   const std::span<const double> session_dots =
       session != nullptr && session->store() == this ? session->FullMapDots(map_query)
                                                      : std::span<const double>();
@@ -329,7 +342,7 @@ uint64_t ExpertMapStore::Insert(StoredIteration record,
     ScanMapColumns(map_query, 0, &folded, trajectory.data());
   }
   for (size_t i = 0; i < n; ++i) {
-    trajectory[i] *= inv_map_qnorm * inv_prefix_norms_[i * norm_stride + full];
+    trajectory[i] *= inv_map_qnorm * inv_full_norms[i];
   }
 
   const std::vector<float> emb_query = ToFloat(record.embedding);
@@ -412,7 +425,8 @@ SearchResult ExpertMapStore::TrajectorySearch(std::span<const double> prefix,
   const std::vector<float> query = ToFloat(prefix);
   const double qnorm = std::sqrt(DotF(query, query));
   const double inv_qnorm = qnorm == 0.0 ? 0.0 : 1.0 / qnorm;
-  const size_t norm_stride = static_cast<size_t>(model_.num_layers + 1);
+  const double* inv_norms =
+      inv_prefix_norms_.data() + static_cast<size_t>(prefix_layers) * capacity_;
   Q8Coeffs folded;
   FoldQ8ScanCoeffs(query, 0, &folded);
   std::vector<double> scores(n, 0.0);
@@ -420,8 +434,7 @@ SearchResult ExpertMapStore::TrajectorySearch(std::span<const double> prefix,
   // sequential streaming pass, independent of the full map width.
   ScanMapColumns(query, 0, &folded, scores.data());
   for (size_t i = 0; i < n; ++i) {
-    scores[i] *= inv_qnorm *
-                 inv_prefix_norms_[i * norm_stride + static_cast<size_t>(prefix_layers)];
+    scores[i] *= inv_qnorm * inv_norms[i];
   }
   for (size_t i = 0; i < n; ++i) {
     UpdateBest(&result, i, scores[i]);
@@ -489,14 +502,11 @@ void ExpertMapStore::Clear() {
     std::fill(col_range_hi_.begin(), col_range_hi_.end(), 0.0f);
   }
   norms_dirty_ = false;
-  map_rows_.clear();
   emb_rows_.clear();
   emb_stride_ = 0;
   emb_dims_.clear();
   emb_norms_.clear();
   inv_emb_norms_.clear();
-  prefix_sqnorms_.clear();
-  inv_prefix_norms_.clear();
   next_fifo_slot_ = 0;
 }
 
@@ -598,11 +608,10 @@ SearchResult TrajectorySearchSession::CurrentBest() {
   }
   const double qnorm = std::sqrt(prefix_sqnorm_);
   const double inv_qnorm = qnorm == 0.0 ? 0.0 : 1.0 / qnorm;
-  const size_t norm_stride = static_cast<size_t>(store_->model().num_layers + 1);
-  const double* inv_norms = store_->inv_prefix_norms_data();
+  const double* inv_norms = store_->inv_prefix_norms_data() +
+                            static_cast<size_t>(observed_layers_) * store_->capacity();
   for (size_t i = 0; i < n; ++i) {
-    const double inv = inv_norms[i * norm_stride + static_cast<size_t>(observed_layers_)];
-    UpdateBest(&result, i, dots_[i] * inv_qnorm * inv);
+    UpdateBest(&result, i, dots_[i] * inv_qnorm * inv_norms[i]);
   }
   result.flops = flops + 3ULL * n;  // Norm product, scale, compare per record.
   return result;

@@ -15,16 +15,19 @@
 //                        incremental extension are perfectly sequential streaming passes —
 //                        row-major storage would read l·J useful floats per L·J-float row and
 //                        stall on strided loads.
-//   * map_rows_        — the same maps row-major (row i = record i's L·J floats), kept as the
-//                        materialized per-record view for persistence, inspection, and tests.
 //   * emb_rows_        — one flat row-major float matrix of embeddings (stride = largest
 //                        embedding dim seen; per-record true dims kept in emb_dims_).
 //   * emb_norms_ / inv_emb_norms_          — precomputed ‖embedding_i‖ and its inverse.
-//   * prefix_sqnorms_ / inv_prefix_norms_  — per record, the running squared norm of every map
-//                        prefix (entry (i, l) = ‖map_i[0..l)‖² for l = 0..L) and the inverse
-//                        norms 1/‖map_i[0..l)‖. Inverses store 0 for zero norms, so scoring is
-//                        a branch-free multiply that lands exactly on the zero-norm → 0 cosine
-//                        convention.
+//   * prefix_sqnorms_ / inv_prefix_norms_  — the running squared norm of every map prefix
+//                        (‖map_i[0..l)‖² for l = 0..L) and the inverse norms 1/‖map_i[0..l)‖,
+//                        layer-major like the columns: entry (l, i) at l·capacity + i, so a
+//                        scan scoring every record at one prefix length reads one contiguous
+//                        run. Inverses store 0 for zero norms, so scoring is a branch-free
+//                        multiply that lands exactly on the zero-norm → 0 cosine convention.
+// The column matrix is the store's only float copy of the maps: a per-record row (MapRow,
+// persistence) is gathered from it on demand. Physically each map value costs 12 B at fp32 —
+// the record's double (8 B) plus its column value (4 B) — while MemoryBytes() reports the 4 B
+// of the searchable copy, the figure Fig. 16 sizes.
 // With inverse norms precomputed, a cosine is one batched dot product plus one multiply — no
 // sqrt or divide anywhere on the scan (AccumulateColumns / DotBatched / CosineAgainstRows in
 // src/util/math.h). Per-row scores land in a row-ordered buffer and the argmax reduction runs
@@ -42,8 +45,8 @@
 //     record data. Scans fold the per-column parameters into the query coefficients
 //     (FoldQ8Coeffs) and run dequantize-free int32 accumulation — exact integer arithmetic.
 // Only the column matrix is quantized: queries, embeddings, and the stored records stay
-// exact. map_rows_ and the prefix norms always hold the *dequantized* values — exactly what
-// the scans see — so cosine normalization stays consistent at any precision. The quantized
+// exact. The prefix norms are computed from the *dequantized* values — exactly what the scans
+// see — so cosine normalization stays consistent at any precision. The quantized
 // precisions are tolerance-checked (not byte-exact) end to end; see golden_metrics_test.
 //
 // Incremental trajectory search. HybridMatcher re-matches a *growing* prefix; recomputing the
@@ -165,24 +168,29 @@ class ExpertMapStore {
 
   // ---- SoA search-engine views ----
 
-  // Flattened map row of record i (L·J floats; layer l occupies [l·J, (l+1)·J)). At reduced
-  // precision this is the *dequantized* view — the values the scans actually compare.
-  std::span<const float> MapRow(size_t index) const;
-  // Base pointer of the row-major map matrix (row stride = map_dim()); null when empty.
-  const float* map_rows_data() const { return map_rows_.data(); }
+  // Value of column k (= l·J + j) for record i as the scans see it: the float at fp32, the
+  // widened half at fp16, offset_k + scale_k·q at int8.
+  float ColumnValue(size_t k, size_t index) const;
+  // Flattened map row of record i (L·J floats; layer l occupies [l·J, (l+1)·J)), gathered
+  // from the column matrix: ColumnValue(k, i) for every k.
+  std::vector<float> MapRow(size_t index) const;
   // Base pointer of the fp32 layer-expert-major search matrix: column k = l·J + j holds
   // map_i[l, j] for records i = 0..size(), with capacity() floats between consecutive
   // columns. Only populated when map_precision() == kFp32 (see ScanMapColumns for the
   // precision-independent scan entry point).
   const float* map_cols_data() const { return map_cols_.data(); }
+  // The same matrix at the reduced precisions: binary16 bit patterns (kFp16 only) and affine
+  // codes (kInt8 only), each with the column layout of map_cols_data().
+  const uint16_t* map_cols16_data() const { return map_cols16_.data(); }
+  const uint8_t* map_cols8_data() const { return map_cols8_.data(); }
   // Per-column affine parameters of the int8 matrix (value = scale_k·q + offset_k), indexed
   // by column k = l·J + j. Only populated when map_precision() == kInt8.
   const float* col_scales_data() const { return col_scales_.data(); }
   const float* col_offsets_data() const { return col_offsets_.data(); }
   // Row length of the map matrix: num_layers · experts_per_layer.
   int map_dim() const { return map_dim_; }
-  // Precomputed 1/‖map_i[0..l)‖ lookup table, stride num_layers + 1 per record; entry (i, l)
-  // is 0 when the prefix has zero norm.
+  // Precomputed 1/‖map_i[0..l)‖ lookup table, layer-major: entry (l, i) for l = 0..num_layers
+  // lives at l·capacity() + i, and is 0 when the prefix has zero norm.
   const double* inv_prefix_norms_data() const { return inv_prefix_norms_.data(); }
   // Embedding row of record i (exactly the record's embedding dimension).
   std::span<const float> EmbeddingRow(size_t index) const;
@@ -206,9 +214,12 @@ class ExpertMapStore {
   uint64_t generation() const { return generation_; }
 
  private:
-  // Rebuilds the SoA row, norms, and prefix norms for records_[slot].
+  // Writes records_[slot] into the columns and the embedding matrix and computes its norms.
   void IndexRecord(size_t slot);
-  // Recomputes the prefix-norm tables of records_[slot] from its map_rows_ row.
+  // Extends record `slot`'s prefix-norm tables past `layer` by that layer's J dequantized
+  // values (entry layer + 1 from entry layer).
+  void SetPrefixNorm(size_t slot, int layer, std::span<const float> values);
+  // Recomputes the prefix-norm tables of record `slot` from its column values.
   void RebuildPrefixNorms(size_t slot);
   // Stores value v into column k of record `slot` (all precisions) and returns the
   // dequantized value the scans will see.
@@ -240,14 +251,13 @@ class ExpertMapStore {
   std::vector<float> col_offsets_;      // kInt8: per-column offset (map_dim_).
   std::vector<float> col_range_lo_;     // kInt8: monotone-growing representable range.
   std::vector<float> col_range_hi_;
-  std::vector<float> map_rows_;         // size() x map_dim_ (row-major dequantized view).
   std::vector<float> emb_rows_;         // size() x emb_stride_ (zero-padded).
   size_t emb_stride_ = 0;
   std::vector<size_t> emb_dims_;
   std::vector<double> emb_norms_;
   std::vector<double> inv_emb_norms_;
-  std::vector<double> prefix_sqnorms_;    // size() x (num_layers + 1), cumulative.
-  std::vector<double> inv_prefix_norms_;  // size() x (num_layers + 1); 0 for zero norms.
+  std::vector<double> prefix_sqnorms_;    // (num_layers + 1) x capacity_, cumulative.
+  std::vector<double> inv_prefix_norms_;  // (num_layers + 1) x capacity_; 0 for zero norms.
 };
 
 // Stateful incremental trajectory search (§4.2) over a growing prefix.

@@ -1,6 +1,5 @@
 #include "src/core/map_store_io.h"
 
-#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
@@ -47,8 +46,8 @@ bool ReadPod(std::istream& in, T* value) {
   return static_cast<bool>(in);
 }
 
-// The store's SoA index already holds maps and embeddings as contiguous float rows — exactly
-// the on-disk record layout — so fp32 serialization is a raw write, no conversion buffer.
+// Embeddings (and the int8 scale/offset tables) are contiguous float rows in the store —
+// exactly the on-disk layout — so they are written raw, with no conversion buffer.
 bool WriteFloats(std::ostream& out, std::span<const float> values) {
   out.write(reinterpret_cast<const char*>(values.data()),
             static_cast<std::streamsize>(values.size() * sizeof(float)));
@@ -78,40 +77,33 @@ size_t MapValueBytes(MapPrecision precision) {
   return sizeof(float);
 }
 
-// Re-encodes a dequantized map row into its native payload. Both encodings round-trip
-// exactly: fp16 values in MapRow *are* half-rounded, and int8 values are exactly
-// offset + scale·q for some code q.
-bool WriteMapRow(std::ostream& out, const ExpertMapStore& store, size_t index,
-                 std::vector<uint8_t>* scratch) {
-  const std::span<const float> row = store.MapRow(index);
-  switch (store.map_precision()) {
-    case MapPrecision::kFp32:
-      return WriteFloats(out, row);
-    case MapPrecision::kFp16: {
-      scratch->resize(row.size() * sizeof(uint16_t));
-      uint16_t* half = reinterpret_cast<uint16_t*>(scratch->data());
-      for (size_t k = 0; k < row.size(); ++k) {
-        half[k] = Fp16FromFloat(row[k]);
-      }
-      break;
-    }
-    case MapPrecision::kInt8: {
-      scratch->resize(row.size());
-      const float* scales = store.col_scales_data();
-      const float* offsets = store.col_offsets_data();
-      for (size_t k = 0; k < row.size(); ++k) {
-        const float scale = scales[k];
-        (*scratch)[k] =
-            scale <= 0.0f
-                ? 0
-                : static_cast<uint8_t>(std::lround((row[k] - offsets[k]) / scale));
-      }
-      break;
-    }
+// Writes record `index`'s map payload at the store's precision — floats, binary16 bit
+// patterns or int8 codes — gathered straight from the column matrix, so the file holds
+// exactly the values the scans compare.
+template <typename T>
+bool WriteColumnRow(std::ostream& out, const T* cols, const ExpertMapStore& store, size_t index,
+                    std::vector<uint8_t>* scratch) {
+  const size_t map_dim = static_cast<size_t>(store.map_dim());
+  scratch->resize(map_dim * sizeof(T));
+  for (size_t k = 0; k < map_dim; ++k) {
+    std::memcpy(scratch->data() + k * sizeof(T), cols + k * store.capacity() + index, sizeof(T));
   }
   out.write(reinterpret_cast<const char*>(scratch->data()),
             static_cast<std::streamsize>(scratch->size()));
   return static_cast<bool>(out);
+}
+
+bool WriteMapRow(std::ostream& out, const ExpertMapStore& store, size_t index,
+                 std::vector<uint8_t>* scratch) {
+  switch (store.map_precision()) {
+    case MapPrecision::kFp32:
+      return WriteColumnRow(out, store.map_cols_data(), store, index, scratch);
+    case MapPrecision::kFp16:
+      return WriteColumnRow(out, store.map_cols16_data(), store, index, scratch);
+    case MapPrecision::kInt8:
+      return WriteColumnRow(out, store.map_cols8_data(), store, index, scratch);
+  }
+  return false;
 }
 
 // Decodes one map row of `count` values at the file's precision into doubles. For int8,
@@ -192,7 +184,7 @@ StoreIoResult SaveStore(const ExpertMapStore& store, std::ostream& out) {
       return StoreIoResult::Failure("failed to write record " + std::to_string(i));
     }
     result.bytes += sizeof(request_id) + sizeof(iteration) +
-                    store.MapRow(i).size() * MapValueBytes(store.map_precision()) +
+                    map_dim * MapValueBytes(store.map_precision()) +
                     store.EmbeddingRow(i).size() * sizeof(float);
     ++result.records;
   }

@@ -54,8 +54,16 @@ std::vector<double> SemanticEmbedder::PromptEmbedding(const RequestRouting& rout
 
 std::vector<double> SemanticEmbedder::IterationEmbedding(const RequestRouting& routing,
                                                          int iteration) const {
-  std::vector<double> embedding = PromptEmbedding(routing);
+  std::vector<double> embedding;
+  IterationEmbeddingInto(PromptEmbedding(routing), iteration, &embedding);
+  return embedding;
+}
+
+void SemanticEmbedder::IterationEmbeddingInto(std::span<const double> prompt, int iteration,
+                                              std::vector<double>* out) const {
+  std::vector<double>& embedding = *out;
   embedding.reserve(static_cast<size_t>(iteration_embedding_dim()));
+  embedding.assign(prompt.begin(), prompt.end());
   // Positional component: harmonics of the iteration index relative to the expert count, the
   // period of the gate's rotation (see GateSimulator).
   const int64_t period = int64_t{config_.experts_per_layer} * std::max(profile_.phase_period, 1);
@@ -71,7 +79,6 @@ std::vector<double> SemanticEmbedder::IterationEmbedding(const RequestRouting& r
         scale * CosTwoPi(static_cast<double>((4 * q + 3 * period) % (4 * period)) / quarter_steps));
     embedding.push_back(scale * CosTwoPi(static_cast<double>(q) / static_cast<double>(period)));
   }
-  return embedding;
 }
 
 }  // namespace fmoe

@@ -11,6 +11,7 @@
 #define FMOE_SRC_MOE_EMBEDDING_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "src/moe/gate_simulator.h"
@@ -38,6 +39,10 @@ class SemanticEmbedder {
   // Embedding recorded for one inference iteration: prompt embedding plus phase encoding
   // (dimension = config.embedding_dim + 2 * phase_harmonics).
   std::vector<double> IterationEmbedding(const RequestRouting& routing, int iteration) const;
+  // IterationEmbedding from a prompt embedding drawn once per request: `out` becomes `prompt`
+  // followed by the phase encoding of `iteration`, reusing its capacity.
+  void IterationEmbeddingInto(std::span<const double> prompt, int iteration,
+                              std::vector<double>* out) const;
 
   int iteration_embedding_dim() const {
     return config_.embedding_dim + 2 * profile_.phase_harmonics;

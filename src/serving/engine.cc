@@ -647,8 +647,8 @@ double ServingEngine::RunIteration(std::vector<BatchMember*>& active) {
 
   for (BatchMember* member : active) {
     member->context.iteration = member->next_iteration;
-    member->context.embedding =
-        embedder_.IterationEmbedding(member->request.routing, member->next_iteration);
+    embedder_.IterationEmbeddingInto(member->prompt_embedding, member->next_iteration,
+                                     &member->context.embedding);
     policy_->OnIterationStart(*this, member->context);
   }
 
@@ -775,7 +775,8 @@ void ServingEngine::AdmitRequest(const Request& request) {
   } else {
     member->context.batch_slot = next_slot_++;
   }
-  member->context.embedding = embedder_.IterationEmbedding(request.routing, 0);
+  member->prompt_embedding = embedder_.PromptEmbedding(request.routing);
+  embedder_.IterationEmbeddingInto(member->prompt_embedding, 0, &member->context.embedding);
   member->total_iterations = 1 + request.decode_tokens;
   member->metrics.request_id = request.id;
   member->metrics.arrival_time = request.arrival_time;

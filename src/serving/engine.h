@@ -196,6 +196,7 @@ class ServingEngine : public EngineHandle {
   struct BatchMember {
     Request request;  // Owned copy; contexts point at it.
     IterationContext context;
+    std::vector<double> prompt_embedding;  // Drawn once at admission; see RunIteration.
     RequestMetrics metrics;
     int next_iteration = 0;    // 0 = prefill not yet run.
     int total_iterations = 0;  // 1 prefill + decode_tokens decode iterations.

@@ -162,32 +162,43 @@ size_t ArgMaxScore(const double* column, const uint64_t* labels, size_t n, doubl
 
 std::vector<size_t> MassCoverIndices(std::span<const double> probs, double threshold,
                                      size_t min_count) {
-  // Repeated selection instead of a full sort: each step takes the best entry ranked after the
-  // previous pick under (value desc, index asc). That order is strict and total, so the picks
-  // are exactly the sorted prefix, and the loop stops as soon as the cover is met — usually
-  // after a handful of O(n) passes.
+  // One ordering pass keeps the best m entries under (value desc, index asc) in a sorted
+  // buffer: an entry only ranks before a kept one on a strictly greater value, because it
+  // comes later. That order is strict and total, so the buffer is exactly the sorted prefix of
+  // length m, and the cover is its shortest prefix meeting both rules, with the mass summed in
+  // pick order. m starts at min_count; a cover that needs more than m entries (rare: the
+  // threshold outweighs the top min_count) redoes the pass at 2m.
   const size_t n = probs.size();
   min_count = std::min(min_count, n);
-  std::vector<size_t> picked;
-  picked.reserve(min_count);
-  double mass = 0.0;
-  while (picked.size() < n && (picked.size() < min_count || mass < threshold)) {
-    size_t best = n;
+  std::vector<size_t> top;
+  for (size_t m = std::min(std::max(min_count, size_t{1}), n);; m = std::min(2 * m, n)) {
+    top.clear();
+    top.reserve(m);
     for (size_t j = 0; j < n; ++j) {
-      if (!picked.empty()) {
-        const size_t last = picked.back();
-        if (probs[j] > probs[last] || (probs[j] == probs[last] && j <= last)) {
-          continue;  // Ranked at or before the previous pick.
+      if (top.size() == m) {
+        if (!(probs[j] > probs[top.back()])) {
+          continue;
         }
+        top.pop_back();
       }
-      if (best == n || probs[j] > probs[best]) {  // Strict >: lower index wins ties.
-        best = j;
+      size_t at = top.size();
+      top.push_back(j);
+      for (; at > 0 && probs[j] > probs[top[at - 1]]; --at) {
+        top[at] = top[at - 1];
       }
+      top[at] = j;
     }
-    picked.push_back(best);
-    mass += probs[best];
+    size_t count = 0;
+    double mass = 0.0;
+    while (count < m && (count < min_count || mass < threshold)) {
+      mass += probs[top[count]];
+      ++count;
+    }
+    if (count < m || m == n || mass >= threshold) {
+      top.resize(count);
+      return top;
+    }
   }
-  return picked;
 }
 
 void NormalizeInPlace(std::vector<double>& values) {

@@ -155,8 +155,8 @@ size_t ArgMaxScore(const double* column, const uint64_t* labels, size_t n, doubl
                    bool age_mode);
 
 // Smallest prefix of the descending-sorted distribution whose mass reaches `threshold`,
-// subject to returning at least `min_count` entries (capped at values.size()).
-// This is exactly fMoE's Eq. (6)-(8) expert selection operator.
+// subject to returning at least `min_count` entries (capped at values.size()). Equal values
+// order by lower index. This is exactly fMoE's Eq. (6)-(8) expert selection operator.
 std::vector<size_t> MassCoverIndices(std::span<const double> probs, double threshold,
                                      size_t min_count);
 

@@ -33,6 +33,21 @@ TEST(SemanticEmbedderTest, Deterministic) {
             embedder.IterationEmbedding(Routing(1, 7), 3));
 }
 
+// The engine draws the prompt embedding once per request and rebuilds each iteration's
+// embedding into one reused buffer; that must equal drawing it afresh every iteration.
+TEST(SemanticEmbedderTest, CachedPromptPathMatchesIterationEmbedding) {
+  const SemanticEmbedder embedder = MakeEmbedder();
+  RequestRouting routing = Routing(3, 99);
+  routing.blend_cluster = 6;
+  routing.blend_weight = 0.3;
+  const std::vector<double> prompt = embedder.PromptEmbedding(routing);
+  std::vector<double> cached;
+  for (int i = 0; i <= 200; ++i) {
+    embedder.IterationEmbeddingInto(prompt, i, &cached);
+    ASSERT_EQ(cached, embedder.IterationEmbedding(routing, i)) << "iteration " << i;
+  }
+}
+
 TEST(SemanticEmbedderTest, SameClusterMoreSimilarThanCrossCluster) {
   const SemanticEmbedder embedder = MakeEmbedder();
   const auto a = embedder.PromptEmbedding(Routing(2, 10));

@@ -3,7 +3,11 @@
 // B's sessions), router determinism, and sharded persistence.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <sstream>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "src/core/map_matcher.h"
@@ -11,6 +15,7 @@
 #include "src/core/map_store_io.h"
 #include "src/core/shard_router.h"
 #include "src/core/sharded_store.h"
+#include "src/util/math.h"
 #include "src/util/rng.h"
 
 namespace fmoe {
@@ -335,6 +340,120 @@ TEST(ShardedStoreIoTest, RoundTripsAcrossShardCounts) {
     }
   }
 }
+
+// Saving writes each record's column payload natively (floats, half bits), so an fp32 or
+// fp16 store reloaded into the same configuration saves back to the same bytes. (int8 cannot:
+// the loader re-inserts decoded values, and the fresh store grows its own per-column grids.)
+std::string PrecisionShardName(
+    const ::testing::TestParamInfo<std::tuple<MapPrecision, int>>& info) {
+  return std::string(MapPrecisionName(std::get<0>(info.param))) + "_shards" +
+         std::to_string(std::get<1>(info.param));
+}
+
+class SaveLoadSaveTest : public ::testing::TestWithParam<std::tuple<MapPrecision, int>> {};
+
+TEST_P(SaveLoadSaveTest, ReloadedStoreSavesIdenticalBytes) {
+  const ModelConfig model = Tiny();
+  const auto [precision, shards] = GetParam();
+  const auto make_store = [&] {
+    return ShardedMapStore(model, 16, 2, StoreDedupPolicy::kRedundancy, precision, shards,
+                           kSemanticRouterSeed);
+  };
+  ShardedMapStore source = make_store();
+  for (const StoredIteration& record : RandomRecords(model, 24, 47)) {  // Past capacity.
+    StoredIteration copy = record;
+    source.Insert(std::move(copy));
+  }
+  std::ostringstream first;
+  ASSERT_TRUE(SaveStore(source, first).ok);
+
+  ShardedMapStore reloaded = make_store();
+  std::istringstream in(first.str());
+  const StoreIoResult io = LoadStore(in, &reloaded);
+  ASSERT_TRUE(io.ok) << io.error;
+  ASSERT_EQ(reloaded.size(), source.size());
+  std::ostringstream second;
+  ASSERT_TRUE(SaveStore(reloaded, second).ok);
+  EXPECT_EQ(first.str(), second.str());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PrecisionsAndShards, SaveLoadSaveTest,
+    ::testing::Combine(::testing::Values(MapPrecision::kFp32, MapPrecision::kFp16),
+                       ::testing::Values(1, 4)),
+    PrecisionShardName);
+
+// Reference payload: each map row re-encoded from its dequantized values (int8 codes recovered
+// as round((value - offset) / scale)). The native column payload written by SaveStore must
+// equal it byte for byte at every precision, in every shard.
+std::string ReencodedMapRow(const ExpertMapStore& store, size_t index) {
+  const std::vector<float> row = store.MapRow(index);
+  std::string bytes;
+  for (size_t k = 0; k < row.size(); ++k) {
+    switch (store.map_precision()) {
+      case MapPrecision::kFp32:
+        bytes.append(reinterpret_cast<const char*>(&row[k]), sizeof(float));
+        break;
+      case MapPrecision::kFp16: {
+        const uint16_t half = Fp16FromFloat(row[k]);
+        bytes.append(reinterpret_cast<const char*>(&half), sizeof(half));
+        break;
+      }
+      case MapPrecision::kInt8: {
+        const float scale = store.col_scales_data()[k];
+        const float offset = store.col_offsets_data()[k];
+        bytes.push_back(static_cast<char>(
+            scale <= 0.0f ? 0 : static_cast<uint8_t>(std::lround((row[k] - offset) / scale))));
+        break;
+      }
+    }
+  }
+  return bytes;
+}
+
+class SavedPayloadTest : public ::testing::TestWithParam<std::tuple<MapPrecision, int>> {};
+
+TEST_P(SavedPayloadTest, NativePayloadEqualsReencodedRows) {
+  const ModelConfig model = Tiny();
+  const auto [precision, shards] = GetParam();
+  ShardedMapStore store(model, 16, 2, StoreDedupPolicy::kRedundancy, precision, shards,
+                        kSemanticRouterSeed);
+  for (const StoredIteration& record : RandomRecords(model, 40, 53)) {
+    StoredIteration copy = record;
+    store.Insert(std::move(copy));
+  }
+  for (int s = 0; s < store.num_shards(); ++s) {
+    const ExpertMapStore& shard = store.shard(s);
+    ASSERT_GT(shard.size(), 0u);
+    std::ostringstream out;
+    ASSERT_TRUE(SaveStore(shard, out).ok);
+    const std::string file = out.str();
+    // Header (magic, four uint32 fields, uint64 count), then the int8 scale/offset tables.
+    const size_t map_dim = static_cast<size_t>(shard.map_dim());
+    const size_t value_bytes = precision == MapPrecision::kFp32   ? sizeof(float)
+                               : precision == MapPrecision::kFp16 ? sizeof(uint16_t)
+                                                                  : sizeof(uint8_t);
+    size_t at = 8 + 4 * sizeof(uint32_t) + sizeof(uint64_t);
+    if (precision == MapPrecision::kInt8) {
+      at += 2 * map_dim * sizeof(float);
+    }
+    for (size_t i = 0; i < shard.size(); ++i) {
+      at += sizeof(uint64_t) + sizeof(int32_t);  // request_id, iteration.
+      ASSERT_LE(at + map_dim * value_bytes, file.size());
+      EXPECT_EQ(file.substr(at, map_dim * value_bytes), ReencodedMapRow(shard, i))
+          << "shard " << s << " record " << i;
+      at += map_dim * value_bytes + shard.EmbeddingDim(i) * sizeof(float);
+    }
+    EXPECT_EQ(at, file.size());
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PrecisionsAndShards, SavedPayloadTest,
+    ::testing::Combine(::testing::Values(MapPrecision::kFp32, MapPrecision::kFp16,
+                                         MapPrecision::kInt8),
+                       ::testing::Values(1, 4)),
+    PrecisionShardName);
 
 TEST(ShardedStoreIoTest, LegacyFileLoadsIntoMultiShardStore) {
   const ModelConfig model = Tiny();

@@ -6,6 +6,7 @@
 #include "src/core/map_store.h"
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -222,7 +223,7 @@ TEST(MapStoreSoaViewTest, ViewsMirrorRecordsAndNorms) {
   ExpertMapStore store(cfg, 4, 1);
   store.Insert(RandomRecord(cfg, rng, 8));
   ASSERT_EQ(store.map_dim(), cfg.num_layers * cfg.experts_per_layer);
-  const std::span<const float> row = store.MapRow(0);
+  const std::vector<float> row = store.MapRow(0);
   const std::span<const double> flat = store.Get(0).map.Flat();
   ASSERT_EQ(row.size(), flat.size());
   for (size_t k = 0; k < row.size(); ++k) {
@@ -235,6 +236,73 @@ TEST(MapStoreSoaViewTest, ViewsMirrorRecordsAndNorms) {
     EXPECT_NEAR(store.PrefixNorm(0, l), Norm(store.Get(0).map.Prefix(l)), kTol);
   }
 }
+
+class MapStorePrecisionViewTest : public ::testing::TestWithParam<MapPrecision> {};
+
+// Every map row is gathered from the column matrix, so MapRow and ColumnValue must agree at
+// every precision — also after an int8 column has been requantized under stored records.
+TEST_P(MapStorePrecisionViewTest, MapRowGathersColumnValues) {
+  const ModelConfig cfg = Tiny();
+  Rng rng(909);
+  ExpertMapStore store(cfg, 6, 1, StoreDedupPolicy::kRedundancy, GetParam());
+  const auto expect_rows_match = [&] {
+    for (size_t i = 0; i < store.size(); ++i) {
+      const std::vector<float> row = store.MapRow(i);
+      ASSERT_EQ(row.size(), static_cast<size_t>(store.map_dim()));
+      for (size_t k = 0; k < row.size(); ++k) {
+        EXPECT_EQ(row[k], store.ColumnValue(k, i)) << "record " << i << " column " << k;
+      }
+    }
+  };
+  for (int i = 0; i < 4; ++i) {
+    store.Insert(RandomRecord(cfg, rng, 8));
+  }
+  expect_rows_match();
+  // Column 0 takes a value far past every range seen so far: an int8 store requantizes it
+  // under the four stored records.
+  StoredIteration outlier = RandomRecord(cfg, rng, 8);
+  std::vector<double> layer0(outlier.map.Layer(0).begin(), outlier.map.Layer(0).end());
+  layer0[0] = 5.0;
+  outlier.map.SetLayer(0, layer0);
+  const float scale_before =
+      GetParam() == MapPrecision::kInt8 ? store.col_scales_data()[0] : 0.0f;
+  store.Insert(std::move(outlier));
+  if (GetParam() == MapPrecision::kInt8) {
+    ASSERT_NE(store.col_scales_data()[0], scale_before);
+  }
+  expect_rows_match();
+  for (int i = 0; i < 6; ++i) {  // Past capacity: dedup replacements.
+    store.Insert(RandomRecord(cfg, rng, 8));
+  }
+  expect_rows_match();
+}
+
+// PrefixNorm is the norm of exactly what the scans see: the dequantized column values.
+TEST_P(MapStorePrecisionViewTest, PrefixNormMatchesBruteForceOverScannedValues) {
+  const ModelConfig cfg = Tiny();
+  Rng rng(919);
+  ExpertMapStore store(cfg, 8, 1, StoreDedupPolicy::kRedundancy, GetParam());
+  for (int i = 0; i < 12; ++i) {
+    store.Insert(RandomRecord(cfg, rng, 8));
+  }
+  const size_t J = static_cast<size_t>(cfg.experts_per_layer);
+  for (size_t i = 0; i < store.size(); ++i) {
+    const std::vector<float> row = store.MapRow(i);
+    const std::vector<double> values(row.begin(), row.end());
+    EXPECT_EQ(store.PrefixNorm(i, 0), 0.0);
+    for (int l = 1; l <= cfg.num_layers; ++l) {
+      const std::span<const double> prefix(values.data(), static_cast<size_t>(l) * J);
+      EXPECT_NEAR(store.PrefixNorm(i, l), Norm(prefix), kTol) << "record " << i;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllPrecisions, MapStorePrecisionViewTest,
+                         ::testing::Values(MapPrecision::kFp32, MapPrecision::kFp16,
+                                           MapPrecision::kInt8),
+                         [](const ::testing::TestParamInfo<MapPrecision>& info) {
+                           return std::string(MapPrecisionName(info.param));
+                         });
 
 TEST(MapStoreSoaViewTest, GenerationBumpsOnEveryMutation) {
   const ModelConfig cfg = Tiny();

@@ -336,6 +336,70 @@ TEST(MassCoverIndicesTest, SelectionMatchesSortReferenceWithTies) {
   }
 }
 
+// The repeated selection MassCoverIndices replaced: each step takes the best entry ranked
+// after the previous pick under (value desc, index asc), until the cover is met.
+std::vector<size_t> MassCoverByRepeatedSelection(std::span<const double> probs,
+                                                 double threshold, size_t min_count) {
+  const size_t n = probs.size();
+  min_count = std::min(min_count, n);
+  std::vector<size_t> picked;
+  double mass = 0.0;
+  while (picked.size() < n && (picked.size() < min_count || mass < threshold)) {
+    size_t best = n;
+    for (size_t j = 0; j < n; ++j) {
+      if (!picked.empty()) {
+        const size_t last = picked.back();
+        if (probs[j] > probs[last] || (probs[j] == probs[last] && j <= last)) {
+          continue;
+        }
+      }
+      if (best == n || probs[j] > probs[best]) {
+        best = j;
+      }
+    }
+    picked.push_back(best);
+    mass += probs[best];
+  }
+  return picked;
+}
+
+TEST(MassCoverIndicesTest, SelectionMatchesRepeatedSelectionReference) {
+  std::mt19937_64 rng(0x5E1EC7);
+  std::uniform_int_distribution<int> level(0, 3);
+  std::uniform_real_distribution<double> uniform(0.0, 1.0);
+  for (const size_t n : {0u, 1u, 2u, 5u, 8u, 31u, 60u, 96u, 128u}) {
+    for (int trial = 0; trial < 24; ++trial) {
+      // One trial in three is tie-heavy (four levels, zeros included); one is raw,
+      // unnormalized uniforms with signed zeros mixed in.
+      std::vector<double> probs(n);
+      for (double& p : probs) {
+        switch (trial % 3) {
+          case 0:
+            p = 0.25 * level(rng);
+            break;
+          case 1:
+            p = uniform(rng);
+            break;
+          default:
+            p = uniform(rng) < 0.3 ? (uniform(rng) < 0.5 ? -0.0 : 0.0) : uniform(rng);
+            break;
+        }
+      }
+      if (trial % 3 != 2) {
+        NormalizeInPlace(probs);
+      }
+      for (const double threshold : {0.0, 0.05, 0.5, 0.8, 0.95, 1.0, 2.0}) {
+        for (const size_t min_count : {size_t{0}, size_t{1}, size_t{3}, n / 2, n + 1}) {
+          ASSERT_EQ(MassCoverIndices(probs, threshold, min_count),
+                    MassCoverByRepeatedSelection(probs, threshold, min_count))
+              << "n=" << n << " trial=" << trial << " threshold=" << threshold
+              << " min_count=" << min_count;
+        }
+      }
+    }
+  }
+}
+
 TEST(NormalizeInPlaceTest, SumsToOne) {
   std::vector<double> values{2.0, 6.0, 2.0};
   NormalizeInPlace(values);
