@@ -94,11 +94,12 @@ ExpertMapStore::ExpertMapStore(const ModelConfig& model, size_t capacity, int pr
       col_range_hi_.assign(static_cast<size_t>(map_dim_), 0.0f);
       break;
   }
-  // The prefix-norm tables share the columns' fixed stride: row l holds every record's
-  // prefix of l layers.
-  const size_t norm_entries = capacity * static_cast<size_t>(model.num_layers + 1);
-  prefix_sqnorms_.resize(norm_entries, 0.0);
-  inv_prefix_norms_.resize(norm_entries, 0.0);
+  // The norm tables share the columns' fixed stride: row l holds every record's value for
+  // layer l (squared norms) or for the prefix of l layers (inverse norms).
+  const size_t layers = static_cast<size_t>(model.num_layers);
+  layer_sqnorms_.resize(layers * capacity, 0.0);
+  inv_prefix_norms_.resize((layers + 1) * capacity, 0.0);
+  dirty_layers_.assign(layers, false);
 }
 
 const StoredIteration& ExpertMapStore::Get(size_t index) const {
@@ -146,7 +147,11 @@ double ExpertMapStore::EmbeddingNorm(size_t index) const {
 double ExpertMapStore::PrefixNorm(size_t index, int prefix_layers) const {
   FMOE_CHECK(index < records_.size());
   FMOE_CHECK(prefix_layers >= 0 && prefix_layers <= model_.num_layers);
-  return std::sqrt(prefix_sqnorms_[static_cast<size_t>(prefix_layers) * capacity_ + index]);
+  double sq = 0.0;
+  for (int l = 0; l < prefix_layers; ++l) {
+    sq += layer_sqnorms_[static_cast<size_t>(l) * capacity_ + index];
+  }
+  return std::sqrt(sq);
 }
 
 void ExpertMapStore::ScanMapColumns(std::span<const float> coeffs, size_t first_col,
@@ -214,7 +219,8 @@ void ExpertMapStore::RequantizeColumn(size_t k, float v) {
     const float exact = flat.empty() ? 0.0f : static_cast<float>(flat[k]);
     map_cols8_[k * capacity_ + i] = EncodeQ8(exact, scale, lo);
   }
-  norms_dirty_ = true;  // Every record's prefix norms may have shifted; IndexRecord rebuilds.
+  // Every record's norm of this column's layer may have shifted; IndexRecord recomputes it.
+  dirty_layers_[k / static_cast<size_t>(model_.experts_per_layer)] = true;
 }
 
 float ExpertMapStore::StoreColumnValue(size_t k, size_t slot, float v) {
@@ -236,26 +242,40 @@ float ExpertMapStore::StoreColumnValue(size_t k, size_t slot, float v) {
   return ColumnValue(k, slot);
 }
 
-void ExpertMapStore::SetPrefixNorm(size_t slot, int layer, std::span<const float> values) {
-  // Running prefix squared norms over the (dequantized) float values — entry l = ‖layers
-  // [0, l)‖² — and their inverses, with 0 standing in for 1/0 so scan-time scoring is a
-  // branch-free multiply. Entry 0 is the empty prefix, 0 from construction on.
-  const size_t from = static_cast<size_t>(layer) * capacity_ + slot;
-  const size_t to = from + capacity_;
-  const double sq = prefix_sqnorms_[from] + DotF(values, values);
-  prefix_sqnorms_[to] = sq;
-  inv_prefix_norms_[to] = sq == 0.0 ? 0.0 : 1.0 / std::sqrt(sq);
+void ExpertMapStore::SetLayerNorm(size_t slot, int layer, std::span<const float> values) {
+  layer_sqnorms_[static_cast<size_t>(layer) * capacity_ + slot] = DotF(values, values);
 }
 
-void ExpertMapStore::RebuildPrefixNorms(size_t slot) {
+void ExpertMapStore::RefreshInversePrefixNorms(size_t slot) {
+  // Running prefix squared norms — ‖layers [0, l)‖² — inverted, with 0 standing in for 1/0 so
+  // scan-time scoring is a branch-free multiply. Entry 0 is the empty prefix, 0 from
+  // construction on.
+  double sq = 0.0;
+  for (int l = 0; l < model_.num_layers; ++l) {
+    sq += layer_sqnorms_[static_cast<size_t>(l) * capacity_ + slot];
+    inv_prefix_norms_[static_cast<size_t>(l + 1) * capacity_ + slot] =
+        sq == 0.0 ? 0.0 : 1.0 / std::sqrt(sq);
+  }
+}
+
+bool ExpertMapStore::RecomputeDirtyLayerNorms() {
   const size_t J = static_cast<size_t>(model_.experts_per_layer);
   std::vector<float> layer(J);
+  bool any = false;
   for (int l = 0; l < model_.num_layers; ++l) {
-    for (size_t j = 0; j < J; ++j) {
-      layer[j] = ColumnValue(static_cast<size_t>(l) * J + j, slot);
+    if (!dirty_layers_[static_cast<size_t>(l)]) {
+      continue;
     }
-    SetPrefixNorm(slot, l, layer);
+    dirty_layers_[static_cast<size_t>(l)] = false;
+    any = true;
+    for (size_t i = 0; i < records_.size(); ++i) {
+      for (size_t j = 0; j < J; ++j) {
+        layer[j] = ColumnValue(static_cast<size_t>(l) * J + j, i);
+      }
+      SetLayerNorm(i, l, layer);
+    }
   }
+  return any;
 }
 
 void ExpertMapStore::IndexRecord(size_t slot) {
@@ -267,7 +287,7 @@ void ExpertMapStore::IndexRecord(size_t slot) {
 
   // Map (empty maps index as all-zero rows and never match anything), scattered into the
   // layer-major column matrix: column k of record `slot` lives at k·capacity + slot. Each
-  // layer's prefix norm is taken from the dequantized values StoreColumnValue actually stored.
+  // layer's norm is taken from the dequantized values StoreColumnValue actually stored.
   const size_t J = static_cast<size_t>(model_.experts_per_layer);
   std::vector<float> layer(J);
   for (int l = 0; l < model_.num_layers; ++l) {
@@ -275,16 +295,16 @@ void ExpertMapStore::IndexRecord(size_t slot) {
       const size_t k = static_cast<size_t>(l) * J + j;
       layer[j] = StoreColumnValue(k, slot, flat.empty() ? 0.0f : static_cast<float>(flat[k]));
     }
-    SetPrefixNorm(slot, l, layer);
+    SetLayerNorm(slot, l, layer);
   }
 
-  if (norms_dirty_) {
-    // A column requantization rewrote dequantized values across all records (this one's
-    // earlier layers included).
+  if (RecomputeDirtyLayerNorms()) {
+    // A column requantization rewrote its layer's dequantized values across all records.
     for (size_t i = 0; i < records_.size(); ++i) {
-      RebuildPrefixNorms(i);
+      RefreshInversePrefixNorms(i);
     }
-    norms_dirty_ = false;
+  } else {
+    RefreshInversePrefixNorms(slot);
   }
 
   // Embedding row + norm.
@@ -501,7 +521,6 @@ void ExpertMapStore::Clear() {
     std::fill(col_range_lo_.begin(), col_range_lo_.end(), 0.0f);
     std::fill(col_range_hi_.begin(), col_range_hi_.end(), 0.0f);
   }
-  norms_dirty_ = false;
   emb_rows_.clear();
   emb_stride_ = 0;
   emb_dims_.clear();

@@ -18,12 +18,14 @@
 //   * emb_rows_        — one flat row-major float matrix of embeddings (stride = largest
 //                        embedding dim seen; per-record true dims kept in emb_dims_).
 //   * emb_norms_ / inv_emb_norms_          — precomputed ‖embedding_i‖ and its inverse.
-//   * prefix_sqnorms_ / inv_prefix_norms_  — the running squared norm of every map prefix
-//                        (‖map_i[0..l)‖² for l = 0..L) and the inverse norms 1/‖map_i[0..l)‖,
-//                        layer-major like the columns: entry (l, i) at l·capacity + i, so a
-//                        scan scoring every record at one prefix length reads one contiguous
-//                        run. Inverses store 0 for zero norms, so scoring is a branch-free
-//                        multiply that lands exactly on the zero-norm → 0 cosine convention.
+//   * layer_sqnorms_ / inv_prefix_norms_   — the squared norm of every map layer (‖map_i[l]‖²)
+//                        and the inverse norm of every map prefix (1/‖map_i[0..l)‖ for
+//                        l = 0..L, from the running sum of the layer terms), layer-major like
+//                        the columns: entry (l, i) at l·capacity + i, so a scan scoring every
+//                        record at one prefix length reads one contiguous run. A requantized
+//                        int8 column refreshes only its layer's terms. Inverses store 0 for
+//                        zero norms, so scoring is a branch-free multiply that lands exactly
+//                        on the zero-norm → 0 cosine convention.
 // The column matrix is the store's only float copy of the maps: a per-record row (MapRow,
 // persistence) is gathered from it on demand. Physically each map value costs 12 B at fp32 —
 // the record's double (8 B) plus its column value (4 B) — while MemoryBytes() reports the 4 B
@@ -157,9 +159,9 @@ class ExpertMapStore {
   // form; use TrajectorySearchSession for the per-layer incremental path.
   SearchResult TrajectorySearch(std::span<const double> prefix, int prefix_layers) const;
 
-  // CPU memory footprint of everything stored at the active precision (Fig. 16): map rows at
-  // 4/2/1 bytes per value, embeddings at fp32, plus the per-column scale/offset table for
-  // int8 stores.
+  // CPU memory footprint of the searchable copy at the active precision (Fig. 16): map values
+  // at 4/2/1 bytes, embeddings at fp32, plus the per-column scale/offset table for int8
+  // stores. The records' exact doubles (Get) are not counted.
   size_t MemoryBytes() const;
   // Footprint the store would have at full capacity (for sizing tables).
   size_t MemoryBytesAtCapacity(int embedding_dim) const;
@@ -216,16 +218,18 @@ class ExpertMapStore {
  private:
   // Writes records_[slot] into the columns and the embedding matrix and computes its norms.
   void IndexRecord(size_t slot);
-  // Extends record `slot`'s prefix-norm tables past `layer` by that layer's J dequantized
-  // values (entry layer + 1 from entry layer).
-  void SetPrefixNorm(size_t slot, int layer, std::span<const float> values);
-  // Recomputes the prefix-norm tables of record `slot` from its column values.
-  void RebuildPrefixNorms(size_t slot);
+  // Sets record `slot`'s squared norm of `layer` from that layer's J dequantized values.
+  void SetLayerNorm(size_t slot, int layer, std::span<const float> values);
+  // Recomputes record `slot`'s inverse prefix norms from its layer norms.
+  void RefreshInversePrefixNorms(size_t slot);
+  // Recomputes every record's norm of each layer in dirty_layers_ from the column values and
+  // clears the marks; returns whether any layer was marked.
+  bool RecomputeDirtyLayerNorms();
   // Stores value v into column k of record `slot` (all precisions) and returns the
   // dequantized value the scans will see.
   float StoreColumnValue(size_t k, size_t slot, float v);
   // Widens column k's representable range to cover v (with margin) and re-encodes the column
-  // for every record from the exact record data. Sets norms_dirty_.
+  // for every record from the exact record data. Marks k's layer in dirty_layers_.
   void RequantizeColumn(size_t k, float v);
   // Widens the embedding matrix stride to at least `dim`, repacking existing rows.
   void GrowEmbeddingStride(size_t dim);
@@ -238,7 +242,9 @@ class ExpertMapStore {
   size_t next_fifo_slot_ = 0;
   int map_dim_ = 0;  // num_layers * experts_per_layer.
   uint64_t generation_ = 0;
-  bool norms_dirty_ = false;  // Set by RequantizeColumn; cleared by IndexRecord.
+  // Layers whose norms an int8 column requantization invalidated. Only set inside
+  // IndexRecord, which recomputes and clears them before it returns.
+  std::vector<bool> dirty_layers_;
 
   std::vector<StoredIteration> records_;  // Record data + metadata (Get / persistence).
 
@@ -256,7 +262,7 @@ class ExpertMapStore {
   std::vector<size_t> emb_dims_;
   std::vector<double> emb_norms_;
   std::vector<double> inv_emb_norms_;
-  std::vector<double> prefix_sqnorms_;    // (num_layers + 1) x capacity_, cumulative.
+  std::vector<double> layer_sqnorms_;     // num_layers x capacity_: ‖map_i layer l‖².
   std::vector<double> inv_prefix_norms_;  // (num_layers + 1) x capacity_; 0 for zero norms.
 };
 
