@@ -248,14 +248,8 @@ bool ExpertCache::Insert(const CacheEntry& entry, double now, std::vector<CacheE
   if (evicted != nullptr) {
     evicted->assign(victims_scratch_.begin(), victims_scratch_.end());
   }
-  if (stall_observer_) {
-    for (const CacheEntry& victim : victims_scratch_) {
-      stall_observer_->OnEvicted(victim.key);
-    }
-  }
   if (trace_) {
     for (const CacheEntry& victim : victims_scratch_) {
-      trace_->OnEvicted(victim.key);
       trace_->Instant(trace_track_, "evict", "cache", now,
                       {TraceArg::Uint("key", victim.key), TraceArg::Uint("bytes", victim.bytes),
                        TraceArg::Uint("for_key", entry.key)});
@@ -283,14 +277,8 @@ bool ExpertCache::SetReservation(uint64_t bytes, double now, std::vector<CacheEn
   if (evicted != nullptr) {
     evicted->assign(victims_scratch_.begin(), victims_scratch_.end());
   }
-  if (stall_observer_) {
-    for (const CacheEntry& victim : victims_scratch_) {
-      stall_observer_->OnEvicted(victim.key);
-    }
-  }
   if (trace_) {
     for (const CacheEntry& victim : victims_scratch_) {
-      trace_->OnEvicted(victim.key);
       trace_->Instant(trace_track_, "evict", "cache", now,
                       {TraceArg::Uint("key", victim.key), TraceArg::Uint("bytes", victim.bytes),
                        TraceArg::Uint("reserved", bytes)});
@@ -313,12 +301,7 @@ bool ExpertCache::Remove(uint64_t key, CacheEntry* removed) {
   if (removed != nullptr) {
     *removed = out;
   }
-  if (stall_observer_) {
-    stall_observer_->OnEvicted(key);
-  }
   if (trace_) {
-    // Policy-driven removal loses a prefetched copy the same way an eviction does.
-    trace_->OnEvicted(key);
     const double now = trace_->now();
     trace_->Instant(trace_track_, "remove", "cache", now,
                     {TraceArg::Uint("key", key), TraceArg::Uint("bytes", out.bytes)});

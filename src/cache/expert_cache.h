@@ -25,7 +25,6 @@
 
 namespace fmoe {
 
-class StallStateMachine;
 class TraceRecorder;
 
 struct CacheStats {
@@ -121,17 +120,11 @@ class ExpertCache {
   const IterationOrderOracle::Stats& order_stats() const { return oracle_.stats(); }
 
   // Attaches a trace recorder (pure observer: never influences eviction decisions).
-  // Insert/evict/remove decisions become instants on `track` plus occupancy counters, and
-  // evictions feed the recorder's evicted-before-use stall-attribution state.
+  // Insert/evict/remove decisions become instants on `track` plus occupancy counters.
   void set_trace(TraceRecorder* trace, int track) {
     trace_ = trace;
     trace_track_ = track;
   }
-
-  // Attaches a live stall-attribution observer (the engine's control-signal state machine,
-  // DESIGN.md §5j). Fed the same eviction events as the trace recorder, but on an
-  // independent per-key machine, so trace classification marks are never consumed twice.
-  void set_stall_observer(StallStateMachine* observer) { stall_observer_ = observer; }
 
   bool Contains(uint64_t key) const { return LookupSlot(key) != kNilSlot; }
   // Invalid (false) ref when absent. Invalidated by Insert/Remove.
@@ -203,7 +196,6 @@ class ExpertCache {
   uint64_t reserved_bytes_ = 0;
   const EvictionPolicy* policy_;  // Not owned.
   TraceRecorder* trace_ = nullptr;  // Not owned; null = tracing disabled.
-  StallStateMachine* stall_observer_ = nullptr;  // Not owned; null = no live signals.
   int trace_track_ = 0;
   bool age_scores_ = false;
   bool uses_frequency_ = false;

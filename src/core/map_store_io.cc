@@ -268,17 +268,25 @@ static StoreIoResult ParseStoreStream(std::istream& in, const ModelConfig& model
   return result;
 }
 
-StoreIoResult LoadStore(std::istream& in, ExpertMapStore* store) {
-  std::vector<StoredIteration> staged;
-  StoreIoResult result = ParseStoreStream(in, store->model(), &staged);
-  if (!result.ok) {
-    return result;
-  }
+// Inserts every staged record into `store` and counts them into `result`. Loaders call this
+// only once the whole stream has parsed, so a failed load leaves the store untouched.
+template <typename Store>
+static StoreIoResult InsertStaged(std::vector<StoredIteration>& staged, StoreIoResult result,
+                           Store* store) {
   for (StoredIteration& record : staged) {
     store->Insert(std::move(record));
     ++result.records;
   }
   return result;
+}
+
+StoreIoResult LoadStore(std::istream& in, ExpertMapStore* store) {
+  std::vector<StoredIteration> staged;
+  const StoreIoResult result = ParseStoreStream(in, store->model(), &staged);
+  if (!result.ok) {
+    return result;
+  }
+  return InsertStaged(staged, result, store);
 }
 
 StoreIoResult SaveStore(const ShardedMapStore& store, std::ostream& out) {
@@ -311,6 +319,9 @@ StoreIoResult LoadStore(std::istream& in, ShardedMapStore* store) {
   if (!in.read(magic, sizeof(magic))) {
     return StoreIoResult::Failure("failed to read magic");
   }
+  // Records re-insert through the destination's semantic routing, so the file's shard count
+  // and the store's need not match — resharding happens on load.
+  std::vector<StoredIteration> staged;
   StoreIoResult total;
   if (std::memcmp(magic, kShardMagic, sizeof(magic)) == 0) {
     uint32_t shard_count = 0;
@@ -318,39 +329,28 @@ StoreIoResult LoadStore(std::istream& in, ShardedMapStore* store) {
       return StoreIoResult::Failure("truncated shard count");
     }
     total.bytes = sizeof(magic) + sizeof(shard_count);
-    // Each blob's records re-insert through the destination's semantic routing, so the file's
-    // shard count and the store's need not match — resharding happens on load.
+    // Every blob stages before any record inserts: a file cut in its last blob fails whole.
     for (uint32_t s = 0; s < shard_count; ++s) {
-      std::vector<StoredIteration> staged;
       const StoreIoResult blob = ParseStoreStream(in, store->model(), &staged);
       if (!blob.ok) {
         return blob;
       }
-      for (StoredIteration& record : staged) {
-        store->Insert(std::move(record));
-        ++total.records;
-      }
       total.bytes += blob.bytes;
     }
-    return total;
+  } else {
+    // Legacy single-store file: rewind and parse it whole (ParseStoreStream re-validates the
+    // legacy magic).
+    in.clear();
+    in.seekg(start);
+    if (!in) {
+      return StoreIoResult::Failure("stream does not support rewinding");
+    }
+    total = ParseStoreStream(in, store->model(), &staged);
+    if (!total.ok) {
+      return total;
+    }
   }
-  // Legacy single-store file: rewind and parse it whole (ParseStoreStream re-validates the
-  // legacy magic), then insert through routing.
-  in.clear();
-  in.seekg(start);
-  if (!in) {
-    return StoreIoResult::Failure("stream does not support rewinding");
-  }
-  std::vector<StoredIteration> staged;
-  total = ParseStoreStream(in, store->model(), &staged);
-  if (!total.ok) {
-    return total;
-  }
-  for (StoredIteration& record : staged) {
-    store->Insert(std::move(record));
-    ++total.records;
-  }
-  return total;
+  return InsertStaged(staged, total, store);
 }
 
 StoreIoResult SaveStoreToFile(const ExpertMapStore& store, const std::string& path) {

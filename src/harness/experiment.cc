@@ -34,21 +34,7 @@ Replica MakeReplica(const ExperimentTask& task, int index, int count) {
                             options.store_capacity, options.low_precision_threshold,
                             options.map_precision, options.host_stage_candidates,
                             options.map_shards);
-  EngineConfig config;
-  config.prefetch_distance = options.prefetch_distance;
-  config.gpu_count = options.gpu_count;
-  config.expert_cache_bytes = replica.spec.preload_all ? 0 : ResolveCacheBytes(options);
-  config.cache_policy = replica.spec.cache_policy;
-  config.preload_all = replica.spec.preload_all;
-  config.frequency_decay = options.frequency_decay;
-  config.placement = options.placement;
-  config.gate = options.gate;
-  config.hardware = options.hardware;
-  config.seed = options.seed;
-  config.matcher_latency_scale = options.matcher_latency_scale;
-  config.matcher_queue_depth = options.matcher_queue_depth;
-  config.tier = options.tier;
-  config.trace = options.trace;
+  EngineConfig config = MakeEngineConfig(options, replica.spec);
   if (count > 1) {
     config.trace_track_prefix = "replica" + std::to_string(index) + "/";
     if (index > 0) {
@@ -340,6 +326,25 @@ ExperimentResult ServeScheduled(const ExperimentTask& task,
 
 bool ExperimentTask::HasTag(const std::string& tag) const {
   return std::find(tags.begin(), tags.end(), tag) != tags.end();
+}
+
+EngineConfig MakeEngineConfig(const ExperimentOptions& options, const SystemSpec& spec) {
+  EngineConfig config;
+  config.prefetch_distance = options.prefetch_distance;
+  config.gpu_count = options.gpu_count;
+  config.expert_cache_bytes = spec.preload_all ? 0 : ResolveCacheBytes(options);
+  config.cache_policy = spec.cache_policy;
+  config.preload_all = spec.preload_all;
+  config.frequency_decay = options.frequency_decay;
+  config.placement = options.placement;
+  config.gate = options.gate;
+  config.hardware = options.hardware;
+  config.seed = options.seed;
+  config.matcher_latency_scale = options.matcher_latency_scale;
+  config.matcher_queue_depth = options.matcher_queue_depth;
+  config.tier = options.tier;
+  config.trace = options.trace;
+  return config;
 }
 
 uint64_t ResolveCacheBytes(const ExperimentOptions& options) {

@@ -27,6 +27,7 @@
 #include "src/moe/gate_simulator.h"
 #include "src/oracle/oracle.h"
 #include "src/serving/cluster.h"
+#include "src/serving/engine.h"
 #include "src/serving/metrics.h"
 #include "src/serving/scheduler.h"
 #include "src/serving/trace.h"
@@ -178,6 +179,11 @@ ExperimentResult RunScheduled(const std::string& system_name, const ExperimentOp
 
 // Resolves the cache budget an options struct implies, in bytes.
 uint64_t ResolveCacheBytes(const ExperimentOptions& options);
+
+// The engine configuration `options` implies for `spec` (the MakeSystem result for the same
+// options), with options.trace attached. Every engine the harness builds starts from it; a
+// cluster replica then adjusts its trace prefix and, in partition mode, its cache share.
+EngineConfig MakeEngineConfig(const ExperimentOptions& options, const SystemSpec& spec);
 
 }  // namespace fmoe
 

@@ -43,15 +43,21 @@ double StallAttribution::TierSum() const {
 }
 
 void StallStateMachine::OnPrefetchIssued(uint64_t key) {
-  key_state_[key] = KeyState::kPrefetchedUnused;
+  if (key >= key_state_.size()) {
+    key_state_.resize(key + 1, kNoIntent);
+  }
+  key_state_[key] = kPrefetchedUnused;
 }
 
-void StallStateMachine::OnExpertServed(uint64_t key) { key_state_.erase(key); }
+void StallStateMachine::OnExpertServed(uint64_t key) {
+  if (key < key_state_.size()) {
+    key_state_[key] = kNoIntent;
+  }
+}
 
 void StallStateMachine::OnEvicted(uint64_t key) {
-  auto it = key_state_.find(key);
-  if (it != key_state_.end() && it->second == KeyState::kPrefetchedUnused) {
-    it->second = KeyState::kEvictedBeforeUse;
+  if (key < key_state_.size() && key_state_[key] == kPrefetchedUnused) {
+    key_state_[key] = kEvictedBeforeUse;
   }
 }
 
@@ -63,9 +69,8 @@ StallClass StallStateMachine::ClassifyMiss(uint64_t key, MissKind kind) {
   }
   // Full miss. If a previously prefetched copy was evicted before its first use, the miss is
   // the eviction's fault; the mark is consumed so later misses count as never-prefetched.
-  auto it = key_state_.find(key);
-  if (it != key_state_.end() && it->second == KeyState::kEvictedBeforeUse) {
-    key_state_.erase(it);
+  if (key < key_state_.size() && key_state_[key] == kEvictedBeforeUse) {
+    key_state_[key] = kNoIntent;
     return StallClass::kEvictedBeforeUse;
   }
   return StallClass::kNeverPrefetched;

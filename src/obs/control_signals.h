@@ -1,20 +1,18 @@
-// Live control-plane signals derived from stall attribution (DESIGN.md §5j).
+// Stall attribution and the live control-plane signals built on it (DESIGN.md §5j).
 //
-// PR 5 introduced the stall-attribution taxonomy as a *post-hoc reporter* inside
-// TraceRecorder: every demand-stall second is classified as never-prefetched /
-// prefetch-in-flight / evicted-before-use, rendered after the run. This header promotes that
-// state machine to a first-class, reusable component and adds a *live* signal path on top:
+// Every demand-stall second is classified as never-prefetched / prefetch-in-flight /
+// evicted-before-use. The pieces:
 //
-//   * StallStateMachine — the per-key prefetch-lifecycle classifier, extracted verbatim from
-//     TraceRecorder (which now delegates to its own instance, so traced output stays
-//     bitwise-identical to the §5f goldens).
+//   * StallStateMachine — the per-key prefetch-lifecycle classifier. Each ServingEngine owns
+//     exactly one, always on, fed at the engine's own hook points; the trace and the live
+//     signals both read its verdicts, so each miss is classified once.
 //   * ControlSignals — a windowed snapshot of the rates a closed-loop admission controller
 //     needs: per-class stall rates, queueing delay, cache-thrash ratio, prefetch-in-flight
 //     share (see src/serving/admission.h for the consumers).
 //   * ControlSignalTracker — accumulates timestamped events in virtual time and samples them
-//     over a sliding window. Like the tracer it is fed by engine hooks, but unlike the tracer
-//     its output *is* read back by controllers — attaching one only changes a run when a
-//     closed-loop admission policy acts on the samples.
+//     over a sliding window. Unlike a trace (a pure observer that only copies the engine's
+//     attribution out), its output *is* read back by controllers — attaching one only changes
+//     a run when a closed-loop admission policy acts on the samples.
 //
 // Everything here runs in virtual time (the engine's SimClock), so closed-loop decisions are
 // deterministic: the same trace + knobs produce the same controller actions on any machine.
@@ -25,7 +23,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <unordered_map>
+#include <vector>
 
 namespace fmoe {
 
@@ -74,9 +72,11 @@ struct StallAttribution {
 };
 
 // Per-key prefetch-lifecycle state machine: watches prefetch-issue, first-use, and eviction
-// events and classifies every demand miss. One instance belongs to one event stream; the
-// tracer and the live-signal path each own an independent instance fed the same hooks, so
-// classification marks (which ClassifyMiss *consumes*) never leak between consumers.
+// events and classifies every demand miss. A serving engine owns the only instance of a run
+// and feeds it unconditionally, so the classification marks ClassifyMiss consumes are seen
+// by exactly one classifier whatever observers are attached. Keys are flat expert indices;
+// per-key state is a dense byte column grown on prefetch issue, and a key past its end has
+// no state.
 class StallStateMachine {
  public:
   // A policy-initiated load (prefetch or blocking speculative load) was issued for `key`.
@@ -100,14 +100,15 @@ class StallStateMachine {
   void ResetAttribution() { stall_ = StallAttribution{}; }
 
  private:
-  // Per-key prefetch lifecycle for classification.
-  enum class KeyState : uint8_t {
-    kPrefetchedUnused = 0,  // Loaded by policy intent, not yet served.
-    kEvictedBeforeUse = 1,  // That copy was evicted before any serve.
+  // Per-key prefetch lifecycle for classification, one byte per flat key.
+  enum KeyState : uint8_t {
+    kNoIntent = 0,          // No live prefetch intent (never prefetched, or served).
+    kPrefetchedUnused = 1,  // Loaded by policy intent, not yet served.
+    kEvictedBeforeUse = 2,  // That copy was evicted before any serve.
   };
 
   StallAttribution stall_;
-  std::unordered_map<uint64_t, KeyState> key_state_;
+  std::vector<uint8_t> key_state_;
 };
 
 // Windowed signal snapshot handed to admission controllers. All rates are per second of

@@ -105,9 +105,7 @@ uint64_t TraceRecorder::CountEvents(TracePhase phase, std::string_view name) con
 
 void TraceRecorder::ClearEvents() {
   events_.clear();
-  // The machine keeps its per-key prefetch state: prefetches issued during warmup are still
-  // live intent for the measured phase.
-  stall_machine_.ResetAttribution();
+  stall_ = StallAttribution{};
 }
 
 }  // namespace fmoe

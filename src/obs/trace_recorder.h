@@ -12,14 +12,13 @@
 // perfetto_export.h serialises the recorded events as Chrome trace-event JSON, loadable in
 // Perfetto / chrome://tracing, with virtual seconds mapped to microseconds.
 //
-// The recorder also carries a *stall-attribution* state machine (StallStateMachine, now a
-// standalone component in control_signals.h shared with the live control plane): it watches
-// prefetch-issue, first-use, and eviction events per expert key and classifies every demand
-// stall into {never-prefetched, prefetch-in-flight, evicted-before-use} (stall_report.h
-// renders the result). The attributed total is accumulated with the exact same sequence of
-// additions as LatencyBreakdown::demand_stall, so the two are bitwise equal at the end of a
-// run. The recorder delegates to a private machine instance, so attaching a live
-// ControlSignalTracker alongside a trace never perturbs the traced attribution.
+// The recorder also carries the run's stall attribution (stall_report.h renders it): every
+// demand stall split into {never-prefetched, prefetch-in-flight, evicted-before-use}. The
+// classification itself belongs to the engine's one always-on StallStateMachine
+// (control_signals.h); the engine copies its attribution in after each served miss, so the
+// recorder holds a snapshot that outlives the engine and that no decision ever reads. The
+// attributed total is accumulated with the exact same sequence of additions as
+// LatencyBreakdown::demand_stall, so the two are bitwise equal at the end of a run.
 //
 // Thread-safety: a recorder belongs to exactly one engine (one simulation timeline) and is
 // not synchronised. The parallel plan runner attaches a recorder to a single task.
@@ -67,8 +66,8 @@ struct TraceEvent {
   std::vector<TraceArg> args;
 };
 
-// StallClass / StallTier / StallAttribution / MissKind live in control_signals.h now (the
-// taxonomy is shared with the live control plane); this header re-exports them transitively.
+// StallClass / StallTier / StallAttribution live in control_signals.h (the taxonomy is shared
+// with the live control plane); this header re-exports them transitively.
 
 class TraceRecorder {
  public:
@@ -96,46 +95,20 @@ class TraceRecorder {
   double SpanSeconds(std::string_view name) const;
   uint64_t CountEvents(TracePhase phase, std::string_view name) const;
 
-  // --- Stall-attribution state machine (fed by the engine/cache hooks). ---
-  //
-  // Thin delegation to a private StallStateMachine (control_signals.h); the recorder's
-  // public surface is unchanged so every hook site and report reads exactly as before.
+  // The stall attribution of the recorded window (zero until the engine copies one in).
+  const StallAttribution& stall() const { return stall_; }
+  void set_stall(const StallAttribution& stall) { stall_ = stall; }
 
-  // Legacy nested-name alias: hook sites spell TraceRecorder::MissKind.
-  using MissKind = fmoe::MissKind;
-
-  // A policy-initiated load (prefetch or blocking speculative load) was issued for `key`.
-  void OnPrefetchIssued(uint64_t key) { stall_machine_.OnPrefetchIssued(key); }
-  // The expert was served (hit or miss); any pending prefetch intent is consumed.
-  void OnExpertServed(uint64_t key) { stall_machine_.OnExpertServed(key); }
-  // The key's cache entry was evicted or removed.
-  void OnEvicted(uint64_t key) { stall_machine_.OnEvicted(key); }
-  // Classifies a demand miss observed at issue time (consumes evicted-before-use marks).
-  StallClass ClassifyMiss(uint64_t key, MissKind kind) {
-    return stall_machine_.ClassifyMiss(key, kind);
-  }
-  // Charges `seconds` of demand stall (>= 0, possibly 0 for fully hidden misses) to `cls`.
-  void AttributeStall(StallClass cls, double seconds) {
-    stall_machine_.AttributeStall(cls, seconds);
-  }
-  // Charges the same stall to the tier that served the bytes (the orthogonal partition;
-  // callers invoke this alongside AttributeStall for every served miss).
-  void AttributeStallTier(StallTier tier, double seconds) {
-    stall_machine_.AttributeStallTier(tier, seconds);
-  }
-
-  const StallAttribution& stall() const { return stall_machine_.stall(); }
-
-  // Drops recorded events and stall accumulators but keeps tracks, the time source, and the
-  // per-key prefetch state — the engine calls this when metrics reset after warmup, so the
-  // exported trace and the attribution cover exactly the measured phase.
+  // Drops recorded events and the stall attribution but keeps tracks and the time source —
+  // the engine calls this when metrics reset after warmup, so the exported trace and the
+  // attribution cover exactly the measured phase.
   void ClearEvents();
 
  private:
   std::function<double()> now_fn_;
   std::vector<std::string> tracks_;
   std::vector<TraceEvent> events_;
-  StallStateMachine stall_machine_;
+  StallAttribution stall_;
 };
 
 }  // namespace fmoe

@@ -132,6 +132,7 @@ void ServingEngine::OnTransferScheduled(int /*device*/, uint64_t tag, double com
 
 void ServingEngine::CleanupEvicted(const std::vector<CacheEntry>& evicted) {
   for (const CacheEntry& victim : evicted) {
+    stall_.OnEvicted(victim.key);
     if (victim.prefetch_pending && victim.transfer_tag != 0) {
       const auto chain_it = stage_tag_by_gpu_tag_.find(victim.transfer_tag);
       if (chain_it != stage_tag_by_gpu_tag_.end()) {
@@ -218,11 +219,8 @@ void ServingEngine::PrefetchAsyncSized(ExpertId id, double probability, double /
       store_.nvme_link().EnqueuePrefetch(clock_.now(), tag, entry.bytes);
       break;
   }
-  if (signals_ != nullptr) {
-    signal_machine_.OnPrefetchIssued(key);
-  }
+  stall_.OnPrefetchIssued(key);
   if (trace_ != nullptr) {
-    trace_->OnPrefetchIssued(key);
     trace_->Instant(trace_engine_track_, "prefetch-issue", "prefetch", clock_.now(),
                     {TraceArg::Int("layer", id.layer), TraceArg::Int("expert", id.expert),
                      TraceArg::Num("prob", probability), TraceArg::Uint("tag", tag)});
@@ -328,14 +326,11 @@ void ServingEngine::BlockingLoad(ExpertId id, double probability) {
     }
   }
   const double stall = std::max(0.0, ready - clock_.now());
-  if (signals_ != nullptr) {
-    signal_machine_.OnPrefetchIssued(key);
-  }
+  // Blocking loads are policy-initiated (speculative baselines): the wait is charged to sync
+  // overhead, NOT demand_stall, so it must not feed the stall attribution. The loaded copy
+  // does count as prefetch intent for later evicted-before-use classification.
+  stall_.OnPrefetchIssued(key);
   if (trace_ != nullptr) {
-    // Blocking loads are policy-initiated (speculative baselines): the wait is charged to
-    // sync overhead, NOT demand_stall, so it must not feed the stall attribution. The loaded
-    // copy does count as prefetch intent for later evicted-before-use classification.
-    trace_->OnPrefetchIssued(key);
     trace_->Span(trace_engine_track_, "blocking-load", "stall", clock_.now(),
                  clock_.now() + stall,
                  {TraceArg::Int("layer", id.layer), TraceArg::Int("expert", id.expert)});
@@ -511,32 +506,17 @@ ServingEngine::ExpertJob ServingEngine::IssueExpert(ExpertId id, int tokens_rout
       const bool allocated = cluster_.DeviceFor(key).Allocate(model_.expert_bytes);
       FMOE_CHECK(allocated);
     }
-    if (signals_ != nullptr) {
-      job.stall_class = signal_machine_.ClassifyMiss(key, MissKind::kNeverResident);
-    }
-    if (trace_ != nullptr) {
-      job.stall_class = trace_->ClassifyMiss(key, TraceRecorder::MissKind::kNeverResident);
-    }
+    job.stall_class = stall_.ClassifyMiss(key, MissKind::kNeverResident);
   } else if (entry.prefetch_pending()) {
     // Prefetch was enqueued but its transfer never started: promote to a demand load, which
     // jumps ahead of all queued prefetches ("pauses all expert prefetching tasks", §4.5).
     job.ready_at = PromoteQueuedToDemand(entry, key, link, &job.tier_source);
-    if (signals_ != nullptr) {
-      job.stall_class = signal_machine_.ClassifyMiss(key, MissKind::kQueuedPromoted);
-    }
-    if (trace_ != nullptr) {
-      job.stall_class = trace_->ClassifyMiss(key, TraceRecorder::MissKind::kQueuedPromoted);
-    }
+    job.stall_class = stall_.ClassifyMiss(key, MissKind::kQueuedPromoted);
   } else if (entry.ready_at() > clock_.now()) {
     // Prefetch in flight but late: wait out the remainder. Still a miss by the paper's
     // definition (weights not available when the gate asked), but cheaper than a full load.
     job.ready_at = entry.ready_at();
-    if (signals_ != nullptr) {
-      job.stall_class = signal_machine_.ClassifyMiss(key, MissKind::kInFlightLate);
-    }
-    if (trace_ != nullptr) {
-      job.stall_class = trace_->ClassifyMiss(key, TraceRecorder::MissKind::kInFlightLate);
-    }
+    job.stall_class = stall_.ClassifyMiss(key, MissKind::kInFlightLate);
   } else {
     job.hit = true;
   }
@@ -557,19 +537,6 @@ void ServingEngine::CompleteExpert(const ExpertJob& job) {
   const double stall = std::max(0.0, job.ready_at - clock_.now());
   clock_.AdvanceTo(job.ready_at);
   metrics_.breakdown().demand_stall += stall;
-  if (signals_ != nullptr) {
-    // Live mirror of the traced attribution: the same per-miss AttributeStall sequence on
-    // the engine's own machine, plus a windowed stall event for the controllers.
-    if (!job.hit) {
-      signal_machine_.AttributeStall(job.stall_class, stall);
-      signal_machine_.AttributeStallTier(job.tier_source == TieredExpertStore::Tier::kNvme
-                                             ? StallTier::kNvme
-                                             : StallTier::kHost,
-                                         stall);
-      signals_->RecordStall(job.stall_class, stall, clock_.now());
-    }
-    signal_machine_.OnExpertServed(key);
-  }
   if (job.hit) {
     metrics_.RecordHit();
     if (const ConstEntryRef entry = std::as_const(cache_).Find(key);
@@ -578,17 +545,21 @@ void ServingEngine::CompleteExpert(const ExpertJob& job) {
     }
   } else {
     metrics_.RecordMiss();
+    // One AttributeStall per served miss, in serve order — the identical addition sequence
+    // as the demand_stall accumulation above, so the totals stay bitwise equal. The tier
+    // attribution partitions the same misses by serving tier (legacy runs: all host-side).
+    stall_.AttributeStall(job.stall_class, stall);
+    stall_.AttributeStallTier(
+        job.tier_source == TieredExpertStore::Tier::kNvme ? StallTier::kNvme : StallTier::kHost,
+        stall);
+    if (signals_ != nullptr) {
+      signals_->RecordStall(job.stall_class, stall, clock_.now());
+    }
   }
+  stall_.OnExpertServed(key);
   if (trace_ != nullptr) {
     if (!job.hit) {
-      // One AttributeStall per served miss, in serve order — the identical addition sequence
-      // as the demand_stall accumulation above, so the totals stay bitwise equal. The tier
-      // attribution partitions the same misses by serving tier (legacy runs: all host-side).
-      trace_->AttributeStall(job.stall_class, stall);
-      trace_->AttributeStallTier(job.tier_source == TieredExpertStore::Tier::kNvme
-                                     ? StallTier::kNvme
-                                     : StallTier::kHost,
-                                 stall);
+      trace_->set_stall(stall_.stall());
       if (stall > 0.0) {
         trace_->Span(trace_engine_track_, "demand-stall", "stall", stall_start, job.ready_at,
                      {TraceArg::Int("layer", job.id.layer), TraceArg::Int("expert", job.id.expert),
@@ -602,7 +573,6 @@ void ServingEngine::CompleteExpert(const ExpertJob& job) {
     }
     trace_->Instant(trace_engine_track_, job.hit ? "hit" : "miss", "cache", clock_.now(),
                     std::move(args));
-    trace_->OnExpertServed(key);
   }
   if (job.resident) {
     cache_.Touch(key, clock_.now());

@@ -103,17 +103,18 @@ class ServingEngine : public EngineHandle {
 
   RunMetrics& metrics() { return metrics_; }
   const RunMetrics& metrics() const { return metrics_; }
-  // Also clears the attached trace and live signal window so the recorded events, the stall
-  // attribution, and controller inputs cover exactly the window the metrics describe (warmup
-  // runs are discarded from all of them).
+  // Also resets the stall attribution and clears the attached trace and live signal window,
+  // so the recorded events, the attribution, and controller inputs cover exactly the window
+  // the metrics describe (warmup runs are discarded from all of them). The classifier keeps
+  // its per-key prefetch state: warmup prefetches are still live intent afterwards.
   void ResetMetrics() {
     metrics_ = RunMetrics();
+    stall_.ResetAttribution();
     if (trace_ != nullptr) {
       trace_->ClearEvents();
     }
     if (signals_ != nullptr) {
       signals_->Clear();
-      signal_machine_.ResetAttribution();
     }
     if (oracle_ != nullptr) {
       oracle_->Clear(clock_.now());
@@ -123,13 +124,10 @@ class ServingEngine : public EngineHandle {
   // --- Control plane (DESIGN.md §5j). Both default to detached: every hook below is a
   // single null-pointer check and the engine replays the legacy path byte-identically. ---
 
-  // Attaches a live control-signal tracker: demand stalls (classified by the engine's own
-  // StallStateMachine, independent of any trace), admission queueing delays, and iteration
-  // durations are recorded into it in virtual time.
-  void SetControlSignals(ControlSignalTracker* signals) {
-    signals_ = signals;
-    cache_.set_stall_observer(signals != nullptr ? &signal_machine_ : nullptr);
-  }
+  // Attaches a live control-signal tracker: demand stalls (as the engine's one classifier
+  // labels them), admission queueing delays, and iteration durations are recorded into it in
+  // virtual time.
+  void SetControlSignals(ControlSignalTracker* signals) { signals_ = signals; }
   // Attaches an admission controller: the engine feeds its signal tracker and pulls the
   // effective prefetch distance from it at every iteration boundary. The batch-limit and
   // shedding halves of the interface are consumed by the scheduler / cluster harness.
@@ -140,9 +138,9 @@ class ServingEngine : public EngineHandle {
       prefetch_distance_override_ = 0;
     }
   }
-  // The engine-side stall attribution mirror (live path; bitwise-equal totals to an attached
-  // trace when both observe the same run).
-  const StallAttribution& signal_stall() const { return signal_machine_.stall(); }
+  // Stall attribution of the measured window, from the engine's one always-on classifier;
+  // total_seconds is bitwise equal to metrics().breakdown().demand_stall.
+  const StallAttribution& stall() const { return stall_.stall(); }
 
   // Attaches a gate-decision recorder for the clairvoyant oracle (DESIGN.md §5k). Pure
   // observer with the same contract as tracing: every hook is a single null-pointer check
@@ -215,9 +213,9 @@ class ServingEngine : public EngineHandle {
     double ready_at = 0.0;
     bool hit = false;
     bool resident = false;
-    // Stall cause classified at issue time (tracing only; meaningless for hits).
+    // Stall cause classified at issue time (meaningless for hits).
     StallClass stall_class = StallClass::kNeverPrefetched;
-    // Tier that served a miss's bytes (tracing only; legacy two-tier misses read "host").
+    // Tier that served a miss's bytes (legacy two-tier misses read "host").
     TieredExpertStore::Tier tier_source = TieredExpertStore::Tier::kHost;
   };
   ExpertJob IssueExpert(ExpertId id, int tokens_routed);
@@ -236,7 +234,8 @@ class ServingEngine : public EngineHandle {
   uint64_t KeyOf(ExpertId id) const { return model_.FlatIndex(id); }
   PcieLink& LinkFor(uint64_t key) { return cluster_.DeviceFor(key).link(); }
 
-  // Removes victims' GPU allocations and cancels their queued transfers.
+  // Removes victims' GPU allocations, cancels their queued transfers, and reports each
+  // eviction to the stall classifier (every GPU-tier eviction passes through here).
   void CleanupEvicted(const std::vector<CacheEntry>& evicted);
 
   // Applies every deferred job whose modeled completion time has been reached (layer
@@ -270,11 +269,12 @@ class ServingEngine : public EngineHandle {
   int trace_engine_track_ = 0;
   std::vector<int> trace_slot_tracks_;  // batch_slot -> track id, registered lazily.
 
+  // The run's only stall classifier, fed at the engine's hook points whatever is attached;
+  // the trace and the live signals both read its verdicts.
+  StallStateMachine stall_;
   // Live control-plane feed (null signals_ = detached; same single-pointer-check contract as
-  // tracing). signal_machine_ is the engine's own per-key classifier so the live path never
-  // consumes the trace recorder's classification marks.
+  // tracing).
   ControlSignalTracker* signals_ = nullptr;  // Not owned.
-  StallStateMachine signal_machine_;
   AdmissionController* admission_ = nullptr;  // Not owned.
   int prefetch_distance_override_ = 0;        // 0 = use config_.prefetch_distance.
 

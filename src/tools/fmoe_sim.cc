@@ -432,15 +432,10 @@ int main(int argc, char** argv) {
   const std::string store_path = flags.GetString("save-store");
   if (!store_path.empty()) {
     SystemSpec spec = MakeSystem("fMoE", options.model, options.prefetch_distance,
-                                 options.store_capacity, /*low_precision_threshold=*/0.0,
-                                 options.map_precision);
-    EngineConfig config;
-    config.prefetch_distance = options.prefetch_distance;
-    config.gpu_count = options.gpu_count;
-    config.expert_cache_bytes = ResolveCacheBytes(options);
-    config.cache_policy = spec.cache_policy;
-    config.seed = options.seed;
-    ServingEngine engine(options.model, config, spec.policy.get());
+                                 options.store_capacity, options.low_precision_threshold,
+                                 options.map_precision, options.host_stage_candidates,
+                                 options.map_shards);
+    ServingEngine engine(options.model, MakeEngineConfig(options, spec), spec.policy.get());
     WorkloadGenerator generator(options.dataset, options.seed);
     std::vector<Request> history = generator.Generate(options.history_requests);
     for (Request& request : history) {

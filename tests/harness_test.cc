@@ -3,7 +3,15 @@
 // pin explicitly).
 #include "src/harness/experiment.h"
 
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <iterator>
+#include <string>
+
 #include <gtest/gtest.h>
+
+#include "src/core/map_store_io.h"
 
 namespace fmoe {
 namespace {
@@ -151,6 +159,40 @@ TEST(HarnessTest, SeedChangesWorkloadButKeepsDeterminism) {
   EXPECT_NE(ra.mean_tpot, rb.mean_tpot);  // Different workload.
   const ExperimentResult rb2 = RunOffline("fMoE", b);
   EXPECT_DOUBLE_EQ(rb.mean_tpot, rb2.mean_tpot);  // Same seed reproduces.
+}
+
+// fmoe_sim --save-store builds its export engine from the same MakeSystem arguments and
+// MakeEngineConfig as every harness run, so --map-shards reaches the saved file.
+TEST(FmoeSimSaveStoreTest, MapShardsWritesAShardedFileThatReloads) {
+  const std::string store_path = testing::TempDir() + "fmoe_sim_map_shards4.store";
+  const std::string log_path = testing::TempDir() + "fmoe_sim_map_shards4.log";
+  const std::string command = std::string(FMOE_SIM_BINARY) +
+                              " --model tiny --history 12 --requests 2 --max-decode 8"
+                              " --store-capacity 64 --map-shards 4 --save-store " +
+                              store_path + " > /dev/null 2> " + log_path;
+  ASSERT_EQ(std::system(command.c_str()), 0) << command;
+
+  std::ifstream file(store_path, std::ios::binary);
+  char magic[8] = {};
+  ASSERT_TRUE(file.read(magic, sizeof(magic)));
+  EXPECT_EQ(std::string(magic, sizeof(magic)), "FMOESHRD");
+
+  std::ifstream log(log_path);
+  const std::string text((std::istreambuf_iterator<char>(log)), std::istreambuf_iterator<char>());
+  const size_t at = text.find("saved ");
+  ASSERT_NE(at, std::string::npos) << text;
+  size_t saved = 0;
+  ASSERT_EQ(std::sscanf(text.c_str() + at, "saved %zu expert maps", &saved), 1) << text;
+  EXPECT_GT(saved, 0u);
+
+  ShardedMapStore store(TinyTestConfig(), 64, 3, StoreDedupPolicy::kRedundancy,
+                        MapPrecision::kFp32, 4, kSemanticRouterSeed);
+  const StoreIoResult loaded = LoadStoreFromFile(store_path, &store);
+  ASSERT_TRUE(loaded.ok) << loaded.error;
+  EXPECT_EQ(loaded.records, saved);
+  EXPECT_EQ(store.size(), saved);
+  std::remove(store_path.c_str());
+  std::remove(log_path.c_str());
 }
 
 }  // namespace

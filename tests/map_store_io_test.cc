@@ -107,6 +107,28 @@ TEST(MapStoreIoTest, TruncatedFileLeavesStoreUntouched) {
   EXPECT_FALSE(read.ok);
   EXPECT_NE(read.error.find("truncated"), std::string::npos);
   EXPECT_EQ(store.size(), 0u);  // Staging prevented partial loads.
+
+  // A sharded load stages every blob before it inserts any record, so a file cut in its last
+  // blob leaves the destination as empty as a cut legacy file does.
+  for (const int shards : {1, 3}) {
+    ShardedMapStore sharded(Tiny(), 64, 1, StoreDedupPolicy::kRedundancy, MapPrecision::kFp32,
+                            shards, kSemanticRouterSeed);
+    for (uint64_t id = 0; id < 20; ++id) {
+      sharded.Insert(MakeRecord(id, 1));
+    }
+    std::stringstream sharded_stream;
+    ASSERT_TRUE(SaveStore(sharded, sharded_stream).ok);
+    std::string sharded_bytes = sharded_stream.str();
+    sharded_bytes.resize(sharded_bytes.size() - 10);
+
+    std::stringstream cut(sharded_bytes);
+    ShardedMapStore dest(Tiny(), 64, 1, StoreDedupPolicy::kRedundancy, MapPrecision::kFp32,
+                         shards, kSemanticRouterSeed);
+    const StoreIoResult sharded_read = LoadStore(cut, &dest);
+    EXPECT_FALSE(sharded_read.ok) << shards << " shards";
+    EXPECT_NE(sharded_read.error.find("truncated"), std::string::npos) << sharded_read.error;
+    EXPECT_EQ(dest.size(), 0u) << shards << " shards";
+  }
 }
 
 TEST(MapStoreIoTest, LoadIntoSmallerStoreGoesThroughReplacement) {

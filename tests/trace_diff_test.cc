@@ -30,7 +30,9 @@ TraceRecorder MakeRecorder(double prefetch_end_s) {
                 {TraceArg::Uint("key", 7)});
   recorder.Instant(engine, "evict", "cache", 0.003, {TraceArg::Uint("key", 3)});
   recorder.Counter(link, "inflight", 0.004, 2.0);
-  recorder.AttributeStall(StallClass::kNeverPrefetched, 0.0005);
+  StallStateMachine machine;
+  machine.AttributeStall(StallClass::kNeverPrefetched, 0.0005);
+  recorder.set_stall(machine.stall());
   return recorder;
 }
 
@@ -85,7 +87,10 @@ TEST(TraceDiffTest, MissingEventIsAnEventCountDivergence) {
 
 TEST(TraceDiffTest, StallAttributionDivergenceIsCaughtAfterEvents) {
   TraceRecorder other = MakeRecorder(0.0025);
-  other.AttributeStall(StallClass::kEvictedBeforeUse, 0.0001);  // Events unchanged.
+  StallStateMachine machine;
+  machine.AttributeStall(StallClass::kNeverPrefetched, 0.0005);
+  machine.AttributeStall(StallClass::kEvictedBeforeUse, 0.0001);
+  other.set_stall(machine.stall());  // Events unchanged.
   const std::string a = ExportTrace(MakeRecorder(0.0025), "run");
   const std::string b = ExportTrace(other, "run");
   const TraceDiffResult result = DiffTraceJson(a, b);

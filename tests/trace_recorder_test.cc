@@ -1,7 +1,7 @@
-// Tests for the observability layer (src/obs/): recorder bookkeeping, the stall-attribution
-// state machine, the Chrome trace-event exporter (schema pinned by a checked-in golden), and
-// the two end-to-end guarantees DESIGN.md §5f promises — attaching a recorder never changes a
-// run's results, and the attributed stall total is bitwise equal to
+// Tests for the observability layer (src/obs/): recorder bookkeeping, the stall report, the
+// Chrome trace-event exporter (schema pinned by a checked-in golden), and the end-to-end
+// guarantees DESIGN.md §5f promises — attaching a recorder never changes a run's results, not
+// even one a closed-loop controller steers, and the attributed stall total is bitwise equal to
 // LatencyBreakdown::demand_stall.
 #include "src/obs/trace_recorder.h"
 
@@ -15,6 +15,8 @@
 #include "src/harness/experiment.h"
 #include "src/obs/perfetto_export.h"
 #include "src/obs/stall_report.h"
+#include "src/serving/engine.h"
+#include "src/serving/scheduler.h"
 
 namespace fmoe {
 namespace {
@@ -55,63 +57,13 @@ TEST(TraceRecorderTest, TimeSourceFeedsNow) {
   EXPECT_DOUBLE_EQ(recorder.now(), 2.5);
 }
 
-TEST(StallAttributionTest, MissWithoutIntentIsNeverPrefetched) {
-  TraceRecorder recorder;
-  EXPECT_EQ(recorder.ClassifyMiss(7, TraceRecorder::MissKind::kNeverResident),
-            StallClass::kNeverPrefetched);
-}
-
-TEST(StallAttributionTest, QueuedAndLatePrefetchesAreInFlight) {
-  TraceRecorder recorder;
-  recorder.OnPrefetchIssued(7);
-  EXPECT_EQ(recorder.ClassifyMiss(7, TraceRecorder::MissKind::kQueuedPromoted),
-            StallClass::kPrefetchInFlight);
-  recorder.OnPrefetchIssued(8);
-  EXPECT_EQ(recorder.ClassifyMiss(8, TraceRecorder::MissKind::kInFlightLate),
-            StallClass::kPrefetchInFlight);
-}
-
-TEST(StallAttributionTest, EvictionBeforeUseIsChargedOnce) {
-  TraceRecorder recorder;
-  recorder.OnPrefetchIssued(7);
-  recorder.OnEvicted(7);
-  // The full miss consumes the evicted-before-use mark...
-  EXPECT_EQ(recorder.ClassifyMiss(7, TraceRecorder::MissKind::kNeverResident),
-            StallClass::kEvictedBeforeUse);
-  // ...so a second miss on the same key is a plain never-prefetched.
-  EXPECT_EQ(recorder.ClassifyMiss(7, TraceRecorder::MissKind::kNeverResident),
-            StallClass::kNeverPrefetched);
-}
-
-TEST(StallAttributionTest, ServeConsumesPrefetchIntent) {
-  TraceRecorder recorder;
-  recorder.OnPrefetchIssued(7);
-  recorder.OnExpertServed(7);  // First use: the prefetch did its job.
-  recorder.OnEvicted(7);       // Evicting a used copy is not evicted-before-use.
-  EXPECT_EQ(recorder.ClassifyMiss(7, TraceRecorder::MissKind::kNeverResident),
-            StallClass::kNeverPrefetched);
-}
-
-TEST(StallAttributionTest, AttributeStallAccumulatesPerClassAndTotal) {
-  TraceRecorder recorder;
-  recorder.AttributeStall(StallClass::kNeverPrefetched, 0.5);
-  recorder.AttributeStall(StallClass::kEvictedBeforeUse, 0.25);
-  recorder.AttributeStall(StallClass::kEvictedBeforeUse, 0.25);
-  const StallAttribution& stall = recorder.stall();
-  EXPECT_DOUBLE_EQ(stall.seconds[static_cast<size_t>(StallClass::kNeverPrefetched)], 0.5);
-  EXPECT_DOUBLE_EQ(stall.seconds[static_cast<size_t>(StallClass::kEvictedBeforeUse)], 0.5);
-  EXPECT_EQ(stall.misses[static_cast<size_t>(StallClass::kEvictedBeforeUse)], 2u);
-  EXPECT_DOUBLE_EQ(stall.total_seconds, 1.0);
-  EXPECT_EQ(stall.total_misses, 3u);
-  EXPECT_DOUBLE_EQ(stall.CategorySum(), 1.0);
-}
-
-TEST(TraceRecorderTest, ClearEventsKeepsTracksAndPrefetchState) {
+TEST(TraceRecorderTest, ClearEventsKeepsTracksAndDropsStall) {
   TraceRecorder recorder;
   const int track = recorder.RegisterTrack("engine");
   recorder.Span(track, "attention", "compute", 0.0, 1.0);
-  recorder.OnPrefetchIssued(7);
-  recorder.AttributeStall(StallClass::kNeverPrefetched, 1.0);
+  StallStateMachine machine;
+  machine.AttributeStall(StallClass::kNeverPrefetched, 1.0);
+  recorder.set_stall(machine.stall());
 
   recorder.ClearEvents();  // The warmup → measured-phase reset.
 
@@ -119,20 +71,16 @@ TEST(TraceRecorderTest, ClearEventsKeepsTracksAndPrefetchState) {
   EXPECT_DOUBLE_EQ(recorder.stall().total_seconds, 0.0);
   EXPECT_EQ(recorder.stall().total_misses, 0u);
   ASSERT_EQ(recorder.track_names().size(), 1u);  // Tracks survive.
-  // The per-key prefetch intent survives too: a warmup prefetch evicted after the reset
-  // still classifies as evicted-before-use.
-  recorder.OnEvicted(7);
-  EXPECT_EQ(recorder.ClassifyMiss(7, TraceRecorder::MissKind::kNeverResident),
-            StallClass::kEvictedBeforeUse);
+  EXPECT_EQ(recorder.RegisterTrack("gpu0/link"), 2);
 }
 
 TEST(StallReportTest, RendersEveryClassAndTotal) {
-  TraceRecorder recorder;
-  recorder.AttributeStall(StallClass::kNeverPrefetched, 0.75);
-  recorder.AttributeStall(StallClass::kPrefetchInFlight, 0.25);
-  recorder.AttributeStallTier(StallTier::kHost, 0.75);
-  recorder.AttributeStallTier(StallTier::kNvme, 0.25);
-  const std::string report = RenderStallReport(recorder.stall());
+  StallStateMachine machine;
+  machine.AttributeStall(StallClass::kNeverPrefetched, 0.75);
+  machine.AttributeStall(StallClass::kPrefetchInFlight, 0.25);
+  machine.AttributeStallTier(StallTier::kHost, 0.75);
+  machine.AttributeStallTier(StallTier::kNvme, 0.25);
+  const std::string report = RenderStallReport(machine.stall());
   EXPECT_NE(report.find("never-prefetched"), std::string::npos);
   EXPECT_NE(report.find("prefetch-in-flight"), std::string::npos);
   EXPECT_NE(report.find("evicted-before-use"), std::string::npos);
@@ -140,22 +88,6 @@ TEST(StallReportTest, RendersEveryClassAndTotal) {
   EXPECT_NE(report.find("served-from-nvme"), std::string::npos);
   EXPECT_NE(report.find("total"), std::string::npos);
   EXPECT_NE(report.find("75.0%"), std::string::npos);
-}
-
-TEST(StallAttributionTest, TierBucketsPartitionIndependently) {
-  TraceRecorder recorder;
-  recorder.AttributeStall(StallClass::kNeverPrefetched, 0.5);
-  recorder.AttributeStallTier(StallTier::kNvme, 0.5);
-  recorder.AttributeStall(StallClass::kPrefetchInFlight, 0.25);
-  recorder.AttributeStallTier(StallTier::kHost, 0.25);
-  const StallAttribution& stall = recorder.stall();
-  EXPECT_DOUBLE_EQ(stall.tier_seconds[static_cast<size_t>(StallTier::kNvme)], 0.5);
-  EXPECT_DOUBLE_EQ(stall.tier_seconds[static_cast<size_t>(StallTier::kHost)], 0.25);
-  EXPECT_EQ(stall.tier_misses[static_cast<size_t>(StallTier::kNvme)], 1u);
-  EXPECT_EQ(stall.tier_misses[static_cast<size_t>(StallTier::kHost)], 1u);
-  // Both partitions cover the same misses: their sums agree with the serve-order total.
-  EXPECT_DOUBLE_EQ(stall.TierSum(), stall.CategorySum());
-  EXPECT_DOUBLE_EQ(stall.TierSum(), stall.total_seconds);
 }
 
 // --- Exporter schema golden. -----------------------------------------------------------
@@ -185,10 +117,12 @@ TEST(PerfettoExportTest, SchemaMatchesGolden) {
                    {TraceArg::Uint("key", 19), TraceArg::Uint("bytes", 176160768)});
   recorder.Span(nvme, "prefetch", "transfer", 0.0026, 0.0040,
                 {TraceArg::Uint("bytes", 176160768)});
-  recorder.AttributeStall(StallClass::kNeverPrefetched, 0.125);
-  recorder.AttributeStall(StallClass::kEvictedBeforeUse, 0.0625);
-  recorder.AttributeStallTier(StallTier::kHost, 0.125);
-  recorder.AttributeStallTier(StallTier::kNvme, 0.0625);
+  StallStateMachine machine;
+  machine.AttributeStall(StallClass::kNeverPrefetched, 0.125);
+  machine.AttributeStall(StallClass::kEvictedBeforeUse, 0.0625);
+  machine.AttributeStallTier(StallTier::kHost, 0.125);
+  machine.AttributeStallTier(StallTier::kNvme, 0.0625);
+  recorder.set_stall(machine.stall());
 
   std::ostringstream out;
   WriteChromeTraceJson(recorder, "trace_recorder_test", out);
@@ -273,6 +207,109 @@ TEST(TraceObserverTest, BlockingLoadsDoNotInflateAttribution) {
 
   EXPECT_GT(recorder.CountEvents(TracePhase::kSpan, "blocking-load"), 0u);
   EXPECT_DOUBLE_EQ(recorder.stall().total_seconds, result.breakdown.demand_stall);
+}
+
+// Warms an engine on `history` requests, then serves `test` of them in one batch, optionally
+// traced; returns the engine's stall attribution and demand_stall.
+struct OfflineStall {
+  StallAttribution engine;
+  double demand_stall = 0.0;
+};
+
+OfflineStall ServeWarmed(TraceRecorder* trace) {
+  ExperimentOptions options = SmallOptions();
+  options.trace = trace;
+  SystemSpec spec = MakeSystem("fMoE", options.model, options.prefetch_distance,
+                               options.store_capacity);
+  ServingEngine engine(options.model, MakeEngineConfig(options, spec), spec.policy.get());
+  const std::vector<Request> requests =
+      WorkloadGenerator(options.dataset, options.seed).Generate(32);
+  engine.WarmupWithHistory(std::span<const Request>(requests.data(), 24));
+  engine.ServeBatch(std::span<const Request>(requests.data() + 24, 8));
+  return {engine.stall(), engine.metrics().breakdown().demand_stall};
+}
+
+// The engine classifies every miss whether or not anything observes it; a trace only copies
+// the attribution out.
+TEST(TraceObserverTest, UntracedEngineStallMatchesTracedRecorder) {
+  const OfflineStall plain = ServeWarmed(nullptr);
+  EXPECT_GT(plain.engine.total_misses, 0u);
+  EXPECT_EQ(plain.engine.total_seconds, plain.demand_stall);  // Bitwise.
+
+  TraceRecorder recorder;
+  const OfflineStall traced = ServeWarmed(&recorder);
+  const StallAttribution& seen = recorder.stall();
+  EXPECT_EQ(seen.seconds, plain.engine.seconds);
+  EXPECT_EQ(seen.misses, plain.engine.misses);
+  EXPECT_EQ(seen.tier_seconds, plain.engine.tier_seconds);
+  EXPECT_EQ(seen.tier_misses, plain.engine.tier_misses);
+  EXPECT_EQ(seen.total_seconds, plain.engine.total_seconds);
+  EXPECT_EQ(seen.total_misses, plain.engine.total_misses);
+  EXPECT_EQ(traced.demand_stall, plain.demand_stall);
+}
+
+// What a closed-loop run produces, compared bitwise between a traced and an untraced twin.
+struct ClosedLoopOutcome {
+  uint64_t hits = 0;
+  uint64_t misses = 0;
+  double demand_stall = 0.0;
+  std::vector<double> e2e;  // Completion order.
+  size_t rejected = 0;
+};
+
+// fMoE on Mixtral warms on 20 history requests before a gradient-admission scheduler attaches
+// its live signals, then serves 60 bursty arrivals. The controller steers on stall classes,
+// so if a trace could change how a miss is classified it would change the run.
+ClosedLoopOutcome RunWarmupThenGradientAdmission(TraceRecorder* trace) {
+  ExperimentOptions options;
+  options.model = MixtralConfig();
+  options.dataset = LmsysLikeProfile();
+  options.dataset.max_decode_tokens = 16;
+  options.store_capacity = 256;
+  options.matcher_latency_scale = 1.0;
+  options.seed = 2;
+  options.trace = trace;
+  SystemSpec spec = MakeSystem("fMoE", options.model, options.prefetch_distance,
+                               options.store_capacity);
+  ServingEngine engine(options.model, MakeEngineConfig(options, spec), spec.policy.get());
+  engine.WarmupWithHistory(WorkloadGenerator(options.dataset, options.seed).Generate(20));
+
+  TraceProfile arrivals_profile;
+  arrivals_profile.mean_arrival_rate = 0.5;
+  arrivals_profile.max_decode_tokens = 16;
+  std::vector<Request> arrivals =
+      TraceGenerator(arrivals_profile, options.dataset, options.seed).Generate(60);
+  for (Request& request : arrivals) {
+    request.arrival_time += engine.now();  // The trace starts where warmup left the clock.
+  }
+  SchedulerOptions sched;
+  sched.max_batch_size = 8;
+  sched.admission.policy = AdmissionPolicyKind::kGradient;
+  sched.admission.slo_sec = 20.0;
+  ContinuousBatchScheduler scheduler(&engine, sched);
+  ClosedLoopOutcome outcome;
+  for (const RequestMetrics& metrics : scheduler.Run(arrivals)) {
+    outcome.e2e.push_back(metrics.EndToEnd());
+  }
+  outcome.hits = engine.metrics().expert_hits();
+  outcome.misses = engine.metrics().expert_misses();
+  outcome.demand_stall = engine.metrics().breakdown().demand_stall;
+  outcome.rejected = scheduler.stats().rejected_requests;
+  return outcome;
+}
+
+TEST(TraceObserverTest, ClosedLoopRunAfterWarmupMatchesTracedTwinBitwise) {
+  const ClosedLoopOutcome plain = RunWarmupThenGradientAdmission(nullptr);
+  TraceRecorder recorder;
+  const ClosedLoopOutcome traced = RunWarmupThenGradientAdmission(&recorder);
+
+  EXPECT_FALSE(recorder.events().empty());
+  EXPECT_GT(plain.misses, 0u);
+  EXPECT_EQ(traced.hits, plain.hits);
+  EXPECT_EQ(traced.misses, plain.misses);
+  EXPECT_EQ(traced.demand_stall, plain.demand_stall);
+  EXPECT_EQ(traced.rejected, plain.rejected);
+  EXPECT_EQ(traced.e2e, plain.e2e);
 }
 
 }  // namespace
