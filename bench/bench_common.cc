@@ -1,88 +1,12 @@
 #include "bench/bench_common.h"
 
-#include <cstdio>
 #include <fstream>
 
-#include "src/obs/perfetto_export.h"
-#include "src/obs/stall_report.h"
 #include "src/obs/trace_recorder.h"
 #include "src/util/flags.h"
 
 namespace fmoe {
 namespace bench {
-namespace {
-
-std::string G9(double value) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.9g", value);
-  return buffer;
-}
-
-// The --oracle gap table: one row per plan task, labelled by its tags (plan index as a
-// fallback), leading with the headline "% of clairvoyant optimum" figure.
-void PrintOracleTable(const ExperimentPlan& plan, const std::vector<ExperimentResult>& results,
-                      std::ostream& out) {
-  PrintBanner(out, "Clairvoyant optimality gap (DESIGN.md 5k)");
-  AsciiTable table({"task", "system", "% of optimum", "miss gap", "stall gap",
-                    "policy stall (ms)", "oracle stall (ms)"});
-  for (size_t i = 0; i < results.size(); ++i) {
-    const ExperimentResult& result = results[i];
-    if (!result.oracle_enabled) {
-      continue;
-    }
-    std::string label = std::to_string(i);
-    for (const std::string& tag : plan.tasks()[i].tags) {
-      label += " " + tag;
-    }
-    const OracleReport& o = result.oracle;
-    table.AddRow({label, result.system, AsciiTable::Num(o.pct_of_clairvoyant, 1),
-                  AsciiTable::Num(o.miss_gap, 3), AsciiTable::Num(o.stall_gap, 3),
-                  Ms(o.policy_stall_s), Ms(o.oracle_stall_s)});
-  }
-  table.Print(out);
-}
-
-// The --oracle_out document: the same per-task gap numbers, machine-readable.
-void WriteOracleJson(const ExperimentPlan& plan, const std::vector<ExperimentResult>& results,
-                     const std::string& program, std::ostream& out) {
-  out << "{\"program\":\"" << program << "\",\"tasks\":[";
-  bool first = true;
-  for (size_t i = 0; i < results.size(); ++i) {
-    const ExperimentResult& result = results[i];
-    if (!result.oracle_enabled) {
-      continue;
-    }
-    if (!first) {
-      out << ",";
-    }
-    first = false;
-    const OracleReport& o = result.oracle;
-    out << "{\"task\":" << i << ",\"system\":\"" << result.system << "\",\"tags\":[";
-    const std::vector<std::string>& tags = plan.tasks()[i].tags;
-    for (size_t t = 0; t < tags.size(); ++t) {
-      out << "\"" << tags[t] << "\"";
-      if (t + 1 < tags.size()) {
-        out << ",";
-      }
-    }
-    out << "],\"oracle\":{";
-    out << "\"accesses\":" << o.accesses << ",";
-    out << "\"policy_hits\":" << o.policy_hits << ",";
-    out << "\"policy_misses\":" << o.policy_misses << ",";
-    out << "\"oracle_fetches\":" << o.oracle_fetches << ",";
-    out << "\"oracle_hits\":" << o.oracle_hits << ",";
-    out << "\"oracle_misses\":" << o.oracle_misses << ",";
-    out << "\"policy_stall_s\":" << G9(o.policy_stall_s) << ",";
-    out << "\"oracle_stall_s\":" << G9(o.oracle_stall_s) << ",";
-    out << "\"miss_gap\":" << G9(o.miss_gap) << ",";
-    out << "\"stall_gap\":" << G9(o.stall_gap) << ",";
-    out << "\"pct_of_clairvoyant\":" << G9(o.pct_of_clairvoyant);
-    out << "}}";
-  }
-  out << "]}\n";
-}
-
-}  // namespace
 
 bool ParseBenchArgs(int argc, const char* const* argv, const std::string& program,
                     const std::string& description, BenchEnv* env, int* exit_code) {
@@ -171,13 +95,10 @@ int BenchMain(int argc, const char* const* argv, const std::string& program,
     const ExperimentTask& traced = plan.tasks()[runner.trace_task];
     const std::string process_name =
         program + " [" + std::to_string(runner.trace_task) + "] " + traced.system;
-    if (!WriteChromeTraceFile(recorder, process_name, env.trace_out)) {
+    // Stall attribution goes to stderr so stdout stays byte-identical to an untraced run.
+    if (!WriteTraceReport(recorder, process_name, env.trace_out, std::cerr)) {
       return 1;
     }
-    // Stall attribution goes to stderr so stdout stays byte-identical to an untraced run.
-    std::cerr << "trace: " << recorder.events().size() << " events -> " << env.trace_out
-              << " (load in ui.perfetto.dev or chrome://tracing)\n"
-              << RenderStallReport(recorder.stall());
   }
 
   if (!env.out_json.empty()) {

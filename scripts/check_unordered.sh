@@ -24,9 +24,8 @@ allowlist=(
   "src/cache/reference_cache.cc||order-dependent on purpose: the reference cache's ties follow its map's iteration order, the rule the oracle mirrors (recorded debt, see above)"
   "src/oracle/oracle.cc|for (const auto& [key, use] : resident)|find_victim: ties already go to the larger key, so any visiting order picks the same victim"
   "src/cache/tiered_store.cc|for (const auto& [tag, info] : stage_by_tag_)|BookkeepingConsistent: only returns a bool"
+  "src/cache/tiered_store.cc|for (const auto& [tag, fill] : fill_by_tag_)|BookkeepingConsistent: only returns a bool"
   "src/serving/engine.cc|for (const auto& [tag, key] : transfer_key_by_tag_)|TransferTagsConsistent: only returns a bool"
-  "src/serving/engine.cc|for (const auto& [stage_tag, chain] : chains_by_stage_tag_)|TierBookkeepingConsistent: only returns a bool"
-  "src/serving/engine.cc|for (const uint64_t tag : direct_tags_)|TierBookkeepingConsistent: only returns a bool"
 )
 
 decl_re='std::unordered_(map|set|multimap|multiset)<.*>[&*[:space:]]+[A-Za-z_][A-Za-z0-9_]*[[:space:]]*[;={(),]'

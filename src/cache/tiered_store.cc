@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <utility>
 
 #include "src/obs/trace_recorder.h"
 #include "src/util/logging.h"
@@ -26,12 +27,103 @@ void TieredExpertStore::set_trace(TraceRecorder* trace, int host_track, int nvme
   nvme_link_.set_trace(trace, nvme_track);
 }
 
-double TieredExpertStore::HostAvailableAt(uint64_t key, double now) const {
-  const ConstEntryRef entry = host_.Find(key);
-  if (!entry || entry.prefetch_pending()) {
-    return now;
+void TieredExpertStore::Tick(double now) {
+  now_ = now;
+  nvme_link_.Tick(now);
+}
+
+void TieredExpertStore::StartFill(uint64_t key, uint64_t tag, uint64_t bytes, double now,
+                                  double probability, PcieLink& link) {
+  if (!enabled()) {
+    link.EnqueuePrefetchAfter(now, tag, bytes, now);
+    return;
   }
-  return std::max(now, entry.ready_at());
+  Tick(now);
+  EntryRef entry = host_.Find(key);
+  if (entry && !entry.prefetch_pending()) {
+    ++stats_.gpu_fills_from_host;
+    const double earliest = std::max(now, entry.ready_at());
+    host_.Touch(key, now);
+    link.EnqueuePrefetchAfter(now, tag, bytes, earliest);
+    return;
+  }
+  const auto stage_it = stage_tag_by_key_.find(key);
+  if (stage_it == stage_tag_by_key_.end() && config_.allow_direct_nvme_gpu) {
+    ++stats_.direct_loads;
+    fill_by_tag_[tag] = PendingFill{key, bytes, nullptr};
+    nvme_link_.EnqueuePrefetch(now, tag, bytes);
+    return;
+  }
+  // Chain onto the staging in flight for this key, or issue one.
+  const uint64_t stage_tag =
+      stage_it != stage_tag_by_key_.end()
+          ? stage_it->second
+          : StageInternal(key, bytes, now, probability, /*require_host_backed=*/false);
+  ++stats_.gpu_fills_chained;
+  if (const auto it = stage_by_tag_.find(stage_tag); it != stage_by_tag_.end()) {
+    it->second.chained_tag = tag;
+  }
+  fill_by_tag_[tag] = PendingFill{key, bytes, &link};
+}
+
+void TieredExpertStore::CancelFill(uint64_t tag, PcieLink& link) {
+  const auto it = fill_by_tag_.find(tag);
+  if (it == fill_by_tag_.end()) {
+    link.CancelQueuedPrefetch(tag);
+    return;
+  }
+  if (it->second.link == nullptr) {
+    nvme_link_.CancelQueuedPrefetch(tag);
+  }
+  // A chained fill's staging continues and lands as a plain host copy.
+  EraseFill(it);
+}
+
+double TieredExpertStore::PromoteFill(uint64_t key, uint64_t tag, uint64_t bytes, double now,
+                                      PcieLink& link, Tier* source) {
+  const auto it = fill_by_tag_.find(tag);
+  if (it == fill_by_tag_.end()) {
+    // The hop is already queued on the device link: promote it there, honouring the host
+    // copy's availability (it may still be landing from an earlier staging).
+    link.CancelQueuedPrefetch(tag);
+    const ConstEntryRef copy = std::as_const(host_).Find(key);
+    const double earliest =
+        copy && !copy.prefetch_pending() ? std::max(now, copy.ready_at()) : now;
+    return link.DemandLoadAfter(now, earliest, bytes);
+  }
+  const bool direct = it->second.link == nullptr;
+  EraseFill(it);
+  if (direct) {
+    nvme_link_.CancelQueuedPrefetch(tag);
+    *source = Tier::kNvme;
+    return DirectDemand(key, bytes, now);
+  }
+  // The hop was never enqueued (still chained behind NVMe→host staging): resolve the whole
+  // chain on demand — promote the staging NVMe-side, then demand the hop behind the staged
+  // data's availability.
+  const double earliest = EnsureHostSide(key, bytes, now, source);
+  return link.DemandLoadAfter(now, earliest, bytes);
+}
+
+double TieredExpertStore::DemandFill(uint64_t key, uint64_t bytes, double now, PcieLink& link,
+                                     Tier* source) {
+  if (enabled() && config_.allow_direct_nvme_gpu && !HostResident(key)) {
+    *source = Tier::kNvme;
+    return DirectDemand(key, bytes, now);
+  }
+  const double earliest = EnsureHostSide(key, bytes, now, source);
+  return link.DemandLoadAfter(now, earliest, bytes);
+}
+
+void TieredExpertStore::EraseFill(std::unordered_map<uint64_t, PendingFill>::iterator it) {
+  if (const auto stage = stage_tag_by_key_.find(it->second.key);
+      stage != stage_tag_by_key_.end()) {
+    StageInfo& info = stage_by_tag_.at(stage->second);
+    if (info.chained_tag == it->first) {
+      info.chained_tag = 0;
+    }
+  }
+  fill_by_tag_.erase(it);
 }
 
 double TieredExpertStore::EnsureHostSide(uint64_t key, uint64_t bytes, double now, Tier* source) {
@@ -39,7 +131,7 @@ double TieredExpertStore::EnsureHostSide(uint64_t key, uint64_t bytes, double no
     *source = Tier::kHost;
     return now;
   }
-  nvme_link_.Tick(now);  // Land any staging that has started before routing.
+  Tick(now);  // Land any staging that has started before routing.
   EntryRef entry = host_.Find(key);
   if (entry && !entry.prefetch_pending()) {
     // Host hit: the copy is committed (possibly still in flight from an earlier staging; the
@@ -90,43 +182,11 @@ double TieredExpertStore::EnsureHostSide(uint64_t key, uint64_t bytes, double no
 }
 
 double TieredExpertStore::DirectDemand(uint64_t key, uint64_t bytes, double now) {
-  nvme_link_.Tick(now);
+  Tick(now);
   ++stats_.nvme_hits;
   ++stats_.direct_loads;
   TraceMove("nvme-direct-demand", key, bytes, now);
   return nvme_link_.DemandLoad(now, bytes);
-}
-
-TieredExpertStore::FillRoute TieredExpertStore::PlanGpuFill(uint64_t key, uint64_t bytes,
-                                                            double now, double probability,
-                                                            double* earliest,
-                                                            uint64_t* stage_tag) {
-  if (!enabled()) {
-    *earliest = now;
-    return FillRoute::kFromHost;
-  }
-  nvme_link_.Tick(now);
-  EntryRef entry = host_.Find(key);
-  if (entry && !entry.prefetch_pending()) {
-    ++stats_.gpu_fills_from_host;
-    *earliest = std::max(now, entry.ready_at());
-    host_.Touch(key, now);
-    return FillRoute::kFromHost;
-  }
-  const auto stage_it = stage_tag_by_key_.find(key);
-  if (stage_it != stage_tag_by_key_.end()) {
-    // Chain onto the staging already in flight for this key.
-    ++stats_.gpu_fills_chained;
-    *stage_tag = stage_it->second;
-    return FillRoute::kChained;
-  }
-  if (config_.allow_direct_nvme_gpu) {
-    ++stats_.direct_loads;
-    return FillRoute::kDirect;
-  }
-  *stage_tag = StageInternal(key, bytes, now, probability, /*require_host_backed=*/false);
-  ++stats_.gpu_fills_chained;
-  return FillRoute::kChained;
 }
 
 uint64_t TieredExpertStore::StageToHost(uint64_t key, uint64_t bytes, double now,
@@ -134,7 +194,7 @@ uint64_t TieredExpertStore::StageToHost(uint64_t key, uint64_t bytes, double now
   if (!enabled() || config_.host_capacity_bytes == 0) {
     return 0;
   }
-  nvme_link_.Tick(now);
+  Tick(now);
   if (host_.Contains(key)) {
     host_.SetProbability(key, probability);
     return 0;
@@ -180,7 +240,8 @@ uint64_t TieredExpertStore::StageInternal(uint64_t key, uint64_t bytes, double n
 void TieredExpertStore::OnNvmeScheduled(uint64_t tag, double completion) {
   const auto it = stage_by_tag_.find(tag);
   if (it == stage_by_tag_.end()) {
-    // Not a staging tag: an engine-owned direct NVMe→GPU transfer.
+    // Not a staging tag: a direct-path GPU fill.
+    fill_by_tag_.erase(tag);
     if (direct_hook_) {
       direct_hook_(tag, completion);
     }
@@ -198,8 +259,14 @@ void TieredExpertStore::OnNvmeScheduled(uint64_t tag, double completion) {
     }
   }
   ++stats_.stages_landed;
-  if (stage_hook_) {
-    stage_hook_(tag, info.key, completion);
+  if (info.chained_tag != 0) {
+    // The chained host→GPU hop may start once the staged bytes have landed.
+    const auto fill = fill_by_tag_.find(info.chained_tag);
+    FMOE_CHECK(fill != fill_by_tag_.end() && fill->second.key == info.key);
+    PcieLink& link = *fill->second.link;
+    const uint64_t bytes = fill->second.bytes;
+    fill_by_tag_.erase(fill);
+    link.EnqueuePrefetchAfter(now_, info.chained_tag, bytes, std::max(now_, completion));
   }
 }
 
@@ -286,6 +353,21 @@ bool TieredExpertStore::BookkeepingConsistent() const {
       }
     } else if (entry) {
       // Transient stagings have no host entry by definition.
+      return false;
+    }
+    if (info.chained_tag != 0) {
+      // The chained fill is still waiting, on this key, for a device link.
+      const auto fill = fill_by_tag_.find(info.chained_tag);
+      if (fill == fill_by_tag_.end() || fill->second.key != info.key ||
+          fill->second.link == nullptr) {
+        return false;
+      }
+    }
+  }
+  for (const auto& [tag, fill] : fill_by_tag_) {
+    // Every chained or direct fill names a pending GPU entry carrying its tag.
+    const ConstEntryRef entry = gpu_.Find(fill.key);
+    if (!entry || !entry.prefetch_pending() || entry.transfer_tag() != tag) {
       return false;
     }
   }

@@ -8,11 +8,18 @@
 // host↔GPU on the per-device PCIe link the engine already owns, NVMe↔host (or NVMe→GPU on the
 // explicit direct path) on the store's NVMe link.
 //
+// The store is the one owner of a GPU fill's route. The engine hands it each fill together
+// with the key's device link, and the store does the link work: a fill whose bytes are
+// host-side is enqueued on the device link, a fill that needs NVMe→host staging first is
+// chained behind that staging (the store enqueues the host→GPU hop once the staging starts),
+// and a fill on the explicit direct path runs on the NVMe link. The engine keeps only the GPU
+// entry's state; cancelling, promoting and checking a fill go through the store again.
+//
 // Movement rules (DESIGN.md §5h):
 //   * promote  NVMe→host: speculative staging on map-store candidate scoring (StageToHost) or
-//     as the upstream hop of a chained GPU fill (PlanGpuFill → kChained).
-//   * promote  host→GPU: the engine's normal prefetch/demand machinery; the store only tells
-//     it where the bytes are and from when they are available (EnsureHostSide / PlanGpuFill).
+//     as the upstream hop of a chained GPU fill (StartFill).
+//   * promote  host→GPU: StartFill (prefetch), PromoteFill (a queued fill the gate wants now)
+//     and DemandFill (a miss with no GPU entry), each on the caller's device link.
 //   * demote   GPU→host: eviction victims with real resident data re-home in the host pool
 //     (DemoteGpuVictim). The device→host writeback direction is modeled free: the PCIe link
 //     models the host→device direction and the reverse lane of the full-duplex link is idle.
@@ -20,11 +27,11 @@
 //     always holds the master, so a clean spill costs no transfer.
 //
 // With `nvme_backing == false` (the default TierConfig) the store is disabled and answers as
-// the paper's infinite host home: PlanGpuFill routes every fill kFromHost with earliest = now,
-// EnsureHostSide reports the bytes host-side at `now`, the direct path is off, staging and
-// demotion do nothing, and Tick / DecayHostFrequencies touch only an idle NVMe link and an
-// empty pool. The engine calls the store the same way in both cases; on a disabled store
-// those calls reduce to the two-tier GPU↔host transfers.
+// the paper's infinite host home: StartFill is EnqueuePrefetchAfter(now, tag, bytes, now),
+// CancelFill is CancelQueuedPrefetch(tag) and DemandFill is DemandLoadAfter(now, now, bytes),
+// all on the device link; the direct path is off, staging and demotion do nothing, and
+// Tick / DecayHostFrequencies touch only an idle NVMe link and an empty pool. The engine calls
+// the store the same way in both cases.
 #ifndef FMOE_SRC_CACHE_TIERED_STORE_H_
 #define FMOE_SRC_CACHE_TIERED_STORE_H_
 
@@ -83,17 +90,9 @@ struct TierStats {
 class TieredExpertStore {
  public:
   enum class Tier { kHost, kNvme };
-  enum class FillRoute {
-    kFromHost,  // Host copy available: enqueue the GPU hop with the returned earliest start.
-    kChained,   // NVMe→host staging in flight/queued: enqueue the GPU hop when it lands.
-    kDirect,    // Explicit direct path: run the transfer on the NVMe link itself.
-  };
 
-  // `on_stage_scheduled(stage_tag, key, completion)` fires when an NVMe→host staging transfer
-  // starts (its completion instant becomes known) — the engine uses it to launch chained
-  // host→GPU hops. `on_direct_scheduled(tag, completion)` forwards NVMe-link completions for
-  // tags the store does not own (the engine's direct NVMe→GPU transfers).
-  using StageScheduledHook = std::function<void(uint64_t stage_tag, uint64_t key, double completion)>;
+  // `on_direct_scheduled(tag, completion)` reports a direct-path GPU fill whose NVMe→GPU
+  // transfer started — the counterpart of the device links' completion callbacks.
   using TransferScheduledHook = std::function<void(uint64_t tag, double completion)>;
 
   TieredExpertStore(uint64_t gpu_capacity_bytes, const EvictionPolicy* gpu_policy,
@@ -109,7 +108,6 @@ class TieredExpertStore {
   const TierStats& stats() const { return stats_; }
   size_t pending_stage_count() const { return stage_by_tag_.size(); }
 
-  void set_stage_scheduled_hook(StageScheduledHook hook) { stage_hook_ = std::move(hook); }
   void set_direct_scheduled_hook(TransferScheduledHook hook) { direct_hook_ = std::move(hook); }
 
   // Attaches a trace recorder (pure observer). Tier movements become instants on
@@ -119,37 +117,33 @@ class TieredExpertStore {
   // demand-stall attribution.
   void set_trace(TraceRecorder* trace, int host_track, int nvme_track);
 
-  // --- Residency queries. ---
   bool HostResident(uint64_t key) const { return host_.Contains(key); }
-  // True when a demand miss on `key` takes the explicit NVMe→GPU direct path: the path is
-  // configured, the store has an NVMe tier, and no host copy exists.
-  bool DirectDemandRoute(uint64_t key) const {
-    return enabled() && config_.allow_direct_nvme_gpu && !HostResident(key);
-  }
-  // Earliest instant a committed host copy of `key` can feed a GPU hop: max(now, ready_at),
-  // or `now` when no such copy exists (callers use this for hops already enqueued).
-  double HostAvailableAt(uint64_t key, double now) const;
 
-  // --- Demand path. ---
-  // Makes `key`'s bytes available host-side and returns the earliest instant the host→GPU
-  // hop may start. Ready host copy: returns immediately (host hit). Queued staging: promoted
-  // to an NVMe demand load. Absent: NVMe demand load through a host bounce buffer (a host
-  // pool entry is kept when it fits). `*source` reports which tier served the bytes. A
-  // disabled store returns `now` with source kHost.
-  double EnsureHostSide(uint64_t key, uint64_t bytes, double now, Tier* source);
+  // --- GPU fills. `tag` is the caller's transfer tag of the pending GPU entry for `key`;
+  // `link` is the key's device link. Every call takes the same `now` the caller's clock reads.
 
-  // Demand load over the explicit NVMe→GPU direct path; returns the completion time.
-  double DirectDemand(uint64_t key, uint64_t bytes, double now);
+  // Starts a prefetch fill. A ready host copy: the hop is enqueued on `link`, starting no
+  // earlier than the copy lands. A staging in flight (or none and no direct path): the fill is
+  // chained behind that staging (a new one is issued, through a transient bounce buffer when
+  // the pool cannot hold the copy, so a fill never fails) and its hop is enqueued on `link`
+  // when the staging starts. The direct path: the fill runs on the NVMe link and reports
+  // through the direct-scheduled hook.
+  void StartFill(uint64_t key, uint64_t tag, uint64_t bytes, double now, double probability,
+                 PcieLink& link);
 
-  // --- Prefetch path. ---
-  // Plans the source side of a GPU prefetch issued at `now`. kFromHost sets `*earliest`;
-  // kChained sets `*stage_tag` (an NVMe→host staging the caller should chain on — newly
-  // issued here if none was in flight). kDirect asks the caller to run the transfer on the
-  // NVMe link. Never fails: when the host pool cannot hold the staging copy the transfer
-  // still runs through a transient host bounce buffer. A disabled store returns kFromHost
-  // with `*earliest = now`.
-  FillRoute PlanGpuFill(uint64_t key, uint64_t bytes, double now, double probability,
-                        double* earliest, uint64_t* stage_tag);
+  // Cancels a fill whose transfer has not started (its GPU entry was evicted). A chained
+  // fill's staging continues and lands as a plain host copy.
+  void CancelFill(uint64_t tag, PcieLink& link);
+
+  // Promotes a fill whose transfer has not started to a demand load (the gate wants the
+  // expert now) and returns its ready time; `*source` is set to kNvme when the bytes come
+  // from NVMe (a chained fill's promoted staging or the direct path) and left as is when they
+  // come from a host copy.
+  double PromoteFill(uint64_t key, uint64_t tag, uint64_t bytes, double now, PcieLink& link,
+                     Tier* source);
+
+  // Demand load of a key with no GPU entry; returns its ready time and the serving tier.
+  double DemandFill(uint64_t key, uint64_t bytes, double now, PcieLink& link, Tier* source);
 
   // Speculative NVMe→host staging (map-store candidate scoring, no GPU hop attached).
   // Returns the stage tag, or 0 when nothing was issued (already host-side, no host pool, or
@@ -164,22 +158,41 @@ class TieredExpertStore {
   // Ages host-pool hit frequencies (mirrors the engine's per-iteration GPU cache decay).
   void DecayHostFrequencies(double factor) { host_.DecayFrequencies(factor); }
 
-  // Advances the NVMe link, landing staged transfers and firing chain hooks.
-  void Tick(double now) { nvme_link_.Tick(now); }
+  // Advances the NVMe link, landing staged transfers and enqueueing their chained hops.
+  void Tick(double now);
 
-  // Cross-checks stage bookkeeping against host-pool state (fuzz/property tests).
+  // Cross-checks stage and fill bookkeeping against host-pool and GPU-cache state
+  // (fuzz/property tests).
   bool BookkeepingConsistent() const;
 
  private:
   struct StageInfo {
     uint64_t key = 0;
     bool host_backed = false;  // False: transient bounce buffer, no host pool entry.
+    uint64_t chained_tag = 0;  // GPU fill whose hop waits for this staging; 0 = none.
+  };
+  // A GPU fill whose transfer is not yet on its device link: chained behind a staging, or on
+  // the direct path (`link == nullptr`, the transfer is on the NVMe link). A fill chained to a
+  // staging that started inside the call that issued it (an idle NVMe link) is never hopped;
+  // it stays here until PromoteFill or CancelFill.
+  struct PendingFill {
+    uint64_t key = 0;
+    uint64_t bytes = 0;
+    PcieLink* link = nullptr;
   };
 
+  // Makes `key`'s bytes available host-side and returns the earliest instant the host→GPU
+  // hop may start. Ready host copy: returns immediately (host hit). Queued staging: promoted
+  // to an NVMe demand load. Absent: NVMe demand load through a host bounce buffer (a host
+  // pool entry is kept when it fits). A disabled store returns `now` with source kHost.
+  double EnsureHostSide(uint64_t key, uint64_t bytes, double now, Tier* source);
+  // Demand load over the explicit NVMe→GPU direct path; returns the completion time.
+  double DirectDemand(uint64_t key, uint64_t bytes, double now);
   uint64_t StageInternal(uint64_t key, uint64_t bytes, double now, double probability,
                          bool require_host_backed);
   void OnNvmeScheduled(uint64_t tag, double completion);
   void EraseStage(uint64_t tag, uint64_t key);
+  void EraseFill(std::unordered_map<uint64_t, PendingFill>::iterator it);
   void NoteHostSpills(double now);
   void TraceMove(const char* name, uint64_t key, uint64_t bytes, double now);
   void TraceHostOccupancy(double now);
@@ -190,15 +203,18 @@ class TieredExpertStore {
   ExpertCache host_;
   PcieLink nvme_link_;
   TierStats stats_;
-  StageScheduledHook stage_hook_;
   TransferScheduledHook direct_hook_;
   TraceRecorder* trace_ = nullptr;  // Not owned; null = tracing disabled.
   int host_track_ = 0;
   int nvme_track_ = 0;
+  // The caller's clock at the latest NVMe-link call: a chained hop is enqueued at this
+  // instant when its staging starts inside that call.
+  double now_ = 0.0;
 
   uint64_t next_stage_tag_ = 1;
   std::unordered_map<uint64_t, StageInfo> stage_by_tag_;
   std::unordered_map<uint64_t, uint64_t> stage_tag_by_key_;
+  std::unordered_map<uint64_t, PendingFill> fill_by_tag_;  // Keyed by the GPU transfer tag.
   std::vector<CacheEntry> host_victims_scratch_;
 };
 

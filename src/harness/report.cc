@@ -3,6 +3,11 @@
 #include <cstdio>
 #include <iomanip>
 
+#include "src/obs/perfetto_export.h"
+#include "src/obs/stall_report.h"
+#include "src/obs/trace_recorder.h"
+#include "src/util/table.h"
+
 namespace fmoe {
 namespace {
 
@@ -240,6 +245,77 @@ void WriteResultsCsv(const std::vector<ExperimentResult>& results, std::ostream&
         << Num(result.breakdown.demand_stall) << ","
         << Num(result.breakdown.TotalSyncOverhead()) << "\n";
   }
+}
+
+void PrintOracleTable(const ExperimentPlan& plan, const std::vector<ExperimentResult>& results,
+                      std::ostream& out) {
+  PrintBanner(out, "Clairvoyant optimality gap (DESIGN.md 5k)");
+  AsciiTable table({"task", "system", "% of optimum", "miss gap", "stall gap",
+                    "policy stall (ms)", "oracle stall (ms)"});
+  for (size_t i = 0; i < results.size(); ++i) {
+    const ExperimentResult& result = results[i];
+    if (!result.oracle_enabled) {
+      continue;
+    }
+    std::string label = std::to_string(i);
+    for (const std::string& tag : plan.tasks()[i].tags) {
+      label += " " + tag;
+    }
+    const OracleReport& o = result.oracle;
+    table.AddRow({label, result.system, AsciiTable::Num(o.pct_of_clairvoyant, 1),
+                  AsciiTable::Num(o.miss_gap, 3), AsciiTable::Num(o.stall_gap, 3),
+                  AsciiTable::Num(o.policy_stall_s * 1e3, 1),
+                  AsciiTable::Num(o.oracle_stall_s * 1e3, 1)});
+  }
+  table.Print(out);
+}
+
+void WriteOracleJson(const ExperimentPlan& plan, const std::vector<ExperimentResult>& results,
+                     const std::string& program, std::ostream& out) {
+  out << "{\"program\":\"" << JsonEscape(program) << "\",\"tasks\":[";
+  bool first = true;
+  for (size_t i = 0; i < results.size(); ++i) {
+    const ExperimentResult& result = results[i];
+    if (!result.oracle_enabled) {
+      continue;
+    }
+    if (!first) {
+      out << ",";
+    }
+    first = false;
+    const OracleReport& o = result.oracle;
+    out << "{\"task\":" << i << ",\"system\":\"" << JsonEscape(result.system)
+        << "\",\"tags\":[";
+    const std::vector<std::string>& tags = plan.tasks()[i].tags;
+    for (size_t t = 0; t < tags.size(); ++t) {
+      out << (t > 0 ? "," : "") << "\"" << JsonEscape(tags[t]) << "\"";
+    }
+    out << "],\"oracle\":{";
+    out << "\"accesses\":" << o.accesses << ",";
+    out << "\"policy_hits\":" << o.policy_hits << ",";
+    out << "\"policy_misses\":" << o.policy_misses << ",";
+    out << "\"oracle_fetches\":" << o.oracle_fetches << ",";
+    out << "\"oracle_hits\":" << o.oracle_hits << ",";
+    out << "\"oracle_misses\":" << o.oracle_misses << ",";
+    out << "\"policy_stall_s\":" << Num(o.policy_stall_s) << ",";
+    out << "\"oracle_stall_s\":" << Num(o.oracle_stall_s) << ",";
+    out << "\"miss_gap\":" << Num(o.miss_gap) << ",";
+    out << "\"stall_gap\":" << Num(o.stall_gap) << ",";
+    out << "\"pct_of_clairvoyant\":" << Num(o.pct_of_clairvoyant);
+    out << "}}";
+  }
+  out << "]}\n";
+}
+
+bool WriteTraceReport(const TraceRecorder& recorder, const std::string& process_name,
+                      const std::string& path, std::ostream& log) {
+  if (!WriteChromeTraceFile(recorder, process_name, path)) {
+    return false;
+  }
+  log << "trace: " << recorder.events().size() << " events -> " << path
+      << " (load in ui.perfetto.dev or chrome://tracing)\n"
+      << RenderStallReport(recorder.stall());
+  return true;
 }
 
 }  // namespace fmoe

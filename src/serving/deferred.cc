@@ -34,75 +34,66 @@ uint64_t MatcherWorker::Publish(double now, DeferredJob job, std::vector<Deferre
   if (job.topic != 0) {
     const auto it = pending_topic_.find(job.topic);
     if (it != pending_topic_.end()) {
-      DeferredJob stale;
-      if (queue_.Cancel(it->second, &stale)) {
-        topic_of_seq_.erase(stale.seq);
-        if (trace_) {
-          trace_->Instant(trace_track_, "superseded", "matcher", now,
-                          {TraceArg::Uint("topic", stale.topic),
-                           TraceArg::Num("wasted_s", stale.cost_seconds)});
-        }
-        victims->push_back(std::move(stale));
+      const auto stale = pending_.find(it->second);
+      if (trace_) {
+        trace_->Instant(trace_track_, "superseded", "matcher", now,
+                        {TraceArg::Uint("topic", stale->second.topic),
+                         TraceArg::Num("wasted_s", stale->second.cost_seconds)});
       }
+      victims->push_back(std::move(stale->second));
+      pending_.erase(stale);
       pending_topic_.erase(it);
     }
   }
   // Bounded queue: evict the stalest pending job to make room.
-  while (queue_.size() >= static_cast<size_t>(queue_depth_)) {
-    DeferredJob oldest;
-    if (!queue_.CancelOldest(&oldest)) {
-      break;
-    }
-    const auto topic_it = topic_of_seq_.find(oldest.seq);
-    if (topic_it != topic_of_seq_.end()) {
-      pending_topic_.erase(topic_it->second);
-      topic_of_seq_.erase(topic_it);
+  while (pending_.size() >= static_cast<size_t>(queue_depth_)) {
+    const auto oldest = pending_.begin();
+    if (oldest->second.topic != 0) {
+      pending_topic_.erase(oldest->second.topic);
     }
     if (trace_) {
       trace_->Instant(trace_track_, "dropped", "matcher", now,
-                      {TraceArg::Uint("topic", oldest.topic),
-                       TraceArg::Num("wasted_s", oldest.cost_seconds)});
+                      {TraceArg::Uint("topic", oldest->second.topic),
+                       TraceArg::Num("wasted_s", oldest->second.cost_seconds)});
     }
-    victims->push_back(std::move(oldest));
+    victims->push_back(std::move(oldest->second));
+    pending_.erase(oldest);
   }
 
+  job.seq = next_seq_++;
   job.publish_time = now;
   job.start_time = std::max(now, worker_free_at_);
   job.completion_time = job.start_time + latency_scale_ * job.cost_seconds;
   worker_free_at_ = job.completion_time;
-  job.seq = queue_.Push(job.completion_time, job);
-  // The payload's own seq field lags the assigned one by construction; patch bookkeeping off
-  // the returned value (PopDue reports the queue's seq, not the payload copy's).
   if (job.topic != 0) {
     pending_topic_[job.topic] = job.seq;
-    topic_of_seq_[job.seq] = job.topic;
   }
+  const DeferredJob& queued =
+      pending_.emplace_hint(pending_.end(), job.seq, std::move(job))->second;
   if (trace_) {
     // The span covers the worker's modeled occupancy, not the queue wait — "match-job", not
     // the overhead-category name, so it never collides with the engine's sync-overhead spans.
-    trace_->Span(trace_track_, "match-job", "matcher", job.start_time, job.completion_time,
-                 {TraceArg::Uint("seq", job.seq), TraceArg::Uint("topic", job.topic),
-                  TraceArg::Str("category", OverheadCategoryName(job.category)),
-                  TraceArg::Num("queued_s", job.start_time - job.publish_time)});
-    trace_->Counter(trace_track_, "matcher.pending", now, static_cast<double>(queue_.size()));
+    trace_->Span(trace_track_, "match-job", "matcher", queued.start_time, queued.completion_time,
+                 {TraceArg::Uint("seq", queued.seq), TraceArg::Uint("topic", queued.topic),
+                  TraceArg::Str("category", OverheadCategoryName(queued.category)),
+                  TraceArg::Num("queued_s", queued.start_time - queued.publish_time)});
+    trace_->Counter(trace_track_, "matcher.pending", now, static_cast<double>(pending_.size()));
   }
-  return job.seq;
+  return queued.seq;
 }
 
 bool MatcherWorker::PopDue(double now, DeferredJob* out) {
-  EventQueue<DeferredJob>::Event event;
-  if (!queue_.PopDue(now, &event)) {
+  if (pending_.empty() || pending_.begin()->second.completion_time > now) {
     return false;
   }
-  *out = std::move(event.payload);
-  out->seq = event.seq;
-  const auto topic_it = topic_of_seq_.find(event.seq);
-  if (topic_it != topic_of_seq_.end()) {
-    pending_topic_.erase(topic_it->second);
-    topic_of_seq_.erase(topic_it);
+  const auto next = pending_.begin();
+  *out = std::move(next->second);
+  pending_.erase(next);
+  if (out->topic != 0) {
+    pending_topic_.erase(out->topic);
   }
   if (trace_) {
-    trace_->Counter(trace_track_, "matcher.pending", now, static_cast<double>(queue_.size()));
+    trace_->Counter(trace_track_, "matcher.pending", now, static_cast<double>(pending_.size()));
   }
   return true;
 }

@@ -21,10 +21,10 @@
 #define FMOE_SRC_SERVING_DEFERRED_H_
 
 #include <cstdint>
+#include <map>
 #include <unordered_map>
 #include <vector>
 
-#include "src/memsim/event_queue.h"
 #include "src/serving/policy.h"
 
 namespace fmoe {
@@ -77,7 +77,7 @@ class MatcherWorker {
   bool synchronous() const { return latency_scale_ == 0.0; }
 
   double latency_scale() const { return latency_scale_; }
-  size_t pending() const { return queue_.size(); }
+  size_t pending() const { return pending_.size(); }
   double worker_free_at() const { return worker_free_at_; }
 
   // Attaches a trace recorder (pure observer). Each scheduled job becomes a span on `track`
@@ -92,11 +92,10 @@ class MatcherWorker {
   // their wasted work. Must not be called when synchronous().
   uint64_t Publish(double now, DeferredJob job, std::vector<DeferredJob>* victims);
 
-  // Pops the earliest job with completion_time <= now, in (completion, publish seq) order.
+  // Pops the oldest pending job if its completion_time <= now. Completions never decrease
+  // in publish order (the serial worker's free instant only grows), so this is also the
+  // earliest-completing job, ties going to the earlier publish.
   bool PopDue(double now, DeferredJob* out);
-
-  // Earliest pending completion time; false when idle.
-  bool PeekNextDue(double* due) { return queue_.PeekNextDue(due); }
 
  private:
   double latency_scale_;
@@ -104,11 +103,12 @@ class MatcherWorker {
   TraceRecorder* trace_ = nullptr;  // Not owned; null = tracing disabled.
   int trace_track_ = 0;
   double worker_free_at_ = 0.0;
-  EventQueue<DeferredJob> queue_;
-  // topic -> pending queue seq, for supersession. Entries are erased on pop/cancel.
+  uint64_t next_seq_ = 1;
+  // Pending jobs by publish seq: a FIFO whose begin() is both the next job due and the
+  // stalest job a full queue drops.
+  std::map<uint64_t, DeferredJob> pending_;
+  // topic -> seq of its pending job, for supersession. Entries are erased on pop/drop.
   std::unordered_map<uint64_t, uint64_t> pending_topic_;
-  // queue seq -> topic, to clean pending_topic_ when a depth-drop evicts a topical job.
-  std::unordered_map<uint64_t, uint64_t> topic_of_seq_;
 };
 
 }  // namespace fmoe

@@ -65,34 +65,14 @@ ServingEngine::ServingEngine(const ModelConfig& model, const EngineConfig& confi
       store_.set_trace(trace_, host_track, nvme_track);
     }
   }
-  // Wire prefetch-start events from every device link back into cache bookkeeping.
+  // Wire prefetch-start events from every device link, and from the store's direct
+  // NVMe→GPU path, back into cache bookkeeping.
   for (int dev = 0; dev < cluster_.device_count(); ++dev) {
     cluster_.device(dev).link().set_completion_callback(
-        [this, dev](uint64_t tag, double completion) {
-          OnTransferScheduled(dev, tag, completion);
-        });
+        [this](uint64_t tag, double completion) { OnTransferScheduled(tag, completion); });
   }
-  // Tier chain plumbing: when an NVMe→host staging transfer is scheduled its chained
-  // host→GPU hop (if any) is enqueued with the staging completion as earliest start; direct
-  // NVMe→GPU transfers report back through the ordinary transfer-scheduled path.
-  store_.set_stage_scheduled_hook([this](uint64_t stage_tag, uint64_t key, double completion) {
-    const auto it = chains_by_stage_tag_.find(stage_tag);
-    if (it == chains_by_stage_tag_.end()) {
-      return;  // Speculative staging (or chain dropped by eviction): host copy only.
-    }
-    const ChainedPrefetch chain = it->second;
-    chains_by_stage_tag_.erase(it);
-    stage_tag_by_gpu_tag_.erase(chain.gpu_tag);
-    if (!transfer_key_by_tag_.contains(chain.gpu_tag)) {
-      return;  // The GPU entry was evicted while its staging was in flight.
-    }
-    FMOE_CHECK(chain.key == key);
-    LinkFor(chain.key).EnqueuePrefetchAfter(clock_.now(), chain.gpu_tag, chain.bytes,
-                                            std::max(clock_.now(), completion));
-  });
-  store_.set_direct_scheduled_hook([this](uint64_t tag, double completion) {
-    OnTransferScheduled(/*device=*/-1, tag, completion);
-  });
+  store_.set_direct_scheduled_hook(
+      [this](uint64_t tag, double completion) { OnTransferScheduled(tag, completion); });
   if (config_.preload_all) {
     PreloadAllExperts();
   }
@@ -115,8 +95,7 @@ void ServingEngine::PreloadAllExperts() {
   }
 }
 
-void ServingEngine::OnTransferScheduled(int /*device*/, uint64_t tag, double completion) {
-  direct_tags_.erase(tag);  // No-op except for scheduled NVMe→GPU direct transfers.
+void ServingEngine::OnTransferScheduled(uint64_t tag, double completion) {
   const auto it = transfer_key_by_tag_.find(tag);
   if (it == transfer_key_by_tag_.end()) {
     return;  // Transfer belonged to an entry evicted before it started.
@@ -134,17 +113,7 @@ void ServingEngine::CleanupEvicted(const std::vector<CacheEntry>& evicted) {
   for (const CacheEntry& victim : evicted) {
     stall_.OnEvicted(victim.key);
     if (victim.prefetch_pending && victim.transfer_tag != 0) {
-      const auto chain_it = stage_tag_by_gpu_tag_.find(victim.transfer_tag);
-      if (chain_it != stage_tag_by_gpu_tag_.end()) {
-        // The GPU hop was never enqueued (still chained behind NVMe→host staging): drop the
-        // chain; the staging continues and lands as a plain host-pool copy.
-        chains_by_stage_tag_.erase(chain_it->second);
-        stage_tag_by_gpu_tag_.erase(chain_it);
-      } else if (direct_tags_.erase(victim.transfer_tag) > 0) {
-        store_.nvme_link().CancelQueuedPrefetch(victim.transfer_tag);
-      } else {
-        LinkFor(victim.key).CancelQueuedPrefetch(victim.transfer_tag);
-      }
+      store_.CancelFill(victim.transfer_tag, LinkFor(victim.key));
       transfer_key_by_tag_.erase(victim.transfer_tag);
     } else {
       // The victim carried real resident data: demote GPU→host (spilling host→NVMe under
@@ -182,13 +151,9 @@ void ServingEngine::PrefetchAsyncSized(ExpertId id, double probability, double /
   entry.prefetch_pending = true;
   entry.probability = probability;
   entry.last_access = clock_.now();
-  if (!cache_.Insert(entry, clock_.now(), &evicted_scratch_)) {
+  if (!InsertEntry(entry)) {
     return;  // No room (everything pinned or entry larger than the budget): skip prefetch.
   }
-  CleanupEvicted(evicted_scratch_);
-  GpuDevice& device = cluster_.DeviceFor(key);
-  const bool allocated = device.Allocate(entry.bytes);
-  FMOE_CHECK_MSG(allocated, "GPU memory exhausted; configure devices >= cache budget");
   // The transfer tag is only minted once the insert has succeeded, so rejected prefetches
   // (everything pinned, budget too small) do not burn tag numbers.
   const uint64_t tag = next_transfer_tag_++;
@@ -203,22 +168,7 @@ void ServingEngine::PrefetchAsyncSized(ExpertId id, double probability, double /
     prefetch_pinned_by_layer_[static_cast<size_t>(id.layer)].push_back(key);
     ++prefetch_pinned_count_;
   }
-  double earliest = clock_.now();
-  uint64_t stage_tag = 0;
-  switch (store_.PlanGpuFill(key, entry.bytes, clock_.now(), probability, &earliest,
-                             &stage_tag)) {
-    case TieredExpertStore::FillRoute::kFromHost:
-      device.link().EnqueuePrefetchAfter(clock_.now(), tag, entry.bytes, earliest);
-      break;
-    case TieredExpertStore::FillRoute::kChained:
-      chains_by_stage_tag_[stage_tag] = ChainedPrefetch{key, tag, entry.bytes};
-      stage_tag_by_gpu_tag_[tag] = stage_tag;
-      break;
-    case TieredExpertStore::FillRoute::kDirect:
-      direct_tags_.insert(tag);
-      store_.nvme_link().EnqueuePrefetch(clock_.now(), tag, entry.bytes);
-      break;
-  }
+  store_.StartFill(key, tag, entry.bytes, clock_.now(), probability, LinkFor(key));
   stall_.OnPrefetchIssued(key);
   if (trace_ != nullptr) {
     trace_->Instant(trace_engine_track_, "prefetch-issue", "prefetch", clock_.now(),
@@ -248,46 +198,22 @@ void ServingEngine::StageToHostAsync(ExpertId id, double probability) {
   store_.StageToHost(key, model_.expert_bytes, clock_.now(), probability);
 }
 
-double ServingEngine::DemandFillMiss(uint64_t key, PcieLink& link,
-                                     TieredExpertStore::Tier* source) {
-  if (store_.DirectDemandRoute(key)) {
-    *source = TieredExpertStore::Tier::kNvme;
-    return store_.DirectDemand(key, model_.expert_bytes, clock_.now());
+bool ServingEngine::InsertEntry(const CacheEntry& entry) {
+  if (!cache_.Insert(entry, clock_.now(), &evicted_scratch_)) {
+    return false;
   }
-  const double earliest = store_.EnsureHostSide(key, model_.expert_bytes, clock_.now(), source);
-  return link.DemandLoadAfter(clock_.now(), earliest, model_.expert_bytes);
+  CleanupEvicted(evicted_scratch_);
+  const bool allocated = cluster_.DeviceFor(entry.key).Allocate(entry.bytes);
+  FMOE_CHECK_MSG(allocated, "GPU memory exhausted; configure devices >= cache budget");
+  return true;
 }
 
-double ServingEngine::PromoteQueuedToDemand(EntryRef& entry, uint64_t key, PcieLink& link,
-                                            TieredExpertStore::Tier* source) {
+double ServingEngine::PromoteQueued(EntryRef& entry, uint64_t key, PcieLink& link,
+                                    TieredExpertStore::Tier* source) {
   const uint64_t tag = entry.transfer_tag();
-  double ready = 0.0;
-  if (const auto chain_it = stage_tag_by_gpu_tag_.find(tag);
-      chain_it != stage_tag_by_gpu_tag_.end()) {
-    // The host→GPU hop was never enqueued (still chained behind NVMe→host staging): resolve
-    // the whole chain on demand — promote the staging NVMe-side, then demand the PCIe hop
-    // behind the staged data's availability.
-    chains_by_stage_tag_.erase(chain_it->second);
-    stage_tag_by_gpu_tag_.erase(chain_it);
-    transfer_key_by_tag_.erase(tag);
-    entry.set_transfer_tag(0);
-    const double earliest = store_.EnsureHostSide(key, entry.bytes(), clock_.now(), source);
-    ready = link.DemandLoadAfter(clock_.now(), earliest, entry.bytes());
-  } else if (direct_tags_.erase(tag) > 0) {
-    store_.nvme_link().CancelQueuedPrefetch(tag);
-    transfer_key_by_tag_.erase(tag);
-    entry.set_transfer_tag(0);
-    *source = TieredExpertStore::Tier::kNvme;
-    ready = store_.DirectDemand(key, entry.bytes(), clock_.now());
-  } else {
-    // The hop is already queued on the PCIe link: promote it there, honouring the host
-    // copy's availability (it may still be landing from an earlier staging).
-    link.CancelQueuedPrefetch(tag);
-    transfer_key_by_tag_.erase(tag);
-    entry.set_transfer_tag(0);
-    ready = link.DemandLoadAfter(clock_.now(), store_.HostAvailableAt(key, clock_.now()),
-                                 entry.bytes());
-  }
+  transfer_key_by_tag_.erase(tag);
+  entry.set_transfer_tag(0);
+  const double ready = store_.PromoteFill(key, tag, entry.bytes(), clock_.now(), link, source);
   entry.set_ready_at(ready);
   entry.set_prefetch_pending(false);
   return ready;
@@ -309,9 +235,9 @@ void ServingEngine::BlockingLoad(ExpertId id, double probability) {
     ready = entry.ready_at();  // In flight: wait for it.
   } else if (entry) {
     // Queued but not started: promote to a demand transfer.
-    ready = PromoteQueuedToDemand(entry, key, link, &source);
+    ready = PromoteQueued(entry, key, link, &source);
   } else {
-    ready = DemandFillMiss(key, link, &source);
+    ready = store_.DemandFill(key, model_.expert_bytes, clock_.now(), link, &source);
     CacheEntry fresh;
     fresh.key = key;
     fresh.bytes = model_.expert_bytes;
@@ -319,11 +245,7 @@ void ServingEngine::BlockingLoad(ExpertId id, double probability) {
     fresh.prefetch_pending = false;
     fresh.probability = probability;
     fresh.last_access = clock_.now();
-    if (cache_.Insert(fresh, clock_.now(), &evicted_scratch_)) {
-      CleanupEvicted(evicted_scratch_);
-      const bool allocated = cluster_.DeviceFor(key).Allocate(model_.expert_bytes);
-      FMOE_CHECK(allocated);
-    }
+    InsertEntry(fresh);
   }
   const double stall = std::max(0.0, ready - clock_.now());
   // Blocking loads are policy-initiated (speculative baselines): the wait is charged to sync
@@ -452,32 +374,6 @@ bool ServingEngine::TransferTagsConsistent() const {
   return true;
 }
 
-bool ServingEngine::TierBookkeepingConsistent() const {
-  if (!store_.BookkeepingConsistent()) {
-    return false;
-  }
-  if (chains_by_stage_tag_.size() != stage_tag_by_gpu_tag_.size()) {
-    return false;
-  }
-  for (const auto& [stage_tag, chain] : chains_by_stage_tag_) {
-    // Chain maps must be mutual inverses, and every chained GPU tag must still name a live
-    // GPU-cache transfer.
-    const auto it = stage_tag_by_gpu_tag_.find(chain.gpu_tag);
-    if (it == stage_tag_by_gpu_tag_.end() || it->second != stage_tag) {
-      return false;
-    }
-    if (!transfer_key_by_tag_.contains(chain.gpu_tag)) {
-      return false;
-    }
-  }
-  for (const uint64_t tag : direct_tags_) {
-    if (!transfer_key_by_tag_.contains(tag)) {
-      return false;
-    }
-  }
-  return true;
-}
-
 ServingEngine::ExpertJob ServingEngine::IssueExpert(ExpertId id, int tokens_routed) {
   const uint64_t key = KeyOf(id);
   PcieLink& link = LinkFor(key);
@@ -494,23 +390,20 @@ ServingEngine::ExpertJob ServingEngine::IssueExpert(ExpertId id, int tokens_rout
     // Full miss: on-demand load. If the entry cannot be cached (budget smaller than one
     // expert, or everything pinned) the weights are streamed through a transient buffer —
     // the transfer cost is identical either way.
-    job.ready_at = DemandFillMiss(key, link, &job.tier_source);
+    job.ready_at =
+        store_.DemandFill(key, model_.expert_bytes, clock_.now(), link, &job.tier_source);
     CacheEntry fresh;
     fresh.key = key;
     fresh.bytes = model_.expert_bytes;
     fresh.ready_at = job.ready_at;
     fresh.prefetch_pending = false;
     fresh.last_access = clock_.now();
-    if (cache_.Insert(fresh, clock_.now(), &evicted_scratch_)) {
-      CleanupEvicted(evicted_scratch_);
-      const bool allocated = cluster_.DeviceFor(key).Allocate(model_.expert_bytes);
-      FMOE_CHECK(allocated);
-    }
+    InsertEntry(fresh);
     job.stall_class = stall_.ClassifyMiss(key, MissKind::kNeverResident);
   } else if (entry.prefetch_pending()) {
     // Prefetch was enqueued but its transfer never started: promote to a demand load, which
     // jumps ahead of all queued prefetches ("pauses all expert prefetching tasks", §4.5).
-    job.ready_at = PromoteQueuedToDemand(entry, key, link, &job.tier_source);
+    job.ready_at = PromoteQueued(entry, key, link, &job.tier_source);
     job.stall_class = stall_.ClassifyMiss(key, MissKind::kQueuedPromoted);
   } else if (entry.ready_at() > clock_.now()) {
     // Prefetch in flight but late: wait out the remainder. Still a miss by the paper's

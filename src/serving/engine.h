@@ -15,7 +15,6 @@
 #include <string>
 #include <set>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "src/cache/expert_cache.h"
@@ -184,11 +183,8 @@ class ServingEngine : public EngineHandle {
   size_t PendingDeferredJobs() const { return matcher_.pending(); }
   const MatcherWorker& matcher() const { return matcher_; }
   // Every queued-transfer tag maps to a resident entry carrying that tag, and vice versa.
+  // The store checks its own chained and direct fills (store().BookkeepingConsistent()).
   bool TransferTagsConsistent() const;
-  // Chain / direct-path bookkeeping cross-checks for the tiered store (fuzz tests): every
-  // chained prefetch references a live GPU transfer tag, the chain maps are mutual inverses,
-  // and the store's own stage bookkeeping is consistent.
-  bool TierBookkeepingConsistent() const;
 
  private:
   struct BatchMember {
@@ -221,20 +217,24 @@ class ServingEngine : public EngineHandle {
   ExpertJob IssueExpert(ExpertId id, int tokens_routed);
   void CompleteExpert(const ExpertJob& job);
 
-  // Demand-path helpers shared by IssueExpert and BlockingLoad. The store routes the fill
-  // (host copy, NVMe staging, or the direct NVMe→GPU path) and reports the serving tier; a
-  // disabled store always answers "host, available now".
-  double DemandFillMiss(uint64_t key, PcieLink& link, TieredExpertStore::Tier* source);
-  double PromoteQueuedToDemand(EntryRef& entry, uint64_t key, PcieLink& link,
-                               TieredExpertStore::Tier* source);
+  // Promotes a queued fill to a demand load (IssueExpert and BlockingLoad): the store moves
+  // the transfer, whatever its route, and reports the serving tier; the entry becomes a
+  // committed copy ready at the returned time.
+  double PromoteQueued(EntryRef& entry, uint64_t key, PcieLink& link,
+                       TieredExpertStore::Tier* source);
 
-  // Completion bookkeeping shared by prefetch start events.
-  void OnTransferScheduled(int device, uint64_t tag, double completion_time);
+  // Completion bookkeeping shared by prefetch start events (device links and the store's
+  // direct NVMe→GPU path).
+  void OnTransferScheduled(uint64_t tag, double completion_time);
 
   uint64_t KeyOf(ExpertId id) const { return model_.FlatIndex(id); }
   PcieLink& LinkFor(uint64_t key) { return cluster_.DeviceFor(key).link(); }
 
-  // Removes victims' GPU allocations, cancels their queued transfers, and reports each
+  // Inserts `entry` into the GPU cache, cleans up its victims and allocates its device
+  // memory; false (nothing changed) when the cache cannot take it.
+  bool InsertEntry(const CacheEntry& entry);
+
+  // Removes victims' GPU allocations, cancels their unstarted fills, and reports each
   // eviction to the stall classifier (every GPU-tier eviction passes through here).
   void CleanupEvicted(const std::vector<CacheEntry>& evicted);
 
@@ -291,19 +291,6 @@ class ServingEngine : public EngineHandle {
   // tag -> flat expert key for prefetch-start callbacks.
   std::unordered_map<uint64_t, uint64_t> transfer_key_by_tag_;
 
-  // Tiered-store chain bookkeeping (empty while the store is disabled). A chained prefetch
-  // is a GPU fill whose host→GPU hop waits for an NVMe→host staging transfer: the hop is
-  // enqueued by the stage-scheduled hook once the staging's completion instant is known.
-  struct ChainedPrefetch {
-    uint64_t key = 0;
-    uint64_t gpu_tag = 0;
-    uint64_t bytes = 0;
-  };
-  std::unordered_map<uint64_t, ChainedPrefetch> chains_by_stage_tag_;
-  std::unordered_map<uint64_t, uint64_t> stage_tag_by_gpu_tag_;  // Inverse of the above.
-  // GPU transfer tags riding the explicit NVMe→GPU direct path (their transfers live on the
-  // store's NVMe link, not the device's PCIe link).
-  std::unordered_set<uint64_t> direct_tags_;
   // Prefetched-but-not-yet-used experts are pinned (the runtime holds a reference to the
   // inbound buffer) and released when their target layer completes or the iteration ends.
   // Bucketed by target layer so releases touch only the completed layers' keys; a key appears

@@ -1,7 +1,5 @@
 #include "src/serving/scheduler.h"
 
-#include <algorithm>
-
 #include "src/util/logging.h"
 
 namespace fmoe {
@@ -85,10 +83,14 @@ std::vector<RequestMetrics> ContinuousBatchScheduler::Run(
     FMOE_CHECK_MSG(requests[i].arrival_time >= requests[i - 1].arrival_time,
                    "requests must be sorted by arrival time");
   }
+  FMOE_CHECK_MSG(requests.front().arrival_time >= engine_->now(),
+                 "first arrival " << requests.front().arrival_time
+                                  << " precedes the engine clock " << engine_->now()
+                                  << "; shift the arrivals by engine.now()");
 
   std::vector<Request> queue = requests;
   std::vector<RequestMetrics> completed;
-  const double first_arrival = std::max(queue.front().arrival_time, engine_->now());
+  const double first_arrival = queue.front().arrival_time;
   stats_.arrived_requests = requests.size();
   controller_->OnArrived(requests.size());
 

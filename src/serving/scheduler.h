@@ -57,10 +57,12 @@ class ContinuousBatchScheduler {
   ContinuousBatchScheduler(ServingEngine* engine, const SchedulerOptions& options);
   ~ContinuousBatchScheduler();
 
-  // Serves every request (must be sorted by arrival time) to completion and returns their
-  // metrics in completion order; requests the controller sheds are dropped (counted in
-  // stats().rejected_requests), so the result may be shorter than the input. Repeatable:
-  // internal state resets per call (a fresh controller per Run).
+  // Serves every request (must be sorted by arrival time, the first arriving no earlier than
+  // the engine's clock) to completion and returns their metrics in completion order. After a
+  // warmup the clock has moved on: shift the arrivals by engine.now(), or every queueing delay
+  // would include the warmup. Requests the controller sheds are dropped (counted in
+  // stats().rejected_requests), so the result may be shorter than the input. Internal state
+  // resets per call (a fresh controller per Run).
   std::vector<RequestMetrics> Run(const std::vector<Request>& requests);
 
   const SchedulerStats& stats() const { return stats_; }

@@ -12,7 +12,6 @@
 //   fmoe_sim --model phi --mode online --requests 64 --trace-rate 0.1 --format json
 //   fmoe_sim --model tiny --mode scheduled --trace-csv trace.csv --admission-policy gradient
 //   fmoe_sim --model mixtral --system fMoE --save-store /tmp/mixtral.store
-#include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -25,8 +24,6 @@
 #include "src/harness/report.h"
 #include "src/harness/runner.h"
 #include "src/harness/systems.h"
-#include "src/obs/perfetto_export.h"
-#include "src/obs/stall_report.h"
 #include "src/obs/trace_recorder.h"
 #include "src/workload/trace_io.h"
 #include "src/serving/engine.h"
@@ -361,66 +358,22 @@ int main(int argc, char** argv) {
   if (!trace_out.empty()) {
     const std::string process_name = "fmoe_sim [" + std::to_string(trace_task) + "] " +
                                      systems[trace_task];
-    if (!WriteChromeTraceFile(recorder, process_name, trace_out)) {
+    if (!WriteTraceReport(recorder, process_name, trace_out, std::cerr)) {
       return 1;
     }
-    std::cerr << "trace: " << recorder.events().size() << " events -> " << trace_out
-              << " (load in ui.perfetto.dev or chrome://tracing)\n"
-              << RenderStallReport(recorder.stall());
   }
 
   if (options.oracle) {
     // Gap table goes to stderr (like the stall report) so --format stdout is unchanged by
     // everything except the report's own oracle block.
-    AsciiTable gap_table({"system", "% of optimum", "miss gap", "stall gap",
-                          "policy stall (ms)", "oracle stall (ms)"});
-    for (const ExperimentResult& r : results) {
-      if (!r.oracle_enabled) {
-        continue;
-      }
-      gap_table.AddRow({r.system, AsciiTable::Num(r.oracle.pct_of_clairvoyant, 1),
-                        AsciiTable::Num(r.oracle.miss_gap, 3),
-                        AsciiTable::Num(r.oracle.stall_gap, 3),
-                        AsciiTable::Num(r.oracle.policy_stall_s * 1e3, 1),
-                        AsciiTable::Num(r.oracle.oracle_stall_s * 1e3, 1)});
-    }
-    gap_table.Print(std::cerr);
+    PrintOracleTable(plan, results, std::cerr);
     if (!oracle_out.empty()) {
       std::ofstream oracle_file(oracle_out);
       if (!oracle_file) {
         std::cerr << "error: cannot open " << oracle_out << " for writing\n";
         return 1;
       }
-      oracle_file << "{\"program\":\"fmoe_sim\",\"tasks\":[";
-      bool first = true;
-      for (size_t i = 0; i < results.size(); ++i) {
-        const ExperimentResult& r = results[i];
-        if (!r.oracle_enabled) {
-          continue;
-        }
-        if (!first) {
-          oracle_file << ",";
-        }
-        first = false;
-        char buffer[512];
-        std::snprintf(buffer, sizeof(buffer),
-                      "{\"task\":%zu,\"system\":\"%s\",\"oracle\":{\"accesses\":%llu,"
-                      "\"policy_hits\":%llu,\"policy_misses\":%llu,\"oracle_fetches\":%llu,"
-                      "\"oracle_hits\":%llu,\"oracle_misses\":%llu,\"policy_stall_s\":%.9g,"
-                      "\"oracle_stall_s\":%.9g,\"miss_gap\":%.9g,\"stall_gap\":%.9g,"
-                      "\"pct_of_clairvoyant\":%.9g}}",
-                      i, r.system.c_str(),
-                      static_cast<unsigned long long>(r.oracle.accesses),
-                      static_cast<unsigned long long>(r.oracle.policy_hits),
-                      static_cast<unsigned long long>(r.oracle.policy_misses),
-                      static_cast<unsigned long long>(r.oracle.oracle_fetches),
-                      static_cast<unsigned long long>(r.oracle.oracle_hits),
-                      static_cast<unsigned long long>(r.oracle.oracle_misses),
-                      r.oracle.policy_stall_s, r.oracle.oracle_stall_s, r.oracle.miss_gap,
-                      r.oracle.stall_gap, r.oracle.pct_of_clairvoyant);
-        oracle_file << buffer;
-      }
-      oracle_file << "]}\n";
+      WriteOracleJson(plan, results, "fmoe_sim", oracle_file);
       if (!oracle_file) {
         std::cerr << "error: writing " << oracle_out << " failed\n";
         return 1;

@@ -1,16 +1,19 @@
 // Tests for the pub-sub deferred-work pipeline: MatcherWorker scheduling semantics
-// (serial worker timeline, topic supersession, bounded depth) and the engine-level contract —
+// (serial worker timeline, seq-ordered FIFO pops, topic supersession, bounded depth) and the
+// engine-level contract —
 // at matcher_latency_scale == 0 every published job applies at its publish instant, while
 // nonzero scales degrade hit rate without touching the critical path.
 #include "src/serving/deferred.h"
 
 #include <algorithm>
+#include <map>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/core/fmoe_policy.h"
 #include "src/serving/engine.h"
+#include "src/util/rng.h"
 #include "src/workload/workload.h"
 
 namespace fmoe {
@@ -106,6 +109,140 @@ TEST(MatcherWorkerTest, PopReportsQueueSequence) {
   ASSERT_TRUE(worker.PopDue(100.0, &job));
   EXPECT_EQ(job.seq, second);
 }
+
+TEST(MatcherWorkerTest, SequenceNumbersStartAtOneAndIncrease) {
+  MatcherWorker worker(/*latency_scale=*/1.0, /*queue_depth=*/64);
+  std::vector<DeferredJob> victims;
+  for (uint64_t expected = 1; expected <= 20; ++expected) {
+    // Superseded and dropped jobs still consume their number.
+    EXPECT_EQ(worker.Publish(0.0, MakeJob(/*topic=*/expected % 3, 1.0), &victims), expected);
+  }
+}
+
+TEST(MatcherWorkerTest, PopsInDueOrder) {
+  MatcherWorker worker(/*latency_scale=*/1.0, /*queue_depth=*/8);
+  std::vector<DeferredJob> victims;
+  worker.Publish(0.0, MakeJob(0, 3.0), &victims);  // [0, 3)
+  worker.Publish(1.0, MakeJob(0, 1.0), &victims);  // [3, 4)
+  worker.Publish(9.0, MakeJob(0, 2.0), &victims);  // [9, 11)
+  DeferredJob job;
+  std::vector<double> completions;
+  while (worker.PopDue(100.0, &job)) {
+    completions.push_back(job.completion_time);
+  }
+  EXPECT_EQ(completions, (std::vector<double>{3.0, 4.0, 11.0}));
+}
+
+TEST(MatcherWorkerTest, EqualCompletionsPopInPublishOrder) {
+  // Zero-cost jobs on an idle worker all complete at their publish instant.
+  MatcherWorker worker(/*latency_scale=*/1.0, /*queue_depth=*/32);
+  std::vector<DeferredJob> victims;
+  std::vector<uint64_t> published;
+  for (int i = 0; i < 16; ++i) {
+    published.push_back(worker.Publish(5.0, MakeJob(0, 0.0), &victims));
+  }
+  DeferredJob job;
+  for (const uint64_t seq : published) {
+    ASSERT_TRUE(worker.PopDue(5.0, &job));
+    EXPECT_EQ(job.seq, seq) << "FIFO tie-break violated";
+    EXPECT_DOUBLE_EQ(job.completion_time, 5.0);
+  }
+  EXPECT_FALSE(worker.PopDue(5.0, &job));
+}
+
+TEST(MatcherWorkerTest, PopDueRespectsNow) {
+  MatcherWorker worker(/*latency_scale=*/1.0, /*queue_depth=*/8);
+  std::vector<DeferredJob> victims;
+  for (int i = 0; i < 3; ++i) {
+    worker.Publish(0.0, MakeJob(0, 1.0), &victims);  // Completes at 1, 2, 3.
+  }
+  DeferredJob job;
+  EXPECT_FALSE(worker.PopDue(0.5, &job));
+  ASSERT_TRUE(worker.PopDue(2.0, &job));
+  EXPECT_DOUBLE_EQ(job.completion_time, 1.0);
+  ASSERT_TRUE(worker.PopDue(2.0, &job));
+  EXPECT_DOUBLE_EQ(job.completion_time, 2.0);
+  EXPECT_FALSE(worker.PopDue(2.0, &job));
+  EXPECT_EQ(worker.pending(), 1u);
+}
+
+TEST(MatcherWorkerTest, SupersededJobIsReturnedAndNeverPops) {
+  MatcherWorker worker(/*latency_scale=*/1.0, /*queue_depth=*/8);
+  std::vector<DeferredJob> victims;
+  const uint64_t stale = worker.Publish(0.0, MakeJob(/*topic=*/4, 2.0), &victims);
+  const uint64_t other = worker.Publish(0.0, MakeJob(/*topic=*/5, 1.0), &victims);
+  const uint64_t fresh = worker.Publish(0.5, MakeJob(/*topic=*/4, 1.0), &victims);
+  ASSERT_EQ(victims.size(), 1u);
+  EXPECT_EQ(victims[0].seq, stale);
+  EXPECT_DOUBLE_EQ(victims[0].cost_seconds, 2.0);
+  DeferredJob job;
+  std::vector<uint64_t> popped;
+  while (worker.PopDue(100.0, &job)) {
+    popped.push_back(job.seq);
+  }
+  EXPECT_EQ(popped, (std::vector<uint64_t>{other, fresh}));
+}
+
+// Random publish / supersede / drop / pop workload against a naive model of the pending set:
+// pops come out in seq order with nondecreasing completion, victims are exactly the
+// superseded same-topic job and the oldest jobs past the depth bound.
+class MatcherWorkerRandomTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(MatcherWorkerRandomTest, RandomOpsPopInSeqOrder) {
+  Rng rng(GetParam());
+  constexpr int kDepth = 6;
+  MatcherWorker worker(/*latency_scale=*/rng.NextUniform(0.5, 2.0), kDepth);
+  std::map<uint64_t, uint64_t> model;  // seq -> topic of every pending job.
+  double now = 0.0;
+  double last_completion = 0.0;
+  uint64_t last_popped = 0;
+  for (int step = 0; step < 2000; ++step) {
+    now += rng.NextUniform(0.0, 0.5);
+    if (rng.NextBounded(3) != 0) {  // Publish (twice as likely, so the queue fills).
+      const uint64_t topic = rng.NextBounded(5);  // 0 = no topic.
+      std::vector<uint64_t> expected_victims;
+      if (topic != 0) {
+        for (const auto& [seq, pending_topic] : model) {
+          if (pending_topic == topic) {
+            expected_victims.push_back(seq);
+          }
+        }
+        ASSERT_LE(expected_victims.size(), 1u);
+        if (!expected_victims.empty()) {
+          model.erase(expected_victims.front());
+        }
+      }
+      while (model.size() >= kDepth) {
+        expected_victims.push_back(model.begin()->first);
+        model.erase(model.begin());
+      }
+      std::vector<DeferredJob> victims;
+      const uint64_t seq =
+          worker.Publish(now, MakeJob(topic, rng.NextUniform(0.0, 1.0)), &victims);
+      ASSERT_EQ(victims.size(), expected_victims.size());
+      for (size_t i = 0; i < victims.size(); ++i) {
+        EXPECT_EQ(victims[i].seq, expected_victims[i]);
+      }
+      EXPECT_TRUE(model.empty() || seq > model.rbegin()->first);
+      model.emplace(seq, topic);
+    } else {  // Drain everything due.
+      DeferredJob job;
+      while (worker.PopDue(now, &job)) {
+        ASSERT_FALSE(model.empty());
+        EXPECT_EQ(job.seq, model.begin()->first) << "pops must follow publish order";
+        EXPECT_GT(job.seq, last_popped);
+        EXPECT_LE(job.completion_time, now);
+        EXPECT_GE(job.completion_time, last_completion) << "completions must not decrease";
+        last_completion = job.completion_time;
+        last_popped = job.seq;
+        model.erase(model.begin());
+      }
+    }
+    ASSERT_EQ(worker.pending(), model.size());
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, MatcherWorkerRandomTest, ::testing::Values(3u, 17u, 2026u));
 
 // ---------------------------------------------------------------------------
 // Replay equivalence: fMoE through the published pipeline at several matcher speeds. Scale 0

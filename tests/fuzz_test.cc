@@ -250,7 +250,7 @@ TEST_P(EngineFuzzTest, RandomAsyncKnobsPreserveEngineInvariants) {
 
       ASSERT_LE(engine.cache().used_bytes(), engine.cache().capacity_bytes());
       ASSERT_TRUE(engine.TransferTagsConsistent());
-      ASSERT_TRUE(engine.TierBookkeepingConsistent());
+      ASSERT_TRUE(engine.store().BookkeepingConsistent());
       ASSERT_LE(engine.store().host().used_bytes(), engine.store().host().capacity_bytes());
       if (!config.tier.allow_direct_nvme_gpu) {
         ASSERT_EQ(engine.store().stats().direct_loads, 0u)

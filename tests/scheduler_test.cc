@@ -268,6 +268,15 @@ TEST(SchedulerDeathTest, UnsortedArrivalsRejected) {
   EXPECT_DEATH(scheduler.Run(requests), "sorted by arrival");
 }
 
+TEST(SchedulerDeathTest, ArrivalsBeforeEngineClockRejected) {
+  OnDemandPolicy policy(OnDemandOptions{.expert_agnostic = false});
+  ServingEngine engine(Tiny(), SmallEngine(), &policy);
+  engine.AdvanceClockTo(10.0);  // As a warmup would.
+  ContinuousBatchScheduler scheduler(&engine, SchedulerOptions{});
+  std::vector<Request> requests{MakeRequest(0, 1.0), MakeRequest(1, 12.0)};
+  EXPECT_DEATH(scheduler.Run(requests), "shift the arrivals by engine.now\\(\\)");
+}
+
 TEST(SchedulerFmoeTest, FmoePolicyHandlesContinuousBatching) {
   FmoeOptions options;
   options.store_capacity = 64;

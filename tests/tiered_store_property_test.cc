@@ -1,23 +1,27 @@
 // Property tests for the three-tier expert store (DESIGN.md §5h) under fuzzed schedules.
 //
-// A driver plays the engine's role against a TieredExpertStore: random interleavings of
-// speculative staging, demand fills, GPU-fill planning, victim demotion, frequency decay, and
-// link ticks. After every operation the invariants that define tier correctness must hold:
+// A driver plays the engine's role against a TieredExpertStore: it owns a real GPU PcieLink,
+// keeps GPU entries in the store's own gpu() cache, and runs random interleavings of
+// speculative staging, prefetch fills, demand accesses (promoting queued fills, demand-filling
+// absent keys), GPU evictions, victim demotion, frequency decay, and link ticks. After every
+// operation the invariants that define tier correctness must hold:
 //
 //   * Consistent tier bookkeeping — stage maps are mutual inverses, host-backed staging
-//     entries stay pending+pinned on their tag, transient stagings own no host entry
-//     (TieredExpertStore::BookkeepingConsistent), and host occupancy never exceeds capacity.
-//   * No NVMe→GPU teleport — with allow_direct_nvme_gpu off, PlanGpuFill never routes
-//     kDirect: every fill is served from a host copy (kFromHost) or chained behind an
-//     NVMe→host staging (kChained). kFromHost additionally requires actual host residency.
+//     entries stay pending+pinned on their tag, transient stagings own no host entry, and
+//     every chained or direct fill names a pending GPU entry carrying its tag
+//     (TieredExpertStore::BookkeepingConsistent); host occupancy never exceeds capacity.
+//   * No NVMe→GPU teleport — with allow_direct_nvme_gpu off, the NVMe link carries only
+//     stagings and every byte reaching the GPU crosses the GPU link: each demand access adds
+//     one GPU-link demand load, no fill reports through the direct hook, and at the end every
+//     fill has crossed the GPU link (hop or promotion) or was cancelled.
 //   * Queue/stage agreement — without the direct path, every queued NVMe transfer IS a
 //     pending staging and vice versa (pending_stage_count == queued_prefetch_count).
 //   * Transfer accounting — after a final flush, every issued staging either landed or was
-//     promoted (stages_landed == stages_issued - stage_promotions), the link's demand /
-//     prefetch counters match an independent ledger, and PcieLink::total_busy_sec() equals
-//     started_transfers * TransferDuration(bytes) exactly (uniform transfer size makes the
-//     repeated-addition trajectory bit-reproducible).
+//     promoted (stages_landed == stages_issued - stage_promotions), each fill met exactly one
+//     fate, both links' demand / prefetch counters match an independent ledger, and the NVMe
+//     link's total_busy_sec() equals started_transfers * TransferDuration(bytes).
 #include <algorithm>
+#include <map>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -33,6 +37,9 @@ namespace {
 constexpr uint64_t kExpertBytes = 10;
 constexpr uint64_t kGpuCapacity = 120;
 constexpr uint64_t kKeySpace = 48;
+// GPU transfer tags live far above the store's stage tags, so the two never meet on the NVMe
+// link (a direct fill shares it with the stagings).
+constexpr uint64_t kFirstGpuTag = 1ull << 32;
 
 struct FuzzConfig {
   uint64_t host_capacity = 0;
@@ -42,12 +49,161 @@ struct FuzzConfig {
   int ops = 3000;
 };
 
-// Independent transfer ledger the link's own accounting must reconcile against.
+// Independent transfer ledger the links' own accounting must reconcile against.
 struct Ledger {
-  uint64_t demand_loads = 0;    // EnsureHostSide(kNvme) + DirectDemand calls.
-  uint64_t direct_fills = 0;    // Engine-owned transfers we enqueued for kDirect routes.
-  uint64_t stage_hook_fires = 0;
-  uint64_t direct_hook_fires = 0;
+  uint64_t fills_started = 0;
+  uint64_t hops = 0;            // Fills whose transfer started on the GPU link.
+  uint64_t direct_fires = 0;    // Fills whose transfer started on the NVMe link.
+  uint64_t cancelled = 0;
+  uint64_t promoted = 0;
+  uint64_t demand_fills = 0;
+  uint64_t gpu_demands_expected = 0;  // Demand accesses whose bytes cross the GPU link.
+  uint64_t nvme_demands = 0;          // Demand accesses served from NVMe.
+};
+
+// The engine's side of the contract, over the store's own GPU cache.
+class EngineDriver {
+ public:
+  EngineDriver(TieredExpertStore& store, bool allow_direct)
+      : store_(store), allow_direct_(allow_direct), gpu_link_(LinkConfig{}) {
+    gpu_link_.set_completion_callback(
+        [this](uint64_t tag, double completion) { OnScheduled(tag, completion, &ledger_.hops); });
+    store_.set_direct_scheduled_hook([this](uint64_t tag, double completion) {
+      OnScheduled(tag, completion, &ledger_.direct_fires);
+    });
+  }
+
+  const Ledger& ledger() const { return ledger_; }
+  const PcieLink& gpu_link() const { return gpu_link_; }
+  size_t pending_fills() const { return key_by_tag_.size(); }
+
+  void Tick(double now) {
+    gpu_link_.Tick(now);
+    store_.Tick(now);
+  }
+
+  void Prefetch(uint64_t key, double now, double probability) {
+    if (store_.gpu().Contains(key)) {
+      return;
+    }
+    CacheEntry entry;
+    entry.key = key;
+    entry.bytes = kExpertBytes;
+    entry.ready_at = 1e300;
+    entry.prefetch_pending = true;
+    entry.probability = probability;
+    entry.last_access = now;
+    if (!Insert(entry, now)) {
+      return;
+    }
+    const uint64_t tag = next_tag_++;
+    store_.gpu().Find(key).set_transfer_tag(tag);
+    key_by_tag_[tag] = key;
+    ++ledger_.fills_started;
+    store_.StartFill(key, tag, kExpertBytes, now, probability, gpu_link_);
+  }
+
+  // The gate wants `key` now: promote a queued fill, demand-fill an absent key.
+  void Access(uint64_t key, double now) {
+    Tick(now);
+    EntryRef entry = store_.gpu().Find(key);
+    if (entry && !entry.prefetch_pending()) {
+      return;  // Resident (possibly still in flight): nothing to move.
+    }
+    const uint64_t gpu_demands_before = gpu_link_.demand_load_count();
+    TieredExpertStore::Tier source = TieredExpertStore::Tier::kHost;
+    double ready = 0.0;
+    if (entry) {
+      const uint64_t tag = entry.transfer_tag();
+      key_by_tag_.erase(tag);
+      entry.set_transfer_tag(0);
+      ready = store_.PromoteFill(key, tag, kExpertBytes, now, gpu_link_, &source);
+      entry.set_ready_at(ready);
+      entry.set_prefetch_pending(false);
+      ++ledger_.promoted;
+    } else {
+      ready = store_.DemandFill(key, kExpertBytes, now, gpu_link_, &source);
+      ++ledger_.demand_fills;
+      CacheEntry fresh;
+      fresh.key = key;
+      fresh.bytes = kExpertBytes;
+      fresh.ready_at = ready;
+      fresh.prefetch_pending = false;
+      fresh.last_access = now;
+      Insert(fresh, now);
+    }
+    EXPECT_GE(ready, now);
+    const bool crossed_gpu_link = gpu_link_.demand_load_count() == gpu_demands_before + 1;
+    // The no-teleport property: only a configured direct path may skip the GPU link.
+    EXPECT_TRUE(crossed_gpu_link || allow_direct_)
+        << "NVMe->GPU teleport without host staging at t=" << now;
+    if (!crossed_gpu_link) {
+      EXPECT_EQ(gpu_link_.demand_load_count(), gpu_demands_before);
+      EXPECT_EQ(source, TieredExpertStore::Tier::kNvme);
+    }
+    ledger_.gpu_demands_expected += crossed_gpu_link ? 1 : 0;
+    ledger_.nvme_demands += source == TieredExpertStore::Tier::kNvme ? 1 : 0;
+  }
+
+  void Evict(uint64_t key, double now) {
+    CacheEntry removed;
+    if (store_.gpu().Remove(key, &removed)) {
+      CleanupVictims({removed}, now);
+    }
+  }
+
+  // Promotes every fill still waiting (chained fills whose staging never hops them included),
+  // so each fill ends crossing a link or cancelled.
+  void PromoteAll(double now) {
+    std::vector<uint64_t> keys;
+    for (const auto& [tag, key] : key_by_tag_) {
+      keys.push_back(key);
+    }
+    for (const uint64_t key : keys) {
+      Access(key, now);
+    }
+  }
+
+ private:
+  bool Insert(const CacheEntry& entry, double now) {
+    std::vector<CacheEntry> victims;
+    if (!store_.gpu().Insert(entry, now, &victims)) {
+      return false;
+    }
+    CleanupVictims(victims, now);
+    return true;
+  }
+
+  void CleanupVictims(const std::vector<CacheEntry>& victims, double now) {
+    for (const CacheEntry& victim : victims) {
+      if (victim.prefetch_pending && victim.transfer_tag != 0) {
+        store_.CancelFill(victim.transfer_tag, gpu_link_);
+        key_by_tag_.erase(victim.transfer_tag);
+        ++ledger_.cancelled;
+      } else {
+        store_.DemoteGpuVictim(victim, now);
+      }
+    }
+  }
+
+  void OnScheduled(uint64_t tag, double completion, uint64_t* counter) {
+    const auto it = key_by_tag_.find(tag);
+    ASSERT_NE(it, key_by_tag_.end()) << "transfer of a cancelled or promoted fill, tag " << tag;
+    EntryRef entry = store_.gpu().Find(it->second);
+    ASSERT_TRUE(entry && entry.transfer_tag() == tag);
+    entry.set_ready_at(completion);
+    entry.set_prefetch_pending(false);
+    entry.set_transfer_tag(0);
+    key_by_tag_.erase(it);
+    ++*counter;
+  }
+
+  TieredExpertStore& store_;
+  bool allow_direct_;
+  PcieLink gpu_link_;
+  Ledger ledger_;
+  uint64_t next_tag_ = kFirstGpuTag;
+  std::map<uint64_t, uint64_t> key_by_tag_;  // Fills whose transfer has not started.
 };
 
 void RunSchedule(const FuzzConfig& fuzz) {
@@ -58,58 +214,36 @@ void RunSchedule(const FuzzConfig& fuzz) {
   config.host_policy = fuzz.host_policy;
   const std::unique_ptr<EvictionPolicy> gpu_policy = MakeEvictionPolicy("fMoE-PriorityLFU");
   TieredExpertStore store(kGpuCapacity, gpu_policy.get(), config);
-
-  Ledger ledger;
-  store.set_stage_scheduled_hook(
-      [&](uint64_t, uint64_t, double) { ++ledger.stage_hook_fires; });
-  store.set_direct_scheduled_hook([&](uint64_t, double) { ++ledger.direct_hook_fires; });
+  EngineDriver driver(store, fuzz.allow_direct);
 
   Rng rng(fuzz.seed);
   double now = 0.0;
-  // Engine-owned tags for direct NVMe→GPU transfers live far above the store's stage tags.
-  uint64_t next_direct_tag = 1ull << 32;
-
   for (int op = 0; op < fuzz.ops; ++op) {
     now += rng.NextDouble() * 1e-4;
     const uint64_t key = rng.NextBounded(kKeySpace);
-    switch (rng.NextBounded(6)) {
+    switch (rng.NextBounded(8)) {
       case 0: {  // Speculative NVMe→host staging (map-store candidate scoring).
         store.StageToHost(key, kExpertBytes, now, rng.NextDouble());
         break;
       }
-      case 1: {  // Demand fill: the host side must produce the bytes somehow.
-        TieredExpertStore::Tier source = TieredExpertStore::Tier::kHost;
-        const double ready = store.EnsureHostSide(key, kExpertBytes, now, &source);
-        ASSERT_GE(ready, now) << "op " << op;
-        if (source == TieredExpertStore::Tier::kNvme) {
-          ++ledger.demand_loads;
+      case 1:
+      case 2: {  // Prefetch fill.
+        const TierStats before = store.stats();
+        driver.Prefetch(key, now, rng.NextDouble());
+        if (store.stats().gpu_fills_from_host > before.gpu_fills_from_host) {
+          ASSERT_TRUE(store.HostResident(key)) << "op " << op;
         }
         break;
       }
-      case 2: {  // Plan the source side of a GPU prefetch.
-        double earliest = 0.0;
-        uint64_t stage_tag = 0;
-        const TieredExpertStore::FillRoute route =
-            store.PlanGpuFill(key, kExpertBytes, now, rng.NextDouble(), &earliest, &stage_tag);
-        switch (route) {
-          case TieredExpertStore::FillRoute::kFromHost:
-            ASSERT_TRUE(store.HostResident(key)) << "op " << op;
-            ASSERT_GE(earliest, now) << "op " << op;
-            break;
-          case TieredExpertStore::FillRoute::kChained:
-            ASSERT_NE(stage_tag, 0u) << "op " << op;
-            break;
-          case TieredExpertStore::FillRoute::kDirect:
-            // The no-teleport property: only a configured direct path may route kDirect.
-            ASSERT_TRUE(fuzz.allow_direct) << "NVMe->GPU teleport without host staging, op "
-                                           << op;
-            store.nvme_link().EnqueuePrefetch(now, next_direct_tag++, kExpertBytes);
-            ++ledger.direct_fills;
-            break;
-        }
+      case 3: {  // The gate asks for the key.
+        driver.Access(key, now);
         break;
       }
-      case 3: {  // GPU eviction victim carrying resident data demotes toward host.
+      case 4: {  // GPU eviction (pending fills cancel, resident copies demote).
+        driver.Evict(key, now);
+        break;
+      }
+      case 5: {  // A resident victim of some other tier's eviction demotes toward host.
         CacheEntry victim;
         victim.key = key;
         victim.bytes = kExpertBytes;
@@ -119,19 +253,18 @@ void RunSchedule(const FuzzConfig& fuzz) {
         store.DemoteGpuVictim(victim, now);
         break;
       }
-      case 4: {  // Per-iteration host frequency aging.
+      case 6: {  // Per-iteration host frequency aging.
         store.DecayHostFrequencies(0.6);
         break;
       }
-      case 5: {  // Advance the NVMe link, landing staged transfers.
-        store.Tick(now);
+      case 7: {  // Advance both links, landing stagings and starting hops.
+        driver.Tick(now);
         break;
       }
     }
 
     ASSERT_TRUE(store.BookkeepingConsistent()) << "op " << op;
     ASSERT_LE(store.host().used_bytes(), store.host().capacity_bytes()) << "op " << op;
-    ASSERT_GE(store.HostAvailableAt(key, now), now) << "op " << op;
     if (!fuzz.allow_direct) {
       // Every queued NVMe transfer is a pending staging and vice versa.
       ASSERT_EQ(store.pending_stage_count(), store.nvme_link().queued_prefetch_count())
@@ -139,31 +272,44 @@ void RunSchedule(const FuzzConfig& fuzz) {
     }
   }
 
-  // Flush: everything still queued starts and lands.
+  // Flush: everything still queued starts and lands; fills still waiting are promoted.
   now += 1e6;
-  store.Tick(now);
+  driver.Tick(now);
+  driver.PromoteAll(now);
+  driver.Tick(now);
   ASSERT_TRUE(store.BookkeepingConsistent());
+  EXPECT_EQ(driver.pending_fills(), 0u);
   EXPECT_EQ(store.pending_stage_count(), 0u);
   EXPECT_EQ(store.nvme_link().queued_prefetch_count(), 0u);
+  EXPECT_EQ(driver.gpu_link().queued_prefetch_count(), 0u);
 
   const TierStats& stats = store.stats();
+  const Ledger& ledger = driver.ledger();
   // Every issued staging either landed (its NVMe transfer started) or was promoted to a
-  // demand load (cancelled while queued) — no third fate.
+  // demand load (cancelled while queued) — no third fate. Every fill met exactly one fate.
   EXPECT_EQ(stats.stages_landed, stats.stages_issued - stats.stage_promotions);
-  EXPECT_EQ(ledger.stage_hook_fires, stats.stages_landed);
-  EXPECT_EQ(ledger.direct_hook_fires, ledger.direct_fills);
+  EXPECT_EQ(ledger.fills_started,
+            ledger.hops + ledger.direct_fires + ledger.cancelled + ledger.promoted);
   if (!fuzz.allow_direct) {
     EXPECT_EQ(stats.direct_loads, 0u);
+    EXPECT_EQ(ledger.direct_fires, 0u);
+    EXPECT_EQ(ledger.gpu_demands_expected, ledger.promoted + ledger.demand_fills);
   }
 
-  // Link-side accounting reconciles with the independent ledger: demand loads we triggered,
-  // prefetches that actually started (cancelled ones cost nothing).
+  // GPU-link accounting: its prefetches are exactly the hops, its demand loads exactly the
+  // demand accesses that crossed it.
+  const PcieLink& gpu = driver.gpu_link();
+  EXPECT_EQ(gpu.prefetch_count(), ledger.hops);
+  EXPECT_EQ(gpu.demand_load_count(), ledger.gpu_demands_expected);
+
+  // NVMe-link accounting reconciles with the ledger: demand loads we triggered, prefetches
+  // that actually started (cancelled ones cost nothing).
   const PcieLink& nvme = store.nvme_link();
-  EXPECT_EQ(nvme.demand_load_count(), ledger.demand_loads);
-  EXPECT_EQ(nvme.prefetch_count(), stats.stages_landed + ledger.direct_fills);
-  EXPECT_EQ(nvme.total_demand_bytes(), ledger.demand_loads * kExpertBytes);
+  EXPECT_EQ(nvme.demand_load_count(), ledger.nvme_demands);
+  EXPECT_EQ(nvme.prefetch_count(), stats.stages_landed + ledger.direct_fires);
+  EXPECT_EQ(nvme.total_demand_bytes(), ledger.nvme_demands * kExpertBytes);
   EXPECT_EQ(nvme.total_prefetch_bytes(),
-            (stats.stages_landed + ledger.direct_fills) * kExpertBytes);
+            (stats.stages_landed + ledger.direct_fires) * kExpertBytes);
 
   // Virtual-time busy accounting: every started transfer occupies the link for exactly
   // TransferDuration(bytes), so the busy ledger sums to started * duration. The link accrues
@@ -210,6 +356,25 @@ INSTANTIATE_TEST_SUITE_P(
 
 // Deterministic single-path checks that the fuzz could in principle miss.
 
+TierConfig ThreeTier(uint64_t host_capacity, bool allow_direct = false) {
+  TierConfig config;
+  config.nvme_backing = true;
+  config.host_capacity_bytes = host_capacity;
+  config.allow_direct_nvme_gpu = allow_direct;
+  return config;
+}
+
+// Inserts the pending GPU entry a fill of `key` with `tag` belongs to.
+void InsertPending(TieredExpertStore& store, uint64_t key, uint64_t tag, uint64_t bytes) {
+  CacheEntry entry;
+  entry.key = key;
+  entry.bytes = bytes;
+  entry.ready_at = 1e300;
+  entry.prefetch_pending = true;
+  entry.transfer_tag = tag;
+  ASSERT_TRUE(store.gpu().Insert(entry, 0.0, nullptr));
+}
+
 TEST(TieredStoreTest, DisabledStoreIsInert) {
   TierConfig config;  // nvme_backing defaults off.
   const std::unique_ptr<EvictionPolicy> policy = MakeEvictionPolicy("LRU");
@@ -222,15 +387,29 @@ TEST(TieredStoreTest, DisabledStoreIsInert) {
   store.DemoteGpuVictim(victim, 0.0);
   EXPECT_EQ(store.stats().demotions_to_host + store.stats().demotions_to_nvme, 0u);
   EXPECT_EQ(store.host().capacity_bytes(), 0u);
+
+  // Fills reduce to the two-tier device-link calls: enqueue at `now`, cancel, demand at `now`.
+  PcieLink gpu(LinkConfig{});
+  PcieLink reference(LinkConfig{});
+  reference.DemandLoad(0.0, kExpertBytes);
+  gpu.DemandLoad(0.0, kExpertBytes);  // Keep both links busy so the fills stay queued.
+  InsertPending(store, 2, kFirstGpuTag, kExpertBytes);
+  store.StartFill(2, kFirstGpuTag, kExpertBytes, 0.0, 0.5, gpu);
+  EXPECT_EQ(gpu.queued_prefetch_count(), 1u);
+  store.CancelFill(kFirstGpuTag, gpu);
+  EXPECT_EQ(gpu.queued_prefetch_count(), 0u);
+  TieredExpertStore::Tier source = TieredExpertStore::Tier::kNvme;
+  EXPECT_EQ(store.DemandFill(3, kExpertBytes, 1e-6, gpu, &source),
+            reference.DemandLoad(1e-6, kExpertBytes));
+  EXPECT_EQ(source, TieredExpertStore::Tier::kHost);
+  EXPECT_EQ(store.nvme_link().prefetch_count() + store.nvme_link().demand_load_count(), 0u);
   EXPECT_TRUE(store.BookkeepingConsistent());
 }
 
 TEST(TieredStoreTest, QueuedStagePromotesToDemandLoadOnce) {
-  TierConfig config;
-  config.nvme_backing = true;
-  config.host_capacity_bytes = 100;
   const std::unique_ptr<EvictionPolicy> policy = MakeEvictionPolicy("LRU");
-  TieredExpertStore store(kGpuCapacity, policy.get(), config);
+  TieredExpertStore store(kGpuCapacity, policy.get(), ThreeTier(100));
+  PcieLink gpu(LinkConfig{});
 
   // Occupy the link first: an idle link starts (and thus lands) a staging immediately.
   store.nvme_link().DemandLoad(0.0, kExpertBytes);
@@ -238,30 +417,34 @@ TEST(TieredStoreTest, QueuedStagePromotesToDemandLoadOnce) {
   ASSERT_NE(tag, 0u);
   EXPECT_EQ(store.pending_stage_count(), 1u);
 
-  // Promote while the staging is still queued: the prefetch is cancelled, a demand load runs.
+  // Demand the key while the staging is still queued: the prefetch is cancelled, a demand
+  // load runs.
   TieredExpertStore::Tier source = TieredExpertStore::Tier::kHost;
-  const double ready = store.EnsureHostSide(7, kExpertBytes, 0.0, &source);
+  const double ready = store.DemandFill(7, kExpertBytes, 0.0, gpu, &source);
   EXPECT_EQ(source, TieredExpertStore::Tier::kNvme);
   EXPECT_EQ(store.pending_stage_count(), 0u);
   EXPECT_EQ(store.stats().stage_promotions, 1u);
   EXPECT_EQ(store.nvme_link().demand_load_count(), 2u);
   EXPECT_EQ(store.nvme_link().prefetch_count(), 0u);  // Cancelled before it started.
+  EXPECT_EQ(gpu.demand_load_count(), 1u);
 
-  // The promoted copy is now a committed host entry: the next fill is a host hit.
-  double earliest = 0.0;
-  uint64_t stage_tag = 0;
-  EXPECT_EQ(store.PlanGpuFill(7, kExpertBytes, 0.0, 0.9, &earliest, &stage_tag),
-            TieredExpertStore::FillRoute::kFromHost);
-  EXPECT_EQ(earliest, ready);
+  // The promoted copy is now a committed host entry, and the GPU hop ran behind it.
+  const ConstEntryRef copy = store.host().Find(7);
+  ASSERT_TRUE(copy && !copy.prefetch_pending());
+  EXPECT_EQ(ready, copy.ready_at() + gpu.TransferDuration(kExpertBytes));
+  // The next fill is a host hit.
+  InsertPending(store, 7, kFirstGpuTag, kExpertBytes);
+  store.StartFill(7, kFirstGpuTag, kExpertBytes, 0.0, 0.9, gpu);
+  EXPECT_EQ(store.stats().gpu_fills_from_host, 1u);
+  EXPECT_EQ(store.stats().stages_issued, 1u);
+  EXPECT_EQ(gpu.queued_prefetch_count(), 1u);
   EXPECT_TRUE(store.BookkeepingConsistent());
 }
 
 TEST(TieredStoreTest, HostPoolFullOfPinnedStagesFallsBackToTransient) {
-  TierConfig config;
-  config.nvme_backing = true;
-  config.host_capacity_bytes = 2 * kExpertBytes;
   const std::unique_ptr<EvictionPolicy> policy = MakeEvictionPolicy("LRU");
-  TieredExpertStore store(kGpuCapacity, policy.get(), config);
+  TieredExpertStore store(kGpuCapacity, policy.get(), ThreeTier(2 * kExpertBytes));
+  PcieLink gpu(LinkConfig{});
 
   // Occupy the link so the stagings stay queued — and therefore pinned.
   store.nvme_link().DemandLoad(0.0, kExpertBytes);
@@ -271,21 +454,143 @@ TEST(TieredStoreTest, HostPoolFullOfPinnedStagesFallsBackToTransient) {
   // A speculative staging that cannot be host-backed is dropped...
   EXPECT_EQ(store.StageToHost(3, kExpertBytes, 0.0, 0.5), 0u);
   // ...but a GPU fill never fails: it rides a transient bounce buffer instead.
-  double earliest = 0.0;
-  uint64_t stage_tag = 0;
-  EXPECT_EQ(store.PlanGpuFill(3, kExpertBytes, 0.0, 0.5, &earliest, &stage_tag),
-            TieredExpertStore::FillRoute::kChained);
-  EXPECT_NE(stage_tag, 0u);
+  InsertPending(store, 3, kFirstGpuTag, kExpertBytes);
+  store.StartFill(3, kFirstGpuTag, kExpertBytes, 0.0, 0.5, gpu);
+  EXPECT_EQ(store.stats().gpu_fills_chained, 1u);
+  EXPECT_EQ(store.pending_stage_count(), 3u);
   EXPECT_FALSE(store.HostResident(3));
   EXPECT_TRUE(store.BookkeepingConsistent());
 
-  // After the flush the transient staging leaves no host entry behind.
+  // After the flush the transient staging leaves no host entry behind, and its hop crossed
+  // the GPU link.
   store.Tick(1e6);
+  gpu.Tick(1e6);
   EXPECT_EQ(store.pending_stage_count(), 0u);
   EXPECT_FALSE(store.HostResident(3));
   EXPECT_TRUE(store.HostResident(1));
   EXPECT_TRUE(store.HostResident(2));
+  EXPECT_EQ(gpu.prefetch_count(), 1u);
   EXPECT_TRUE(store.BookkeepingConsistent());
+}
+
+// No early hop: a chained host→GPU hop never starts before its staging's completion, even
+// when the GPU link is idle the moment the staging starts.
+TEST(TieredStoreTest, ChainedHopNeverStartsBeforeItsStaging) {
+  const std::unique_ptr<EvictionPolicy> policy = MakeEvictionPolicy("LRU");
+  TieredExpertStore store(kGpuCapacity, policy.get(), ThreeTier(480));
+  PcieLink gpu(LinkConfig{});
+  std::map<uint64_t, double> hop_start;
+  gpu.set_completion_callback([&](uint64_t tag, double completion) {
+    hop_start[tag] = completion - gpu.TransferDuration(kExpertBytes);
+  });
+
+  // A random NVMe backlog, then eight fills whose stagings queue behind it back to back.
+  Rng rng(5);
+  for (uint64_t load = 1 + rng.NextBounded(4); load > 0; --load) {
+    store.nvme_link().DemandLoad(0.0, kExpertBytes * (1 + rng.NextBounded(500)));
+  }
+  constexpr uint64_t kKeys = 8;
+  for (uint64_t key = 0; key < kKeys; ++key) {
+    InsertPending(store, key, kFirstGpuTag + key, kExpertBytes);
+    store.StartFill(key, kFirstGpuTag + key, kExpertBytes, 0.0, 0.5, gpu);
+    const ConstEntryRef staged = store.host().Find(key);
+    ASSERT_TRUE(staged && staged.prefetch_pending());  // Chained behind a queued staging.
+  }
+  // Fine ticks: each staging starts at some tick, with its completion still ahead.
+  for (double now = 0.0; now < 0.01; now += 2e-6) {
+    store.Tick(now);
+    gpu.Tick(now);
+  }
+  for (uint64_t key = 0; key < kKeys; ++key) {
+    // The host-backed staging's entry carries the staging's completion as its ready time.
+    const ConstEntryRef copy = store.host().Find(key);
+    ASSERT_TRUE(copy && !copy.prefetch_pending());
+    ASSERT_TRUE(hop_start.contains(kFirstGpuTag + key)) << "key " << key;
+    EXPECT_GE(hop_start[kFirstGpuTag + key] + 1e-12, copy.ready_at()) << "key " << key;
+  }
+}
+
+// Cancelling a chained fill (its GPU entry was evicted) leaves the staging to land as a
+// plain host copy: no hop ever reaches the GPU link.
+TEST(TieredStoreTest, CancelledChainLandsAsPlainHostCopy) {
+  const std::unique_ptr<EvictionPolicy> policy = MakeEvictionPolicy("LRU");
+  TieredExpertStore store(kGpuCapacity, policy.get(), ThreeTier(100));
+  PcieLink gpu(LinkConfig{});
+
+  store.nvme_link().DemandLoad(0.0, kExpertBytes);  // Keep the staging queued.
+  InsertPending(store, 4, kFirstGpuTag, kExpertBytes);
+  store.StartFill(4, kFirstGpuTag, kExpertBytes, 0.0, 0.5, gpu);
+  ASSERT_EQ(store.stats().gpu_fills_chained, 1u);
+  ASSERT_EQ(store.pending_stage_count(), 1u);
+
+  CacheEntry removed;
+  ASSERT_TRUE(store.gpu().Remove(4, &removed));
+  store.CancelFill(removed.transfer_tag, gpu);
+  EXPECT_TRUE(store.BookkeepingConsistent());
+
+  store.Tick(1.0);
+  gpu.Tick(1.0);
+  EXPECT_EQ(store.stats().stages_landed, 1u);
+  EXPECT_EQ(store.pending_stage_count(), 0u);
+  const ConstEntryRef copy = store.host().Find(4);
+  ASSERT_TRUE(copy);
+  EXPECT_FALSE(copy.prefetch_pending());
+  EXPECT_EQ(copy.pin_count(), 0);
+  EXPECT_EQ(gpu.prefetch_count() + gpu.demand_load_count() + gpu.queued_prefetch_count(), 0u);
+  EXPECT_TRUE(store.BookkeepingConsistent());
+}
+
+// Promoting an unstarted fill of each route, on hand-built link states: the ready times are
+// the link arithmetic of a demand load behind the bytes' availability.
+TEST(TieredStoreTest, PromotionReadyTimesMatchHandComputedRoutes) {
+  constexpr uint64_t kBytes = 3'500'000;
+  constexpr double kNow = 1e-4;
+  const std::unique_ptr<EvictionPolicy> policy = MakeEvictionPolicy("LRU");
+
+  {  // Host copy: the hop is queued on the GPU link behind a copy that lands at c.
+    TieredExpertStore store(kBytes * 4, policy.get(), ThreeTier(kBytes * 4));
+    PcieLink gpu(LinkConfig{});
+    ASSERT_NE(store.StageToHost(1, kBytes, 0.0, 0.5), 0u);  // Idle link: starts at 0.
+    const double c = store.nvme_link().TransferDuration(kBytes);
+    InsertPending(store, 1, kFirstGpuTag, kBytes);
+    store.StartFill(1, kFirstGpuTag, kBytes, 0.0, 0.5, gpu);
+    ASSERT_EQ(store.stats().gpu_fills_from_host, 1u);
+    ASSERT_EQ(gpu.queued_prefetch_count(), 1u);
+    TieredExpertStore::Tier source = TieredExpertStore::Tier::kHost;
+    const double ready = store.PromoteFill(1, kFirstGpuTag, kBytes, kNow, gpu, &source);
+    EXPECT_EQ(ready, c + gpu.TransferDuration(kBytes));
+    EXPECT_EQ(source, TieredExpertStore::Tier::kHost);
+    EXPECT_EQ(gpu.queued_prefetch_count(), 0u);
+  }
+  {  // Chained: the staging is queued behind an NVMe demand load busy until d.
+    TieredExpertStore store(kBytes * 4, policy.get(), ThreeTier(kBytes * 4));
+    PcieLink gpu(LinkConfig{});
+    const double d = store.nvme_link().DemandLoad(0.0, kBytes);
+    InsertPending(store, 2, kFirstGpuTag, kBytes);
+    store.StartFill(2, kFirstGpuTag, kBytes, 0.0, 0.5, gpu);
+    ASSERT_EQ(store.stats().gpu_fills_chained, 1u);
+    TieredExpertStore::Tier source = TieredExpertStore::Tier::kHost;
+    const double ready = store.PromoteFill(2, kFirstGpuTag, kBytes, kNow, gpu, &source);
+    const double staged = d + store.nvme_link().TransferDuration(kBytes);
+    EXPECT_EQ(ready, staged + gpu.TransferDuration(kBytes));
+    EXPECT_EQ(source, TieredExpertStore::Tier::kNvme);
+    EXPECT_EQ(store.stats().stage_promotions, 1u);
+    EXPECT_EQ(store.nvme_link().prefetch_count(), 0u);
+  }
+  {  // Direct: the fill is queued on the NVMe link behind a demand load busy until d.
+    TieredExpertStore store(kBytes * 4, policy.get(), ThreeTier(kBytes * 4, true));
+    PcieLink gpu(LinkConfig{});
+    const double d = store.nvme_link().DemandLoad(0.0, kBytes);
+    InsertPending(store, 3, kFirstGpuTag, kBytes);
+    store.StartFill(3, kFirstGpuTag, kBytes, 0.0, 0.5, gpu);
+    ASSERT_EQ(store.stats().direct_loads, 1u);
+    TieredExpertStore::Tier source = TieredExpertStore::Tier::kHost;
+    const double ready = store.PromoteFill(3, kFirstGpuTag, kBytes, kNow, gpu, &source);
+    EXPECT_EQ(ready, d + store.nvme_link().TransferDuration(kBytes));
+    EXPECT_EQ(source, TieredExpertStore::Tier::kNvme);
+    EXPECT_EQ(store.nvme_link().queued_prefetch_count(), 0u);
+    EXPECT_EQ(gpu.demand_load_count() + gpu.prefetch_count(), 0u);
+  }
 }
 
 }  // namespace
