@@ -97,6 +97,33 @@ TEST(MatcherWorkerTest, DepthBoundDropsOldestPending) {
   EXPECT_EQ(victims[0].topic, 2u);
 }
 
+TEST(MatcherWorkerTest, DepthDropTakesLowestLiveSequence) {
+  MatcherWorker worker(/*latency_scale=*/1.0, /*queue_depth=*/3);
+  std::vector<DeferredJob> victims;
+  worker.Publish(0.0, MakeJob(/*topic=*/1, 100.0), &victims);  // seq 1
+  worker.Publish(0.0, MakeJob(/*topic=*/2, 1.0), &victims);    // seq 2
+  worker.Publish(0.0, MakeJob(/*topic=*/3, 1.0), &victims);    // seq 3
+  // Republishing topic 1 supersedes seq 1; the queue then holds seqs 2, 3, 4 with topic 1
+  // the oldest topic but no longer the oldest job.
+  worker.Publish(0.0, MakeJob(/*topic=*/1, 1.0), &victims);  // seq 4
+  ASSERT_EQ(victims.size(), 1u);
+  EXPECT_EQ(victims[0].seq, 1u);
+  victims.clear();
+
+  worker.Publish(0.0, MakeJob(/*topic=*/5, 1.0), &victims);  // seq 5
+  ASSERT_EQ(victims.size(), 1u);
+  EXPECT_EQ(victims[0].seq, 2u) << "the depth drop takes the lowest live sequence";
+  EXPECT_EQ(victims[0].topic, 2u);
+
+  DeferredJob job;
+  std::vector<uint64_t> popped;
+  while (worker.PopDue(1000.0, &job)) {
+    popped.push_back(job.seq);
+  }
+  EXPECT_EQ(popped, (std::vector<uint64_t>{3, 4, 5}));
+  EXPECT_EQ(worker.pending(), 0u);
+}
+
 TEST(MatcherWorkerTest, PopReportsQueueSequence) {
   MatcherWorker worker(/*latency_scale=*/1.0, /*queue_depth=*/4);
   std::vector<DeferredJob> victims;
