@@ -8,11 +8,6 @@
 # "path|line substring|reason" (an empty substring allows the whole file); every entry must
 # carry a reason and must still match a loop.
 #
-# Two files are listed although their order matters, on purpose: the expert cache breaks
-# equal eviction scores in libstdc++'s unordered_map order, which the order oracle mirrors and
-# the reference cache defines. That is recorded debt (ROADMAP.md, "Portable goldens I"); the
-# guard keeps any other dependence on hash-table order out.
-#
 # A container is recognised by its declaration (a member, local or parameter) in the file or,
 # for a .cc file, in the header of the same name. Loops over a container reached only through
 # `auto` or an accessor are not seen; keep such code out of src/, or name the type.
@@ -20,8 +15,6 @@ set -u
 cd "$(dirname "$0")/.."
 
 allowlist=(
-  "src/cache/order_oracle.cc||order-dependent on purpose: mirrors libstdc++'s unordered_map order for the cache's tie-break (recorded debt, see above)"
-  "src/cache/reference_cache.cc||order-dependent on purpose: the reference cache's ties follow its map's iteration order, the rule the oracle mirrors (recorded debt, see above)"
   "src/oracle/oracle.cc|for (const auto& [key, use] : resident)|find_victim: ties already go to the larger key, so any visiting order picks the same victim"
   "src/cache/tiered_store.cc|for (const auto& [tag, info] : stage_by_tag_)|BookkeepingConsistent: only returns a bool"
   "src/cache/tiered_store.cc|for (const auto& [tag, fill] : fill_by_tag_)|BookkeepingConsistent: only returns a bool"

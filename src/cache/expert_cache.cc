@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <utility>
 
 #include "src/obs/control_signals.h"
 #include "src/obs/trace_recorder.h"
@@ -135,10 +136,8 @@ void ExpertCache::RefreshScore(uint32_t slot) {
 
 bool ExpertCache::PickVictim(double now, uint64_t* victim) {
   ++index_stats_.victim_picks;
-  // Every slot in score_ has been inserted into the oracle once, so it has a label; free and
-  // pinned slots hold NaN and never win.
-  const size_t slot = ArgMaxScore(score_.data(), oracle_.labels(), score_.size(), now,
-                                  age_scores_);
+  // Free and pinned slots hold NaN and never win, so their stale ranks are never read.
+  const size_t slot = ArgMaxScore(score_.data(), rank_.data(), score_.size(), now, age_scores_);
   if (slot == score_.size()) {
     return false;
   }
@@ -167,6 +166,7 @@ uint32_t ExpertCache::AllocSlot() {
   prefetch_pending_.push_back(0);
   reduced_precision_.push_back(0);
   score_.push_back(kNoScore);
+  rank_.push_back(0);
   return slot;
 }
 
@@ -186,9 +186,9 @@ void ExpertCache::InsertResident(const CacheEntry& entry) {
   if (entry.pin_count > 0) {
     pinned_bytes_ += entry.bytes;
   }
+  rank_[slot] = ~++insert_count_;
   RefreshScore(slot);
   TableInsert(entry.key, slot);
-  oracle_.Insert(entry.key, slot);
   used_bytes_ += entry.bytes;
   ++occupied_;
 }
@@ -201,7 +201,6 @@ CacheEntry ExpertCache::RemoveResident(uint64_t key) {
     pinned_bytes_ -= out.bytes;
   }
   TableErase(key);
-  oracle_.Erase(key, slot);
   used_bytes_ -= bytes_[slot];
   --occupied_;
   occupied_flag_[slot] = 0;
@@ -232,9 +231,6 @@ bool ExpertCache::Insert(const CacheEntry& entry, double now, std::vector<CacheE
     ++stats_.rejected_insertions;
     return false;
   }
-  // Evict until the entry fits. The oracle map replays the erase/emplace sequence of the seed
-  // implementation exactly, so iteration order — and with it every future tie-break — evolves
-  // identically.
   victims_scratch_.clear();
   while (used_bytes_ + entry.bytes > effective_capacity_bytes()) {
     uint64_t victim_key = 0;
@@ -367,7 +363,7 @@ void ExpertCache::Unpin(uint64_t key) {
 std::vector<uint64_t> ExpertCache::EvictionOrder(double now) const {
   struct Ranked {
     double score;
-    uint64_t label;
+    uint64_t rank;
     uint64_t key;
   };
   std::vector<Ranked> ranked;
@@ -376,14 +372,15 @@ std::vector<uint64_t> ExpertCache::EvictionOrder(double now) const {
     if (!occupied_flag_[s] || pin_count_[s] > 0) {
       continue;
     }
-    ranked.push_back({policy_->EvictionScore(EntryAt(s), now), oracle_.label(s), key_[s]});
+    ranked.push_back({policy_->EvictionScore(EntryAt(s), now), rank_[s], key_[s]});
   }
-  // The victim scan's order: higher score first, equal scores by iteration-order label.
+  // The victim scan's order: higher score first, equal scores newest insert (smaller rank)
+  // first.
   std::sort(ranked.begin(), ranked.end(), [](const Ranked& a, const Ranked& b) {
     if (a.score != b.score) {
       return a.score > b.score;
     }
-    return a.label < b.label;
+    return a.rank < b.rank;
   });
   std::vector<uint64_t> keys;
   keys.reserve(ranked.size());
@@ -394,9 +391,19 @@ std::vector<uint64_t> ExpertCache::EvictionOrder(double now) const {
 }
 
 std::vector<uint64_t> ExpertCache::Keys() const {
+  std::vector<std::pair<uint64_t, uint64_t>> ranked;  // (rank, key)
+  ranked.reserve(occupied_);
+  for (uint32_t s = 0; s < occupied_flag_.size(); ++s) {
+    if (occupied_flag_[s]) {
+      ranked.emplace_back(rank_[s], key_[s]);
+    }
+  }
+  std::sort(ranked.begin(), ranked.end());
   std::vector<uint64_t> keys;
-  keys.reserve(occupied_);
-  oracle_.AppendKeysInOrder(&keys);
+  keys.reserve(ranked.size());
+  for (const auto& [rank, key] : ranked) {
+    keys.push_back(key);
+  }
   return keys;
 }
 

@@ -9,11 +9,10 @@
 // array indexed by a dense slot handle, slots recycle through a free list, and an
 // open-addressed hash table maps keys to slots. Victim selection is one O(n) SIMD argmax
 // (ArgMaxScore, src/util/math.h) over a per-slot score column kept exact on every mutation;
-// equal scores go to the entry first in the seed's hash-map iteration order, which the order
-// oracle labels. Frequency decay is an eager sweep. See DESIGN.md §5d. The semantics,
-// including tie-breaking under equal eviction scores and the exact floating-point trajectory
-// of decayed frequencies, are bit-identical to the naive linear-scan implementation
-// preserved in reference_cache.h.
+// equal scores go to the newest insert, read from a per-slot insertion rank. Frequency decay
+// is an eager sweep. See DESIGN.md §5d. The semantics, including tie-breaking under equal
+// eviction scores and the exact floating-point trajectory of decayed frequencies, are
+// bit-identical to the naive linear-scan implementation in reference_cache.h.
 #ifndef FMOE_SRC_CACHE_EXPERT_CACHE_H_
 #define FMOE_SRC_CACHE_EXPERT_CACHE_H_
 
@@ -21,7 +20,6 @@
 #include <vector>
 
 #include "src/cache/eviction_policy.h"
-#include "src/cache/order_oracle.h"
 
 namespace fmoe {
 
@@ -42,6 +40,12 @@ struct CacheIndexStats {
   uint64_t heap_pops = 0;
   uint64_t heap_rebuilds = 0;
   uint64_t victim_picks = 0;
+};
+
+// Kept so existing readers (perfbench's cache.order_oracle_rebuilds) keep working. It always
+// reads 0: the tie order is the slots' insertion rank, and nothing is ever rebuilt.
+struct CacheOrderStats {
+  uint64_t rebuilds = 0;
 };
 
 class ExpertCache;
@@ -117,7 +121,7 @@ class ExpertCache {
   size_t size() const { return occupied_; }
   const CacheStats& stats() const { return stats_; }
   const CacheIndexStats& index_stats() const { return index_stats_; }
-  const IterationOrderOracle::Stats& order_stats() const { return oracle_.stats(); }
+  CacheOrderStats order_stats() const { return {}; }
 
   // Attaches a trace recorder (pure observer: never influences eviction decisions).
   // Insert/evict/remove decisions become instants on `track` plus occupancy counters.
@@ -162,11 +166,11 @@ class ExpertCache {
   // O(n): one sweep over the slots, then a score refresh when the policy reads frequency.
   void DecayFrequencies(double factor);
 
-  // Keys ordered by descending eviction score (most evictable first, equal scores in
-  // iteration order), so front() is the next victim; for tests/inspection.
+  // Keys ordered by descending eviction score (most evictable first, equal scores newest
+  // insert first), so front() is the next victim; for tests/inspection.
   std::vector<uint64_t> EvictionOrder(double now) const;
 
-  // All resident keys, in the legacy hash-map iteration order.
+  // All resident keys, newest insert first: the order equal eviction scores break in.
   std::vector<uint64_t> Keys() const;
 
  private:
@@ -203,6 +207,7 @@ class ExpertCache {
   uint64_t used_bytes_ = 0;
   uint64_t pinned_bytes_ = 0;  // Bytes of entries with pin_count > 0.
   size_t occupied_ = 0;
+  uint64_t insert_count_ = 0;
   CacheStats stats_;
   CacheIndexStats index_stats_;
 
@@ -221,6 +226,9 @@ class ExpertCache {
   // Score column, the victim scan's input: the eviction score, or last_access when the
   // policy's score is an age; NaN (never picked) for free and pinned slots.
   std::vector<double> score_;
+  // Tie rank, ~insert_count stamped at insert: equal scores go to the smaller rank, the
+  // newest insert.
+  std::vector<uint64_t> rank_;
   std::vector<uint32_t> free_slots_;
 
   // Open-addressed key -> slot table (power-of-two capacity).
@@ -229,7 +237,6 @@ class ExpertCache {
   size_t table_mask_ = 0;
   size_t table_used_ = 0;
 
-  IterationOrderOracle oracle_;
   std::vector<CacheEntry> victims_scratch_;
 };
 

@@ -14,25 +14,27 @@ ReferenceExpertCache::ReferenceExpertCache(uint64_t capacity_bytes,
 
 CacheEntry* ReferenceExpertCache::Find(uint64_t key) {
   const auto it = entries_.find(key);
-  return it == entries_.end() ? nullptr : &it->second;
+  return it == entries_.end() ? nullptr : &it->second.entry;
 }
 
 const CacheEntry* ReferenceExpertCache::Find(uint64_t key) const {
   const auto it = entries_.find(key);
-  return it == entries_.end() ? nullptr : &it->second;
+  return it == entries_.end() ? nullptr : &it->second.entry;
 }
 
 bool ReferenceExpertCache::PickVictim(double now, uint64_t* victim) const {
   bool found = false;
   double best_score = 0.0;
-  for (const auto& [key, entry] : entries_) {
-    if (entry.pin_count > 0) {
+  uint64_t best_rank = 0;
+  for (const auto& [key, resident] : entries_) {
+    if (resident.entry.pin_count > 0) {
       continue;
     }
-    const double score = policy_->EvictionScore(entry, now);
-    if (!found || score > best_score) {
+    const double score = policy_->EvictionScore(resident.entry, now);
+    if (!found || score > best_score || (score == best_score && resident.rank < best_rank)) {
       found = true;
       best_score = score;
+      best_rank = resident.rank;
       *victim = key;
     }
   }
@@ -47,8 +49,8 @@ bool ReferenceExpertCache::Insert(const CacheEntry& entry, double now,
   // Reject before evicting anything when the entry cannot fit beside the pinned bytes.
   uint64_t pinned_bytes = 0;
   for (const auto& [key, resident] : entries_) {
-    if (resident.pin_count > 0) {
-      pinned_bytes += resident.bytes;
+    if (resident.entry.pin_count > 0) {
+      pinned_bytes += resident.entry.bytes;
     }
   }
   if (pinned_bytes + entry.bytes > effective_capacity_bytes()) {
@@ -61,11 +63,11 @@ bool ReferenceExpertCache::Insert(const CacheEntry& entry, double now,
     const bool picked = PickVictim(now, &victim_key);
     FMOE_CHECK(picked);
     const auto it = entries_.find(victim_key);
-    victims.push_back(it->second);
-    used_bytes_ -= it->second.bytes;
+    victims.push_back(it->second.entry);
+    used_bytes_ -= it->second.entry.bytes;
     entries_.erase(it);
   }
-  entries_.emplace(entry.key, entry);
+  entries_.emplace(entry.key, Resident{entry, ~++insert_count_});
   used_bytes_ += entry.bytes;
   ++stats_.insertions;
   stats_.evictions += victims.size();
@@ -85,8 +87,8 @@ bool ReferenceExpertCache::SetReservation(uint64_t bytes, double now,
       break;  // Only pinned entries left; best effort until pins release.
     }
     const auto it = entries_.find(victim_key);
-    victims.push_back(it->second);
-    used_bytes_ -= it->second.bytes;
+    victims.push_back(it->second.entry);
+    used_bytes_ -= it->second.entry.bytes;
     entries_.erase(it);
   }
   stats_.evictions += victims.size();
@@ -101,11 +103,11 @@ bool ReferenceExpertCache::Remove(uint64_t key, CacheEntry* removed) {
   if (it == entries_.end()) {
     return false;
   }
-  FMOE_CHECK_MSG(it->second.pin_count == 0, "removing pinned expert " << key);
+  FMOE_CHECK_MSG(it->second.entry.pin_count == 0, "removing pinned expert " << key);
   if (removed != nullptr) {
-    *removed = it->second;
+    *removed = it->second.entry;
   }
-  used_bytes_ -= it->second.bytes;
+  used_bytes_ -= it->second.entry.bytes;
   entries_.erase(it);
   return true;
 }
@@ -119,8 +121,8 @@ void ReferenceExpertCache::Touch(uint64_t key, double now) {
 
 void ReferenceExpertCache::DecayFrequencies(double factor) {
   FMOE_CHECK(factor > 0.0 && factor <= 1.0);
-  for (auto& [key, entry] : entries_) {
-    entry.frequency *= factor;
+  for (auto& [key, resident] : entries_) {
+    resident.entry.frequency *= factor;
   }
 }
 
@@ -145,29 +147,39 @@ void ReferenceExpertCache::Unpin(uint64_t key) {
 }
 
 std::vector<uint64_t> ReferenceExpertCache::EvictionOrder(double now) const {
-  std::vector<std::pair<double, uint64_t>> scored;
+  struct Scored {
+    double score;
+    uint64_t rank;
+    uint64_t key;
+  };
+  std::vector<Scored> scored;
   scored.reserve(entries_.size());
-  for (const auto& [key, entry] : entries_) {
-    if (entry.pin_count > 0) {
+  for (const auto& [key, resident] : entries_) {
+    if (resident.entry.pin_count > 0) {
       continue;
     }
-    scored.emplace_back(policy_->EvictionScore(entry, now), key);
+    scored.push_back({policy_->EvictionScore(resident.entry, now), resident.rank, key});
   }
-  // Stable over map order: equal scores stay in iteration order, as PickVictim breaks ties.
-  std::stable_sort(scored.begin(), scored.end(),
-                   [](const auto& a, const auto& b) { return a.first > b.first; });
+  // PickVictim's order: higher score first, equal scores newest insert (smaller rank) first.
+  std::sort(scored.begin(), scored.end(), [](const Scored& a, const Scored& b) {
+    return a.score != b.score ? a.score > b.score : a.rank < b.rank;
+  });
   std::vector<uint64_t> keys;
   keys.reserve(scored.size());
-  for (const auto& [score, key] : scored) {
-    keys.push_back(key);
+  for (const Scored& s : scored) {
+    keys.push_back(s.key);
   }
   return keys;
 }
 
 std::vector<uint64_t> ReferenceExpertCache::Keys() const {
+  std::map<uint64_t, uint64_t> by_rank;
+  for (const auto& [key, resident] : entries_) {
+    by_rank.emplace(resident.rank, key);
+  }
   std::vector<uint64_t> keys;
-  keys.reserve(entries_.size());
-  for (const auto& [key, entry] : entries_) {
+  keys.reserve(by_rank.size());
+  for (const auto& [rank, key] : by_rank) {
     keys.push_back(key);
   }
   return keys;

@@ -1,14 +1,15 @@
-// Naive linear-scan expert cache: the pre-index implementation, kept verbatim as an
-// executable specification. The property tests drive it side by side with the indexed
-// ExpertCache under random operation streams and demand identical victim sequences, byte
-// accounting, and stats; bench_cache uses it as the "before" side of the victim-selection
-// microbenchmark. Do not optimize this class — its O(n) scans and eager decay sweeps ARE the
-// semantics the indexed cache must reproduce bit for bit.
+// Naive linear-scan expert cache: the pre-index implementation, kept as an executable
+// specification. The property tests drive it side by side with the indexed ExpertCache under
+// random operation streams and demand identical victim sequences, byte accounting, and stats;
+// bench_cache uses it as the "before" side of the victim-selection microbenchmark. Do not
+// optimize this class — its O(n) scans and eager decay sweeps ARE the semantics the indexed
+// cache must reproduce bit for bit. Equal eviction scores go to the newest insert: each entry
+// carries the rank ~insert_count, and the smaller rank wins.
 #ifndef FMOE_SRC_CACHE_REFERENCE_CACHE_H_
 #define FMOE_SRC_CACHE_REFERENCE_CACHE_H_
 
 #include <cstdint>
-#include <unordered_map>
+#include <map>
 #include <vector>
 
 #include "src/cache/eviction_policy.h"
@@ -45,13 +46,19 @@ class ReferenceExpertCache {
   std::vector<uint64_t> Keys() const;
 
  private:
+  struct Resident {
+    CacheEntry entry;
+    uint64_t rank = 0;  // ~insert_count: smaller is newer.
+  };
+
   bool PickVictim(double now, uint64_t* victim) const;
 
   uint64_t capacity_bytes_;
   uint64_t reserved_bytes_ = 0;
   const EvictionPolicy* policy_;  // Not owned.
   uint64_t used_bytes_ = 0;
-  std::unordered_map<uint64_t, CacheEntry> entries_;
+  uint64_t insert_count_ = 0;
+  std::map<uint64_t, Resident> entries_;
   CacheStats stats_;
 };
 

@@ -126,7 +126,7 @@ TEST_F(ExpertCacheTest, RollbackRestoresVictimsWhenInsertUltimatelyFails) {
   EXPECT_EQ(cache.used_bytes(), 30u);
 }
 
-// A rejected insert must leave the cache exactly as it was: residents, their iteration order,
+// A rejected insert must leave the cache exactly as it was: residents, their rank order,
 // the eviction order (ties included), byte accounting, and every stat but the rejection count.
 TEST_F(ExpertCacheTest, RejectedInsertChangesNoState) {
   for (const EvictionPolicy* policy :
@@ -296,11 +296,11 @@ TEST_F(ExpertCacheTest, PinnedBestVictimIsSkippedAndEvictedAfterUnpin) {
   EXPECT_EQ(evicted[0].key, 1u);
 }
 
-// LRU entries whose last accesses are adjacent doubles sit at different heap primaries, yet
-// at a late `now` their scores round to the same value: the victim is then the first of them
-// in iteration order (smallest label), which a pick must find by walking past the heap top.
+// LRU entries whose last accesses are adjacent doubles have different stored scores, yet at a
+// late `now` their ages round to the same value: the victim is then the first of them in rank
+// order (the newest insert), which a pick must find past the entry with the oldest access.
 // `roles[i]` is the index, in Keys() order, of the entry given the i-th smallest last access;
-// `touched` (if >= 0) is re-accessed at `now`, leaving a stale node among the tied ones.
+// `touched` (if >= 0) is re-accessed at `now`, leaving a fresh score among the tied ones.
 uint64_t TiedLruVictim(const std::vector<size_t>& roles, int touched, uint64_t* reference_victim) {
   const LruEvictionPolicy lru;
   std::vector<uint64_t> order;
@@ -311,6 +311,12 @@ uint64_t TiedLruVictim(const std::vector<size_t>& roles, int touched, uint64_t* 
     }
     order = probe.Keys();
   }
+  // Keys() lists the newest insert first.
+  std::vector<uint64_t> newest_first(roles.size());
+  for (size_t i = 0; i < roles.size(); ++i) {
+    newest_first[i] = roles.size() - i;
+  }
+  EXPECT_EQ(order, newest_first);
   std::vector<double> access(roles.size());
   double t = 0.1;
   for (size_t i = 0; i < roles.size(); ++i) {
@@ -341,17 +347,17 @@ uint64_t TiedLruVictim(const std::vector<size_t>& roles, int touched, uint64_t* 
 }
 
 TEST_F(ExpertCacheTest, EqualScoreBelowTheTopWinsOnIterationOrder) {
-  // The top (oldest access) is last in iteration order; the runner-up ties it on score.
+  // The top (oldest access) is last in rank order; the runner-up ties it on score.
   uint64_t want = 0;
   EXPECT_EQ(TiedLruVictim({1, 0}, -1, &want), want);
-  // A stale node of a re-accessed entry sits between the top and the tied entry.
+  // A re-accessed entry sits between the top and the tied entry in rank order.
   EXPECT_EQ(TiedLruVictim({2, 1, 0}, 1, &want), want);
   EXPECT_EQ(TiedLruVictim({3, 1, 2, 0}, 1, &want), want);
 }
 
 // EvictionOrder promises "most evictable first", so its front must be the next victim, also
 // when scores tie: the LFU/PriorityLFU sub-floor plateau, or LRU entries touched at the same
-// instant. Equal scores must come out in iteration order, the order PickVictim breaks ties by,
+// instant. Equal scores must come out newest insert first, the order PickVictim breaks ties by,
 // not by key.
 TEST_F(ExpertCacheTest, EvictionOrderFrontIsTheNextVictimUnderTies) {
   const EvictionPolicy* policies[] = {&lru_, &lfu_, &priority_};
@@ -394,6 +400,80 @@ TEST_F(ExpertCacheTest, EvictionOrderFrontIsTheNextVictimUnderTies) {
       }
     }
     EXPECT_GT(checked, 100) << policy->name();
+  }
+}
+
+// Equal eviction scores go to the newest insert, under every policy: entries inserted with
+// one last access, no hits and one probability tie exactly, and a pick takes them in reverse
+// insertion order. The keys are spread so that many share a hash bucket in any small table.
+TEST_F(ExpertCacheTest, EqualScoresEvictNewestInsertFirst) {
+  for (const EvictionPolicy* policy :
+       {static_cast<const EvictionPolicy*>(&lru_), static_cast<const EvictionPolicy*>(&lfu_),
+        static_cast<const EvictionPolicy*>(&priority_)}) {
+    constexpr uint64_t kCount = 48;
+    ExpertCache cache(10 * kCount, policy);
+    ReferenceExpertCache reference(10 * kCount, policy);
+    std::vector<uint64_t> inserted;
+    for (uint64_t i = 0; i < kCount; ++i) {
+      CacheEntry entry = Entry(7 + 13 * ((i * 29) % kCount));
+      entry.last_access = 1.0;
+      entry.probability = 0.25;
+      ASSERT_TRUE(cache.Insert(entry, 1.0, nullptr));
+      ASSERT_TRUE(reference.Insert(entry, 1.0, nullptr));
+      inserted.push_back(entry.key);
+    }
+    const std::vector<uint64_t> newest_first(inserted.rbegin(), inserted.rend());
+    EXPECT_EQ(cache.Keys(), newest_first) << policy->name();
+    EXPECT_EQ(cache.EvictionOrder(2.0), newest_first) << policy->name();
+    EXPECT_EQ(reference.Keys(), newest_first) << policy->name();
+    EXPECT_EQ(reference.EvictionOrder(2.0), newest_first) << policy->name();
+    // One entry the size of the whole cache evicts every resident, in pick order.
+    std::vector<CacheEntry> evicted;
+    ASSERT_TRUE(cache.Insert(Entry(1, 10 * kCount), 2.0, &evicted));
+    std::vector<uint64_t> victims;
+    for (const CacheEntry& victim : evicted) {
+      victims.push_back(victim.key);
+    }
+    EXPECT_EQ(victims, newest_first) << policy->name();
+  }
+}
+
+// The tie order is a function of the residents and their insertion order alone: a cache that
+// first churned hundreds of other keys through it (growing its key table) must order the same
+// residents exactly as a fresh cache does.
+TEST_F(ExpertCacheTest, TieOrderIgnoresChurnHistory) {
+  for (const EvictionPolicy* policy :
+       {static_cast<const EvictionPolicy*>(&lru_), static_cast<const EvictionPolicy*>(&lfu_),
+        static_cast<const EvictionPolicy*>(&priority_)}) {
+    ExpertCache fresh(10 * 64, policy);
+    ExpertCache churned(10 * 64, policy);
+    ReferenceExpertCache reference_churned(10 * 64, policy);
+    for (uint64_t key = 100000; key < 100512; ++key) {
+      ASSERT_TRUE(churned.Insert(Entry(key, 1), 0.0, nullptr));
+      ASSERT_TRUE(reference_churned.Insert(Entry(key, 1), 0.0, nullptr));
+    }
+    for (uint64_t key = 100000; key < 100512; ++key) {
+      ASSERT_TRUE(churned.Remove(key, nullptr));
+      ASSERT_TRUE(reference_churned.Remove(key, nullptr));
+    }
+    Rng rng(5);
+    for (int i = 0; i < 40; ++i) {
+      uint64_t key = 0;
+      do {
+        key = rng.NextBounded(1u << 20);
+      } while (fresh.Contains(key));
+      CacheEntry entry = Entry(key);
+      entry.last_access = static_cast<double>(i % 3);  // Three tied groups per policy...
+      entry.frequency = static_cast<double>(i % 2);    // ...crossed with hit counts.
+      entry.probability = 0.5;
+      ASSERT_TRUE(fresh.Insert(entry, entry.last_access, nullptr));
+      ASSERT_TRUE(churned.Insert(entry, entry.last_access, nullptr));
+      ASSERT_TRUE(reference_churned.Insert(entry, entry.last_access, nullptr));
+    }
+    EXPECT_EQ(churned.Keys(), fresh.Keys()) << policy->name();
+    EXPECT_EQ(churned.EvictionOrder(5.0), fresh.EvictionOrder(5.0)) << policy->name();
+    EXPECT_EQ(reference_churned.Keys(), fresh.Keys()) << policy->name();
+    EXPECT_EQ(reference_churned.EvictionOrder(5.0), fresh.EvictionOrder(5.0)) << policy->name();
   }
 }
 

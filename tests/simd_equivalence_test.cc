@@ -436,11 +436,12 @@ size_t NaiveArgMaxScore(const std::vector<double>& column, const std::vector<uin
   return arg;
 }
 
-// Distinct labels in shuffled order, spaced like the cache's iteration-order labels.
+// Distinct labels in shuffled order, valued like the cache's insertion ranks (~insert_count,
+// just below the largest uint64_t).
 std::vector<uint64_t> ShuffledLabels(std::mt19937_64& rng, size_t n) {
   std::vector<uint64_t> labels(n);
   for (size_t i = 0; i < n; ++i) {
-    labels[i] = (uint64_t{1} << 62) + (uint64_t{1} << 20) * i;
+    labels[i] = ~uint64_t{i + 1};
   }
   std::shuffle(labels.begin(), labels.end(), rng);
   return labels;
