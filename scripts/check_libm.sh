@@ -15,7 +15,6 @@ cd "$(dirname "$0")/.."
 allowlist=(
   "src/util/math.cc|h -= p * std::log(p)|Entropy: report-only (Fig. 3 and table summaries); no policy, cache or gate decision reads it"
   "src/util/math.cc|return Entropy(probs) / std::log(|NormalizedEntropy: report-only, as Entropy"
-  "src/util/histogram.cc||latency histogram bucket edges: report-only percentile summaries"
 )
 
 fail=0

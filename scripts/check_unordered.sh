@@ -17,8 +17,7 @@ cd "$(dirname "$0")/.."
 allowlist=(
   "src/oracle/oracle.cc|for (const auto& [key, use] : resident)|find_victim: ties already go to the larger key, so any visiting order picks the same victim"
   "src/cache/tiered_store.cc|for (const auto& [tag, info] : stage_by_tag_)|BookkeepingConsistent: only returns a bool"
-  "src/cache/tiered_store.cc|for (const auto& [tag, fill] : fill_by_tag_)|BookkeepingConsistent: only returns a bool"
-  "src/serving/engine.cc|for (const auto& [tag, key] : transfer_key_by_tag_)|TransferTagsConsistent: only returns a bool"
+  "src/cache/tiered_store.cc|for (const auto& [tag, fill] : fill_by_tag_)|BookkeepingConsistent (every GPU fill, all routes): only returns a bool"
 )
 
 decl_re='std::unordered_(map|set|multimap|multiset)<.*>[&*[:space:]]+[A-Za-z_][A-Za-z0-9_]*[[:space:]]*[;={(),]'

@@ -32,8 +32,19 @@ void TieredExpertStore::Tick(double now) {
   nvme_link_.Tick(now);
 }
 
-void TieredExpertStore::StartFill(uint64_t key, uint64_t tag, uint64_t bytes, double now,
-                                  double probability, PcieLink& link) {
+void TieredExpertStore::AttachDeviceLink(PcieLink& link) {
+  link.set_completion_callback(
+      [this](uint64_t tag, double completion) { OnFillStarted(tag, completion); });
+}
+
+void TieredExpertStore::StartFill(uint64_t key, uint64_t tag, double now, double probability,
+                                  PcieLink& link) {
+  EntryRef gpu_entry = gpu_.Find(key);
+  FMOE_CHECK(gpu_entry && gpu_entry.prefetch_pending());
+  gpu_entry.set_transfer_tag(tag);
+  const uint64_t bytes = gpu_entry.bytes();
+  // Recorded before any link call: an idle link starts the transfer inside the enqueue.
+  fill_by_tag_[tag] = PendingFill{key, bytes, &link};
   if (!enabled()) {
     link.EnqueuePrefetchAfter(now, tag, bytes, now);
     return;
@@ -50,7 +61,7 @@ void TieredExpertStore::StartFill(uint64_t key, uint64_t tag, uint64_t bytes, do
   const auto stage_it = stage_tag_by_key_.find(key);
   if (stage_it == stage_tag_by_key_.end() && config_.allow_direct_nvme_gpu) {
     ++stats_.direct_loads;
-    fill_by_tag_[tag] = PendingFill{key, bytes, nullptr};
+    fill_by_tag_[tag].route = Route::kDirect;
     nvme_link_.EnqueuePrefetch(now, tag, bytes);
     return;
   }
@@ -63,46 +74,78 @@ void TieredExpertStore::StartFill(uint64_t key, uint64_t tag, uint64_t bytes, do
   if (const auto it = stage_by_tag_.find(stage_tag); it != stage_by_tag_.end()) {
     it->second.chained_tag = tag;
   }
-  fill_by_tag_[tag] = PendingFill{key, bytes, &link};
+  fill_by_tag_[tag].route = Route::kChained;
 }
 
-void TieredExpertStore::CancelFill(uint64_t tag, PcieLink& link) {
+void TieredExpertStore::OnFillStarted(uint64_t tag, double completion) {
   const auto it = fill_by_tag_.find(tag);
   if (it == fill_by_tag_.end()) {
-    link.CancelQueuedPrefetch(tag);
+    return;  // Not a live fill.
+  }
+  const uint64_t key = it->second.key;
+  fill_by_tag_.erase(it);
+  if (EntryRef entry = gpu_.Find(key); entry && entry.transfer_tag() == tag) {
+    entry.set_ready_at(completion);
+    entry.set_prefetch_pending(false);
+    entry.set_transfer_tag(0);
+  }
+}
+
+void TieredExpertStore::CancelFill(uint64_t tag) {
+  const auto it = fill_by_tag_.find(tag);
+  if (it == fill_by_tag_.end()) {
     return;
   }
-  if (it->second.link == nullptr) {
-    nvme_link_.CancelQueuedPrefetch(tag);
+  switch (it->second.route) {
+    case Route::kDeviceLink:
+      it->second.link->CancelQueuedPrefetch(tag);
+      break;
+    case Route::kDirect:
+      nvme_link_.CancelQueuedPrefetch(tag);
+      break;
+    case Route::kChained:
+      break;  // The staging continues and lands as a plain host copy.
   }
-  // A chained fill's staging continues and lands as a plain host copy.
   EraseFill(it);
 }
 
-double TieredExpertStore::PromoteFill(uint64_t key, uint64_t tag, uint64_t bytes, double now,
-                                      PcieLink& link, Tier* source) {
+double TieredExpertStore::PromoteFill(uint64_t key, double now, Tier* source) {
+  EntryRef entry = gpu_.Find(key);
+  const uint64_t tag = entry.transfer_tag();
   const auto it = fill_by_tag_.find(tag);
-  if (it == fill_by_tag_.end()) {
-    // The hop is already queued on the device link: promote it there, honouring the host
-    // copy's availability (it may still be landing from an earlier staging).
-    link.CancelQueuedPrefetch(tag);
-    const ConstEntryRef copy = std::as_const(host_).Find(key);
-    const double earliest =
-        copy && !copy.prefetch_pending() ? std::max(now, copy.ready_at()) : now;
-    return link.DemandLoadAfter(now, earliest, bytes);
-  }
-  const bool direct = it->second.link == nullptr;
+  FMOE_CHECK(it != fill_by_tag_.end());
+  const PendingFill fill = it->second;
   EraseFill(it);
-  if (direct) {
-    nvme_link_.CancelQueuedPrefetch(tag);
-    *source = Tier::kNvme;
-    return DirectDemand(key, bytes, now);
+  entry.set_transfer_tag(0);
+  double ready = 0.0;
+  switch (fill.route) {
+    case Route::kDeviceLink: {
+      // The hop is queued on the device link: promote it there, honouring the host copy's
+      // availability (it may still be landing from an earlier staging).
+      fill.link->CancelQueuedPrefetch(tag);
+      const ConstEntryRef copy = std::as_const(host_).Find(key);
+      const double earliest =
+          copy && !copy.prefetch_pending() ? std::max(now, copy.ready_at()) : now;
+      ready = fill.link->DemandLoadAfter(now, earliest, fill.bytes);
+      break;
+    }
+    case Route::kDirect:
+      nvme_link_.CancelQueuedPrefetch(tag);
+      *source = Tier::kNvme;
+      ready = DirectDemand(key, fill.bytes, now);
+      break;
+    case Route::kChained: {
+      // The hop was never enqueued (still chained behind NVMe→host staging): resolve the
+      // whole chain on demand — promote the staging NVMe-side, then demand the hop behind
+      // the staged data's availability.
+      const double earliest = EnsureHostSide(key, fill.bytes, now, source);
+      ready = fill.link->DemandLoadAfter(now, earliest, fill.bytes);
+      break;
+    }
   }
-  // The hop was never enqueued (still chained behind NVMe→host staging): resolve the whole
-  // chain on demand — promote the staging NVMe-side, then demand the hop behind the staged
-  // data's availability.
-  const double earliest = EnsureHostSide(key, bytes, now, source);
-  return link.DemandLoadAfter(now, earliest, bytes);
+  entry.set_ready_at(ready);
+  entry.set_prefetch_pending(false);
+  return ready;
 }
 
 double TieredExpertStore::DemandFill(uint64_t key, uint64_t bytes, double now, PcieLink& link,
@@ -240,11 +283,7 @@ uint64_t TieredExpertStore::StageInternal(uint64_t key, uint64_t bytes, double n
 void TieredExpertStore::OnNvmeScheduled(uint64_t tag, double completion) {
   const auto it = stage_by_tag_.find(tag);
   if (it == stage_by_tag_.end()) {
-    // Not a staging tag: a direct-path GPU fill.
-    fill_by_tag_.erase(tag);
-    if (direct_hook_) {
-      direct_hook_(tag, completion);
-    }
+    OnFillStarted(tag, completion);  // Not a staging tag: a direct-path GPU fill.
     return;
   }
   const StageInfo info = it->second;
@@ -262,10 +301,11 @@ void TieredExpertStore::OnNvmeScheduled(uint64_t tag, double completion) {
   if (info.chained_tag != 0) {
     // The chained host→GPU hop may start once the staged bytes have landed.
     const auto fill = fill_by_tag_.find(info.chained_tag);
-    FMOE_CHECK(fill != fill_by_tag_.end() && fill->second.key == info.key);
+    FMOE_CHECK(fill != fill_by_tag_.end() && fill->second.key == info.key &&
+               fill->second.route == Route::kChained);
+    fill->second.route = Route::kDeviceLink;
     PcieLink& link = *fill->second.link;
     const uint64_t bytes = fill->second.bytes;
-    fill_by_tag_.erase(fill);
     link.EnqueuePrefetchAfter(now_, info.chained_tag, bytes, std::max(now_, completion));
   }
 }
@@ -275,6 +315,14 @@ void TieredExpertStore::EraseStage(uint64_t tag, uint64_t key) {
   const auto it = stage_tag_by_key_.find(key);
   if (it != stage_tag_by_key_.end() && it->second == tag) {
     stage_tag_by_key_.erase(it);
+  }
+}
+
+void TieredExpertStore::ReleaseGpuVictim(const CacheEntry& victim, double now) {
+  if (victim.prefetch_pending && victim.transfer_tag != 0) {
+    CancelFill(victim.transfer_tag);
+  } else {
+    DemoteGpuVictim(victim, now);
   }
 }
 
@@ -359,16 +407,26 @@ bool TieredExpertStore::BookkeepingConsistent() const {
       // The chained fill is still waiting, on this key, for a device link.
       const auto fill = fill_by_tag_.find(info.chained_tag);
       if (fill == fill_by_tag_.end() || fill->second.key != info.key ||
-          fill->second.link == nullptr) {
+          fill->second.route != Route::kChained) {
         return false;
       }
     }
   }
   for (const auto& [tag, fill] : fill_by_tag_) {
-    // Every chained or direct fill names a pending GPU entry carrying its tag.
+    // Every fill names a pending GPU entry carrying its tag...
     const ConstEntryRef entry = gpu_.Find(fill.key);
     if (!entry || !entry.prefetch_pending() || entry.transfer_tag() != tag) {
       return false;
+    }
+  }
+  for (const uint64_t key : gpu_.Keys()) {
+    // ...and every pending GPU entry with a tag has a fill.
+    const ConstEntryRef entry = gpu_.Find(key);
+    if (entry.prefetch_pending() && entry.transfer_tag() != 0) {
+      const auto fill = fill_by_tag_.find(entry.transfer_tag());
+      if (fill == fill_by_tag_.end() || fill->second.key != key) {
+        return false;
+      }
     }
   }
   if (host_.used_bytes() > host_.capacity_bytes()) {

@@ -8,12 +8,14 @@
 // host↔GPU on the per-device PCIe link the engine already owns, NVMe↔host (or NVMe→GPU on the
 // explicit direct path) on the store's NVMe link.
 //
-// The store is the one owner of a GPU fill's route. The engine hands it each fill together
-// with the key's device link, and the store does the link work: a fill whose bytes are
-// host-side is enqueued on the device link, a fill that needs NVMe→host staging first is
-// chained behind that staging (the store enqueues the host→GPU hop once the staging starts),
-// and a fill on the explicit direct path runs on the NVMe link. The engine keeps only the GPU
-// entry's state; cancelling, promoting and checking a fill go through the store again.
+// The store owns every GPU fill from issue to landing; the engine only picks the fill's tag
+// number and inserts its pending GPU entry. StartFill stamps the tag and routes the fill: a
+// fill whose bytes are host-side is enqueued on the key's device link, one that needs
+// NVMe→host staging is chained behind that staging (its hop is enqueued once the staging
+// starts), and one on the explicit direct path runs on the NVMe link. One tag→fill map holds
+// every fill whose transfer has not started; a transfer's start (on a device link, or a direct
+// fill's on the NVMe link) lands the GPU entry, and eviction (ReleaseGpuVictim) and
+// PromoteFill go through the same record.
 //
 // Movement rules (DESIGN.md §5h):
 //   * promote  NVMe→host: speculative staging on map-store candidate scoring (StageToHost) or
@@ -21,14 +23,14 @@
 //   * promote  host→GPU: StartFill (prefetch), PromoteFill (a queued fill the gate wants now)
 //     and DemandFill (a miss with no GPU entry), each on the caller's device link.
 //   * demote   GPU→host: eviction victims with real resident data re-home in the host pool
-//     (DemoteGpuVictim). The device→host writeback direction is modeled free: the PCIe link
+//     (ReleaseGpuVictim). The device→host writeback direction is modeled free: the PCIe link
 //     models the host→device direction and the reverse lane of the full-duplex link is idle.
 //   * spill    host→NVMe: host-pool evictions under pressure simply drop the copy — NVMe
 //     always holds the master, so a clean spill costs no transfer.
 //
 // With `nvme_backing == false` (the default TierConfig) the store is disabled and answers as
 // the paper's infinite host home: StartFill is EnqueuePrefetchAfter(now, tag, bytes, now),
-// CancelFill is CancelQueuedPrefetch(tag) and DemandFill is DemandLoadAfter(now, now, bytes),
+// cancelling is CancelQueuedPrefetch(tag) and DemandFill is DemandLoadAfter(now, now, bytes),
 // all on the device link; the direct path is off, staging and demotion do nothing, and
 // Tick / DecayHostFrequencies touch only an idle NVMe link and an empty pool. The engine calls
 // the store the same way in both cases.
@@ -36,7 +38,6 @@
 #define FMOE_SRC_CACHE_TIERED_STORE_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -91,10 +92,6 @@ class TieredExpertStore {
  public:
   enum class Tier { kHost, kNvme };
 
-  // `on_direct_scheduled(tag, completion)` reports a direct-path GPU fill whose NVMe→GPU
-  // transfer started — the counterpart of the device links' completion callbacks.
-  using TransferScheduledHook = std::function<void(uint64_t tag, double completion)>;
-
   TieredExpertStore(uint64_t gpu_capacity_bytes, const EvictionPolicy* gpu_policy,
                     const TierConfig& config);
 
@@ -107,8 +104,12 @@ class TieredExpertStore {
   const TierConfig& config() const { return config_; }
   const TierStats& stats() const { return stats_; }
   size_t pending_stage_count() const { return stage_by_tag_.size(); }
+  // GPU fills whose transfer has not started, on any route.
+  size_t pending_fill_count() const { return fill_by_tag_.size(); }
 
-  void set_direct_scheduled_hook(TransferScheduledHook hook) { direct_hook_ = std::move(hook); }
+  // Sends `link`'s transfer starts to the store, which lands the GPU entries they fill. Every
+  // device link passed to StartFill must be attached first (and outlive the store's use).
+  void AttachDeviceLink(PcieLink& link);
 
   // Attaches a trace recorder (pure observer). Tier movements become instants on
   // `host_track`; the NVMe link's transfers go on `nvme_track`. The host ExpertCache itself
@@ -119,28 +120,22 @@ class TieredExpertStore {
 
   bool HostResident(uint64_t key) const { return host_.Contains(key); }
 
-  // --- GPU fills. `tag` is the caller's transfer tag of the pending GPU entry for `key`;
-  // `link` is the key's device link. Every call takes the same `now` the caller's clock reads.
+  // --- GPU fills. `key`'s GPU entry is in gpu(), pending; `link` is the key's device link.
+  // Every call takes the same `now` the caller's clock reads.
 
-  // Starts a prefetch fill. A ready host copy: the hop is enqueued on `link`, starting no
+  // Starts a prefetch fill of `key`'s pending GPU entry under the caller's `tag`, which the
+  // store stamps on the entry. A ready host copy: the hop is enqueued on `link`, starting no
   // earlier than the copy lands. A staging in flight (or none and no direct path): the fill is
   // chained behind that staging (a new one is issued, through a transient bounce buffer when
   // the pool cannot hold the copy, so a fill never fails) and its hop is enqueued on `link`
-  // when the staging starts. The direct path: the fill runs on the NVMe link and reports
-  // through the direct-scheduled hook.
-  void StartFill(uint64_t key, uint64_t tag, uint64_t bytes, double now, double probability,
-                 PcieLink& link);
+  // when the staging starts. The direct path: the fill runs on the NVMe link.
+  void StartFill(uint64_t key, uint64_t tag, double now, double probability, PcieLink& link);
 
-  // Cancels a fill whose transfer has not started (its GPU entry was evicted). A chained
-  // fill's staging continues and lands as a plain host copy.
-  void CancelFill(uint64_t tag, PcieLink& link);
-
-  // Promotes a fill whose transfer has not started to a demand load (the gate wants the
-  // expert now) and returns its ready time; `*source` is set to kNvme when the bytes come
-  // from NVMe (a chained fill's promoted staging or the direct path) and left as is when they
-  // come from a host copy.
-  double PromoteFill(uint64_t key, uint64_t tag, uint64_t bytes, double now, PcieLink& link,
-                     Tier* source);
+  // Promotes the unstarted fill of `key`'s pending GPU entry to a demand load (the gate wants
+  // the expert now) and lands the entry at the returned ready time; `*source` is set to kNvme
+  // when the bytes come from NVMe (a chained fill's promoted staging or the direct path) and
+  // left as is when they come from a host copy.
+  double PromoteFill(uint64_t key, double now, Tier* source);
 
   // Demand load of a key with no GPU entry; returns its ready time and the serving tier.
   double DemandFill(uint64_t key, uint64_t bytes, double now, PcieLink& link, Tier* source);
@@ -150,10 +145,11 @@ class TieredExpertStore {
   // the pool cannot take the copy).
   uint64_t StageToHost(uint64_t key, uint64_t bytes, double now, double probability);
 
-  // --- Demotion. ---
-  // Re-homes a GPU eviction victim carrying real resident data (caller filters out pending
-  // prefetch victims, which have no bytes to save).
-  void DemoteGpuVictim(const CacheEntry& victim, double now);
+  // --- Eviction. ---
+  // Handles a victim the GPU cache evicted: a pending fill whose transfer has not started is
+  // cancelled (it has no bytes to save; a chained fill's staging continues and lands as a
+  // plain host copy); a victim carrying real resident data is re-homed in the host pool.
+  void ReleaseGpuVictim(const CacheEntry& victim, double now);
 
   // Ages host-pool hit frequencies (mirrors the engine's per-iteration GPU cache decay).
   void DecayHostFrequencies(double factor) { host_.DecayFrequencies(factor); }
@@ -161,8 +157,9 @@ class TieredExpertStore {
   // Advances the NVMe link, landing staged transfers and enqueueing their chained hops.
   void Tick(double now);
 
-  // Cross-checks stage and fill bookkeeping against host-pool and GPU-cache state
-  // (fuzz/property tests).
+  // Cross-checks stage and fill bookkeeping against host-pool and GPU-cache state: every fill
+  // record names a pending GPU entry carrying its tag, and every pending GPU entry with a
+  // nonzero tag has a record (fuzz/property tests).
   bool BookkeepingConsistent() const;
 
  private:
@@ -171,14 +168,20 @@ class TieredExpertStore {
     bool host_backed = false;  // False: transient bounce buffer, no host pool entry.
     uint64_t chained_tag = 0;  // GPU fill whose hop waits for this staging; 0 = none.
   };
-  // A GPU fill whose transfer is not yet on its device link: chained behind a staging, or on
-  // the direct path (`link == nullptr`, the transfer is on the NVMe link). A fill chained to a
-  // staging that started inside the call that issued it (an idle NVMe link) is never hopped;
-  // it stays here until PromoteFill or CancelFill.
+  // Where an unstarted GPU fill's transfer waits.
+  enum class Route : uint8_t {
+    kDeviceLink,  // Queued on `link`.
+    kChained,     // Waiting for its staging to start, then hopped onto `link`.
+    kDirect,      // Queued on the NVMe link.
+  };
+  // A GPU fill whose transfer has not started. A fill chained to a staging that started inside
+  // the call that issued it (an idle NVMe link) is never hopped; it stays kChained until
+  // promoted or cancelled.
   struct PendingFill {
     uint64_t key = 0;
     uint64_t bytes = 0;
-    PcieLink* link = nullptr;
+    PcieLink* link = nullptr;  // The key's device link.
+    Route route = Route::kDeviceLink;
   };
 
   // Makes `key`'s bytes available host-side and returns the earliest instant the host→GPU
@@ -191,6 +194,11 @@ class TieredExpertStore {
   uint64_t StageInternal(uint64_t key, uint64_t bytes, double now, double probability,
                          bool require_host_backed);
   void OnNvmeScheduled(uint64_t tag, double completion);
+  // A fill's transfer started (on a device link, or on the NVMe link for the direct path):
+  // lands its GPU entry.
+  void OnFillStarted(uint64_t tag, double completion);
+  void CancelFill(uint64_t tag);
+  void DemoteGpuVictim(const CacheEntry& victim, double now);
   void EraseStage(uint64_t tag, uint64_t key);
   void EraseFill(std::unordered_map<uint64_t, PendingFill>::iterator it);
   void NoteHostSpills(double now);
@@ -203,7 +211,6 @@ class TieredExpertStore {
   ExpertCache host_;
   PcieLink nvme_link_;
   TierStats stats_;
-  TransferScheduledHook direct_hook_;
   TraceRecorder* trace_ = nullptr;  // Not owned; null = tracing disabled.
   int host_track_ = 0;
   int nvme_track_ = 0;
@@ -214,7 +221,8 @@ class TieredExpertStore {
   uint64_t next_stage_tag_ = 1;
   std::unordered_map<uint64_t, StageInfo> stage_by_tag_;
   std::unordered_map<uint64_t, uint64_t> stage_tag_by_key_;
-  std::unordered_map<uint64_t, PendingFill> fill_by_tag_;  // Keyed by the GPU transfer tag.
+  // Every GPU fill whose transfer has not started, on any route, keyed by its GPU tag.
+  std::unordered_map<uint64_t, PendingFill> fill_by_tag_;
   std::vector<CacheEntry> host_victims_scratch_;
 };
 

@@ -110,8 +110,8 @@ class AdmissionController {
 
   const AdmissionCounters& counters() const { return counters_; }
 
-  // The signal tracker this controller reads. The engine attaches it (SetControlSignals) so
-  // stall/iteration events flow in; open loop never samples it.
+  // The signal tracker this controller reads. The engine it is attached to
+  // (SetAdmissionController) records stall/iteration events here; open loop never samples it.
   ControlSignalTracker* signals() { return &signals_; }
 
  protected:

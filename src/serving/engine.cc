@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <unordered_map>
 #include <utility>
 
 #include "src/util/logging.h"
@@ -65,14 +66,10 @@ ServingEngine::ServingEngine(const ModelConfig& model, const EngineConfig& confi
       store_.set_trace(trace_, host_track, nvme_track);
     }
   }
-  // Wire prefetch-start events from every device link, and from the store's direct
-  // NVMe→GPU path, back into cache bookkeeping.
+  // Every device link's prefetch starts land GPU entries through the store.
   for (int dev = 0; dev < cluster_.device_count(); ++dev) {
-    cluster_.device(dev).link().set_completion_callback(
-        [this](uint64_t tag, double completion) { OnTransferScheduled(tag, completion); });
+    store_.AttachDeviceLink(cluster_.device(dev).link());
   }
-  store_.set_direct_scheduled_hook(
-      [this](uint64_t tag, double completion) { OnTransferScheduled(tag, completion); });
   if (config_.preload_all) {
     PreloadAllExperts();
   }
@@ -95,31 +92,10 @@ void ServingEngine::PreloadAllExperts() {
   }
 }
 
-void ServingEngine::OnTransferScheduled(uint64_t tag, double completion) {
-  const auto it = transfer_key_by_tag_.find(tag);
-  if (it == transfer_key_by_tag_.end()) {
-    return;  // Transfer belonged to an entry evicted before it started.
-  }
-  const uint64_t key = it->second;
-  transfer_key_by_tag_.erase(it);
-  if (EntryRef entry = cache_.Find(key); entry && entry.transfer_tag() == tag) {
-    entry.set_ready_at(completion);
-    entry.set_prefetch_pending(false);
-    entry.set_transfer_tag(0);
-  }
-}
-
 void ServingEngine::CleanupEvicted(const std::vector<CacheEntry>& evicted) {
   for (const CacheEntry& victim : evicted) {
     stall_.OnEvicted(victim.key);
-    if (victim.prefetch_pending && victim.transfer_tag != 0) {
-      store_.CancelFill(victim.transfer_tag, LinkFor(victim.key));
-      transfer_key_by_tag_.erase(victim.transfer_tag);
-    } else {
-      // The victim carried real resident data: demote GPU→host (spilling host→NVMe under
-      // pressure happens inside the store; a disabled store has nowhere to demote to).
-      store_.DemoteGpuVictim(victim, clock_.now());
-    }
+    store_.ReleaseGpuVictim(victim, clock_.now());
     cluster_.DeviceFor(victim.key).Free(victim.bytes);
   }
 }
@@ -157,8 +133,6 @@ void ServingEngine::PrefetchAsyncSized(ExpertId id, double probability, double /
   // The transfer tag is only minted once the insert has succeeded, so rejected prefetches
   // (everything pinned, budget too small) do not burn tag numbers.
   const uint64_t tag = next_transfer_tag_++;
-  cache_.Find(key).set_transfer_tag(tag);
-  transfer_key_by_tag_[tag] = key;
   // Hold the inbound expert until its layer runs: an eviction before first use would waste
   // the transfer and (for frequency-based policies) systematically victimise fresh entries.
   // Capped at half the cache so pins cannot starve residency on small budgets.
@@ -168,7 +142,7 @@ void ServingEngine::PrefetchAsyncSized(ExpertId id, double probability, double /
     prefetch_pinned_by_layer_[static_cast<size_t>(id.layer)].push_back(key);
     ++prefetch_pinned_count_;
   }
-  store_.StartFill(key, tag, entry.bytes, clock_.now(), probability, LinkFor(key));
+  store_.StartFill(key, tag, clock_.now(), probability, LinkFor(key));
   stall_.OnPrefetchIssued(key);
   if (trace_ != nullptr) {
     trace_->Instant(trace_engine_track_, "prefetch-issue", "prefetch", clock_.now(),
@@ -208,17 +182,6 @@ bool ServingEngine::InsertEntry(const CacheEntry& entry) {
   return true;
 }
 
-double ServingEngine::PromoteQueued(EntryRef& entry, uint64_t key, PcieLink& link,
-                                    TieredExpertStore::Tier* source) {
-  const uint64_t tag = entry.transfer_tag();
-  transfer_key_by_tag_.erase(tag);
-  entry.set_transfer_tag(0);
-  const double ready = store_.PromoteFill(key, tag, entry.bytes(), clock_.now(), link, source);
-  entry.set_ready_at(ready);
-  entry.set_prefetch_pending(false);
-  return ready;
-}
-
 void ServingEngine::BlockingLoad(ExpertId id, double probability) {
   const uint64_t key = KeyOf(id);
   PcieLink& link = LinkFor(key);
@@ -235,7 +198,7 @@ void ServingEngine::BlockingLoad(ExpertId id, double probability) {
     ready = entry.ready_at();  // In flight: wait for it.
   } else if (entry) {
     // Queued but not started: promote to a demand transfer.
-    ready = PromoteQueued(entry, key, link, &source);
+    ready = store_.PromoteFill(key, clock_.now(), &source);
   } else {
     ready = store_.DemandFill(key, model_.expert_bytes, clock_.now(), link, &source);
     CacheEntry fresh;
@@ -357,23 +320,6 @@ void ServingEngine::DrainDeferred() {
   }
 }
 
-bool ServingEngine::TransferTagsConsistent() const {
-  for (const auto& [tag, key] : transfer_key_by_tag_) {
-    const ConstEntryRef entry = std::as_const(cache_).Find(key);
-    if (!entry || entry.transfer_tag() != tag || !entry.prefetch_pending()) {
-      return false;
-    }
-  }
-  for (const uint64_t key : cache_.Keys()) {
-    const ConstEntryRef entry = std::as_const(cache_).Find(key);
-    if (entry.prefetch_pending() && entry.transfer_tag() != 0 &&
-        !transfer_key_by_tag_.contains(entry.transfer_tag())) {
-      return false;
-    }
-  }
-  return true;
-}
-
 ServingEngine::ExpertJob ServingEngine::IssueExpert(ExpertId id, int tokens_routed) {
   const uint64_t key = KeyOf(id);
   PcieLink& link = LinkFor(key);
@@ -403,7 +349,7 @@ ServingEngine::ExpertJob ServingEngine::IssueExpert(ExpertId id, int tokens_rout
   } else if (entry.prefetch_pending()) {
     // Prefetch was enqueued but its transfer never started: promote to a demand load, which
     // jumps ahead of all queued prefetches ("pauses all expert prefetching tasks", §4.5).
-    job.ready_at = PromoteQueued(entry, key, link, &job.tier_source);
+    job.ready_at = store_.PromoteFill(key, clock_.now(), &job.tier_source);
     job.stall_class = stall_.ClassifyMiss(key, MissKind::kQueuedPromoted);
   } else if (entry.ready_at() > clock_.now()) {
     // Prefetch in flight but late: wait out the remainder. Still a miss by the paper's
@@ -445,8 +391,8 @@ void ServingEngine::CompleteExpert(const ExpertJob& job) {
     stall_.AttributeStallTier(
         job.tier_source == TieredExpertStore::Tier::kNvme ? StallTier::kNvme : StallTier::kHost,
         stall);
-    if (signals_ != nullptr) {
-      signals_->RecordStall(job.stall_class, stall, clock_.now());
+    if (admission_ != nullptr) {
+      admission_->signals()->RecordStall(job.stall_class, stall, clock_.now());
     }
   }
   stall_.OnExpertServed(key);
@@ -644,8 +590,8 @@ void ServingEngine::AdmitRequest(const Request& request) {
   member->metrics.request_id = request.id;
   member->metrics.arrival_time = request.arrival_time;
   member->metrics.start_time = clock_.now();
-  if (signals_ != nullptr) {
-    signals_->RecordAdmission(member->metrics.QueueingDelay(), clock_.now());
+  if (admission_ != nullptr) {
+    admission_->signals()->RecordAdmission(member->metrics.QueueingDelay(), clock_.now());
   }
   policy_->OnRequestAdmitted(*this, member->context);
   active_members_.push_back(std::move(member));
@@ -667,8 +613,8 @@ bool ServingEngine::StepIteration() {
     active.push_back(member.get());
   }
   const double duration = RunIteration(active);
-  if (signals_ != nullptr) {
-    signals_->RecordIteration(duration, clock_.now());
+  if (admission_ != nullptr) {
+    admission_->signals()->RecordIteration(duration, clock_.now());
   }
 
   std::vector<std::unique_ptr<BatchMember>> still_active;

@@ -14,7 +14,6 @@
 #include <span>
 #include <string>
 #include <set>
-#include <unordered_map>
 #include <vector>
 
 #include "src/cache/expert_cache.h"
@@ -102,37 +101,35 @@ class ServingEngine : public EngineHandle {
 
   RunMetrics& metrics() { return metrics_; }
   const RunMetrics& metrics() const { return metrics_; }
-  // Also resets the stall attribution and clears the attached trace and live signal window,
-  // so the recorded events, the attribution, and controller inputs cover exactly the window
-  // the metrics describe (warmup runs are discarded from all of them). The classifier keeps
-  // its per-key prefetch state: warmup prefetches are still live intent afterwards.
+  // Also resets the stall attribution and clears the attached trace and the admission
+  // controller's live signal window, so the recorded events, the attribution, and controller
+  // inputs cover exactly the window the metrics describe (warmup runs are discarded from all
+  // of them). The classifier keeps its per-key prefetch state: warmup prefetches are still
+  // live intent afterwards.
   void ResetMetrics() {
     metrics_ = RunMetrics();
     stall_.ResetAttribution();
     if (trace_ != nullptr) {
       trace_->ClearEvents();
     }
-    if (signals_ != nullptr) {
-      signals_->Clear();
+    if (admission_ != nullptr) {
+      admission_->signals()->Clear();
     }
     if (oracle_ != nullptr) {
       oracle_->Clear(clock_.now());
     }
   }
 
-  // --- Control plane (DESIGN.md §5j). Both default to detached: every hook below is a
-  // single null-pointer check and the engine replays the legacy path byte-identically. ---
+  // --- Control plane (DESIGN.md §5j). Detached by default: every hook is a single
+  // null-pointer check and the engine replays the legacy path byte-identically. ---
 
-  // Attaches a live control-signal tracker: demand stalls (as the engine's one classifier
-  // labels them), admission queueing delays, and iteration durations are recorded into it in
-  // virtual time.
-  void SetControlSignals(ControlSignalTracker* signals) { signals_ = signals; }
-  // Attaches an admission controller: the engine feeds its signal tracker and pulls the
-  // effective prefetch distance from it at every iteration boundary. The batch-limit and
-  // shedding halves of the interface are consumed by the scheduler / cluster harness.
+  // Attaches an admission controller. The engine records demand stalls (as its one classifier
+  // labels them), admission queueing delays and iteration durations into the controller's
+  // signal tracker in virtual time, and pulls the effective prefetch distance from it at
+  // every iteration boundary. The batch-limit and shedding halves of the interface are
+  // consumed by the scheduler / cluster harness.
   void SetAdmissionController(AdmissionController* controller) {
     admission_ = controller;
-    SetControlSignals(controller != nullptr ? controller->signals() : nullptr);
     if (controller == nullptr) {
       prefetch_distance_override_ = 0;
     }
@@ -148,6 +145,8 @@ class ServingEngine : public EngineHandle {
   void SetOracleRecorder(GateDecisionRecorder* oracle) { oracle_ = oracle; }
 
   const ExpertCache& cache() const { return cache_; }
+  // The tiered store owns every GPU fill from issue to landing; its BookkeepingConsistent()
+  // checks the fills against the GPU cache's pending entries.
   const TieredExpertStore& store() const { return store_; }
   const GpuCluster& cluster() const { return cluster_; }
   const GateSimulator& gate() const { return gate_; }
@@ -182,9 +181,6 @@ class ServingEngine : public EngineHandle {
   // Deferred-pipeline introspection (tests and invariant checks).
   size_t PendingDeferredJobs() const { return matcher_.pending(); }
   const MatcherWorker& matcher() const { return matcher_; }
-  // Every queued-transfer tag maps to a resident entry carrying that tag, and vice versa.
-  // The store checks its own chained and direct fills (store().BookkeepingConsistent()).
-  bool TransferTagsConsistent() const;
 
  private:
   struct BatchMember {
@@ -217,16 +213,6 @@ class ServingEngine : public EngineHandle {
   ExpertJob IssueExpert(ExpertId id, int tokens_routed);
   void CompleteExpert(const ExpertJob& job);
 
-  // Promotes a queued fill to a demand load (IssueExpert and BlockingLoad): the store moves
-  // the transfer, whatever its route, and reports the serving tier; the entry becomes a
-  // committed copy ready at the returned time.
-  double PromoteQueued(EntryRef& entry, uint64_t key, PcieLink& link,
-                       TieredExpertStore::Tier* source);
-
-  // Completion bookkeeping shared by prefetch start events (device links and the store's
-  // direct NVMe→GPU path).
-  void OnTransferScheduled(uint64_t tag, double completion_time);
-
   uint64_t KeyOf(ExpertId id) const { return model_.FlatIndex(id); }
   PcieLink& LinkFor(uint64_t key) { return cluster_.DeviceFor(key).link(); }
 
@@ -234,8 +220,9 @@ class ServingEngine : public EngineHandle {
   // memory; false (nothing changed) when the cache cannot take it.
   bool InsertEntry(const CacheEntry& entry);
 
-  // Removes victims' GPU allocations, cancels their unstarted fills, and reports each
-  // eviction to the stall classifier (every GPU-tier eviction passes through here).
+  // Reports each victim to the stall classifier and to the store (which cancels an unstarted
+  // fill or demotes resident data) and frees its GPU allocation. Every GPU-tier eviction
+  // passes through here.
   void CleanupEvicted(const std::vector<CacheEntry>& evicted);
 
   // Applies every deferred job whose modeled completion time has been reached (layer
@@ -258,7 +245,7 @@ class ServingEngine : public EngineHandle {
   CostModel cost_;
   GpuCluster cluster_;
   std::unique_ptr<EvictionPolicy> eviction_policy_;
-  TieredExpertStore store_;
+  TieredExpertStore store_;  // Owns the GPU tier and every GPU fill (DESIGN.md §5h).
   ExpertCache& cache_;  // GPU tier of store_; the legacy name every code path uses.
   SimClock clock_;
   RunMetrics metrics_;
@@ -270,11 +257,9 @@ class ServingEngine : public EngineHandle {
   std::vector<int> trace_slot_tracks_;  // batch_slot -> track id, registered lazily.
 
   // The run's only stall classifier, fed at the engine's hook points whatever is attached;
-  // the trace and the live signals both read its verdicts.
+  // the trace and the admission controller's live signals both read its verdicts.
   StallStateMachine stall_;
-  // Live control-plane feed (null signals_ = detached; same single-pointer-check contract as
-  // tracing).
-  ControlSignalTracker* signals_ = nullptr;  // Not owned.
+  // Control plane (null = detached; same single-pointer-check contract as tracing).
   AdmissionController* admission_ = nullptr;  // Not owned.
   int prefetch_distance_override_ = 0;        // 0 = use config_.prefetch_distance.
 
@@ -287,9 +272,8 @@ class ServingEngine : public EngineHandle {
   std::set<int> free_slots_;
   int next_slot_ = 0;
 
+  // Tag number of the next prefetch fill; the store owns each fill from there on.
   uint64_t next_transfer_tag_ = 1;
-  // tag -> flat expert key for prefetch-start callbacks.
-  std::unordered_map<uint64_t, uint64_t> transfer_key_by_tag_;
 
   // Prefetched-but-not-yet-used experts are pinned (the runtime holds a reference to the
   // inbound buffer) and released when their target layer completes or the iteration ends.

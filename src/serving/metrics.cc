@@ -43,9 +43,7 @@ void RunMetrics::RecordIteration(double duration, bool is_prefill, uint64_t hits
   ++iterations_;
   iteration_records_.push_back(IterationRecord{duration, hits, misses, is_prefill});
   if (is_prefill) {
-    prefill_latency_.Add(duration);
-  } else {
-    decode_latency_.Add(duration);
+    prefill_latency_.Add();
   }
 }
 

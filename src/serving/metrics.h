@@ -99,7 +99,7 @@ class RunMetrics {
   double MeanEndToEnd() const;
   std::vector<double> EndToEndLatencies() const;
 
-  const LatencyHistogram& decode_iteration_latency() const { return decode_latency_; }
+  // Counts the prefill iterations; their durations are in iteration_records().
   const LatencyHistogram& prefill_latency() const { return prefill_latency_; }
   const std::vector<IterationRecord>& iteration_records() const { return iteration_records_; }
 
@@ -112,8 +112,7 @@ class RunMetrics {
   uint64_t iterations_ = 0;
   LatencyBreakdown breakdown_;
   DeferredPipelineStats deferred_;
-  LatencyHistogram decode_latency_{1e-6, 1e3, 64};
-  LatencyHistogram prefill_latency_{1e-6, 1e3, 64};
+  LatencyHistogram prefill_latency_;
 };
 
 }  // namespace fmoe

@@ -1,50 +1,21 @@
-// Latency histogram with exponentially-spaced buckets plus exact reservoir of raw samples.
+// What the run reports read of an iteration-latency histogram: how many samples it took.
 //
-// The serving engine records every per-iteration and per-operation latency here; the bench
-// harness then reads means, percentiles, and bucket counts for the latency-breakdown figure.
+// RunMetrics keeps every iteration's duration, hits and misses in iteration_records(); this
+// type only counts the prefill samples for RunMetrics::prefill_latency().
 #ifndef FMOE_SRC_UTIL_HISTOGRAM_H_
 #define FMOE_SRC_UTIL_HISTOGRAM_H_
 
 #include <cstddef>
-#include <string>
-#include <vector>
 
 namespace fmoe {
 
 class LatencyHistogram {
  public:
-  // Buckets cover [min_value, max_value] with `bucket_count` exponentially-spaced bins; values
-  // outside the range land in the first/last bin. Raw samples are all retained (simulation
-  // scale keeps them small) so percentiles are exact.
-  LatencyHistogram(double min_value, double max_value, size_t bucket_count);
-  LatencyHistogram() : LatencyHistogram(1e-6, 1e3, 64) {}
-
-  void Add(double value);
-  void Merge(const LatencyHistogram& other);
-
-  size_t count() const { return samples_.size(); }
-  double mean() const;
-  double sum() const;
-  double min() const;
-  double max() const;
-  double Percentile(double pct) const;
-  const std::vector<double>& samples() const { return samples_; }
-
-  // Bucket counts for plotting; parallel to BucketLowerBounds().
-  const std::vector<size_t>& bucket_counts() const { return counts_; }
-  std::vector<double> BucketLowerBounds() const;
-
-  // One-line summary: count/mean/p50/p99/max.
-  std::string Summary(const std::string& unit) const;
+  void Add() { ++count_; }
+  size_t count() const { return count_; }
 
  private:
-  size_t BucketIndex(double value) const;
-
-  double min_value_;
-  double log_min_;
-  double log_range_;
-  std::vector<size_t> counts_;
-  std::vector<double> samples_;
+  size_t count_ = 0;
 };
 
 }  // namespace fmoe

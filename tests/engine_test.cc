@@ -392,7 +392,7 @@ TEST(ServingEngineTest, EvictingQueuedPrefetchCancelsItsTransfer) {
   handle.PrefetchAsync(ExpertId{0, 1}, 0.5, 0.9);  // Unpinned; queued behind it.
   EXPECT_EQ(link.queued_prefetch_count(), 1u);
   EXPECT_EQ(link.prefetch_count(), 1u);
-  EXPECT_TRUE(engine.TransferTagsConsistent());
+  EXPECT_TRUE(engine.store().BookkeepingConsistent());
 
   // A third prefetch must evict {0,1} (the only unpinned entry) while its transfer is still
   // queued: CleanupEvicted cancels the queued transfer rather than leaking it on the link.
@@ -402,7 +402,7 @@ TEST(ServingEngineTest, EvictingQueuedPrefetchCancelsItsTransfer) {
   EXPECT_TRUE(handle.IsCached(ExpertId{0, 2}));
   EXPECT_EQ(link.queued_prefetch_count(), 1u) << "victim's transfer cancelled, new one queued";
   EXPECT_EQ(link.prefetch_count(), 1u) << "the cancelled transfer never started";
-  EXPECT_TRUE(engine.TransferTagsConsistent());
+  EXPECT_TRUE(engine.store().BookkeepingConsistent());
   EXPECT_EQ(engine.cache().used_bytes(), Tiny().expert_bytes * 2);
   EXPECT_EQ(engine.cluster().total_used_bytes(), Tiny().expert_bytes * 2)
       << "CleanupEvicted must return the victim's device memory";
@@ -425,7 +425,7 @@ TEST(ServingEngineTest, DemandLoadPromotesQueuedPrefetchAndCancelsIt) {
   // Demand-loading an expert whose prefetch has not started cancels the queued transfer and
   // reissues it as a demand load that jumps the queue.
   handle.BlockingLoad(ExpertId{0, 1}, 0.95);
-  EXPECT_TRUE(engine.TransferTagsConsistent());
+  EXPECT_TRUE(engine.store().BookkeepingConsistent());
   const ConstEntryRef entry = engine.cache().Find(Tiny().FlatIndex(ExpertId{0, 1}));
   ASSERT_TRUE(static_cast<bool>(entry));
   EXPECT_FALSE(entry.prefetch_pending());

@@ -249,7 +249,6 @@ TEST_P(EngineFuzzTest, RandomAsyncKnobsPreserveEngineInvariants) {
       engine.ServeRequest(request);
 
       ASSERT_LE(engine.cache().used_bytes(), engine.cache().capacity_bytes());
-      ASSERT_TRUE(engine.TransferTagsConsistent());
       ASSERT_TRUE(engine.store().BookkeepingConsistent());
       ASSERT_LE(engine.store().host().used_bytes(), engine.store().host().capacity_bytes());
       if (!config.tier.allow_direct_nvme_gpu) {
@@ -366,7 +365,7 @@ TEST_P(SchedulerFuzzTest, ControllerBookkeepingConsistent) {
     // Whatever the controller did to the batch limit, occupancy respects the configured max.
     ASSERT_LE(stats.mean_batch_occupancy,
               static_cast<double>(sched.max_batch_size) + 1e-12);
-    ASSERT_TRUE(engine.TransferTagsConsistent());
+    ASSERT_TRUE(engine.store().BookkeepingConsistent());
   }
 }
 

@@ -5,84 +5,17 @@
 namespace fmoe {
 namespace {
 
-TEST(LatencyHistogramTest, CountsAndMean) {
-  LatencyHistogram hist(1e-3, 10.0, 16);
-  hist.Add(1.0);
-  hist.Add(2.0);
-  hist.Add(3.0);
+TEST(LatencyHistogramTest, CountsEverySample) {
+  LatencyHistogram hist;
+  hist.Add();
+  hist.Add();
+  hist.Add();
   EXPECT_EQ(hist.count(), 3u);
-  EXPECT_NEAR(hist.mean(), 2.0, 1e-12);
-  EXPECT_DOUBLE_EQ(hist.sum(), 6.0);
-  EXPECT_DOUBLE_EQ(hist.min(), 1.0);
-  EXPECT_DOUBLE_EQ(hist.max(), 3.0);
 }
 
 TEST(LatencyHistogramTest, EmptyIsSafe) {
   LatencyHistogram hist;
   EXPECT_EQ(hist.count(), 0u);
-  EXPECT_DOUBLE_EQ(hist.mean(), 0.0);
-  EXPECT_DOUBLE_EQ(hist.min(), 0.0);
-  EXPECT_DOUBLE_EQ(hist.max(), 0.0);
-  EXPECT_DOUBLE_EQ(hist.Percentile(99.0), 0.0);
-}
-
-TEST(LatencyHistogramTest, PercentilesAreExact) {
-  LatencyHistogram hist(1e-3, 10.0, 16);
-  for (int i = 1; i <= 100; ++i) {
-    hist.Add(static_cast<double>(i) / 100.0);
-  }
-  EXPECT_NEAR(hist.Percentile(50.0), 0.505, 1e-9);
-  EXPECT_NEAR(hist.Percentile(99.0), 0.9901, 1e-3);
-}
-
-TEST(LatencyHistogramTest, OutOfRangeValuesLandInEdgeBuckets) {
-  LatencyHistogram hist(1.0, 10.0, 4);
-  hist.Add(0.001);   // Below range.
-  hist.Add(1000.0);  // Above range.
-  const auto& counts = hist.bucket_counts();
-  EXPECT_EQ(counts.front(), 1u);
-  EXPECT_EQ(counts.back(), 1u);
-}
-
-TEST(LatencyHistogramTest, BucketBoundsAreMonotone) {
-  LatencyHistogram hist(1e-3, 10.0, 8);
-  const auto bounds = hist.BucketLowerBounds();
-  ASSERT_EQ(bounds.size(), 8u);
-  for (size_t i = 1; i < bounds.size(); ++i) {
-    EXPECT_GT(bounds[i], bounds[i - 1]);
-  }
-  EXPECT_NEAR(bounds.front(), 1e-3, 1e-9);
-}
-
-TEST(LatencyHistogramTest, MergeCombinesSamples) {
-  LatencyHistogram a(1e-3, 10.0, 8);
-  LatencyHistogram b(1e-3, 10.0, 8);
-  a.Add(1.0);
-  b.Add(2.0);
-  b.Add(3.0);
-  a.Merge(b);
-  EXPECT_EQ(a.count(), 3u);
-  EXPECT_NEAR(a.mean(), 2.0, 1e-12);
-}
-
-TEST(LatencyHistogramTest, SummaryMentionsCountAndUnit) {
-  LatencyHistogram hist(1e-3, 10.0, 8);
-  hist.Add(0.5);
-  const std::string summary = hist.Summary("s");
-  EXPECT_NE(summary.find("n=1"), std::string::npos);
-  EXPECT_NE(summary.find("p99"), std::string::npos);
-}
-
-TEST(LatencyHistogramTest, BucketCountMatchesSampleCount) {
-  LatencyHistogram hist(1e-3, 10.0, 32);
-  for (int i = 0; i < 50; ++i) {
-    hist.Add(0.01 * (i + 1));
-  }
-  size_t total = 0;
-  for (size_t c : hist.bucket_counts()) {
-    total += c;
-  }
-  EXPECT_EQ(total, 50u);
 }
 
 }  // namespace

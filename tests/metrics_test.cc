@@ -73,8 +73,9 @@ TEST(RunMetricsTest, IterationRecordsSplitPrefillAndDecode) {
   metrics.RecordIteration(0.1, /*is_prefill=*/false, 4, 0);
   EXPECT_EQ(metrics.iterations(), 2u);
   EXPECT_EQ(metrics.prefill_latency().count(), 1u);
-  EXPECT_EQ(metrics.decode_iteration_latency().count(), 1u);
   ASSERT_EQ(metrics.iteration_records().size(), 2u);
+  EXPECT_TRUE(metrics.iteration_records()[0].is_prefill);
+  EXPECT_FALSE(metrics.iteration_records()[1].is_prefill);
   EXPECT_DOUBLE_EQ(metrics.iteration_records()[0].HitRate(), 0.75);
   EXPECT_DOUBLE_EQ(metrics.iteration_records()[1].HitRate(), 1.0);
 }

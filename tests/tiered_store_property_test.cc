@@ -1,29 +1,35 @@
 // Property tests for the three-tier expert store (DESIGN.md §5h) under fuzzed schedules.
 //
-// A driver plays the engine's role against a TieredExpertStore: it owns a real GPU PcieLink,
-// keeps GPU entries in the store's own gpu() cache, and runs random interleavings of
-// speculative staging, prefetch fills, demand accesses (promoting queued fills, demand-filling
-// absent keys), GPU evictions, victim demotion, frequency decay, and link ticks. After every
-// operation the invariants that define tier correctness must hold:
+// A driver plays the engine's role against a TieredExpertStore: it owns a real GPU PcieLink
+// (attached to the store), inserts pending GPU entries in the store's own gpu() cache and picks
+// their tags, and runs random interleavings of speculative staging, prefetch fills, demand
+// accesses (promoting queued fills, demand-filling absent keys), GPU evictions, victim
+// demotion, frequency decay, and link ticks. The store lands, cancels and promotes the fills.
+// After every operation the invariants that define tier correctness must hold:
 //
 //   * Consistent tier bookkeeping — stage maps are mutual inverses, host-backed staging
-//     entries stay pending+pinned on their tag, transient stagings own no host entry, and
-//     every chained or direct fill names a pending GPU entry carrying its tag
-//     (TieredExpertStore::BookkeepingConsistent); host occupancy never exceeds capacity.
+//     entries stay pending+pinned on their tag, transient stagings own no host entry, every
+//     fill record names a pending GPU entry carrying its tag and every pending GPU entry with
+//     a tag has a record (TieredExpertStore::BookkeepingConsistent); host occupancy never
+//     exceeds capacity.
+//   * Fill conservation — every fill the driver started is still open (a store record),
+//     started on a link (a GPU-link prefetch, or an NVMe-link prefetch that is not a landed
+//     staging), cancelled or promoted. A transfer that started for a cancelled or promoted
+//     fill breaks the count.
 //   * No NVMe→GPU teleport — with allow_direct_nvme_gpu off, the NVMe link carries only
 //     stagings and every byte reaching the GPU crosses the GPU link: each demand access adds
-//     one GPU-link demand load, no fill reports through the direct hook, and at the end every
-//     fill has crossed the GPU link (hop or promotion) or was cancelled.
+//     one GPU-link demand load, no fill starts on the NVMe link, and at the end every fill has
+//     crossed the GPU link (hop or promotion) or was cancelled.
 //   * Queue/stage agreement — without the direct path, every queued NVMe transfer IS a
 //     pending staging and vice versa (pending_stage_count == queued_prefetch_count).
 //   * Transfer accounting — after a final flush, every issued staging either landed or was
-//     promoted (stages_landed == stages_issued - stage_promotions), each fill met exactly one
-//     fate, both links' demand / prefetch counters match an independent ledger, and the NVMe
-//     link's total_busy_sec() equals started_transfers * TransferDuration(bytes).
+//     promoted (stages_landed == stages_issued - stage_promotions), no fill is left open, both
+//     links' demand counters match an independent ledger, and the NVMe link's
+//     total_busy_sec() equals started_transfers * TransferDuration(bytes).
 #include <algorithm>
-#include <map>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -52,8 +58,6 @@ struct FuzzConfig {
 // Independent transfer ledger the links' own accounting must reconcile against.
 struct Ledger {
   uint64_t fills_started = 0;
-  uint64_t hops = 0;            // Fills whose transfer started on the GPU link.
-  uint64_t direct_fires = 0;    // Fills whose transfer started on the NVMe link.
   uint64_t cancelled = 0;
   uint64_t promoted = 0;
   uint64_t demand_fills = 0;
@@ -61,21 +65,24 @@ struct Ledger {
   uint64_t nvme_demands = 0;          // Demand accesses served from NVMe.
 };
 
-// The engine's side of the contract, over the store's own GPU cache.
+// The engine's side of the contract, over the store's own GPU cache: it inserts each pending
+// GPU entry and picks its fill's tag; everything else about the fill is the store's.
 class EngineDriver {
  public:
   EngineDriver(TieredExpertStore& store, bool allow_direct)
       : store_(store), allow_direct_(allow_direct), gpu_link_(LinkConfig{}) {
-    gpu_link_.set_completion_callback(
-        [this](uint64_t tag, double completion) { OnScheduled(tag, completion, &ledger_.hops); });
-    store_.set_direct_scheduled_hook([this](uint64_t tag, double completion) {
-      OnScheduled(tag, completion, &ledger_.direct_fires);
-    });
+    store_.AttachDeviceLink(gpu_link_);
   }
 
   const Ledger& ledger() const { return ledger_; }
   const PcieLink& gpu_link() const { return gpu_link_; }
-  size_t pending_fills() const { return key_by_tag_.size(); }
+
+  // Fills whose transfer started: every GPU-link prefetch is a fill's hop, and every NVMe-link
+  // prefetch that is not a landed staging is a direct fill.
+  uint64_t direct_starts() const {
+    return store_.nvme_link().prefetch_count() - store_.stats().stages_landed;
+  }
+  uint64_t started_fills() const { return gpu_link_.prefetch_count() + direct_starts(); }
 
   void Tick(double now) {
     gpu_link_.Tick(now);
@@ -96,17 +103,14 @@ class EngineDriver {
     if (!Insert(entry, now)) {
       return;
     }
-    const uint64_t tag = next_tag_++;
-    store_.gpu().Find(key).set_transfer_tag(tag);
-    key_by_tag_[tag] = key;
     ++ledger_.fills_started;
-    store_.StartFill(key, tag, kExpertBytes, now, probability, gpu_link_);
+    store_.StartFill(key, next_tag_++, now, probability, gpu_link_);
   }
 
   // The gate wants `key` now: promote a queued fill, demand-fill an absent key.
   void Access(uint64_t key, double now) {
     Tick(now);
-    EntryRef entry = store_.gpu().Find(key);
+    const ConstEntryRef entry = std::as_const(store_).gpu().Find(key);
     if (entry && !entry.prefetch_pending()) {
       return;  // Resident (possibly still in flight): nothing to move.
     }
@@ -114,12 +118,10 @@ class EngineDriver {
     TieredExpertStore::Tier source = TieredExpertStore::Tier::kHost;
     double ready = 0.0;
     if (entry) {
-      const uint64_t tag = entry.transfer_tag();
-      key_by_tag_.erase(tag);
-      entry.set_transfer_tag(0);
-      ready = store_.PromoteFill(key, tag, kExpertBytes, now, gpu_link_, &source);
-      entry.set_ready_at(ready);
-      entry.set_prefetch_pending(false);
+      ready = store_.PromoteFill(key, now, &source);
+      const ConstEntryRef landed = std::as_const(store_).gpu().Find(key);
+      EXPECT_TRUE(!landed.prefetch_pending() && landed.transfer_tag() == 0 &&
+                  landed.ready_at() == ready);
       ++ledger_.promoted;
     } else {
       ready = store_.DemandFill(key, kExpertBytes, now, gpu_link_, &source);
@@ -148,18 +150,14 @@ class EngineDriver {
   void Evict(uint64_t key, double now) {
     CacheEntry removed;
     if (store_.gpu().Remove(key, &removed)) {
-      CleanupVictims({removed}, now);
+      ReleaseVictims({removed}, now);
     }
   }
 
   // Promotes every fill still waiting (chained fills whose staging never hops them included),
   // so each fill ends crossing a link or cancelled.
   void PromoteAll(double now) {
-    std::vector<uint64_t> keys;
-    for (const auto& [tag, key] : key_by_tag_) {
-      keys.push_back(key);
-    }
-    for (const uint64_t key : keys) {
+    for (const uint64_t key : store_.gpu().Keys()) {
       Access(key, now);
     }
   }
@@ -170,32 +168,17 @@ class EngineDriver {
     if (!store_.gpu().Insert(entry, now, &victims)) {
       return false;
     }
-    CleanupVictims(victims, now);
+    ReleaseVictims(victims, now);
     return true;
   }
 
-  void CleanupVictims(const std::vector<CacheEntry>& victims, double now) {
+  void ReleaseVictims(const std::vector<CacheEntry>& victims, double now) {
     for (const CacheEntry& victim : victims) {
       if (victim.prefetch_pending && victim.transfer_tag != 0) {
-        store_.CancelFill(victim.transfer_tag, gpu_link_);
-        key_by_tag_.erase(victim.transfer_tag);
         ++ledger_.cancelled;
-      } else {
-        store_.DemoteGpuVictim(victim, now);
       }
+      store_.ReleaseGpuVictim(victim, now);
     }
-  }
-
-  void OnScheduled(uint64_t tag, double completion, uint64_t* counter) {
-    const auto it = key_by_tag_.find(tag);
-    ASSERT_NE(it, key_by_tag_.end()) << "transfer of a cancelled or promoted fill, tag " << tag;
-    EntryRef entry = store_.gpu().Find(it->second);
-    ASSERT_TRUE(entry && entry.transfer_tag() == tag);
-    entry.set_ready_at(completion);
-    entry.set_prefetch_pending(false);
-    entry.set_transfer_tag(0);
-    key_by_tag_.erase(it);
-    ++*counter;
   }
 
   TieredExpertStore& store_;
@@ -203,7 +186,6 @@ class EngineDriver {
   PcieLink gpu_link_;
   Ledger ledger_;
   uint64_t next_tag_ = kFirstGpuTag;
-  std::map<uint64_t, uint64_t> key_by_tag_;  // Fills whose transfer has not started.
 };
 
 void RunSchedule(const FuzzConfig& fuzz) {
@@ -250,7 +232,7 @@ void RunSchedule(const FuzzConfig& fuzz) {
         victim.last_access = now;
         victim.frequency = rng.NextDouble();
         victim.probability = rng.NextDouble();
-        store.DemoteGpuVictim(victim, now);
+        store.ReleaseGpuVictim(victim, now);
         break;
       }
       case 6: {  // Per-iteration host frequency aging.
@@ -265,6 +247,10 @@ void RunSchedule(const FuzzConfig& fuzz) {
 
     ASSERT_TRUE(store.BookkeepingConsistent()) << "op " << op;
     ASSERT_LE(store.host().used_bytes(), store.host().capacity_bytes()) << "op " << op;
+    const Ledger& ledger = driver.ledger();
+    ASSERT_EQ(ledger.fills_started, store.pending_fill_count() + driver.started_fills() +
+                                        ledger.cancelled + ledger.promoted)
+        << "op " << op;
     if (!fuzz.allow_direct) {
       // Every queued NVMe transfer is a pending staging and vice versa.
       ASSERT_EQ(store.pending_stage_count(), store.nvme_link().queued_prefetch_count())
@@ -278,7 +264,7 @@ void RunSchedule(const FuzzConfig& fuzz) {
   driver.PromoteAll(now);
   driver.Tick(now);
   ASSERT_TRUE(store.BookkeepingConsistent());
-  EXPECT_EQ(driver.pending_fills(), 0u);
+  EXPECT_EQ(store.pending_fill_count(), 0u);
   EXPECT_EQ(store.pending_stage_count(), 0u);
   EXPECT_EQ(store.nvme_link().queued_prefetch_count(), 0u);
   EXPECT_EQ(driver.gpu_link().queued_prefetch_count(), 0u);
@@ -288,28 +274,25 @@ void RunSchedule(const FuzzConfig& fuzz) {
   // Every issued staging either landed (its NVMe transfer started) or was promoted to a
   // demand load (cancelled while queued) — no third fate. Every fill met exactly one fate.
   EXPECT_EQ(stats.stages_landed, stats.stages_issued - stats.stage_promotions);
-  EXPECT_EQ(ledger.fills_started,
-            ledger.hops + ledger.direct_fires + ledger.cancelled + ledger.promoted);
+  EXPECT_EQ(ledger.fills_started, driver.started_fills() + ledger.cancelled + ledger.promoted);
   if (!fuzz.allow_direct) {
     EXPECT_EQ(stats.direct_loads, 0u);
-    EXPECT_EQ(ledger.direct_fires, 0u);
+    EXPECT_EQ(driver.direct_starts(), 0u);
     EXPECT_EQ(ledger.gpu_demands_expected, ledger.promoted + ledger.demand_fills);
   }
 
-  // GPU-link accounting: its prefetches are exactly the hops, its demand loads exactly the
-  // demand accesses that crossed it.
+  // GPU-link accounting: its demand loads are exactly the demand accesses that crossed it,
+  // and every prefetch it started moved one expert.
   const PcieLink& gpu = driver.gpu_link();
-  EXPECT_EQ(gpu.prefetch_count(), ledger.hops);
   EXPECT_EQ(gpu.demand_load_count(), ledger.gpu_demands_expected);
+  EXPECT_EQ(gpu.total_prefetch_bytes(), gpu.prefetch_count() * kExpertBytes);
 
   // NVMe-link accounting reconciles with the ledger: demand loads we triggered, prefetches
   // that actually started (cancelled ones cost nothing).
   const PcieLink& nvme = store.nvme_link();
   EXPECT_EQ(nvme.demand_load_count(), ledger.nvme_demands);
-  EXPECT_EQ(nvme.prefetch_count(), stats.stages_landed + ledger.direct_fires);
   EXPECT_EQ(nvme.total_demand_bytes(), ledger.nvme_demands * kExpertBytes);
-  EXPECT_EQ(nvme.total_prefetch_bytes(),
-            (stats.stages_landed + ledger.direct_fires) * kExpertBytes);
+  EXPECT_EQ(nvme.total_prefetch_bytes(), nvme.prefetch_count() * kExpertBytes);
 
   // Virtual-time busy accounting: every started transfer occupies the link for exactly
   // TransferDuration(bytes), so the busy ledger sums to started * duration. The link accrues
@@ -364,14 +347,13 @@ TierConfig ThreeTier(uint64_t host_capacity, bool allow_direct = false) {
   return config;
 }
 
-// Inserts the pending GPU entry a fill of `key` with `tag` belongs to.
-void InsertPending(TieredExpertStore& store, uint64_t key, uint64_t tag, uint64_t bytes) {
+// Inserts the pending GPU entry a fill of `key` belongs to (StartFill stamps its tag).
+void InsertPending(TieredExpertStore& store, uint64_t key, uint64_t bytes) {
   CacheEntry entry;
   entry.key = key;
   entry.bytes = bytes;
   entry.ready_at = 1e300;
   entry.prefetch_pending = true;
-  entry.transfer_tag = tag;
   ASSERT_TRUE(store.gpu().Insert(entry, 0.0, nullptr));
 }
 
@@ -384,19 +366,22 @@ TEST(TieredStoreTest, DisabledStoreIsInert) {
   CacheEntry victim;
   victim.key = 1;
   victim.bytes = kExpertBytes;
-  store.DemoteGpuVictim(victim, 0.0);
+  store.ReleaseGpuVictim(victim, 0.0);
   EXPECT_EQ(store.stats().demotions_to_host + store.stats().demotions_to_nvme, 0u);
   EXPECT_EQ(store.host().capacity_bytes(), 0u);
 
   // Fills reduce to the two-tier device-link calls: enqueue at `now`, cancel, demand at `now`.
   PcieLink gpu(LinkConfig{});
+  store.AttachDeviceLink(gpu);
   PcieLink reference(LinkConfig{});
   reference.DemandLoad(0.0, kExpertBytes);
   gpu.DemandLoad(0.0, kExpertBytes);  // Keep both links busy so the fills stay queued.
-  InsertPending(store, 2, kFirstGpuTag, kExpertBytes);
-  store.StartFill(2, kFirstGpuTag, kExpertBytes, 0.0, 0.5, gpu);
+  InsertPending(store, 2, kExpertBytes);
+  store.StartFill(2, kFirstGpuTag, 0.0, 0.5, gpu);
   EXPECT_EQ(gpu.queued_prefetch_count(), 1u);
-  store.CancelFill(kFirstGpuTag, gpu);
+  CacheEntry removed;
+  ASSERT_TRUE(store.gpu().Remove(2, &removed));
+  store.ReleaseGpuVictim(removed, 0.0);
   EXPECT_EQ(gpu.queued_prefetch_count(), 0u);
   TieredExpertStore::Tier source = TieredExpertStore::Tier::kNvme;
   EXPECT_EQ(store.DemandFill(3, kExpertBytes, 1e-6, gpu, &source),
@@ -406,10 +391,51 @@ TEST(TieredStoreTest, DisabledStoreIsInert) {
   EXPECT_TRUE(store.BookkeepingConsistent());
 }
 
+// The disabled store (the two-tier world of the paper's systems) owns a device-link fill from
+// issue to landing: the link's start lands the GPU entry at the start plus the transfer, and
+// a fill cancelled before its start (its entry was evicted) leaves no record and never runs.
+TEST(TieredStoreTest, DisabledStoreLandsAndCancelsDeviceLinkFills) {
+  const std::unique_ptr<EvictionPolicy> policy = MakeEvictionPolicy("LRU");
+  TieredExpertStore store(kGpuCapacity, policy.get(), TierConfig{});
+  PcieLink gpu(LinkConfig{});
+  store.AttachDeviceLink(gpu);
+  const double busy_until = gpu.DemandLoad(0.0, kExpertBytes);  // The fills queue behind it.
+
+  InsertPending(store, 2, kExpertBytes);
+  store.StartFill(2, kFirstGpuTag, 0.0, 0.5, gpu);
+  InsertPending(store, 3, kExpertBytes);
+  store.StartFill(3, kFirstGpuTag + 1, 0.0, 0.5, gpu);
+  ConstEntryRef entry = std::as_const(store).gpu().Find(2);
+  ASSERT_TRUE(entry && entry.prefetch_pending());
+  EXPECT_EQ(entry.transfer_tag(), kFirstGpuTag);
+  EXPECT_EQ(store.pending_fill_count(), 2u);
+  EXPECT_EQ(gpu.queued_prefetch_count(), 2u);
+  EXPECT_TRUE(store.BookkeepingConsistent());
+
+  CacheEntry removed;
+  ASSERT_TRUE(store.gpu().Remove(3, &removed));
+  store.ReleaseGpuVictim(removed, 0.0);
+  EXPECT_EQ(store.pending_fill_count(), 1u);
+  EXPECT_EQ(gpu.queued_prefetch_count(), 1u);
+  EXPECT_TRUE(store.BookkeepingConsistent());
+
+  gpu.Tick(1.0);  // The link frees at busy_until and starts the remaining fill.
+  entry = std::as_const(store).gpu().Find(2);
+  ASSERT_TRUE(entry);
+  EXPECT_FALSE(entry.prefetch_pending());
+  EXPECT_EQ(entry.transfer_tag(), 0u);
+  EXPECT_EQ(entry.ready_at(), busy_until + gpu.TransferDuration(kExpertBytes));
+  EXPECT_EQ(store.pending_fill_count(), 0u);
+  EXPECT_EQ(gpu.prefetch_count(), 1u);
+  EXPECT_EQ(gpu.queued_prefetch_count(), 0u);
+  EXPECT_TRUE(store.BookkeepingConsistent());
+}
+
 TEST(TieredStoreTest, QueuedStagePromotesToDemandLoadOnce) {
   const std::unique_ptr<EvictionPolicy> policy = MakeEvictionPolicy("LRU");
   TieredExpertStore store(kGpuCapacity, policy.get(), ThreeTier(100));
   PcieLink gpu(LinkConfig{});
+  store.AttachDeviceLink(gpu);
 
   // Occupy the link first: an idle link starts (and thus lands) a staging immediately.
   store.nvme_link().DemandLoad(0.0, kExpertBytes);
@@ -433,8 +459,8 @@ TEST(TieredStoreTest, QueuedStagePromotesToDemandLoadOnce) {
   ASSERT_TRUE(copy && !copy.prefetch_pending());
   EXPECT_EQ(ready, copy.ready_at() + gpu.TransferDuration(kExpertBytes));
   // The next fill is a host hit.
-  InsertPending(store, 7, kFirstGpuTag, kExpertBytes);
-  store.StartFill(7, kFirstGpuTag, kExpertBytes, 0.0, 0.9, gpu);
+  InsertPending(store, 7, kExpertBytes);
+  store.StartFill(7, kFirstGpuTag, 0.0, 0.9, gpu);
   EXPECT_EQ(store.stats().gpu_fills_from_host, 1u);
   EXPECT_EQ(store.stats().stages_issued, 1u);
   EXPECT_EQ(gpu.queued_prefetch_count(), 1u);
@@ -445,6 +471,7 @@ TEST(TieredStoreTest, HostPoolFullOfPinnedStagesFallsBackToTransient) {
   const std::unique_ptr<EvictionPolicy> policy = MakeEvictionPolicy("LRU");
   TieredExpertStore store(kGpuCapacity, policy.get(), ThreeTier(2 * kExpertBytes));
   PcieLink gpu(LinkConfig{});
+  store.AttachDeviceLink(gpu);
 
   // Occupy the link so the stagings stay queued — and therefore pinned.
   store.nvme_link().DemandLoad(0.0, kExpertBytes);
@@ -454,8 +481,8 @@ TEST(TieredStoreTest, HostPoolFullOfPinnedStagesFallsBackToTransient) {
   // A speculative staging that cannot be host-backed is dropped...
   EXPECT_EQ(store.StageToHost(3, kExpertBytes, 0.0, 0.5), 0u);
   // ...but a GPU fill never fails: it rides a transient bounce buffer instead.
-  InsertPending(store, 3, kFirstGpuTag, kExpertBytes);
-  store.StartFill(3, kFirstGpuTag, kExpertBytes, 0.0, 0.5, gpu);
+  InsertPending(store, 3, kExpertBytes);
+  store.StartFill(3, kFirstGpuTag, 0.0, 0.5, gpu);
   EXPECT_EQ(store.stats().gpu_fills_chained, 1u);
   EXPECT_EQ(store.pending_stage_count(), 3u);
   EXPECT_FALSE(store.HostResident(3));
@@ -479,10 +506,7 @@ TEST(TieredStoreTest, ChainedHopNeverStartsBeforeItsStaging) {
   const std::unique_ptr<EvictionPolicy> policy = MakeEvictionPolicy("LRU");
   TieredExpertStore store(kGpuCapacity, policy.get(), ThreeTier(480));
   PcieLink gpu(LinkConfig{});
-  std::map<uint64_t, double> hop_start;
-  gpu.set_completion_callback([&](uint64_t tag, double completion) {
-    hop_start[tag] = completion - gpu.TransferDuration(kExpertBytes);
-  });
+  store.AttachDeviceLink(gpu);
 
   // A random NVMe backlog, then eight fills whose stagings queue behind it back to back.
   Rng rng(5);
@@ -491,8 +515,8 @@ TEST(TieredStoreTest, ChainedHopNeverStartsBeforeItsStaging) {
   }
   constexpr uint64_t kKeys = 8;
   for (uint64_t key = 0; key < kKeys; ++key) {
-    InsertPending(store, key, kFirstGpuTag + key, kExpertBytes);
-    store.StartFill(key, kFirstGpuTag + key, kExpertBytes, 0.0, 0.5, gpu);
+    InsertPending(store, key, kExpertBytes);
+    store.StartFill(key, kFirstGpuTag + key, 0.0, 0.5, gpu);
     const ConstEntryRef staged = store.host().Find(key);
     ASSERT_TRUE(staged && staged.prefetch_pending());  // Chained behind a queued staging.
   }
@@ -505,8 +529,11 @@ TEST(TieredStoreTest, ChainedHopNeverStartsBeforeItsStaging) {
     // The host-backed staging's entry carries the staging's completion as its ready time.
     const ConstEntryRef copy = store.host().Find(key);
     ASSERT_TRUE(copy && !copy.prefetch_pending());
-    ASSERT_TRUE(hop_start.contains(kFirstGpuTag + key)) << "key " << key;
-    EXPECT_GE(hop_start[kFirstGpuTag + key] + 1e-12, copy.ready_at()) << "key " << key;
+    // The hop started and landed the GPU entry at its completion.
+    const ConstEntryRef landed = std::as_const(store).gpu().Find(key);
+    ASSERT_TRUE(landed && !landed.prefetch_pending()) << "key " << key;
+    const double hop_start = landed.ready_at() - gpu.TransferDuration(kExpertBytes);
+    EXPECT_GE(hop_start + 1e-12, copy.ready_at()) << "key " << key;
   }
 }
 
@@ -516,16 +543,17 @@ TEST(TieredStoreTest, CancelledChainLandsAsPlainHostCopy) {
   const std::unique_ptr<EvictionPolicy> policy = MakeEvictionPolicy("LRU");
   TieredExpertStore store(kGpuCapacity, policy.get(), ThreeTier(100));
   PcieLink gpu(LinkConfig{});
+  store.AttachDeviceLink(gpu);
 
   store.nvme_link().DemandLoad(0.0, kExpertBytes);  // Keep the staging queued.
-  InsertPending(store, 4, kFirstGpuTag, kExpertBytes);
-  store.StartFill(4, kFirstGpuTag, kExpertBytes, 0.0, 0.5, gpu);
+  InsertPending(store, 4, kExpertBytes);
+  store.StartFill(4, kFirstGpuTag, 0.0, 0.5, gpu);
   ASSERT_EQ(store.stats().gpu_fills_chained, 1u);
   ASSERT_EQ(store.pending_stage_count(), 1u);
 
   CacheEntry removed;
   ASSERT_TRUE(store.gpu().Remove(4, &removed));
-  store.CancelFill(removed.transfer_tag, gpu);
+  store.ReleaseGpuVictim(removed, 0.0);
   EXPECT_TRUE(store.BookkeepingConsistent());
 
   store.Tick(1.0);
@@ -550,27 +578,30 @@ TEST(TieredStoreTest, PromotionReadyTimesMatchHandComputedRoutes) {
   {  // Host copy: the hop is queued on the GPU link behind a copy that lands at c.
     TieredExpertStore store(kBytes * 4, policy.get(), ThreeTier(kBytes * 4));
     PcieLink gpu(LinkConfig{});
+    store.AttachDeviceLink(gpu);
     ASSERT_NE(store.StageToHost(1, kBytes, 0.0, 0.5), 0u);  // Idle link: starts at 0.
     const double c = store.nvme_link().TransferDuration(kBytes);
-    InsertPending(store, 1, kFirstGpuTag, kBytes);
-    store.StartFill(1, kFirstGpuTag, kBytes, 0.0, 0.5, gpu);
+    InsertPending(store, 1, kBytes);
+    store.StartFill(1, kFirstGpuTag, 0.0, 0.5, gpu);
     ASSERT_EQ(store.stats().gpu_fills_from_host, 1u);
     ASSERT_EQ(gpu.queued_prefetch_count(), 1u);
     TieredExpertStore::Tier source = TieredExpertStore::Tier::kHost;
-    const double ready = store.PromoteFill(1, kFirstGpuTag, kBytes, kNow, gpu, &source);
+    const double ready = store.PromoteFill(1, kNow, &source);
     EXPECT_EQ(ready, c + gpu.TransferDuration(kBytes));
+    EXPECT_EQ(std::as_const(store).gpu().Find(1).ready_at(), ready);
     EXPECT_EQ(source, TieredExpertStore::Tier::kHost);
     EXPECT_EQ(gpu.queued_prefetch_count(), 0u);
   }
   {  // Chained: the staging is queued behind an NVMe demand load busy until d.
     TieredExpertStore store(kBytes * 4, policy.get(), ThreeTier(kBytes * 4));
     PcieLink gpu(LinkConfig{});
+    store.AttachDeviceLink(gpu);
     const double d = store.nvme_link().DemandLoad(0.0, kBytes);
-    InsertPending(store, 2, kFirstGpuTag, kBytes);
-    store.StartFill(2, kFirstGpuTag, kBytes, 0.0, 0.5, gpu);
+    InsertPending(store, 2, kBytes);
+    store.StartFill(2, kFirstGpuTag, 0.0, 0.5, gpu);
     ASSERT_EQ(store.stats().gpu_fills_chained, 1u);
     TieredExpertStore::Tier source = TieredExpertStore::Tier::kHost;
-    const double ready = store.PromoteFill(2, kFirstGpuTag, kBytes, kNow, gpu, &source);
+    const double ready = store.PromoteFill(2, kNow, &source);
     const double staged = d + store.nvme_link().TransferDuration(kBytes);
     EXPECT_EQ(ready, staged + gpu.TransferDuration(kBytes));
     EXPECT_EQ(source, TieredExpertStore::Tier::kNvme);
@@ -580,12 +611,13 @@ TEST(TieredStoreTest, PromotionReadyTimesMatchHandComputedRoutes) {
   {  // Direct: the fill is queued on the NVMe link behind a demand load busy until d.
     TieredExpertStore store(kBytes * 4, policy.get(), ThreeTier(kBytes * 4, true));
     PcieLink gpu(LinkConfig{});
+    store.AttachDeviceLink(gpu);
     const double d = store.nvme_link().DemandLoad(0.0, kBytes);
-    InsertPending(store, 3, kFirstGpuTag, kBytes);
-    store.StartFill(3, kFirstGpuTag, kBytes, 0.0, 0.5, gpu);
+    InsertPending(store, 3, kBytes);
+    store.StartFill(3, kFirstGpuTag, 0.0, 0.5, gpu);
     ASSERT_EQ(store.stats().direct_loads, 1u);
     TieredExpertStore::Tier source = TieredExpertStore::Tier::kHost;
-    const double ready = store.PromoteFill(3, kFirstGpuTag, kBytes, kNow, gpu, &source);
+    const double ready = store.PromoteFill(3, kNow, &source);
     EXPECT_EQ(ready, d + store.nvme_link().TransferDuration(kBytes));
     EXPECT_EQ(source, TieredExpertStore::Tier::kNvme);
     EXPECT_EQ(store.nvme_link().queued_prefetch_count(), 0u);
