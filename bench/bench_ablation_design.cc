@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
   return BenchMain(
       argc, argv, "bench_ablation_design",
       "Design-choice ablations: store replacement, parallelism, aging, placement",
-      [&](fmoe::ExperimentPlan& plan) {
+      [&](fmoe::ExperimentPlan& plan, const BenchEnv&) {
         for (const size_t capacity : capacities) {
           for (const std::string& system : store_systems) {
             fmoe::ExperimentOptions options = SweepOptions(model, dataset);
@@ -129,5 +129,6 @@ int main(int argc, char** argv) {
           out << "Round-robin spreads one layer's transfers across all links; layer-contiguous\n"
                  "serialises adjacent layers on one link and should be measurably slower.\n";
         }
+        return 0;
       });
 }

@@ -13,11 +13,10 @@
 // contract): closed loop must meet the SLO on the burst trace at a strictly lower p99 than
 // open loop, else exit 2.
 //
-// Usage: bench_admission [--small] [--json PATH]
-//   --small      CI smoke configuration: shorter traces.
-//   --json PATH  Also write the results as JSON to PATH (the BENCH_admission.json format).
+// Usage: bench_admission [--small] [--out_json PATH] [bench flags; see --help]
+//   --small          CI smoke configuration: shorter traces.
+//   --out_json PATH  Also write the results as JSON to PATH (the BENCH_admission.json format).
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -39,10 +38,10 @@ namespace {
 constexpr double kSloSec = 1.0;
 constexpr uint64_t kSeed = 42;
 
+// One swept configuration; cells[i] describes plan task i.
 struct Cell {
   std::string trace;
   std::string policy;
-  ExperimentResult result;
 };
 
 DatasetProfile Prompts() {
@@ -78,38 +77,7 @@ double SloAttainment(const std::vector<double>& latencies) {
   return static_cast<double>(within) / static_cast<double>(latencies.size());
 }
 
-void WriteJson(const std::vector<Cell>& cells, std::ostream& out) {
-  out << "{\n";
-  out << "  \"description\": \"Closed-loop vs open-loop admission (DESIGN.md \\u00a75j): the "
-         "continuous-batching scheduler replays square-wave burst and sustained-overload "
-         "traces (src/workload/burst.h) on the fMoE system with the tiny test model, once "
-         "per admission policy. Virtual-time and single-seeded, so regeneration is "
-         "bit-exact. Regenerate with: build/bench/bench_admission --json "
-         "BENCH_admission.json\",\n";
-  out << "  \"config\": {\"model\": \"" << JsonEscape(TinyTestConfig().name)
-      << "\", \"system\": \"fMoE\", \"slo_s\": " << kSloSec
-      << ", \"max_batch_size\": " << MakeSched(false).max_batch_size
-      << ", \"seed\": " << kSeed << "},\n";
-  out << "  \"cells\": [\n";
-  for (size_t i = 0; i < cells.size(); ++i) {
-    const Cell& c = cells[i];
-    const SchedulerStats& s = c.result.scheduler_stats;
-    char row[512];
-    std::snprintf(row, sizeof(row),
-                  "    {\"trace\": \"%s\", \"policy\": \"%s\", \"arrived\": %zu, "
-                  "\"served\": %zu, \"rejected\": %zu, \"mean_e2e_s\": %.9g, "
-                  "\"p99_e2e_s\": %.9g, \"slo_attainment\": %.6g, \"hit_rate\": %.6g, "
-                  "\"tokens_per_s\": %.9g}",
-                  c.trace.c_str(), c.policy.c_str(), s.arrived_requests, s.served_requests,
-                  s.rejected_requests, c.result.mean_e2e, P99(c.result.request_latencies),
-                  SloAttainment(c.result.request_latencies), c.result.hit_rate,
-                  s.Throughput(c.result.scheduled_tokens));
-    out << row << (i + 1 < cells.size() ? ",\n" : "\n");
-  }
-  out << "  ]\n}\n";
-}
-
-int Run(bool small, const std::string& json_path) {
+void Declare(bool small, ExperimentPlan& plan, std::vector<Cell>* cells) {
   const size_t count = small ? 256 : 512;
 
   // Burst: quiet phases the engine absorbs easily (~10 req/s against ~5 ms batched service),
@@ -129,66 +97,94 @@ int Run(bool small, const std::string& json_path) {
   using Arrivals = std::shared_ptr<const std::vector<Request>>;
   const std::vector<std::pair<std::string, Arrivals>> traces{{"burst", burst_trace},
                                                              {"overload", overload_trace}};
-
-  std::vector<Cell> cells;
   for (const auto& [trace_name, arrivals] : traces) {
     for (const bool closed_loop : {false, true}) {
+      const std::string policy = closed_loop ? "gradient" : "open-loop";
       ExperimentTask task;
       task.system = "fMoE";
       task.options = bench::SweepOptions(TinyTestConfig(), LmsysLikeProfile());
       task.mode = ExperimentMode::kScheduled;
       task.arrivals = arrivals;
       task.scheduler = MakeSched(closed_loop);
-      Cell cell;
-      cell.trace = trace_name;
-      cell.policy = closed_loop ? "gradient" : "open-loop";
-      cell.result = RunTask(task);
-      cells.push_back(std::move(cell));
+      task.tags = {"trace=" + trace_name, "admission=" + policy};
+      plan.Add(std::move(task));
+      cells->push_back({trace_name, policy});
     }
   }
+}
 
+void WriteJson(const std::vector<Cell>& cells, const std::vector<ExperimentResult>& results,
+               std::ostream& out) {
+  out << "{\n";
+  out << "  \"description\": \"Closed-loop vs open-loop admission (DESIGN.md \\u00a75j): the "
+         "continuous-batching scheduler replays square-wave burst and sustained-overload "
+         "traces (src/workload/burst.h) on the fMoE system with the tiny test model, once "
+         "per admission policy. Virtual-time and single-seeded, so regeneration is "
+         "bit-exact. Regenerate with: build/bench/bench_admission --out_json "
+         "BENCH_admission.json\",\n";
+  out << "  \"config\": {\"model\": \"" << JsonEscape(TinyTestConfig().name)
+      << "\", \"system\": \"fMoE\", \"slo_s\": " << kSloSec
+      << ", \"max_batch_size\": " << MakeSched(false).max_batch_size
+      << ", \"seed\": " << kSeed << "},\n";
+  out << "  \"cells\": [\n";
+  for (size_t i = 0; i < cells.size(); ++i) {
+    const Cell& c = cells[i];
+    const ExperimentResult& r = results[i];
+    const SchedulerStats& s = r.scheduler_stats;
+    char row[512];
+    std::snprintf(row, sizeof(row),
+                  "    {\"trace\": \"%s\", \"policy\": \"%s\", \"arrived\": %zu, "
+                  "\"served\": %zu, \"rejected\": %zu, \"mean_e2e_s\": %.9g, "
+                  "\"p99_e2e_s\": %.9g, \"slo_attainment\": %.6g, \"hit_rate\": %.6g, "
+                  "\"tokens_per_s\": %.9g}",
+                  c.trace.c_str(), c.policy.c_str(), s.arrived_requests, s.served_requests,
+                  s.rejected_requests, r.mean_e2e, P99(r.request_latencies),
+                  SloAttainment(r.request_latencies), r.hit_rate,
+                  s.Throughput(r.scheduled_tokens));
+    out << row << (i + 1 < cells.size() ? ",\n" : "\n");
+  }
+  out << "  ]\n}\n";
+}
+
+int Render(const std::vector<Cell>& cells, const std::vector<ExperimentResult>& results,
+           std::ostream& out) {
   AsciiTable table({"trace", "policy", "arrived", "served", "shed", "mean e2e (s)",
                     "p99 e2e (s)", "SLO met (%)", "hit %"});
-  for (const Cell& c : cells) {
-    const SchedulerStats& s = c.result.scheduler_stats;
-    table.AddRow({c.trace, c.policy, std::to_string(s.arrived_requests),
+  for (size_t i = 0; i < cells.size(); ++i) {
+    const ExperimentResult& r = results[i];
+    const SchedulerStats& s = r.scheduler_stats;
+    table.AddRow({cells[i].trace, cells[i].policy, std::to_string(s.arrived_requests),
                   std::to_string(s.served_requests), std::to_string(s.rejected_requests),
-                  AsciiTable::Num(c.result.mean_e2e, 2),
-                  AsciiTable::Num(P99(c.result.request_latencies), 2),
-                  bench::Pct(SloAttainment(c.result.request_latencies)),
-                  bench::Pct(c.result.hit_rate)});
+                  AsciiTable::Num(r.mean_e2e, 2), AsciiTable::Num(P99(r.request_latencies), 2),
+                  bench::Pct(SloAttainment(r.request_latencies)), bench::Pct(r.hit_rate)});
   }
-  std::printf("Admission control under burst/overload: fMoE on %s, SLO %.1f s, batch limit %d\n",
-              TinyTestConfig().name.c_str(), kSloSec, MakeSched(false).max_batch_size);
-  table.Print(std::cout);
+  out << "Admission control under burst/overload: fMoE on " << TinyTestConfig().name
+      << ", SLO " << AsciiTable::Num(kSloSec, 1) << " s, batch limit "
+      << MakeSched(false).max_batch_size << "\n";
+  table.Print(out);
 
   // The exit-code contract: closed loop meets the SLO on the burst trace, strictly below the
   // open-loop p99.
   double open_p99 = 0.0;
   double closed_p99 = 0.0;
-  for (const Cell& c : cells) {
-    if (c.trace == "burst") {
-      (c.policy == "gradient" ? closed_p99 : open_p99) = P99(c.result.request_latencies);
+  for (size_t i = 0; i < cells.size(); ++i) {
+    if (cells[i].trace == "burst") {
+      (cells[i].policy == "gradient" ? closed_p99 : open_p99) =
+          P99(results[i].request_latencies);
     }
   }
   const bool closed_meets_slo = closed_p99 <= kSloSec;
   const bool closed_below_open = closed_p99 < open_p99;
-  std::printf(
-      "Expected shape: open loop serves everything and its burst p99 blows through the SLO;\n"
-      "the gradient controller sheds stale queue entries, holding served p99 under %.1f s.\n",
-      kSloSec);
-  std::printf("closed loop meets SLO on burst trace: %s (p99 %.2f s vs SLO %.1f s)\n",
-              closed_meets_slo ? "yes" : "NO (unexpected)", closed_p99, kSloSec);
-  std::printf("closed-loop p99 below open loop on burst trace: %s (%.2f s vs %.2f s)\n",
-              closed_below_open ? "yes" : "NO (unexpected)", closed_p99, open_p99);
-
-  if (!json_path.empty()) {
-    if (!bench::WriteJsonFile(json_path,
-                              [&](std::ostream& out) { WriteJson(cells, out); })) {
-      return 1;
-    }
-    std::printf("wrote %s\n", json_path.c_str());
-  }
+  const std::string slo = AsciiTable::Num(kSloSec, 1);
+  out << "Expected shape: open loop serves everything and its burst p99 blows through the "
+         "SLO;\nthe gradient controller sheds stale queue entries, holding served p99 under "
+      << slo << " s.\n";
+  out << "closed loop meets SLO on burst trace: "
+      << (closed_meets_slo ? "yes" : "NO (unexpected)") << " (p99 "
+      << AsciiTable::Num(closed_p99, 2) << " s vs SLO " << slo << " s)\n";
+  out << "closed-loop p99 below open loop on burst trace: "
+      << (closed_below_open ? "yes" : "NO (unexpected)") << " ("
+      << AsciiTable::Num(closed_p99, 2) << " s vs " << AsciiTable::Num(open_p99, 2) << " s)\n";
   return closed_meets_slo && closed_below_open ? 0 : 2;
 }
 
@@ -196,17 +192,16 @@ int Run(bool small, const std::string& json_path) {
 }  // namespace fmoe
 
 int main(int argc, char** argv) {
-  bool small = false;
-  std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--small") == 0) {
-      small = true;
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else {
-      std::fprintf(stderr, "usage: bench_admission [--small] [--json PATH]\n");
-      return 1;
-    }
-  }
-  return fmoe::Run(small, json_path);
+  using namespace fmoe;
+  std::vector<Cell> cells;
+  return bench::BenchMain(
+      argc, argv, "bench_admission",
+      "Closed-loop vs open-loop admission under burst and sustained overload on fMoE",
+      [&](ExperimentPlan& plan, const bench::BenchEnv& env) { Declare(env.small, plan, &cells); },
+      [&](const std::vector<ExperimentResult>& results, std::ostream& out) {
+        return Render(cells, results, out);
+      },
+      [&](const std::vector<ExperimentResult>& results, std::ostream& out) {
+        WriteJson(cells, results, out);
+      });
 }

@@ -10,17 +10,15 @@
 // engine numbers cannot be rerun from this tree (the old engine is gone), so BENCH_cache.json
 // embeds the figures recorded on the seed commit with this exact harness configuration.
 //
-// Usage: bench_cache [--small] [--json PATH]
-//   --small      CI smoke configuration: fewer residents/ops, one e2e rep.
-//   --json PATH  Also write the results as JSON to PATH.
+// Usage: bench_cache [--small] [--out_json PATH]
+//   --small          CI smoke configuration: fewer residents/ops, one e2e rep.
+//   --out_json PATH  Also write the results as JSON to PATH; exit 1 if that fails.
 #include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "bench/bench_common.h"
 #include "src/cache/expert_cache.h"
 #include "src/cache/reference_cache.h"
 #include "src/harness/experiment.h"
@@ -128,18 +126,14 @@ E2eRow RunE2e(const char* system, const ModelConfig& model, const char* tag) {
 }
 
 int Main(int argc, char** argv) {
-  bool small = false;
-  std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--small") == 0) {
-      small = true;
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else {
-      std::fprintf(stderr, "usage: bench_cache [--small] [--json PATH]\n");
-      return 1;
-    }
+  bench::BenchEnv env;
+  int exit_code = 0;
+  if (!bench::ParseBenchArgs(argc, argv, "bench_cache",
+                             "Victim-selection micro benchmark + end-to-end engine throughput",
+                             &env, &exit_code)) {
+    return exit_code;
   }
+  const bool small = env.small;
 
   const std::vector<size_t> resident_counts =
       small ? std::vector<size_t>{256, 1024} : std::vector<size_t>{256, 1024, 4096};
@@ -175,32 +169,34 @@ int Main(int argc, char** argv) {
                 static_cast<unsigned long long>(row.iterations), row.iters_per_sec);
   }
 
-  if (!json_path.empty()) {
-    std::ostringstream out;
-    out << "{\n  \"micro_victim_selection\": [\n";
-    for (size_t i = 0; i < micro.size(); ++i) {
-      const MicroRow& r = micro[i];
-      out << "    {\"policy\": \"" << r.policy << "\", \"residents\": " << r.residents
-          << ", \"reference_inserts_per_sec\": " << static_cast<uint64_t>(r.before_per_sec)
-          << ", \"indexed_inserts_per_sec\": " << static_cast<uint64_t>(r.after_per_sec)
-          << ", \"speedup\": "
-          << static_cast<double>(static_cast<uint64_t>(10.0 * r.after_per_sec /
-                                                       r.before_per_sec)) /
-                 10.0
-          << "}" << (i + 1 < micro.size() ? "," : "") << "\n";
+  if (!env.out_json.empty()) {
+    const bool ok = bench::WriteJsonFile(env.out_json, [&](std::ostream& out) {
+      out << "{\n  \"micro_victim_selection\": [\n";
+      for (size_t i = 0; i < micro.size(); ++i) {
+        const MicroRow& r = micro[i];
+        out << "    {\"policy\": \"" << r.policy << "\", \"residents\": " << r.residents
+            << ", \"reference_inserts_per_sec\": " << static_cast<uint64_t>(r.before_per_sec)
+            << ", \"indexed_inserts_per_sec\": " << static_cast<uint64_t>(r.after_per_sec)
+            << ", \"speedup\": "
+            << static_cast<double>(static_cast<uint64_t>(10.0 * r.after_per_sec /
+                                                         r.before_per_sec)) /
+                   10.0
+            << "}" << (i + 1 < micro.size() ? "," : "") << "\n";
+      }
+      out << "  ],\n  \"e2e_current\": [\n";
+      for (size_t i = 0; i < e2e.size(); ++i) {
+        const E2eRow& r = e2e[i];
+        out << "    {\"model\": \"" << r.model << "\", \"system\": \"" << r.system
+            << "\", \"iterations\": " << r.iterations << ", \"iters_per_sec\": "
+            << static_cast<double>(static_cast<uint64_t>(10.0 * r.iters_per_sec)) / 10.0 << "}"
+            << (i + 1 < e2e.size() ? "," : "") << "\n";
+      }
+      out << "  ]\n}\n";
+    });
+    if (!ok) {
+      return 1;
     }
-    out << "  ],\n  \"e2e_current\": [\n";
-    for (size_t i = 0; i < e2e.size(); ++i) {
-      const E2eRow& r = e2e[i];
-      out << "    {\"model\": \"" << r.model << "\", \"system\": \"" << r.system
-          << "\", \"iterations\": " << r.iterations << ", \"iters_per_sec\": "
-          << static_cast<double>(static_cast<uint64_t>(10.0 * r.iters_per_sec)) / 10.0 << "}"
-          << (i + 1 < e2e.size() ? "," : "") << "\n";
-    }
-    out << "  ]\n}\n";
-    std::ofstream file(json_path);
-    file << out.str();
-    std::printf("wrote %s\n", json_path.c_str());
+    std::printf("wrote %s\n", env.out_json.c_str());
   }
   return 0;
 }

@@ -1,12 +1,14 @@
-// Shared scaffolding for the figure-reproduction benches.
+// Shared scaffolding for the benches.
 //
-// Every bench is a declarative ExperimentPlan (src/harness/plan.h) plus a render function
-// over the ordered result vector; BenchMain supplies the shared control flow — flag parsing
-// (--jobs, --out_json), the deterministic parallel runner, and machine-readable output via
-// the harness/report writers. Requests are sized so the full suite finishes in minutes on
-// one core; absolute latencies come from the analytic hardware model (DESIGN.md §2), and what
-// each bench must reproduce is the *shape* of the corresponding paper figure, stated in a
-// trailing "expected shape" note.
+// Every plan bench — the figure reproductions and the virtual-time sweeps alike — is a
+// declarative ExperimentPlan (src/harness/plan.h) plus a render function over the ordered
+// result vector. BenchMain supplies the shared control flow: the one flag set (ParseBenchArgs),
+// the plan driver RunObservedPlan (src/harness/runner.h) with its deterministic parallel
+// runner, trace and oracle observers, and the --out_json document. The wall-clock micro
+// benches and the data-structure figures parse the same flags and skip the plan. Requests are
+// sized so the full suite finishes in minutes on one core; absolute latencies come from the
+// analytic hardware model (DESIGN.md §2), and what each bench must reproduce is the *shape* of
+// the corresponding paper figure, stated in a trailing "expected shape" note.
 //
 // Determinism: rendering sees results in plan order no matter how many jobs ran, so a bench's
 // stdout is byte-identical for --jobs=1 and --jobs=N (DESIGN.md §5e).
@@ -27,27 +29,28 @@
 namespace fmoe {
 namespace bench {
 
-// Shared bench flags.
-struct BenchEnv {
-  int jobs = 1;           // Worker threads for the plan runner (0 = hardware threads).
-  std::string out_json;   // Non-empty: also write a machine-readable report here.
-  std::string trace_out;  // Non-empty: write a Chrome trace (Perfetto-loadable) here.
-  int trace_task = 0;     // Plan index of the task the trace covers.
-  bool oracle = false;    // Run the clairvoyant oracle on every task (DESIGN.md §5k).
-  std::string oracle_out;  // Non-empty: write a compact per-task gap-summary JSON here.
+// Shared bench flags. The observer flags (--jobs, --trace_out, --trace_task, --oracle,
+// --oracle_out) are the plan driver's options; benches without a plan ignore them.
+struct BenchEnv : ObservedRunOptions {
+  std::string out_json;  // Non-empty: also write a machine-readable report here.
+  bool small = false;    // CI smoke configuration, for the benches that define one.
 };
 
-// Parses the shared flags (--jobs, --out_json, --trace_out, --trace_task, --oracle,
-// --oracle_out, --help). Returns true to proceed; on false *exit_code holds the process exit
-// status (0 for --help, 1 for a malformed flag).
+// Parses the shared flags (the observer flags, --out_json, --small, --help). Returns true to
+// proceed; on false *exit_code holds the process exit status (0 for --help, 1 for a malformed
+// flag).
 bool ParseBenchArgs(int argc, const char* const* argv, const std::string& program,
                     const std::string& description, BenchEnv* env, int* exit_code);
 
-using DeclareFn = std::function<void(ExperimentPlan&)>;
-using RenderFn = std::function<void(const std::vector<ExperimentResult>&, std::ostream&)>;
+using DeclareFn = std::function<void(ExperimentPlan&, const BenchEnv&)>;
+// Prints the tables and returns the exit status: 0, or 2 when a checked expected shape fails.
+using RenderFn = std::function<int(const std::vector<ExperimentResult>&, std::ostream&)>;
+using JsonFn = std::function<void(const std::vector<ExperimentResult>&, std::ostream&)>;
 
-// Standard bench entry point: declare the plan, run it at --jobs workers, render the tables
-// over the ordered results, and honour --out_json with a plan report (harness/report.h).
+// Standard bench entry point: declare the plan, run it through RunObservedPlan at --jobs
+// workers, render the tables over the ordered results, and honour --out_json with
+// `write_json`'s document — by default the plan report (harness/report.h). Returns render's
+// status, or 1 on a malformed flag or an I/O failure.
 // With --trace_out PATH, one task (--trace_task, default 0) runs with a TraceRecorder
 // attached; the Chrome trace-event JSON lands at PATH and the stall-attribution table goes to
 // stderr — stdout stays byte-identical to an untraced run.
@@ -56,12 +59,11 @@ using RenderFn = std::function<void(const std::vector<ExperimentResult>&, std::o
 // leaves stdout and --out_json byte-identical to a pre-oracle run.
 int BenchMain(int argc, const char* const* argv, const std::string& program,
               const std::string& description, const DeclareFn& declare,
-              const RenderFn& render);
+              const RenderFn& render, const JsonFn& write_json = nullptr);
 
-// For benches whose machine-readable output is not an ExperimentResult vector (fig. 3/16,
-// table 1): writes a custom JSON document produced by `write` to `path`. Returns false and
-// prints to stderr on I/O failure.
-bool WriteJsonFile(const std::string& path, const std::function<void(std::ostream&)>& write);
+// For benches whose machine-readable output is not a plan report (fig. 3/16, table 1, the
+// micro benches) — harness/report.h's writer, re-exported for them.
+using fmoe::WriteJsonFile;
 
 // Standard offline-experiment options (7:3 protocol, paper's d = 3).
 inline ExperimentOptions StandardOptions(const ModelConfig& model,

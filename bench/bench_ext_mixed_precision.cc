@@ -19,7 +19,7 @@ int main(int argc, char** argv) {
   return BenchMain(
       argc, argv, "bench_ext_mixed_precision",
       "Extension: mixed-precision expert streaming (fMoE + Hobbit-style selection)",
-      [&](fmoe::ExperimentPlan& plan) {
+      [&](fmoe::ExperimentPlan& plan, const BenchEnv&) {
         for (const fmoe::ModelConfig& model : models) {
           const std::vector<size_t> sweep = plan.AddOfflineSweep(
               "fMoE", SweepOptions(model, fmoe::LmsysLikeProfile()), thresholds,
@@ -50,5 +50,6 @@ int main(int argc, char** argv) {
         out << "Expected shape: raising the threshold sends more hedge experts over the link\n"
                "at half size — latency improves while the quality proxy (share of servings\n"
                "from reduced-precision copies) grows; threshold 0 reproduces lossless fMoE.\n";
+        return 0;
       });
 }

@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
   return BenchMain(
       argc, argv, "bench_ext_scheduler",
       "Extension: continuous batching and queue disciplines under an online trace",
-      [&](fmoe::ExperimentPlan& plan) {
+      [&](fmoe::ExperimentPlan& plan, const BenchEnv&) {
         for (const std::string& system : systems) {
           for (const int batch : batches) {
             fmoe::SchedulerOptions sched;
@@ -93,5 +93,6 @@ int main(int argc, char** argv) {
         out << "Expected shape: raising the batch limit increases throughput and occupancy\n"
                "while per-request latency falls (queueing shrinks); under serial service, SJF\n"
                "lowers mean latency relative to FCFS when queues mix request lengths.\n";
+        return 0;
       });
 }

@@ -16,7 +16,7 @@ int main(int argc, char** argv) {
   return BenchMain(
       argc, argv, "bench_fig01_tradeoff",
       "Figure 1b: inference latency vs memory footprint (Mixtral-8x7B, LMSYS-like)",
-      [&](fmoe::ExperimentPlan& plan) {
+      [&](fmoe::ExperimentPlan& plan, const BenchEnv&) {
         for (const std::string& system : systems) {
           plan.AddOffline(system, StandardOptions(model, fmoe::LmsysLikeProfile()),
                           {"system=" + system});
@@ -43,5 +43,6 @@ int main(int argc, char** argv) {
         out << "Expected shape (paper Fig. 1b): No-offload sits at low latency / maximal\n"
                "memory; DeepSpeed-Inference and Mixtral-Offloading at low memory / high\n"
                "latency; fMoE reaches low latency at the same reduced memory footprint.\n";
+        return 0;
       });
 }

@@ -17,7 +17,7 @@ int main(int argc, char** argv) {
   return BenchMain(
       argc, argv, "bench_fig04_hitrate_distance",
       "Figure 4: expert hit rate vs prefetch distance, coarse vs fine tracking",
-      [&](fmoe::ExperimentPlan& plan) {
+      [&](fmoe::ExperimentPlan& plan, const BenchEnv&) {
         for (const fmoe::ModelConfig& model : models) {
           for (const std::string& system : systems) {
             const std::vector<size_t> sweep = plan.AddOfflineSweep(
@@ -51,5 +51,6 @@ int main(int argc, char** argv) {
         out << "Expected shape (paper Fig. 4): fine-grained hit rates sit well above\n"
                "coarse-grained at every distance, and hit rates degrade as the prefetch\n"
                "distance grows.\n";
+        return 0;
       });
 }

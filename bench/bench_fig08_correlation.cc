@@ -14,7 +14,7 @@ int main(int argc, char** argv) {
   return BenchMain(
       argc, argv, "bench_fig08_correlation",
       "Figure 8: correlation between map-match similarity scores and hit rate",
-      [&](fmoe::ExperimentPlan& plan) {
+      [&](fmoe::ExperimentPlan& plan, const BenchEnv&) {
         cells = plan.AddOfflineCross(
             models, datasets, {"fMoE"},
             [](const fmoe::ModelConfig& model, const fmoe::DatasetProfile& dataset) {
@@ -59,5 +59,6 @@ int main(int argc, char** argv) {
         out << "Expected shape (paper Fig. 8): positive correlations for both score types on\n"
                "every model/dataset — higher match similarity predicts higher hit rates, which\n"
                "is what justifies the similarity-aware selection threshold delta.\n";
+        return 0;
       });
 }

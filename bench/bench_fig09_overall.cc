@@ -14,7 +14,7 @@ int main(int argc, char** argv) {
   return BenchMain(
       argc, argv, "bench_fig09_overall",
       "Figure 9: overall TTFT / TPOT / hit rate, 3 models x 2 datasets x 5 systems",
-      [&](fmoe::ExperimentPlan& plan) {
+      [&](fmoe::ExperimentPlan& plan, const BenchEnv&) {
         cells = plan.AddOfflineCross(
             models, datasets, systems,
             [](const fmoe::ModelConfig& model, const fmoe::DatasetProfile& dataset) {
@@ -63,5 +63,6 @@ int main(int argc, char** argv) {
                "no prefetching); Mixtral-Offloading the best *baseline* hit rate but poor\n"
                "latency from synchronous loads; positive reductions in every summary cell.\n"
                "(Paper reports 30-44% TTFT, 48-70% TPOT reductions, 11-147% hit-rate gains.)\n";
+        return 0;
       });
 }

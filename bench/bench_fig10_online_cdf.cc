@@ -18,7 +18,7 @@ int main(int argc, char** argv) {
   return BenchMain(
       argc, argv, "bench_fig10_online_cdf",
       "Figure 10: CDF of request latency, online serving (64 trace requests)",
-      [&](fmoe::ExperimentPlan& plan) {
+      [&](fmoe::ExperimentPlan& plan, const BenchEnv&) {
         for (const fmoe::ModelConfig& model : models) {
           fmoe::TraceProfile trace;
           // Arrival rate scaled per model so the queue stresses but does not diverge for the
@@ -53,5 +53,6 @@ int main(int argc, char** argv) {
         out << "Expected shape (paper Fig. 10): fMoE's latency CDF sits to the left of every\n"
                "baseline at all quantiles (lower end-to-end latency including queueing), even\n"
                "though it starts with an empty Expert Map Store.\n";
+        return 0;
       });
 }

@@ -14,7 +14,7 @@ int main(int argc, char** argv) {
   return BenchMain(
       argc, argv, "bench_fig11_cache_limits",
       "Figure 11: TPOT under varying expert cache memory limits",
-      [&](fmoe::ExperimentPlan& plan) {
+      [&](fmoe::ExperimentPlan& plan, const BenchEnv&) {
         for (const fmoe::ModelConfig& model : models) {
           for (const std::string& system : systems) {
             const std::vector<size_t> sweep = plan.AddOfflineSweep(
@@ -53,5 +53,6 @@ int main(int argc, char** argv) {
                "fMoE gives the lowest TPOT across the sweep, with the largest margins at\n"
                "small limits (6-12 GB) where prediction quality decides what stays resident;\n"
                "DeepSpeed-Inference remains worst throughout.\n";
+        return 0;
       });
 }

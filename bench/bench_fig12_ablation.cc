@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
   return BenchMain(
       argc, argv, "bench_fig12_ablation",
       "Figure 12: tracking-approach and caching-algorithm ablations (Qwen1.5-MoE)",
-      [&](fmoe::ExperimentPlan& plan) {
+      [&](fmoe::ExperimentPlan& plan, const BenchEnv&) {
         for (const auto& [label, system] : tracking) {
           tracking_cells.push_back(plan.AddOffline(system, SweepOptions(model, dataset),
                                                    {"group=tracking", "system=" + system}));
@@ -67,5 +67,6 @@ int main(int argc, char** argv) {
         out << "Expected shape (paper Fig. 12): hit rate increases as expert-map features are\n"
                "restored — hit-count tracking worst, Map(T) < Map(T+S) < Map(T+S+delta) —\n"
                "(12a); and LRU < LFU < fMoE's priority cache under prefetching (12b).\n";
+        return 0;
       });
 }

@@ -12,7 +12,7 @@ int main(int argc, char** argv) {
   return BenchMain(
       argc, argv, "bench_fig13_prefetch_distance",
       "Figure 13: fMoE TTFT / TPOT / hit rate vs prefetch distance d",
-      [&](fmoe::ExperimentPlan& plan) {
+      [&](fmoe::ExperimentPlan& plan, const BenchEnv&) {
         for (const fmoe::ModelConfig& model : models) {
           const std::vector<size_t> sweep = plan.AddOfflineSweep(
               "fMoE", SweepOptions(model, fmoe::LmsysLikeProfile()), distances,
@@ -47,5 +47,6 @@ int main(int argc, char** argv) {
         out << "Expected shape (paper Fig. 13): a latency sweet spot at moderate d (the paper\n"
                "profiles d = 3) — small d leaves too little lead time to hide transfers, large\n"
                "d widens the semantically-guided window and lowers hit rates.\n";
+        return 0;
       });
 }

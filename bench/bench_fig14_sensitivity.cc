@@ -20,7 +20,7 @@ int main(int argc, char** argv) {
   return BenchMain(
       argc, argv, "bench_fig14_sensitivity",
       "Figure 14: store-capacity and batch-size sensitivity (Mixtral-8x7B)",
-      [&](fmoe::ExperimentPlan& plan) {
+      [&](fmoe::ExperimentPlan& plan, const BenchEnv&) {
         capacity_cells = plan.AddOfflineSweep(
             "fMoE", SweepOptions(model, dataset), capacities,
             [](fmoe::ExperimentOptions& options, size_t capacity) {
@@ -73,5 +73,6 @@ int main(int argc, char** argv) {
                "with diminishing returns beyond ~1K maps (14a); fMoE achieves the lowest TTFT\n"
                "and TPOT at most batch sizes, with latency growing in the batch size for every\n"
                "system (14b).\n";
+        return 0;
       });
 }

@@ -18,7 +18,7 @@ int main(int argc, char** argv) {
   return BenchMain(
       argc, argv, "bench_fig15_breakdown",
       "Figure 15: per-iteration latency breakdown and matcher-latency sensitivity",
-      [&](fmoe::ExperimentPlan& plan) {
+      [&](fmoe::ExperimentPlan& plan, const BenchEnv&) {
         for (const fmoe::ModelConfig& model : models) {
           model_cells.push_back(
               plan.AddOffline("fMoE", StandardOptions(model, fmoe::LmsysLikeProfile()),
@@ -103,5 +103,6 @@ int main(int argc, char** argv) {
                "arrive later, stale ones are superseded) while the policy critical path stays\n"
                "flat — the latency cost of decoupling lands on prefetch lead time, never on\n"
                "the iteration.\n";
+        return 0;
       });
 }

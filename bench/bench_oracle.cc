@@ -13,11 +13,10 @@
 // The process exit code asserts exactly that (the CI bench-smoke contract): fMoE must score
 // >= fMoE-LRU in % of clairvoyant optimum at every cache size, else exit 2.
 //
-// Usage: bench_oracle [--small] [--json PATH]
-//   --small      CI smoke configuration: fewer requests.
-//   --json PATH  Also write the results as JSON to PATH (the BENCH_oracle.json format).
+// Usage: bench_oracle [--small] [--out_json PATH] [bench flags; see --help]
+//   --small          CI smoke configuration: fewer requests.
+//   --out_json PATH  Also write the results as JSON to PATH (the BENCH_oracle.json format).
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -33,10 +32,10 @@ namespace {
 
 constexpr double kCacheFractions[] = {0.12, 0.22, 0.32};
 
+// One swept configuration; cells[i] describes plan task i.
 struct Cell {
   std::string system;
   double cache_fraction = 0.0;
-  ExperimentResult result;
 };
 
 ExperimentOptions BaseOptions(bool small) {
@@ -49,13 +48,26 @@ ExperimentOptions BaseOptions(bool small) {
   return options;
 }
 
-void WriteJson(const std::vector<Cell>& cells, bool small, std::ostream& out) {
+void Declare(bool small, ExperimentPlan& plan, std::vector<Cell>* cells) {
+  for (const double fraction : kCacheFractions) {
+    for (const std::string system : {"fMoE", "fMoE-LRU"}) {
+      ExperimentOptions options = BaseOptions(small);
+      options.cache_fraction = fraction;
+      plan.AddOffline(system, options,
+                      {"cache=" + AsciiTable::Num(fraction * 100, 0) + "%", "system=" + system});
+      cells->push_back({system, fraction});
+    }
+  }
+}
+
+void WriteJson(const std::vector<Cell>& cells, const std::vector<ExperimentResult>& results,
+               bool small, std::ostream& out) {
   out << "{\n";
   out << "  \"description\": \"Optimality gap against the clairvoyant oracle (DESIGN.md "
          "\\u00a75k): offline 7:3 protocol on the tiny test model for fMoE and the fMoE-LRU "
          "eviction ablation across cache sizes, each scored as % of the Belady + "
          "prefetch-timeline lower bound. Virtual-time and single-seeded, so regeneration is "
-         "bit-exact. Regenerate with: build/bench/bench_oracle --json BENCH_oracle.json\",\n";
+         "bit-exact. Regenerate with: build/bench/bench_oracle --out_json BENCH_oracle.json\",\n";
   out << "  \"config\": {\"model\": \"" << JsonEscape(TinyTestConfig().name)
       << "\", \"dataset\": \"" << JsonEscape(LmsysLikeProfile().name)
       << "\", \"small\": " << (small ? "true" : "false")
@@ -63,14 +75,14 @@ void WriteJson(const std::vector<Cell>& cells, bool small, std::ostream& out) {
   out << "  \"cells\": [\n";
   for (size_t i = 0; i < cells.size(); ++i) {
     const Cell& c = cells[i];
-    const OracleReport& o = c.result.oracle;
+    const OracleReport& o = results[i].oracle;
     char row[512];
     std::snprintf(row, sizeof(row),
                   "    {\"system\": \"%s\", \"cache_fraction\": %.9g, \"hit_rate\": %.6g, "
                   "\"accesses\": %llu, \"policy_misses\": %llu, \"oracle_misses\": %llu, "
                   "\"policy_stall_s\": %.9g, \"oracle_stall_s\": %.9g, \"miss_gap\": %.9g, "
                   "\"stall_gap\": %.9g, \"pct_of_clairvoyant\": %.9g}",
-                  c.system.c_str(), c.cache_fraction, c.result.hit_rate,
+                  c.system.c_str(), c.cache_fraction, results[i].hit_rate,
                   static_cast<unsigned long long>(o.accesses),
                   static_cast<unsigned long long>(o.policy_misses),
                   static_cast<unsigned long long>(o.oracle_misses), o.policy_stall_s,
@@ -80,34 +92,20 @@ void WriteJson(const std::vector<Cell>& cells, bool small, std::ostream& out) {
   out << "  ]\n}\n";
 }
 
-int Run(bool small, const std::string& json_path) {
-  const std::vector<std::string> systems{"fMoE", "fMoE-LRU"};
-
-  std::vector<Cell> cells;
-  for (const double fraction : kCacheFractions) {
-    for (const std::string& system : systems) {
-      Cell cell;
-      cell.system = system;
-      cell.cache_fraction = fraction;
-      ExperimentOptions options = BaseOptions(small);
-      options.cache_fraction = fraction;
-      cell.result = RunOffline(system, options);
-      cells.push_back(std::move(cell));
-    }
-  }
-
+int Render(const std::vector<Cell>& cells, const std::vector<ExperimentResult>& results,
+           std::ostream& out) {
   AsciiTable table({"cache", "system", "% of optimum", "miss gap", "stall gap", "hit %",
                     "policy stall (ms)", "oracle stall (ms)"});
-  for (const Cell& c : cells) {
-    const OracleReport& o = c.result.oracle;
-    table.AddRow({AsciiTable::Num(c.cache_fraction * 100, 0) + "%", c.system,
+  for (size_t i = 0; i < cells.size(); ++i) {
+    const OracleReport& o = results[i].oracle;
+    table.AddRow({AsciiTable::Num(cells[i].cache_fraction * 100, 0) + "%", cells[i].system,
                   AsciiTable::Num(o.pct_of_clairvoyant, 1), AsciiTable::Num(o.miss_gap, 3),
-                  AsciiTable::Num(o.stall_gap, 3), bench::Pct(c.result.hit_rate),
+                  AsciiTable::Num(o.stall_gap, 3), bench::Pct(results[i].hit_rate),
                   bench::Ms(o.policy_stall_s), bench::Ms(o.oracle_stall_s)});
   }
-  std::printf("Optimality gap vs the clairvoyant oracle: offline 7:3 on %s\n",
-              TinyTestConfig().name.c_str());
-  table.Print(std::cout);
+  out << "Optimality gap vs the clairvoyant oracle: offline 7:3 on " << TinyTestConfig().name
+      << "\n";
+  table.Print(out);
 
   // The exit-code contract: at every cache size, fMoE captures at least as much of the
   // clairvoyant optimum as the LRU eviction ablation.
@@ -115,27 +113,19 @@ int Run(bool small, const std::string& json_path) {
   for (const double fraction : kCacheFractions) {
     double fmoe_pct = 0.0;
     double lru_pct = 0.0;
-    for (const Cell& c : cells) {
-      if (c.cache_fraction == fraction) {
-        (c.system == "fMoE" ? fmoe_pct : lru_pct) = c.result.oracle.pct_of_clairvoyant;
+    for (size_t i = 0; i < cells.size(); ++i) {
+      if (cells[i].cache_fraction == fraction) {
+        (cells[i].system == "fMoE" ? fmoe_pct : lru_pct) = results[i].oracle.pct_of_clairvoyant;
       }
     }
     const bool cell_ok = fmoe_pct >= lru_pct;
     ok = ok && cell_ok;
-    std::printf("fMoE >= fMoE-LRU in %% of optimum at %.0f%% cache: %s (%.1f%% vs %.1f%%)\n",
-                fraction * 100, cell_ok ? "yes" : "NO (unexpected)", fmoe_pct, lru_pct);
+    out << "fMoE >= fMoE-LRU in % of optimum at " << AsciiTable::Num(fraction * 100, 0)
+        << "% cache: " << (cell_ok ? "yes" : "NO (unexpected)") << " ("
+        << AsciiTable::Num(fmoe_pct, 1) << "% vs " << AsciiTable::Num(lru_pct, 1) << "%)\n";
   }
-  std::printf(
-      "Expected shape: the gap narrows as the cache grows, and fMoE's semantic prefetching\n"
-      "sits closer to the oracle than LRU eviction at every size.\n");
-
-  if (!json_path.empty()) {
-    if (!bench::WriteJsonFile(json_path,
-                              [&](std::ostream& out) { WriteJson(cells, small, out); })) {
-      return 1;
-    }
-    std::printf("wrote %s\n", json_path.c_str());
-  }
+  out << "Expected shape: the gap narrows as the cache grows, and fMoE's semantic prefetching\n"
+         "sits closer to the oracle than LRU eviction at every size.\n";
   return ok ? 0 : 2;
 }
 
@@ -143,17 +133,20 @@ int Run(bool small, const std::string& json_path) {
 }  // namespace fmoe
 
 int main(int argc, char** argv) {
+  using namespace fmoe;
+  std::vector<Cell> cells;
   bool small = false;
-  std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--small") == 0) {
-      small = true;
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else {
-      std::fprintf(stderr, "usage: bench_oracle [--small] [--json PATH]\n");
-      return 1;
-    }
-  }
-  return fmoe::Run(small, json_path);
+  return bench::BenchMain(
+      argc, argv, "bench_oracle",
+      "Optimality gap of fMoE and fMoE-LRU against the clairvoyant oracle across cache sizes",
+      [&](ExperimentPlan& plan, const bench::BenchEnv& env) {
+        small = env.small;
+        Declare(small, plan, &cells);
+      },
+      [&](const std::vector<ExperimentResult>& results, std::ostream& out) {
+        return Render(cells, results, out);
+      },
+      [&](const std::vector<ExperimentResult>& results, std::ostream& out) {
+        WriteJson(cells, results, small, out);
+      });
 }

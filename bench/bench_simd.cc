@@ -15,17 +15,16 @@
 //            scan path, including the Q8 coefficient fold.
 //   memory — MemoryBytesAtCapacity of the paper's 1K-map store at each precision.
 //
-// Usage: bench_simd [--small] [--json PATH]
-//   --small      CI smoke configuration: fewer reps and rows.
-//   --json PATH  Also write the results as JSON to PATH.
+// Usage: bench_simd [--small] [--out_json PATH]
+//   --small          CI smoke configuration: fewer reps and rows.
+//   --out_json PATH  Also write the results as JSON to PATH; exit 1 if that fails.
 #include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <random>
 #include <string>
 #include <vector>
 
+#include "bench/bench_common.h"
 #include "src/core/map_store.h"
 #include "src/moe/model_config.h"
 #include "src/util/math.h"
@@ -329,18 +328,13 @@ std::vector<MemoryRow> RunMemory() {
   return rows;
 }
 
-void WriteJson(const std::string& path, const std::vector<MicroResult>& micro,
-               const std::vector<SearchResultRow>& search, const std::vector<MemoryRow>& mem,
-               size_t rows, size_t store_size) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out.good()) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return;
-  }
+void WriteJson(const std::vector<MicroResult>& micro, const std::vector<SearchResultRow>& search,
+               const std::vector<MemoryRow>& mem, size_t rows, size_t store_size,
+               std::ostream& out) {
   out << "{\n";
   out << "  \"description\": \"SIMD hot-kernel throughput (scalar reference build vs "
          "dispatched backend) and quantized Expert Map Store columns (fp16/int8). Regenerate "
-         "with: build/bench/bench_simd --json BENCH_simd_run.json (Release build). The "
+         "with: build/bench/bench_simd --out_json BENCH_simd_run.json (Release build). The "
          "scalar side runs live (fmoe::scalar::, src/util/math_scalar.cc), so the comparison "
          "never goes stale; simd_equivalence_test proves both sides are bitwise-identical on "
          "fp32.\",\n";
@@ -403,7 +397,11 @@ int Run(bool small, const std::string& json_path) {
   }
 
   if (!json_path.empty()) {
-    WriteJson(json_path, micro, search, mem, rows, store_size);
+    if (!bench::WriteJsonFile(json_path, [&](std::ostream& out) {
+          WriteJson(micro, search, mem, rows, store_size, out);
+        })) {
+      return 1;
+    }
     std::printf("\nwrote %s\n", json_path.c_str());
   }
   return 0;
@@ -413,20 +411,12 @@ int Run(bool small, const std::string& json_path) {
 }  // namespace fmoe
 
 int main(int argc, char** argv) {
-  bool small = false;
-  std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--small") == 0) {
-      small = true;
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--help") == 0) {
-      std::printf("usage: bench_simd [--small] [--json PATH]\n");
-      return 0;
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
-      return 1;
-    }
+  fmoe::bench::BenchEnv env;
+  int exit_code = 0;
+  if (!fmoe::bench::ParseBenchArgs(argc, argv, "bench_simd",
+                                   "SIMD hot-kernel + quantized-store benchmark", &env,
+                                   &exit_code)) {
+    return exit_code;
   }
-  return fmoe::Run(small, json_path);
+  return fmoe::Run(env.small, env.out_json);
 }

@@ -10,11 +10,12 @@
 // over the fast host link instead of the slow NVMe link), with the largest win at the lowest
 // NVMe bandwidth; at least one three-tier cell must beat its two-tier baseline strictly.
 //
-// Usage: bench_tiering [--small] [--json PATH]
-//   --small      CI smoke configuration: one bandwidth, two capacities.
-//   --json PATH  Also write the results as JSON to PATH (the BENCH_tiering.json format).
+// Usage: bench_tiering [--small] [--out_json PATH] [bench flags; see --help]
+//   --small          CI smoke configuration: one bandwidth, two capacities.
+//   --out_json PATH  Also write the results as JSON to PATH (the BENCH_tiering.json format).
+// The exit code asserts the three-tier win (the CI bench-smoke contract): 2 if no cell beats
+// its two-tier baseline.
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -29,10 +30,10 @@ namespace {
 
 constexpr double kGiB = 1024.0 * 1024.0 * 1024.0;
 
+// One swept configuration; cells[i] describes plan task i.
 struct Cell {
   double host_gb = 0.0;
   double nvme_gbps = 0.0;
-  ExperimentResult result;
 };
 
 ExperimentOptions BaseOptions(double host_gb, double nvme_gbps) {
@@ -46,14 +47,32 @@ ExperimentOptions BaseOptions(double host_gb, double nvme_gbps) {
   return options;
 }
 
-void WriteJson(const std::vector<Cell>& cells, const ExperimentOptions& sample,
+void Declare(bool small, ExperimentPlan& plan, std::vector<Cell>* cells) {
+  std::vector<double> host_gbs = {0.0, 0.05, 0.1, 0.2};
+  std::vector<double> nvme_gbps_values = {2.0, 3.5, 7.0};
+  if (small) {
+    host_gbs = {0.0, 0.2};
+    nvme_gbps_values = {3.5};
+  }
+  for (const double gbps : nvme_gbps_values) {
+    for (const double host_gb : host_gbs) {
+      plan.AddOffline("fMoE", BaseOptions(host_gb, gbps),
+                      {"nvme_gbps=" + AsciiTable::Num(gbps, 1),
+                       "host_gb=" + AsciiTable::Num(host_gb, 2)});
+      cells->push_back({host_gb, gbps});
+    }
+  }
+}
+
+void WriteJson(const std::vector<Cell>& cells, const std::vector<ExperimentResult>& results,
                std::ostream& out) {
+  const ExperimentOptions sample = BaseOptions(0.0, cells.front().nvme_gbps);
   out << "{\n";
   out << "  \"description\": \"Multi-tier offload sweep (DESIGN.md \\u00a75h): host-pool "
          "capacity x NVMe bandwidth at a fixed GPU expert-cache budget, fMoE system, offline "
          "7:3 protocol on the tiny test model. host_capacity_gb = 0 rows are the two-tier "
          "GPU<->NVMe baseline at the same GPU capacity. Virtual-time and single-seeded, so "
-         "regeneration is bit-exact. Regenerate with: build/bench/bench_tiering --json "
+         "regeneration is bit-exact. Regenerate with: build/bench/bench_tiering --out_json "
          "BENCH_tiering.json\",\n";
   out << "  \"config\": {\"model\": \"" << JsonEscape(sample.model.name)
       << "\", \"system\": \"fMoE\", \"cache_fraction\": " << sample.cache_fraction
@@ -65,15 +84,16 @@ void WriteJson(const std::vector<Cell>& cells, const ExperimentOptions& sample,
   out << "  \"sweep\": [\n";
   for (size_t i = 0; i < cells.size(); ++i) {
     const Cell& c = cells[i];
-    const TierStats& t = c.result.tier;
+    const ExperimentResult& r = results[i];
+    const TierStats& t = r.tier;
     char row[512];
     std::snprintf(row, sizeof(row),
                   "    {\"host_capacity_gb\": %g, \"nvme_gbps\": %g, \"demand_stall_s\": %.9g, "
                   "\"mean_tpot_s\": %.9g, \"hit_rate\": %.6g, \"host_hits\": %llu, "
                   "\"gpu_fills_from_host\": %llu, \"gpu_fills_chained\": %llu, "
                   "\"stages_issued\": %llu, \"stages_landed\": %llu, \"host_spills\": %llu}",
-                  c.host_gb, c.nvme_gbps, c.result.breakdown.demand_stall, c.result.mean_tpot,
-                  c.result.hit_rate, static_cast<unsigned long long>(t.host_hits),
+                  c.host_gb, c.nvme_gbps, r.breakdown.demand_stall, r.mean_tpot, r.hit_rate,
+                  static_cast<unsigned long long>(t.host_hits),
                   static_cast<unsigned long long>(t.gpu_fills_from_host),
                   static_cast<unsigned long long>(t.gpu_fills_chained),
                   static_cast<unsigned long long>(t.stages_issued),
@@ -84,67 +104,42 @@ void WriteJson(const std::vector<Cell>& cells, const ExperimentOptions& sample,
   out << "  ]\n}\n";
 }
 
-int Run(bool small, const std::string& json_path) {
-  std::vector<double> host_gbs = {0.0, 0.05, 0.1, 0.2};
-  std::vector<double> nvme_gbps_values = {2.0, 3.5, 7.0};
-  if (small) {
-    host_gbs = {0.0, 0.2};
-    nvme_gbps_values = {3.5};
-  }
-
-  std::vector<Cell> cells;
-  for (const double gbps : nvme_gbps_values) {
-    for (const double host_gb : host_gbs) {
-      Cell cell;
-      cell.host_gb = host_gb;
-      cell.nvme_gbps = gbps;
-      cell.result = RunOffline("fMoE", BaseOptions(host_gb, gbps));
-      cells.push_back(std::move(cell));
-    }
-  }
-
+int Render(const std::vector<Cell>& cells, const std::vector<ExperimentResult>& results,
+           std::ostream& out) {
   AsciiTable table({"nvme GB/s", "host GiB", "stall ms", "TPOT ms", "hit %", "host hits",
                     "from-host", "chained", "spills", "vs 2-tier"});
   bool three_tier_win = false;
-  for (const Cell& c : cells) {
+  for (size_t i = 0; i < cells.size(); ++i) {
+    const Cell& c = cells[i];
+    const ExperimentResult& r = results[i];
     // The host_gb = 0 cell at this bandwidth is the two-tier baseline this row compares to.
-    double baseline_stall = c.result.breakdown.demand_stall;
-    for (const Cell& b : cells) {
-      if (b.nvme_gbps == c.nvme_gbps && b.host_gb == 0.0) {
-        baseline_stall = b.result.breakdown.demand_stall;
+    double baseline_stall = r.breakdown.demand_stall;
+    for (size_t b = 0; b < cells.size(); ++b) {
+      if (cells[b].nvme_gbps == c.nvme_gbps && cells[b].host_gb == 0.0) {
+        baseline_stall = results[b].breakdown.demand_stall;
       }
     }
-    const TierStats& t = c.result.tier;
-    const double delta = c.result.breakdown.demand_stall - baseline_stall;
+    const TierStats& t = r.tier;
+    const double delta = r.breakdown.demand_stall - baseline_stall;
     if (c.host_gb > 0.0 && delta < 0.0) {
       three_tier_win = true;
     }
     table.AddRow({AsciiTable::Num(c.nvme_gbps, 1), AsciiTable::Num(c.host_gb, 2),
-                  bench::Ms(c.result.breakdown.demand_stall),
-                  bench::Ms(c.result.mean_tpot, 2), bench::Pct(c.result.hit_rate),
-                  std::to_string(t.host_hits), std::to_string(t.gpu_fills_from_host),
-                  std::to_string(t.gpu_fills_chained), std::to_string(t.host_spills),
+                  bench::Ms(r.breakdown.demand_stall), bench::Ms(r.mean_tpot, 2),
+                  bench::Pct(r.hit_rate), std::to_string(t.host_hits),
+                  std::to_string(t.gpu_fills_from_host), std::to_string(t.gpu_fills_chained),
+                  std::to_string(t.host_spills),
                   c.host_gb == 0.0 ? "baseline" : bench::Ms(delta)});
   }
-  std::printf("Tiering sweep: fMoE on %s, GPU cache fixed, host pool x NVMe bandwidth\n",
-              TinyTestConfig().name.c_str());
-  table.Print(std::cout);
-  std::printf(
-      "Expected shape: stall falls as the host pool grows (misses served from host RAM "
-      "instead of\nNVMe); the win is largest at the lowest NVMe bandwidth. 'vs 2-tier' is the "
-      "stall delta\nagainst the host=0 baseline at the same bandwidth (negative = three-tier "
-      "wins).\n");
-  std::printf("three-tier beats two-tier on >=1 swept config: %s\n",
-              three_tier_win ? "yes" : "NO (unexpected)");
-
-  if (!json_path.empty()) {
-    const ExperimentOptions sample = BaseOptions(0.0, nvme_gbps_values.front());
-    if (!bench::WriteJsonFile(json_path,
-                              [&](std::ostream& out) { WriteJson(cells, sample, out); })) {
-      return 1;
-    }
-    std::printf("wrote %s\n", json_path.c_str());
-  }
+  out << "Tiering sweep: fMoE on " << TinyTestConfig().name
+      << ", GPU cache fixed, host pool x NVMe bandwidth\n";
+  table.Print(out);
+  out << "Expected shape: stall falls as the host pool grows (misses served from host RAM "
+         "instead of\nNVMe); the win is largest at the lowest NVMe bandwidth. 'vs 2-tier' is "
+         "the stall delta\nagainst the host=0 baseline at the same bandwidth (negative = "
+         "three-tier wins).\n";
+  out << "three-tier beats two-tier on >=1 swept config: "
+      << (three_tier_win ? "yes" : "NO (unexpected)") << "\n";
   return three_tier_win ? 0 : 2;
 }
 
@@ -152,17 +147,16 @@ int Run(bool small, const std::string& json_path) {
 }  // namespace fmoe
 
 int main(int argc, char** argv) {
-  bool small = false;
-  std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--small") == 0) {
-      small = true;
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else {
-      std::fprintf(stderr, "usage: bench_tiering [--small] [--json PATH]\n");
-      return 1;
-    }
-  }
-  return fmoe::Run(small, json_path);
+  using namespace fmoe;
+  std::vector<Cell> cells;
+  return bench::BenchMain(
+      argc, argv, "bench_tiering",
+      "Multi-tier offload sweep: host-pool capacity x NVMe bandwidth on fMoE",
+      [&](ExperimentPlan& plan, const bench::BenchEnv& env) { Declare(env.small, plan, &cells); },
+      [&](const std::vector<ExperimentResult>& results, std::ostream& out) {
+        return Render(cells, results, out);
+      },
+      [&](const std::vector<ExperimentResult>& results, std::ostream& out) {
+        WriteJson(cells, results, out);
+      });
 }

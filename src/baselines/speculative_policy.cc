@@ -99,9 +99,6 @@ void SpeculativePolicy::OnGateOutput(EngineHandle& engine, const IterationContex
                            });
     return;
   }
-  if (options_.decision_overhead_sec > 0.0) {
-    engine.AddOverhead(OverheadCategory::kMapMatching, options_.decision_overhead_sec);
-  }
   if (target < model_.num_layers) {
     FetchPrediction(engine, context, target, options_.distance);
   }

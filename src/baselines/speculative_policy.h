@@ -23,7 +23,7 @@ struct SpeculativeOptions {
   int distance = 1;              // Lookahead in layers.
   bool synchronous = false;      // Block the forward pass on speculative loads.
   bool prefetch_at_start = true; // Cover layers [0, distance) from the iteration start.
-  double decision_overhead_sec = 0.0;  // Synchronous per-layer prediction cost.
+  double decision_overhead_sec = 0.0;  // Per-layer prediction cost; charged when synchronous.
   // Modeled cost of one asynchronous prediction job (predictor inference + issue) when
   // !synchronous: published to the background worker, so at nonzero matcher_latency_scale the
   // speculative prefetches land late, like a real decoupled predictor.

@@ -42,9 +42,6 @@ class ExpertMap {
   // how the paper argues expert maps generalise existing methods (§4.1).
   std::vector<uint64_t> TopKCounts(int top_k) const;
 
-  // fp32-equivalent storage footprint (what the paper's store holds), in bytes.
-  size_t StorageBytes() const { return data_.size() * sizeof(float); }
-
  private:
   int num_layers_ = 0;
   int experts_per_layer_ = 0;

@@ -88,7 +88,6 @@ class FmoePolicy : public OffloadPolicy {
   };
   void EnableScoreLog() { log_scores_ = true; }
   const std::vector<IterationScoreSample>& score_log() const { return score_log_; }
-  void ClearScoreLog() { score_log_.clear(); }
 
  private:
   // A prefetch decision computed at publish time: the layer distribution to stamp on resident

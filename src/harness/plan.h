@@ -91,9 +91,6 @@ class ExperimentPlan {
   }
 
   const std::vector<ExperimentTask>& tasks() const { return tasks_; }
-  // Mutable view for post-declaration knob overrides that apply to every task uniformly
-  // (e.g. BenchMain's --oracle flag enabling the clairvoyant recorder plan-wide).
-  std::vector<ExperimentTask>& mutable_tasks() { return tasks_; }
   size_t size() const { return tasks_.size(); }
   bool empty() const { return tasks_.empty(); }
   uint64_t plan_seed() const { return plan_seed_; }

@@ -1,7 +1,9 @@
 #include "src/harness/report.h"
 
 #include <cstdio>
+#include <fstream>
 #include <iomanip>
+#include <iostream>
 
 #include "src/obs/perfetto_export.h"
 #include "src/obs/stall_report.h"
@@ -16,6 +18,23 @@ std::string Num(double value, int precision = 9) {
   char buffer[64];
   std::snprintf(buffer, sizeof(buffer), "%.*g", precision, value);
   return buffer;
+}
+
+// One OracleReport as a JSON object; --out_json, --oracle_out and fmoe_sim share this block.
+void WriteOracleReportJson(const OracleReport& o, std::ostream& out) {
+  out << "{";
+    out << "\"accesses\":" << o.accesses << ",";
+    out << "\"policy_hits\":" << o.policy_hits << ",";
+    out << "\"policy_misses\":" << o.policy_misses << ",";
+    out << "\"oracle_fetches\":" << o.oracle_fetches << ",";
+    out << "\"oracle_hits\":" << o.oracle_hits << ",";
+    out << "\"oracle_misses\":" << o.oracle_misses << ",";
+    out << "\"policy_stall_s\":" << Num(o.policy_stall_s) << ",";
+    out << "\"oracle_stall_s\":" << Num(o.oracle_stall_s) << ",";
+    out << "\"miss_gap\":" << Num(o.miss_gap) << ",";
+    out << "\"stall_gap\":" << Num(o.stall_gap) << ",";
+    out << "\"pct_of_clairvoyant\":" << Num(o.pct_of_clairvoyant);
+  out << "}";
 }
 
 }  // namespace
@@ -160,20 +179,8 @@ void WriteResultJson(const ExperimentResult& result, bool include_latencies,
   }
   if (result.oracle_enabled) {
     // Emitted only when the clairvoyant oracle ran, so default reports stay byte-identical.
-    const OracleReport& o = result.oracle;
-    out << ",\"oracle\":{";
-    out << "\"accesses\":" << o.accesses << ",";
-    out << "\"policy_hits\":" << o.policy_hits << ",";
-    out << "\"policy_misses\":" << o.policy_misses << ",";
-    out << "\"oracle_fetches\":" << o.oracle_fetches << ",";
-    out << "\"oracle_hits\":" << o.oracle_hits << ",";
-    out << "\"oracle_misses\":" << o.oracle_misses << ",";
-    out << "\"policy_stall_s\":" << Num(o.policy_stall_s) << ",";
-    out << "\"oracle_stall_s\":" << Num(o.oracle_stall_s) << ",";
-    out << "\"miss_gap\":" << Num(o.miss_gap) << ",";
-    out << "\"stall_gap\":" << Num(o.stall_gap) << ",";
-    out << "\"pct_of_clairvoyant\":" << Num(o.pct_of_clairvoyant);
-    out << "}";
+    out << ",\"oracle\":";
+    WriteOracleReportJson(result.oracle, out);
   }
   if (include_latencies) {
     out << ",\"request_latencies_s\":[";
@@ -283,26 +290,15 @@ void WriteOracleJson(const ExperimentPlan& plan, const std::vector<ExperimentRes
       out << ",";
     }
     first = false;
-    const OracleReport& o = result.oracle;
     out << "{\"task\":" << i << ",\"system\":\"" << JsonEscape(result.system)
         << "\",\"tags\":[";
     const std::vector<std::string>& tags = plan.tasks()[i].tags;
     for (size_t t = 0; t < tags.size(); ++t) {
       out << (t > 0 ? "," : "") << "\"" << JsonEscape(tags[t]) << "\"";
     }
-    out << "],\"oracle\":{";
-    out << "\"accesses\":" << o.accesses << ",";
-    out << "\"policy_hits\":" << o.policy_hits << ",";
-    out << "\"policy_misses\":" << o.policy_misses << ",";
-    out << "\"oracle_fetches\":" << o.oracle_fetches << ",";
-    out << "\"oracle_hits\":" << o.oracle_hits << ",";
-    out << "\"oracle_misses\":" << o.oracle_misses << ",";
-    out << "\"policy_stall_s\":" << Num(o.policy_stall_s) << ",";
-    out << "\"oracle_stall_s\":" << Num(o.oracle_stall_s) << ",";
-    out << "\"miss_gap\":" << Num(o.miss_gap) << ",";
-    out << "\"stall_gap\":" << Num(o.stall_gap) << ",";
-    out << "\"pct_of_clairvoyant\":" << Num(o.pct_of_clairvoyant);
-    out << "}}";
+    out << "],\"oracle\":";
+    WriteOracleReportJson(result.oracle, out);
+    out << "}";
   }
   out << "]}\n";
 }
@@ -315,6 +311,20 @@ bool WriteTraceReport(const TraceRecorder& recorder, const std::string& process_
   log << "trace: " << recorder.events().size() << " events -> " << path
       << " (load in ui.perfetto.dev or chrome://tracing)\n"
       << RenderStallReport(recorder.stall());
+  return true;
+}
+
+bool WriteJsonFile(const std::string& path, const std::function<void(std::ostream&)>& write) {
+  std::ofstream file(path);
+  if (!file) {
+    std::cerr << "error: cannot open " << path << " for writing\n";
+    return false;
+  }
+  write(file);
+  if (!file) {
+    std::cerr << "error: writing " << path << " failed\n";
+    return false;
+  }
   return true;
 }
 

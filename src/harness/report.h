@@ -4,6 +4,7 @@
 #ifndef FMOE_SRC_HARNESS_REPORT_H_
 #define FMOE_SRC_HARNESS_REPORT_H_
 
+#include <functional>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -51,6 +52,10 @@ void WriteOracleJson(const ExperimentPlan& plan, const std::vector<ExperimentRes
 // file cannot be written.
 bool WriteTraceReport(const TraceRecorder& recorder, const std::string& process_name,
                       const std::string& path, std::ostream& log);
+
+// Writes the document `write` produces to `path`. Returns false, after an error line on
+// stderr, if the file cannot be opened or written.
+bool WriteJsonFile(const std::string& path, const std::function<void(std::ostream&)>& write);
 
 // Escapes a string for embedding in JSON (quotes, backslashes, control characters).
 std::string JsonEscape(const std::string& text);

@@ -1,5 +1,9 @@
 #include "src/harness/runner.h"
 
+#include <iostream>
+
+#include "src/harness/report.h"
+#include "src/obs/trace_recorder.h"
 #include "src/util/thread_pool.h"
 
 namespace fmoe {
@@ -20,6 +24,59 @@ std::vector<ExperimentResult> RunPlan(const ExperimentPlan& plan, const RunnerOp
       on_done(index);
     }
   });
+  return results;
+}
+
+std::optional<std::vector<ExperimentResult>> RunObservedPlan(
+    const ExperimentPlan& plan, const ObservedRunOptions& options, const std::string& program,
+    std::ostream& gap_out,
+    const std::function<void(const std::vector<ExperimentResult>&)>& render) {
+  const bool traced = !options.trace_out.empty();
+  if (traced && (options.trace_task < 0 ||
+                 static_cast<uint64_t>(options.trace_task) >= plan.size())) {
+    std::cerr << "error: trace task " << options.trace_task << " out of range (plan has "
+              << plan.size() << " tasks)\n";
+    return std::nullopt;
+  }
+  // The oracle is a plan-wide knob: run a copy of the plan with every task recording its
+  // gate-decision tape. Seeds are already resolved, so the copy keeps them.
+  ExperimentPlan oracle_plan(plan.plan_seed());
+  if (options.oracle) {
+    for (ExperimentTask task : plan.tasks()) {
+      task.options.oracle = true;
+      oracle_plan.Add(std::move(task));
+    }
+  }
+  const ExperimentPlan& run = options.oracle ? oracle_plan : plan;
+
+  RunnerOptions runner;
+  runner.jobs = options.jobs;
+  TraceRecorder recorder;
+  if (traced) {
+    runner.trace = &recorder;
+    runner.trace_task = static_cast<size_t>(options.trace_task);
+  }
+  std::vector<ExperimentResult> results = RunPlan(run, runner);
+
+  if (traced) {
+    const std::string process_name = program + " [" + std::to_string(runner.trace_task) +
+                                     "] " + run.tasks()[runner.trace_task].system;
+    if (!WriteTraceReport(recorder, process_name, options.trace_out, std::cerr)) {
+      return std::nullopt;
+    }
+  }
+  if (render) {
+    render(results);
+  }
+  if (options.oracle) {
+    PrintOracleTable(run, results, gap_out);
+    if (!options.oracle_out.empty() &&
+        !WriteJsonFile(options.oracle_out, [&](std::ostream& out) {
+          WriteOracleJson(run, results, program, out);
+        })) {
+      return std::nullopt;
+    }
+  }
   return results;
 }
 

@@ -46,10 +46,6 @@ struct ModelConfig {
     return static_cast<uint64_t>(id.layer) * static_cast<uint64_t>(experts_per_layer) +
            static_cast<uint64_t>(id.expert);
   }
-  ExpertId FromFlatIndex(uint64_t flat) const {
-    return ExpertId{static_cast<int>(flat / static_cast<uint64_t>(experts_per_layer)),
-                    static_cast<int>(flat % static_cast<uint64_t>(experts_per_layer))};
-  }
 
   // Bytes of all experts of the model.
   uint64_t total_expert_bytes() const {

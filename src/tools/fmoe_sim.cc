@@ -15,6 +15,7 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "src/core/fmoe_policy.h"
@@ -24,7 +25,6 @@
 #include "src/harness/report.h"
 #include "src/harness/runner.h"
 #include "src/harness/systems.h"
-#include "src/obs/trace_recorder.h"
 #include "src/workload/trace_io.h"
 #include "src/serving/engine.h"
 #include "src/util/flags.h"
@@ -213,8 +213,6 @@ int main(int argc, char** argv) {
   options.matcher_latency_scale = flags.GetDouble("matcher-latency-scale");
   options.matcher_queue_depth = static_cast<int>(flags.GetInt("matcher-queue-depth"));
   options.seed = static_cast<uint64_t>(flags.GetInt("seed"));
-  const std::string oracle_out = flags.GetString("oracle-out");
-  options.oracle = flags.GetBool("oracle") || !oracle_out.empty();
   const double host_capacity_gb = flags.GetDouble("host-capacity-gb");
   options.tier.nvme_backing = flags.GetBool("nvme-backing") || host_capacity_gb > 0.0;
   options.tier.host_capacity_bytes =
@@ -326,14 +324,6 @@ int main(int argc, char** argv) {
     csv_requests = std::move(requests);
   }
 
-  const std::string trace_out = flags.GetString("trace-out");
-  const size_t trace_task = static_cast<size_t>(flags.GetInt("trace-task"));
-  TraceRecorder recorder;
-  if (!trace_out.empty() && trace_task >= systems.size()) {
-    std::cerr << "error: --trace-task " << trace_task << " out of range (" << systems.size()
-              << " systems)\n";
-    return 1;
-  }
   ExperimentPlan plan(options.seed);
   for (const std::string& system : systems) {
     ExperimentTask task;
@@ -347,38 +337,18 @@ int main(int argc, char** argv) {
     task.tags = {"system=" + system};
     plan.Add(std::move(task));
   }
-  RunnerOptions runner;
-  runner.jobs = static_cast<int>(flags.GetInt("jobs"));
-  if (!trace_out.empty()) {
-    runner.trace = &recorder;
-    runner.trace_task = trace_task;
-  }
-  const std::vector<ExperimentResult> results = RunPlan(plan, runner);
-
-  if (!trace_out.empty()) {
-    const std::string process_name = "fmoe_sim [" + std::to_string(trace_task) + "] " +
-                                     systems[trace_task];
-    if (!WriteTraceReport(recorder, process_name, trace_out, std::cerr)) {
-      return 1;
-    }
-  }
-
-  if (options.oracle) {
-    // Gap table goes to stderr (like the stall report) so --format stdout is unchanged by
-    // everything except the report's own oracle block.
-    PrintOracleTable(plan, results, std::cerr);
-    if (!oracle_out.empty()) {
-      std::ofstream oracle_file(oracle_out);
-      if (!oracle_file) {
-        std::cerr << "error: cannot open " << oracle_out << " for writing\n";
-        return 1;
-      }
-      WriteOracleJson(plan, results, "fmoe_sim", oracle_file);
-      if (!oracle_file) {
-        std::cerr << "error: writing " << oracle_out << " failed\n";
-        return 1;
-      }
-    }
+  ObservedRunOptions observers;
+  observers.jobs = static_cast<int>(flags.GetInt("jobs"));
+  observers.trace_out = flags.GetString("trace-out");
+  observers.trace_task = flags.GetInt("trace-task");
+  observers.oracle_out = flags.GetString("oracle-out");
+  observers.oracle = flags.GetBool("oracle") || !observers.oracle_out.empty();
+  // The gap table goes to stderr (like the stall report) so --format stdout is unchanged by
+  // everything except the report's own oracle block.
+  const std::optional<std::vector<ExperimentResult>> results =
+      RunObservedPlan(plan, observers, "fmoe_sim", std::cerr);
+  if (!results) {
+    return 1;
   }
 
   // Optional store export: re-run fMoE through an engine we keep, then persist its store.
@@ -420,11 +390,11 @@ int main(int argc, char** argv) {
 
   const std::string format = flags.GetString("format");
   if (format == "table") {
-    PrintTable(results, *out);
+    PrintTable(*results, *out);
   } else if (format == "json") {
-    WriteResultsJson(results, flags.GetBool("latencies"), *out);
+    WriteResultsJson(*results, flags.GetBool("latencies"), *out);
   } else if (format == "csv") {
-    WriteResultsCsv(results, *out);
+    WriteResultsCsv(*results, *out);
   } else {
     std::cerr << "error: unknown format '" << format << "'\n";
     return 1;

@@ -118,7 +118,6 @@ bool FlagParser::AssignValue(Flag* flag, const std::string& name, const std::str
       }
       break;
   }
-  flag->set = true;
   return true;
 }
 
@@ -172,7 +171,6 @@ bool FlagParser::Parse(int argc, const char* const* argv, std::string* error) {
           }
         }
         flag.bool_value = true;
-        flag.set = true;
         continue;
       }
       if (i + 1 >= argc) {
@@ -212,12 +210,6 @@ double FlagParser::GetDouble(const std::string& name) const {
 
 bool FlagParser::GetBool(const std::string& name) const {
   return Require(name, Type::kBool).bool_value;
-}
-
-bool FlagParser::WasSet(const std::string& name) const {
-  const auto it = flags_.find(name);
-  FMOE_CHECK_MSG(it != flags_.end(), "flag --" << name << " was never registered");
-  return it->second.set;
 }
 
 std::string FlagParser::Usage() const {

@@ -32,7 +32,6 @@ class FlagParser {
   int64_t GetInt(const std::string& name) const;
   double GetDouble(const std::string& name) const;
   bool GetBool(const std::string& name) const;
-  bool WasSet(const std::string& name) const;
 
   std::string Usage() const;
   bool help_requested() const { return help_requested_; }

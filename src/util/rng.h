@@ -34,12 +34,6 @@ class Rng {
     }
   }
 
-  // Derives an independent child stream; `salt` distinguishes children of the same parent.
-  Rng Fork(uint64_t salt) {
-    uint64_t mix = Next() ^ (salt * 0x9e3779b97f4a7c15ULL);
-    return Rng(mix);
-  }
-
   uint64_t Next() {
     const uint64_t result = Rotl(state_[1] * 5, 7) * 9;
     const uint64_t t = state_[1] << 17;

@@ -18,21 +18,6 @@ double Mean(std::span<const double> values) {
   return sum / static_cast<double>(values.size());
 }
 
-double Variance(std::span<const double> values) {
-  if (values.size() < 2) {
-    return 0.0;
-  }
-  const double mean = Mean(values);
-  double sum_sq = 0.0;
-  for (double v : values) {
-    const double d = v - mean;
-    sum_sq += d * d;
-  }
-  return sum_sq / static_cast<double>(values.size());
-}
-
-double StdDev(std::span<const double> values) { return std::sqrt(Variance(values)); }
-
 double PearsonCorrelation(std::span<const double> x, std::span<const double> y) {
   assert(x.size() == y.size());
   if (x.size() < 2) {
@@ -99,14 +84,6 @@ EmpiricalCdf::EmpiricalCdf(std::vector<double> samples) : sorted_(std::move(samp
   std::sort(sorted_.begin(), sorted_.end());
 }
 
-double EmpiricalCdf::FractionAtOrBelow(double x) const {
-  if (sorted_.empty()) {
-    return 0.0;
-  }
-  const auto it = std::upper_bound(sorted_.begin(), sorted_.end(), x);
-  return static_cast<double>(it - sorted_.begin()) / static_cast<double>(sorted_.size());
-}
-
 double EmpiricalCdf::Quantile(double q) const {
   if (sorted_.empty()) {
     return 0.0;
@@ -120,16 +97,6 @@ double EmpiricalCdf::Quantile(double q) const {
   }
   const double frac = rank - static_cast<double>(lo);
   return sorted_[lo] * (1.0 - frac) + sorted_[hi] * frac;
-}
-
-std::vector<std::pair<double, double>> EmpiricalCdf::Points() const {
-  std::vector<std::pair<double, double>> points;
-  points.reserve(sorted_.size());
-  for (size_t i = 0; i < sorted_.size(); ++i) {
-    points.emplace_back(sorted_[i],
-                        static_cast<double>(i + 1) / static_cast<double>(sorted_.size()));
-  }
-  return points;
 }
 
 }  // namespace fmoe

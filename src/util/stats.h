@@ -6,14 +6,11 @@
 
 #include <cstddef>
 #include <span>
-#include <utility>
 #include <vector>
 
 namespace fmoe {
 
 double Mean(std::span<const double> values);
-double Variance(std::span<const double> values);  // Population variance.
-double StdDev(std::span<const double> values);
 
 // Pearson correlation coefficient in [-1, 1]. Returns 0 when either side is constant.
 double PearsonCorrelation(std::span<const double> x, std::span<const double> y);
@@ -45,12 +42,8 @@ class EmpiricalCdf {
  public:
   explicit EmpiricalCdf(std::vector<double> samples);
 
-  // Fraction of samples <= x.
-  double FractionAtOrBelow(double x) const;
   // Value at the given quantile in [0, 1].
   double Quantile(double q) const;
-  // (value, cumulative fraction) points suitable for plotting, one per sample.
-  std::vector<std::pair<double, double>> Points() const;
   size_t size() const { return sorted_.size(); }
 
  private:

@@ -70,16 +70,10 @@ TEST(ExpertMapTest, TopKCountsMarkTopExpertsPerLayer) {
   EXPECT_EQ(counts[7], 1u);
 }
 
-TEST(ExpertMapTest, StorageBytesIsFp32Equivalent) {
-  ExpertMap map(4, 8);
-  EXPECT_EQ(map.StorageBytes(), 4u * 8u * sizeof(float));
-}
-
 TEST(ExpertMapTest, MixtralShapedMapHasExpectedSize) {
   const ModelConfig cfg = MixtralConfig();
   ExpertMap map(cfg.num_layers, cfg.experts_per_layer);
   EXPECT_EQ(map.Flat().size(), 256u);
-  EXPECT_EQ(map.StorageBytes(), 1024u);  // 256 floats.
 }
 
 }  // namespace

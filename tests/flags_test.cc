@@ -27,7 +27,6 @@ TEST(FlagParserTest, DefaultsApplyWithoutArguments) {
   EXPECT_EQ(parser.GetInt("count"), 7);
   EXPECT_DOUBLE_EQ(parser.GetDouble("rate"), 0.5);
   EXPECT_FALSE(parser.GetBool("verbose"));
-  EXPECT_FALSE(parser.WasSet("name"));
 }
 
 TEST(FlagParserTest, SpaceSeparatedValues) {
@@ -37,7 +36,6 @@ TEST(FlagParserTest, SpaceSeparatedValues) {
   EXPECT_EQ(parser.GetString("name"), "x");
   EXPECT_EQ(parser.GetInt("count"), 42);
   EXPECT_DOUBLE_EQ(parser.GetDouble("rate"), 1.25);
-  EXPECT_TRUE(parser.WasSet("count"));
 }
 
 TEST(FlagParserTest, EqualsSeparatedValues) {

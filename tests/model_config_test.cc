@@ -31,17 +31,6 @@ TEST(ModelConfigTest, PhiMatchesTable1) {
   EXPECT_EQ(cfg.total_experts(), 512);
 }
 
-TEST(ModelConfigTest, FlatIndexRoundTrips) {
-  const ModelConfig cfg = MixtralConfig();
-  for (int l = 0; l < cfg.num_layers; ++l) {
-    for (int j = 0; j < cfg.experts_per_layer; ++j) {
-      const ExpertId id{l, j};
-      const uint64_t flat = cfg.FlatIndex(id);
-      EXPECT_EQ(cfg.FromFlatIndex(flat), id);
-    }
-  }
-}
-
 TEST(ModelConfigTest, FlatIndexIsLayerMajorAndDense) {
   const ModelConfig cfg = TinyTestConfig();
   uint64_t expected = 0;

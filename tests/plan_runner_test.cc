@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <set>
 #include <sstream>
@@ -269,6 +271,59 @@ TEST(RunnerTest, ProgressCallbackFiresOncePerTask) {
   for (size_t i = 0; i < plan.size(); ++i) {
     EXPECT_EQ(per_task[i].load(), 1) << "task " << i;
   }
+}
+
+// The observed driver: --oracle turns the recorder on for every task without moving any other
+// result field, the gap table follows the render, and --oracle_out holds WriteOracleJson's
+// document for the same run.
+TEST(ObservedRunTest, OracleCoversEveryTaskAndFollowsRender) {
+  ExperimentPlan plan;
+  plan.AddOffline("fMoE", TinyOptions(), {"kind=a"});
+  plan.AddOffline("MoE-Infinity", TinyOptions(), {"kind=b"});
+  ObservedRunOptions options;
+  options.jobs = 2;
+  options.oracle = true;
+  options.oracle_out = testing::TempDir() + "/fmoe_observed_run_oracle.json";
+  std::ostringstream out;
+  const auto results = RunObservedPlan(plan, options, "observed_test", out,
+                                       [&](const std::vector<ExperimentResult>& ordered) {
+                                         out << "rendered " << ordered.size() << "\n";
+                                       });
+  ASSERT_TRUE(results.has_value());
+  const std::vector<ExperimentResult> plain = RunPlan(plan);
+  ASSERT_EQ(results->size(), plain.size());
+  for (size_t i = 0; i < plain.size(); ++i) {
+    SCOPED_TRACE("task " + std::to_string(i));
+    EXPECT_TRUE((*results)[i].oracle_enabled);
+    EXPECT_FALSE(plain[i].oracle_enabled);
+    ExpectBitwiseEqual((*results)[i], plain[i]);
+  }
+  const std::string text = out.str();
+  EXPECT_EQ(text.rfind("rendered 2\n", 0), 0u);
+  EXPECT_NE(text.find("Clairvoyant optimality gap"), std::string::npos);
+  EXPECT_NE(text.find("1 kind=b"), std::string::npos);
+
+  std::ostringstream expected;
+  WriteOracleJson(plan, *results, "observed_test", expected);
+  std::ifstream file(options.oracle_out);
+  EXPECT_EQ(std::string(std::istreambuf_iterator<char>(file), {}), expected.str());
+}
+
+TEST(ObservedRunTest, TraceTaskOutsidePlanFailsWithoutRunning) {
+  ExperimentPlan plan;
+  plan.AddOffline("fMoE", TinyOptions());
+  ObservedRunOptions options;
+  options.trace_out = testing::TempDir() + "/fmoe_observed_run_trace.json";
+  bool rendered = false;
+  std::ostringstream out;
+  for (const int64_t task : {int64_t{-1}, int64_t{1}}) {
+    options.trace_task = task;
+    EXPECT_FALSE(RunObservedPlan(plan, options, "observed_test", out,
+                                 [&](const std::vector<ExperimentResult>&) { rendered = true; })
+                     .has_value());
+  }
+  EXPECT_FALSE(rendered);
+  EXPECT_TRUE(out.str().empty());
 }
 
 }  // namespace

@@ -83,29 +83,6 @@ TEST(RngTest, LogNormalIsPositive) {
   }
 }
 
-TEST(RngTest, ForkProducesIndependentStream) {
-  Rng parent(23);
-  Rng child = parent.Fork(1);
-  Rng parent2(23);
-  Rng child2 = parent2.Fork(1);
-  // Same seed + same salt => same child stream.
-  for (int i = 0; i < 32; ++i) {
-    EXPECT_EQ(child.Next(), child2.Next());
-  }
-  // Different salts => different streams.
-  Rng parent3(23);
-  Rng other = parent3.Fork(2);
-  Rng parent4(23);
-  Rng one = parent4.Fork(1);
-  int equal = 0;
-  for (int i = 0; i < 32; ++i) {
-    if (one.Next() == other.Next()) {
-      ++equal;
-    }
-  }
-  EXPECT_LT(equal, 2);
-}
-
 TEST(RngTest, NextBoolProbabilityRoughlyHolds) {
   Rng rng(29);
   int count = 0;

@@ -17,17 +17,6 @@ TEST(MeanTest, EmptyIsZero) {
   EXPECT_DOUBLE_EQ(Mean(std::vector<double>{}), 0.0);
 }
 
-TEST(VarianceTest, ConstantIsZero) {
-  const std::vector<double> values{5.0, 5.0, 5.0};
-  EXPECT_DOUBLE_EQ(Variance(values), 0.0);
-}
-
-TEST(VarianceTest, KnownValue) {
-  const std::vector<double> values{1.0, 3.0};
-  EXPECT_DOUBLE_EQ(Variance(values), 1.0);  // Population variance.
-  EXPECT_DOUBLE_EQ(StdDev(values), 1.0);
-}
-
 TEST(PearsonTest, PerfectPositiveCorrelation) {
   const std::vector<double> x{1.0, 2.0, 3.0, 4.0};
   const std::vector<double> y{2.0, 4.0, 6.0, 8.0};
@@ -80,7 +69,7 @@ TEST(RunningStatTest, MatchesBatchStatistics) {
   }
   EXPECT_EQ(stat.count(), values.size());
   EXPECT_NEAR(stat.mean(), Mean(values), 1e-12);
-  EXPECT_NEAR(stat.variance(), Variance(values), 1e-12);
+  EXPECT_NEAR(stat.variance(), 4.0, 1e-12);  // Population variance.
   EXPECT_DOUBLE_EQ(stat.min(), 2.0);
   EXPECT_DOUBLE_EQ(stat.max(), 9.0);
 }
@@ -92,13 +81,6 @@ TEST(RunningStatTest, SingleValueHasZeroVariance) {
   EXPECT_DOUBLE_EQ(stat.mean(), 3.0);
 }
 
-TEST(EmpiricalCdfTest, FractionAtOrBelow) {
-  EmpiricalCdf cdf({1.0, 2.0, 3.0, 4.0});
-  EXPECT_DOUBLE_EQ(cdf.FractionAtOrBelow(0.5), 0.0);
-  EXPECT_DOUBLE_EQ(cdf.FractionAtOrBelow(2.0), 0.5);
-  EXPECT_DOUBLE_EQ(cdf.FractionAtOrBelow(10.0), 1.0);
-}
-
 TEST(EmpiricalCdfTest, QuantileInterpolates) {
   EmpiricalCdf cdf({0.0, 10.0});
   EXPECT_DOUBLE_EQ(cdf.Quantile(0.5), 5.0);
@@ -106,22 +88,9 @@ TEST(EmpiricalCdfTest, QuantileInterpolates) {
   EXPECT_DOUBLE_EQ(cdf.Quantile(1.0), 10.0);
 }
 
-TEST(EmpiricalCdfTest, PointsAreMonotone) {
-  EmpiricalCdf cdf({3.0, 1.0, 2.0, 5.0});
-  const auto points = cdf.Points();
-  ASSERT_EQ(points.size(), 4u);
-  for (size_t i = 1; i < points.size(); ++i) {
-    EXPECT_GE(points[i].first, points[i - 1].first);
-    EXPECT_GT(points[i].second, points[i - 1].second);
-  }
-  EXPECT_DOUBLE_EQ(points.back().second, 1.0);
-}
-
 TEST(EmpiricalCdfTest, EmptyIsSafe) {
   EmpiricalCdf cdf({});
-  EXPECT_DOUBLE_EQ(cdf.FractionAtOrBelow(1.0), 0.0);
   EXPECT_DOUBLE_EQ(cdf.Quantile(0.5), 0.0);
-  EXPECT_TRUE(cdf.Points().empty());
 }
 
 }  // namespace
