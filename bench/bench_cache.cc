@@ -38,9 +38,9 @@ double Secs(Clock::time_point a, Clock::time_point b) {
 // Identical stream for both cache types: fill, warm (touches + decay), then timed evicting
 // inserts with periodic touches and decays.
 template <typename Cache>
-double MicroVictimRate(const EvictionPolicy* policy, size_t residents, int ops) {
+double MicroVictimRate(EvictionRule rule, size_t residents, int ops) {
   const uint64_t bytes = 1024;
-  Cache cache(residents * bytes, policy);
+  Cache cache(residents * bytes, rule);
   Rng rng(7);
   double now = 0.0;
   uint64_t next_key = 0;
@@ -126,7 +126,7 @@ E2eRow RunE2e(const char* system, const ModelConfig& model, const char* tag) {
 }
 
 int Main(int argc, char** argv) {
-  bench::BenchEnv env;
+  bench::BenchFlags env;
   int exit_code = 0;
   if (!bench::ParseBenchArgs(argc, argv, "bench_cache",
                              "Victim-selection micro benchmark + end-to-end engine throughput",
@@ -142,13 +142,13 @@ int Main(int argc, char** argv) {
 
   std::vector<MicroRow> micro;
   for (const char* name : {"LRU", "LFU", "fMoE-PriorityLFU"}) {
-    const auto policy = MakeEvictionPolicy(name);
+    const EvictionRule rule = EvictionRuleNamed(name);
     for (const size_t n : resident_counts) {
       MicroRow row;
       row.policy = name;
       row.residents = n;
-      row.before_per_sec = MicroVictimRate<ReferenceExpertCache>(policy.get(), n, ops);
-      row.after_per_sec = MicroVictimRate<ExpertCache>(policy.get(), n, ops);
+      row.before_per_sec = MicroVictimRate<ReferenceExpertCache>(rule, n, ops);
+      row.after_per_sec = MicroVictimRate<ExpertCache>(rule, n, ops);
       micro.push_back(row);
       std::printf("micro policy=%s residents=%zu before=%.0f/s after=%.0f/s speedup=%.1fx\n",
                   row.policy.c_str(), row.residents, row.before_per_sec, row.after_per_sec,

@@ -5,23 +5,30 @@
 namespace fmoe {
 namespace bench {
 
-bool ParseBenchArgs(int argc, const char* const* argv, const std::string& program,
-                    const std::string& description, BenchEnv* env, int* exit_code) {
+namespace {
+
+// Parses --out_json, --small and --help, plus the plan driver's observer flags when
+// `observers` is non-null. Same contract as ParseBenchArgs.
+bool ParseFlags(int argc, const char* const* argv, const std::string& program,
+                const std::string& description, BenchFlags* bench,
+                ObservedRunOptions* observers, int* exit_code) {
   FlagParser flags(program, description);
-  flags.AddInt("jobs", 1,
-               "worker threads for the experiment runner (0 = one per hardware thread); "
-               "output is byte-identical for any value");
   flags.AddString("out_json", "", "also write the bench's machine-readable report to this path");
   flags.AddBool("small", false, "CI smoke configuration (benches that define one)");
-  flags.AddString("trace_out", "",
-                  "write a Chrome trace-event JSON (Perfetto-loadable) of one task here; "
-                  "stdout is unaffected");
-  flags.AddInt("trace_task", 0, "plan index of the task --trace_out covers (default 0)");
-  flags.AddBool("oracle", false,
-                "run the clairvoyant oracle on every task and append a \"% of clairvoyant "
-                "optimum\" gap table to stdout (DESIGN.md 5k)");
-  flags.AddString("oracle_out", "",
-                  "write a compact per-task optimality-gap JSON here (implies --oracle)");
+  if (observers != nullptr) {
+    flags.AddInt("jobs", 1,
+                 "worker threads for the experiment runner (0 = one per hardware thread); "
+                 "output is byte-identical for any value");
+    flags.AddString("trace_out", "",
+                    "write a Chrome trace-event JSON (Perfetto-loadable) of one task here; "
+                    "stdout is unaffected");
+    flags.AddInt("trace_task", 0, "plan index of the task --trace_out covers (default 0)");
+    flags.AddBool("oracle", false,
+                  "run the clairvoyant oracle on every task and append a \"% of clairvoyant "
+                  "optimum\" gap table to stdout (DESIGN.md 5k)");
+    flags.AddString("oracle_out", "",
+                    "write a compact per-task optimality-gap JSON here (implies --oracle)");
+  }
   std::string error;
   if (!flags.Parse(argc, argv, &error)) {
     if (flags.help_requested()) {
@@ -33,14 +40,23 @@ bool ParseBenchArgs(int argc, const char* const* argv, const std::string& progra
     }
     return false;
   }
-  env->jobs = static_cast<int>(flags.GetInt("jobs"));
-  env->out_json = flags.GetString("out_json");
-  env->small = flags.GetBool("small");
-  env->trace_out = flags.GetString("trace_out");
-  env->trace_task = flags.GetInt("trace_task");
-  env->oracle_out = flags.GetString("oracle_out");
-  env->oracle = flags.GetBool("oracle") || !env->oracle_out.empty();
+  bench->out_json = flags.GetString("out_json");
+  bench->small = flags.GetBool("small");
+  if (observers != nullptr) {
+    observers->jobs = static_cast<int>(flags.GetInt("jobs"));
+    observers->trace_out = flags.GetString("trace_out");
+    observers->trace_task = flags.GetInt("trace_task");
+    observers->oracle_out = flags.GetString("oracle_out");
+    observers->oracle = flags.GetBool("oracle") || !observers->oracle_out.empty();
+  }
   return true;
+}
+
+}  // namespace
+
+bool ParseBenchArgs(int argc, const char* const* argv, const std::string& program,
+                    const std::string& description, BenchFlags* flags, int* exit_code) {
+  return ParseFlags(argc, argv, program, description, flags, /*observers=*/nullptr, exit_code);
 }
 
 int BenchMain(int argc, const char* const* argv, const std::string& program,
@@ -48,7 +64,7 @@ int BenchMain(int argc, const char* const* argv, const std::string& program,
               const RenderFn& render, const JsonFn& write_json) {
   BenchEnv env;
   int exit_code = 0;
-  if (!ParseBenchArgs(argc, argv, program, description, &env, &exit_code)) {
+  if (!ParseFlags(argc, argv, program, description, &env, &env, &exit_code)) {
     return exit_code;
   }
   ExperimentPlan plan;

@@ -2,13 +2,14 @@
 //
 // Every plan bench — the figure reproductions and the virtual-time sweeps alike — is a
 // declarative ExperimentPlan (src/harness/plan.h) plus a render function over the ordered
-// result vector. BenchMain supplies the shared control flow: the one flag set (ParseBenchArgs),
-// the plan driver RunObservedPlan (src/harness/runner.h) with its deterministic parallel
-// runner, trace and oracle observers, and the --out_json document. The wall-clock micro
-// benches and the data-structure figures parse the same flags and skip the plan. Requests are
-// sized so the full suite finishes in minutes on one core; absolute latencies come from the
-// analytic hardware model (DESIGN.md §2), and what each bench must reproduce is the *shape* of
-// the corresponding paper figure, stated in a trailing "expected shape" note.
+// result vector. BenchMain supplies the shared control flow: the one flag set (BenchEnv), the
+// plan driver RunObservedPlan (src/harness/runner.h) with its deterministic parallel runner,
+// trace and oracle observers, and the --out_json document. The wall-clock micro benches and
+// the data-structure figures have no plan: they parse only --small and --out_json
+// (ParseBenchArgs), so an observer flag is an unknown flag there. Requests are sized so the
+// full suite finishes in minutes on one core; absolute latencies come from the analytic
+// hardware model (DESIGN.md §2), and what each bench must reproduce is the *shape* of the
+// corresponding paper figure, stated in a trailing "expected shape" note.
 //
 // Determinism: rendering sees results in plan order no matter how many jobs ran, so a bench's
 // stdout is byte-identical for --jobs=1 and --jobs=N (DESIGN.md §5e).
@@ -29,28 +30,31 @@
 namespace fmoe {
 namespace bench {
 
-// Shared bench flags. The observer flags (--jobs, --trace_out, --trace_task, --oracle,
-// --oracle_out) are the plan driver's options; benches without a plan ignore them.
-struct BenchEnv : ObservedRunOptions {
+// The flags every bench takes.
+struct BenchFlags {
   std::string out_json;  // Non-empty: also write a machine-readable report here.
   bool small = false;    // CI smoke configuration, for the benches that define one.
 };
 
-// Parses the shared flags (the observer flags, --out_json, --small, --help). Returns true to
+// A plan bench's flags: BenchFlags plus the plan driver's observer options (--jobs,
+// --trace_out, --trace_task, --oracle, --oracle_out).
+struct BenchEnv : ObservedRunOptions, BenchFlags {};
+
+// Parses a bench without a plan: --small, --out_json and --help only. Returns true to
 // proceed; on false *exit_code holds the process exit status (0 for --help, 1 for a malformed
-// flag).
+// or unknown flag).
 bool ParseBenchArgs(int argc, const char* const* argv, const std::string& program,
-                    const std::string& description, BenchEnv* env, int* exit_code);
+                    const std::string& description, BenchFlags* flags, int* exit_code);
 
 using DeclareFn = std::function<void(ExperimentPlan&, const BenchEnv&)>;
 // Prints the tables and returns the exit status: 0, or 2 when a checked expected shape fails.
 using RenderFn = std::function<int(const std::vector<ExperimentResult>&, std::ostream&)>;
 using JsonFn = std::function<void(const std::vector<ExperimentResult>&, std::ostream&)>;
 
-// Standard bench entry point: declare the plan, run it through RunObservedPlan at --jobs
-// workers, render the tables over the ordered results, and honour --out_json with
-// `write_json`'s document — by default the plan report (harness/report.h). Returns render's
-// status, or 1 on a malformed flag or an I/O failure.
+// Standard bench entry point: parse BenchEnv's flags, declare the plan, run it through
+// RunObservedPlan at --jobs workers, render the tables over the ordered results, and honour
+// --out_json with `write_json`'s document — by default the plan report (harness/report.h).
+// Returns render's status, or 1 on a malformed flag or an I/O failure.
 // With --trace_out PATH, one task (--trace_task, default 0) runs with a TraceRecorder
 // attached; the Chrome trace-event JSON lands at PATH and the stall-attribution table goes to
 // stderr — stdout stays byte-identical to an untraced run.

@@ -121,17 +121,12 @@ constexpr int kWindows[] = {4, 16, 32, 64};
 int main(int argc, char** argv) {
   using fmoe::AsciiTable;
 
-  BenchEnv env;
+  BenchFlags env;
   int exit_code = 0;
   if (!ParseBenchArgs(argc, argv, "bench_fig03_entropy",
                       "Figure 3: coarse vs fine expert-pattern predictability", &env,
                       &exit_code)) {
     return exit_code;
-  }
-
-  if (!env.trace_out.empty()) {
-    std::cerr << "note: --trace_out is ignored: this bench measures data structures directly "
-                 "(no serving engine to trace)\n";
   }
 
   PrintHeatmaps(MixtralConfig());

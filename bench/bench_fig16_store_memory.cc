@@ -13,16 +13,11 @@ int main(int argc, char** argv) {
   using fmoe::AsciiTable;
   using namespace fmoe::bench;
 
-  BenchEnv env;
+  BenchFlags env;
   int exit_code = 0;
   if (!ParseBenchArgs(argc, argv, "bench_fig16_store_memory",
                       "Figure 16: Expert Map Store CPU memory footprint", &env, &exit_code)) {
     return exit_code;
-  }
-
-  if (!env.trace_out.empty()) {
-    std::cerr << "note: --trace_out is ignored: this bench measures data structures directly "
-                 "(no serving engine to trace)\n";
   }
 
   const std::vector<size_t> capacities{1000, 2000, 4000, 8000, 16000, 32000};

@@ -316,8 +316,7 @@ void BM_GateDistribution(benchmark::State& state) {
 BENCHMARK(BM_GateDistribution)->Arg(0)->Arg(1);
 
 void BM_CacheInsertEvict(benchmark::State& state) {
-  PriorityLfuEvictionPolicy policy;
-  ExpertCache cache(100 * 10, &policy);  // 100 slots of 10 bytes.
+  ExpertCache cache(100 * 10, EvictionRule::kPriorityLfu);  // 100 slots of 10 bytes.
   Rng rng(29);
   uint64_t key = 0;
   for (auto _ : state) {

@@ -411,7 +411,7 @@ int Run(bool small, const std::string& json_path) {
 }  // namespace fmoe
 
 int main(int argc, char** argv) {
-  fmoe::bench::BenchEnv env;
+  fmoe::bench::BenchFlags env;
   int exit_code = 0;
   if (!fmoe::bench::ParseBenchArgs(argc, argv, "bench_simd",
                                    "SIMD hot-kernel + quantized-store benchmark", &env,

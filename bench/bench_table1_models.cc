@@ -11,17 +11,12 @@ int main(int argc, char** argv) {
   using fmoe::AsciiTable;
   using namespace fmoe::bench;
 
-  BenchEnv env;
+  BenchFlags env;
   int exit_code = 0;
   if (!ParseBenchArgs(argc, argv, "bench_table1_models",
                       "Table 1: characteristics of the evaluated MoE models", &env,
                       &exit_code)) {
     return exit_code;
-  }
-
-  if (!env.trace_out.empty()) {
-    std::cerr << "note: --trace_out is ignored: this bench measures data structures directly "
-                 "(no serving engine to trace)\n";
   }
 
   fmoe::PrintBanner(std::cout, "Table 1: Characteristics of three MoE models in evaluation");

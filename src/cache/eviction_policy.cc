@@ -1,44 +1,26 @@
 #include "src/cache/eviction_policy.h"
 
-#include <algorithm>
-
 #include "src/util/logging.h"
 
 namespace fmoe {
-namespace {
 
-constexpr double kMinFrequency = kEvictionFrequencyFloor;
-constexpr double kMinProbability = kEvictionProbabilityFloor;
-
-}  // namespace
-
-double LruEvictionPolicy::EvictionScore(const CacheEntry& entry, double now) const {
-  // Older last access => larger (now - last_access) => evicted first.
-  return now - entry.last_access;
-}
-
-double LfuEvictionPolicy::EvictionScore(const CacheEntry& entry, double /*now*/) const {
-  const double freq = std::max(entry.frequency, kMinFrequency);
-  return 1.0 / freq;
-}
-
-double PriorityLfuEvictionPolicy::EvictionScore(const CacheEntry& entry, double /*now*/) const {
-  const double freq = std::max(entry.frequency, kMinFrequency);
-  const double prob = std::max(entry.probability, kMinProbability);
-  return 1.0 / (prob * freq);
-}
-
-std::unique_ptr<EvictionPolicy> MakeEvictionPolicy(const std::string& name) {
+bool ParseEvictionRule(const std::string& name, EvictionRule* rule) {
   if (name == "LRU") {
-    return std::make_unique<LruEvictionPolicy>();
+    *rule = EvictionRule::kLru;
+  } else if (name == "LFU") {
+    *rule = EvictionRule::kLfu;
+  } else if (name == "fMoE-PriorityLFU") {
+    *rule = EvictionRule::kPriorityLfu;
+  } else {
+    return false;
   }
-  if (name == "LFU") {
-    return std::make_unique<LfuEvictionPolicy>();
-  }
-  if (name == "fMoE-PriorityLFU") {
-    return std::make_unique<PriorityLfuEvictionPolicy>();
-  }
-  FMOE_CHECK_MSG(false, "unknown eviction policy: " << name);
+  return true;
+}
+
+EvictionRule EvictionRuleNamed(const std::string& name) {
+  EvictionRule rule = EvictionRule::kLru;
+  FMOE_CHECK_MSG(ParseEvictionRule(name, &rule), "unknown eviction policy: " << name);
+  return rule;
 }
 
 }  // namespace fmoe

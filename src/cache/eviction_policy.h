@@ -1,14 +1,14 @@
-// Eviction policies for the expert cache.
+// Eviction rules for the expert cache.
 //
 // The paper compares three (§6.5, Fig. 12b): LRU (Mixtral-Offloading), LFU (MoE-Infinity), and
-// fMoE's probability-weighted LFU with eviction priority 1 / (p_{l,j} * freq_{l,j}). A policy
+// fMoE's probability-weighted LFU with eviction priority 1 / (p_{l,j} * freq_{l,j}). A rule
 // assigns each cache entry an eviction score; the cache evicts the unpinned entry with the
 // highest score first.
 #ifndef FMOE_SRC_CACHE_EVICTION_POLICY_H_
 #define FMOE_SRC_CACHE_EVICTION_POLICY_H_
 
+#include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <string>
 
 namespace fmoe {
@@ -32,48 +32,38 @@ struct CacheEntry {
   bool reduced_precision = false;  // Weights resident at reduced precision (lossy extension).
 };
 
-class EvictionPolicy {
- public:
-  virtual ~EvictionPolicy() = default;
-  virtual std::string name() const = 0;
-  // Higher score = evicted sooner.
-  virtual double EvictionScore(const CacheEntry& entry, double now) const = 0;
-  // True when EvictionScore is exactly the age `now - entry.last_access`: the cache then keeps
-  // last_access in its score column and the victim scan computes the age. Otherwise the score
-  // must not depend on `now`, and the cache keeps the score itself.
-  virtual bool score_is_age() const { return false; }
-  // Whether EvictionScore depends on the entry's frequency / probability. The cache uses
-  // these to decide which mutations must refresh an entry's score.
-  virtual bool uses_frequency() const { return false; }
-  virtual bool uses_probability() const { return false; }
+enum class EvictionRule {
+  kLru,          // "LRU": evict the oldest access.
+  kLfu,          // "LFU" (MoE-Infinity): evict the lowest hit count.
+  kPriorityLfu,  // "fMoE-PriorityLFU": PRI^evict = 1 / (p * freq).
 };
 
-// Classic least-recently-used: evict the oldest access.
-class LruEvictionPolicy : public EvictionPolicy {
- public:
-  std::string name() const override { return "LRU"; }
-  double EvictionScore(const CacheEntry& entry, double now) const override;
-  bool score_is_age() const override { return true; }
-};
+// Parses a rule name ("LRU", "LFU", "fMoE-PriorityLFU"). False on any other name, leaving
+// *rule unchanged.
+bool ParseEvictionRule(const std::string& name, EvictionRule* rule);
+// The rule a config names; aborts on an unknown name (front ends validate with
+// ParseEvictionRule first).
+EvictionRule EvictionRuleNamed(const std::string& name);
 
-// Least-frequently-used (MoE-Infinity): evict the lowest hit count.
-class LfuEvictionPolicy : public EvictionPolicy {
- public:
-  std::string name() const override { return "LFU"; }
-  double EvictionScore(const CacheEntry& entry, double now) const override;
-  bool uses_frequency() const override { return true; }
-};
+// Higher score = evicted sooner. Only LRU reads `now` (the score is the age
+// now - last_access); LFU reads the frequency, PriorityLFU the frequency and the probability.
+inline double EvictionScore(EvictionRule rule, double last_access, double frequency,
+                            double probability, double now) {
+  switch (rule) {
+    case EvictionRule::kLru:
+      return now - last_access;
+    case EvictionRule::kLfu:
+      return 1.0 / std::max(frequency, kEvictionFrequencyFloor);
+    case EvictionRule::kPriorityLfu:
+      break;
+  }
+  return 1.0 / (std::max(probability, kEvictionProbabilityFloor) *
+                std::max(frequency, kEvictionFrequencyFloor));
+}
 
-// fMoE: PRI^evict = 1 / (p * freq); low-probability and rarely-hit experts go first.
-class PriorityLfuEvictionPolicy : public EvictionPolicy {
- public:
-  std::string name() const override { return "fMoE-PriorityLFU"; }
-  double EvictionScore(const CacheEntry& entry, double now) const override;
-  bool uses_frequency() const override { return true; }
-  bool uses_probability() const override { return true; }
-};
-
-std::unique_ptr<EvictionPolicy> MakeEvictionPolicy(const std::string& name);
+inline double EvictionScore(EvictionRule rule, const CacheEntry& entry, double now) {
+  return EvictionScore(rule, entry.last_access, entry.frequency, entry.probability, now);
+}
 
 }  // namespace fmoe
 

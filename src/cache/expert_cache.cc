@@ -26,12 +26,8 @@ uint64_t MixKey(uint64_t x) {
 
 }  // namespace
 
-ExpertCache::ExpertCache(uint64_t capacity_bytes, const EvictionPolicy* policy)
-    : capacity_bytes_(capacity_bytes), policy_(policy) {
-  FMOE_CHECK(policy != nullptr);
-  age_scores_ = policy->score_is_age();
-  uses_frequency_ = policy->uses_frequency();
-  uses_probability_ = policy->uses_probability();
+ExpertCache::ExpertCache(uint64_t capacity_bytes, EvictionRule rule)
+    : capacity_bytes_(capacity_bytes), rule_(rule) {
   table_keys_.assign(16, 0);
   table_slots_.assign(16, kNilSlot);
   table_mask_ = 15;
@@ -127,17 +123,19 @@ CacheEntry ExpertCache::EntryAt(uint32_t slot) const {
 void ExpertCache::RefreshScore(uint32_t slot) {
   if (pin_count_[slot] > 0) {
     score_[slot] = kNoScore;
-  } else if (age_scores_) {
+  } else if (rule_ == EvictionRule::kLru) {
     score_[slot] = last_access_[slot];
   } else {
-    score_[slot] = policy_->EvictionScore(EntryAt(slot), /*now=*/0.0);  // Ignores now.
+    score_[slot] = EvictionScore(rule_, last_access_[slot], freq_[slot], prob_[slot],
+                                 /*now=*/0.0);  // Only LRU reads now.
   }
 }
 
 bool ExpertCache::PickVictim(double now, uint64_t* victim) {
   ++index_stats_.victim_picks;
   // Free and pinned slots hold NaN and never win, so their stale ranks are never read.
-  const size_t slot = ArgMaxScore(score_.data(), rank_.data(), score_.size(), now, age_scores_);
+  const size_t slot = ArgMaxScore(score_.data(), rank_.data(), score_.size(), now,
+                                  /*age_mode=*/rule_ == EvictionRule::kLru);
   if (slot == score_.size()) {
     return false;
   }
@@ -321,7 +319,7 @@ void ExpertCache::DecayFrequencies(double factor) {
   for (double& freq : freq_) {
     freq *= factor;
   }
-  if (uses_frequency_) {
+  if (rule_ != EvictionRule::kLru) {  // LRU's column holds last_access, which decay leaves.
     for (uint32_t s = 0; s < occupied_flag_.size(); ++s) {
       if (occupied_flag_[s]) {
         RefreshScore(s);
@@ -336,9 +334,7 @@ void ExpertCache::SetProbability(uint64_t key, double probability) {
     return;
   }
   prob_[slot] = probability;
-  if (uses_probability_) {
-    RefreshScore(slot);
-  }
+  RefreshScore(slot);
 }
 
 void ExpertCache::Pin(uint64_t key) {
@@ -372,7 +368,8 @@ std::vector<uint64_t> ExpertCache::EvictionOrder(double now) const {
     if (!occupied_flag_[s] || pin_count_[s] > 0) {
       continue;
     }
-    ranked.push_back({policy_->EvictionScore(EntryAt(s), now), rank_[s], key_[s]});
+    ranked.push_back(
+        {EvictionScore(rule_, last_access_[s], freq_[s], prob_[s], now), rank_[s], key_[s]});
   }
   // The victim scan's order: higher score first, equal scores newest insert (smaller rank)
   // first.

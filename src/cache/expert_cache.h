@@ -108,7 +108,7 @@ class ConstEntryRef {
 
 class ExpertCache {
  public:
-  ExpertCache(uint64_t capacity_bytes, const EvictionPolicy* policy);
+  ExpertCache(uint64_t capacity_bytes, EvictionRule rule);
 
   uint64_t capacity_bytes() const { return capacity_bytes_; }
   uint64_t used_bytes() const { return used_bytes_; }
@@ -135,7 +135,7 @@ class ExpertCache {
   EntryRef Find(uint64_t key);
   ConstEntryRef Find(uint64_t key) const;
 
-  // Inserts an entry (evicting by policy as needed). On success the new entry is resident and
+  // Inserts an entry (evicting by the rule as needed). On success the new entry is resident and
   // `evicted` (if non-null) receives the victims, which the caller must clean up (free GPU
   // memory, cancel queued transfers). Returns false when the entry cannot fit even after
   // evicting every unpinned entry, or when the key is already resident; a rejected insert
@@ -146,7 +146,7 @@ class ExpertCache {
   bool Remove(uint64_t key, CacheEntry* removed);
 
   // Reserves `bytes` of the byte budget for an external consumer (the growing KV cache),
-  // shrinking the capacity Insert may fill. Entries are evicted by policy until the resident
+  // shrinking the capacity Insert may fill. Entries are evicted by the rule until the resident
   // set fits the new effective capacity; victims land in `evicted` (if non-null) for the
   // caller to clean up. Returns false when pinned entries keep used_bytes above the effective
   // capacity (the reservation is then best-effort until pins release).
@@ -163,7 +163,7 @@ class ExpertCache {
 
   // Ages all hit frequencies by `factor` in (0, 1]: freq *= factor. Without aging, LFU-style
   // policies entrench the first working set forever; the engine decays once per iteration.
-  // O(n): one sweep over the slots, then a score refresh when the policy reads frequency.
+  // O(n): one sweep over the slots, then a score refresh unless the rule is LRU.
   void DecayFrequencies(double factor);
 
   // Keys ordered by descending eviction score (most evictable first, equal scores newest
@@ -198,12 +198,9 @@ class ExpertCache {
 
   uint64_t capacity_bytes_;
   uint64_t reserved_bytes_ = 0;
-  const EvictionPolicy* policy_;  // Not owned.
+  EvictionRule rule_;
   TraceRecorder* trace_ = nullptr;  // Not owned; null = tracing disabled.
   int trace_track_ = 0;
-  bool age_scores_ = false;
-  bool uses_frequency_ = false;
-  bool uses_probability_ = false;
   uint64_t used_bytes_ = 0;
   uint64_t pinned_bytes_ = 0;  // Bytes of entries with pin_count > 0.
   size_t occupied_ = 0;
@@ -223,8 +220,8 @@ class ExpertCache {
   std::vector<uint8_t> occupied_flag_;
   std::vector<uint8_t> prefetch_pending_;
   std::vector<uint8_t> reduced_precision_;
-  // Score column, the victim scan's input: the eviction score, or last_access when the
-  // policy's score is an age; NaN (never picked) for free and pinned slots.
+  // Score column, the victim scan's input: the eviction score, or last_access under LRU (the
+  // scan computes the age); NaN (never picked) for free and pinned slots.
   std::vector<double> score_;
   // Tie rank, ~insert_count stamped at insert: equal scores go to the smaller rank, the
   // newest insert.

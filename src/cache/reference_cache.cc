@@ -6,11 +6,8 @@
 
 namespace fmoe {
 
-ReferenceExpertCache::ReferenceExpertCache(uint64_t capacity_bytes,
-                                           const EvictionPolicy* policy)
-    : capacity_bytes_(capacity_bytes), policy_(policy) {
-  FMOE_CHECK(policy != nullptr);
-}
+ReferenceExpertCache::ReferenceExpertCache(uint64_t capacity_bytes, EvictionRule rule)
+    : capacity_bytes_(capacity_bytes), rule_(rule) {}
 
 CacheEntry* ReferenceExpertCache::Find(uint64_t key) {
   const auto it = entries_.find(key);
@@ -30,7 +27,7 @@ bool ReferenceExpertCache::PickVictim(double now, uint64_t* victim) const {
     if (resident.entry.pin_count > 0) {
       continue;
     }
-    const double score = policy_->EvictionScore(resident.entry, now);
+    const double score = EvictionScore(rule_, resident.entry, now);
     if (!found || score > best_score || (score == best_score && resident.rank < best_rank)) {
       found = true;
       best_score = score;
@@ -158,7 +155,7 @@ std::vector<uint64_t> ReferenceExpertCache::EvictionOrder(double now) const {
     if (resident.entry.pin_count > 0) {
       continue;
     }
-    scored.push_back({policy_->EvictionScore(resident.entry, now), resident.rank, key});
+    scored.push_back({EvictionScore(rule_, resident.entry, now), resident.rank, key});
   }
   // PickVictim's order: higher score first, equal scores newest insert (smaller rank) first.
   std::sort(scored.begin(), scored.end(), [](const Scored& a, const Scored& b) {

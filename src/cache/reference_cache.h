@@ -19,7 +19,7 @@ namespace fmoe {
 
 class ReferenceExpertCache {
  public:
-  ReferenceExpertCache(uint64_t capacity_bytes, const EvictionPolicy* policy);
+  ReferenceExpertCache(uint64_t capacity_bytes, EvictionRule rule);
 
   uint64_t capacity_bytes() const { return capacity_bytes_; }
   uint64_t used_bytes() const { return used_bytes_; }
@@ -55,7 +55,7 @@ class ReferenceExpertCache {
 
   uint64_t capacity_bytes_;
   uint64_t reserved_bytes_ = 0;
-  const EvictionPolicy* policy_;  // Not owned.
+  EvictionRule rule_;
   uint64_t used_bytes_ = 0;
   uint64_t insert_count_ = 0;
   std::map<uint64_t, Resident> entries_;

@@ -9,12 +9,12 @@
 
 namespace fmoe {
 
-TieredExpertStore::TieredExpertStore(uint64_t gpu_capacity_bytes, const EvictionPolicy* gpu_policy,
+TieredExpertStore::TieredExpertStore(uint64_t gpu_capacity_bytes, EvictionRule gpu_rule,
                                      const TierConfig& config)
     : config_(config),
-      host_policy_(MakeEvictionPolicy(config.host_policy)),
-      gpu_(gpu_capacity_bytes, gpu_policy),
-      host_(config.enabled() ? config.host_capacity_bytes : 0, host_policy_.get()),
+      gpu_(gpu_capacity_bytes, gpu_rule),
+      host_(config.enabled() ? config.host_capacity_bytes : 0,
+            EvictionRuleNamed(config.host_policy)),
       nvme_link_(config.nvme_link) {
   nvme_link_.set_completion_callback(
       [this](uint64_t tag, double completion) { OnNvmeScheduled(tag, completion); });

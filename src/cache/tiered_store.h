@@ -38,7 +38,6 @@
 #define FMOE_SRC_CACHE_TIERED_STORE_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -65,7 +64,7 @@ struct TierConfig {
   // reaching the GPU must pass through host staging (the tier property tests pin this).
   // Needs an NVMe tier: ignored unless nvme_backing is set.
   bool allow_direct_nvme_gpu = false;
-  // Eviction policy of the host pool (LRU / LFU / fMoE-PriorityLFU).
+  // Eviction rule of the host pool (LRU / LFU / fMoE-PriorityLFU; see ParseEvictionRule).
   std::string host_policy = "LRU";
   // KV-cache pressure: bytes of GPU memory reserved per in-flight token, shrinking the
   // effective GPU expert budget as sequence length grows (paper Table 1).
@@ -92,7 +91,7 @@ class TieredExpertStore {
  public:
   enum class Tier { kHost, kNvme };
 
-  TieredExpertStore(uint64_t gpu_capacity_bytes, const EvictionPolicy* gpu_policy,
+  TieredExpertStore(uint64_t gpu_capacity_bytes, EvictionRule gpu_rule,
                     const TierConfig& config);
 
   ExpertCache& gpu() { return gpu_; }
@@ -206,7 +205,6 @@ class TieredExpertStore {
   void TraceHostOccupancy(double now);
 
   TierConfig config_;
-  std::unique_ptr<EvictionPolicy> host_policy_;
   ExpertCache gpu_;
   ExpertCache host_;
   PcieLink nvme_link_;

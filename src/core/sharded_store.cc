@@ -71,14 +71,6 @@ size_t ShardedMapStore::MemoryBytes() const {
   return total;
 }
 
-size_t ShardedMapStore::MemoryBytesAtCapacity(int embedding_dim) const {
-  size_t total = 0;
-  for (const auto& shard : shards_) {
-    total += shard->MemoryBytesAtCapacity(embedding_dim);
-  }
-  return total;
-}
-
 int ShardedMapStore::RouteEmbedding(std::span<const double> embedding) const {
   return router_.Route(embedding);
 }
@@ -99,17 +91,6 @@ SearchResult ShardedMapStore::SemanticSearch(std::span<const double> embedding) 
   for (size_t s = 0; s < shards_.size(); ++s) {
     std::shared_lock<std::shared_mutex> lock(*mutexes_[s]);
     MergeShardResult(&best, static_cast<int>(s), shards_[s]->SemanticSearch(embedding));
-  }
-  return best;
-}
-
-SearchResult ShardedMapStore::TrajectorySearch(std::span<const double> prefix,
-                                               int prefix_layers) const {
-  SearchResult best;
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    std::shared_lock<std::shared_mutex> lock(*mutexes_[s]);
-    MergeShardResult(&best, static_cast<int>(s),
-                     shards_[s]->TrajectorySearch(prefix, prefix_layers));
   }
   return best;
 }

@@ -60,7 +60,6 @@ class ShardedMapStore {
   size_t size() const;
   size_t capacity() const;
   size_t MemoryBytes() const;
-  size_t MemoryBytesAtCapacity(int embedding_dim) const;
 
   const ModelConfig& model() const { return shards_.front()->model(); }
   int prefetch_distance() const { return shards_.front()->prefetch_distance(); }
@@ -81,7 +80,6 @@ class ShardedMapStore {
   // Best record across all shards; result.shard/result.index locate it. Shards are scanned
   // in ascending id and reduced with strict `>`, so ties go to the lowest (shard, index).
   SearchResult SemanticSearch(std::span<const double> embedding) const;
-  SearchResult TrajectorySearch(std::span<const double> prefix, int prefix_layers) const;
 
   const StoredIteration& Get(int shard, size_t index) const;
   // Shard-major global indexing (shard 0's records, then shard 1's, ...): the view tests,

@@ -56,6 +56,9 @@ SystemSpec MakeSystem(const std::string& name, const ModelConfig& model, int pre
                       int host_stage_candidates = 0,
                       int map_shards = 1);
 
+// Whether MakeSystem knows `name` (front ends check a user's name before building).
+bool IsSystemName(const std::string& name);
+
 // The five systems of Figs. 9-11, worst-to-best order used in the paper's plots.
 std::vector<std::string> PaperSystemNames();
 

@@ -30,10 +30,9 @@ ServingEngine::ServingEngine(const ModelConfig& model, const EngineConfig& confi
                 config.seed ^ 0x9e3779b9ULL),
       cost_(model, config.hardware),
       cluster_(config.gpu_count, config.gpu),
-      eviction_policy_(MakeEvictionPolicy(config.cache_policy)),
       store_(config.expert_cache_bytes == 0 ? model.total_expert_bytes()
                                             : config.expert_cache_bytes,
-             eviction_policy_.get(), config.tier),
+             EvictionRuleNamed(config.cache_policy), config.tier),
       cache_(store_.gpu()),
       matcher_(config.matcher_latency_scale, config.matcher_queue_depth),
       trace_(config.trace) {
@@ -184,33 +183,12 @@ bool ServingEngine::InsertEntry(const CacheEntry& entry) {
 
 void ServingEngine::BlockingLoad(ExpertId id, double probability) {
   const uint64_t key = KeyOf(id);
-  PcieLink& link = LinkFor(key);
-  link.Tick(clock_.now());
-  store_.Tick(clock_.now());
-  EntryRef entry = cache_.Find(key);
-  double ready = 0.0;
-  TieredExpertStore::Tier source = TieredExpertStore::Tier::kHost;
-  if (entry && !entry.prefetch_pending()) {
-    if (entry.ready_at() <= clock_.now()) {
-      entry.set_probability(probability);
-      return;  // Already resident and ready.
-    }
-    ready = entry.ready_at();  // In flight: wait for it.
-  } else if (entry) {
-    // Queued but not started: promote to a demand transfer.
-    ready = store_.PromoteFill(key, clock_.now(), &source);
-  } else {
-    ready = store_.DemandFill(key, model_.expert_bytes, clock_.now(), link, &source);
-    CacheEntry fresh;
-    fresh.key = key;
-    fresh.bytes = model_.expert_bytes;
-    fresh.ready_at = ready;
-    fresh.prefetch_pending = false;
-    fresh.probability = probability;
-    fresh.last_access = clock_.now();
-    InsertEntry(fresh);
+  const Readiness readiness = MakeReady(key, probability);
+  if (readiness.hit) {
+    cache_.SetProbability(key, probability);
+    return;
   }
-  const double stall = std::max(0.0, ready - clock_.now());
+  const double stall = std::max(0.0, readiness.ready_at - clock_.now());
   // Blocking loads are policy-initiated (speculative baselines): the wait is charged to sync
   // overhead, NOT demand_stall, so it must not feed the stall attribution. The loaded copy
   // does count as prefetch intent for later evicted-before-use classification.
@@ -220,12 +198,10 @@ void ServingEngine::BlockingLoad(ExpertId id, double probability) {
                  clock_.now() + stall,
                  {TraceArg::Int("layer", id.layer), TraceArg::Int("expert", id.expert)});
   }
-  clock_.AdvanceTo(ready);
+  clock_.AdvanceTo(readiness.ready_at);
   metrics_.breakdown().sync_overhead[static_cast<size_t>(OverheadCategory::kPrefetchIssue)] +=
       stall;
-  if (EntryRef resident = cache_.Find(key)) {
-    resident.set_probability(probability);
-  }
+  cache_.SetProbability(key, probability);  // No-op when the load could not be cached.
 }
 
 bool ServingEngine::IsCached(ExpertId id) const { return cache_.Contains(KeyOf(id)); }
@@ -320,44 +296,55 @@ void ServingEngine::DrainDeferred() {
   }
 }
 
-ServingEngine::ExpertJob ServingEngine::IssueExpert(ExpertId id, int tokens_routed) {
-  const uint64_t key = KeyOf(id);
+ServingEngine::Readiness ServingEngine::MakeReady(uint64_t key, double probability) {
   PcieLink& link = LinkFor(key);
   link.Tick(clock_.now());
   store_.Tick(clock_.now());  // Land stagings first: a chained hop may become a plain wait.
 
-  ExpertJob job;
-  job.id = id;
-  job.tokens_routed = tokens_routed;
-  job.ready_at = clock_.now();
-
-  EntryRef entry = cache_.Find(key);
+  Readiness out;
+  out.ready_at = clock_.now();
+  const EntryRef entry = cache_.Find(key);
   if (!entry) {
     // Full miss: on-demand load. If the entry cannot be cached (budget smaller than one
     // expert, or everything pinned) the weights are streamed through a transient buffer —
     // the transfer cost is identical either way.
-    job.ready_at =
-        store_.DemandFill(key, model_.expert_bytes, clock_.now(), link, &job.tier_source);
+    out.ready_at = store_.DemandFill(key, model_.expert_bytes, clock_.now(), link, &out.source);
     CacheEntry fresh;
     fresh.key = key;
     fresh.bytes = model_.expert_bytes;
-    fresh.ready_at = job.ready_at;
+    fresh.ready_at = out.ready_at;
     fresh.prefetch_pending = false;
+    fresh.probability = probability;
     fresh.last_access = clock_.now();
     InsertEntry(fresh);
-    job.stall_class = stall_.ClassifyMiss(key, MissKind::kNeverResident);
+    out.miss = MissKind::kNeverResident;
   } else if (entry.prefetch_pending()) {
     // Prefetch was enqueued but its transfer never started: promote to a demand load, which
     // jumps ahead of all queued prefetches ("pauses all expert prefetching tasks", §4.5).
-    job.ready_at = store_.PromoteFill(key, clock_.now(), &job.tier_source);
-    job.stall_class = stall_.ClassifyMiss(key, MissKind::kQueuedPromoted);
+    out.ready_at = store_.PromoteFill(key, clock_.now(), &out.source);
+    out.miss = MissKind::kQueuedPromoted;
   } else if (entry.ready_at() > clock_.now()) {
     // Prefetch in flight but late: wait out the remainder. Still a miss by the paper's
     // definition (weights not available when the gate asked), but cheaper than a full load.
-    job.ready_at = entry.ready_at();
-    job.stall_class = stall_.ClassifyMiss(key, MissKind::kInFlightLate);
+    out.ready_at = entry.ready_at();
+    out.miss = MissKind::kInFlightLate;
   } else {
-    job.hit = true;
+    out.hit = true;
+  }
+  return out;
+}
+
+ServingEngine::ExpertJob ServingEngine::IssueExpert(ExpertId id, int tokens_routed) {
+  const uint64_t key = KeyOf(id);
+  const Readiness readiness = MakeReady(key, /*probability=*/0.0);
+  ExpertJob job;
+  job.id = id;
+  job.tokens_routed = tokens_routed;
+  job.ready_at = readiness.ready_at;
+  job.hit = readiness.hit;
+  job.tier_source = readiness.source;
+  if (!job.hit) {
+    job.stall_class = stall_.ClassifyMiss(key, readiness.miss);
   }
 
   // Pin residents so this layer's later issues cannot evict them before they compute.

@@ -213,6 +213,20 @@ class ServingEngine : public EngineHandle {
   ExpertJob IssueExpert(ExpertId id, int tokens_routed);
   void CompleteExpert(const ExpertJob& job);
 
+  // Where an expert stands once MakeReady has started whatever it needs: a hit (resident and
+  // landed, ready now) or a miss of kind `miss` whose weights land at `ready_at`.
+  struct Readiness {
+    double ready_at = 0.0;
+    bool hit = false;
+    MissKind miss = MissKind::kNeverResident;  // Meaningless for hits.
+    // Tier that served a fill's bytes (legacy two-tier fills and in-flight waits read "host").
+    TieredExpertStore::Tier source = TieredExpertStore::Tier::kHost;
+  };
+  // The one residency decision of IssueExpert and BlockingLoad. Ticks the key's device link
+  // and the store, then: an absent expert is demand-filled and inserted (with `probability`),
+  // a queued fill is promoted, an in-flight fill is waited for, and a landed entry is a hit.
+  Readiness MakeReady(uint64_t key, double probability);
+
   uint64_t KeyOf(ExpertId id) const { return model_.FlatIndex(id); }
   PcieLink& LinkFor(uint64_t key) { return cluster_.DeviceFor(key).link(); }
 
@@ -244,7 +258,6 @@ class ServingEngine : public EngineHandle {
   SemanticEmbedder embedder_;
   CostModel cost_;
   GpuCluster cluster_;
-  std::unique_ptr<EvictionPolicy> eviction_policy_;
   TieredExpertStore store_;  // Owns the GPU tier and every GPU fill (DESIGN.md §5h).
   ExpertCache& cache_;  // GPU tier of store_; the legacy name every code path uses.
   SimClock clock_;

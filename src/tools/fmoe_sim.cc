@@ -18,6 +18,7 @@
 #include <optional>
 #include <vector>
 
+#include "src/cache/eviction_policy.h"
 #include "src/core/fmoe_policy.h"
 #include "src/core/map_store_io.h"
 #include "src/harness/experiment.h"
@@ -199,6 +200,10 @@ int main(int argc, char** argv) {
   options.test_requests = static_cast<size_t>(flags.GetInt("requests"));
   options.batch_size = static_cast<int>(flags.GetInt("batch"));
   options.prefetch_distance = static_cast<int>(flags.GetInt("distance"));
+  if (options.prefetch_distance < 1) {
+    std::cerr << "error: --distance must be >= 1\n";
+    return 1;
+  }
   options.max_decode_tokens = static_cast<int>(flags.GetInt("max-decode"));
   options.store_capacity = static_cast<size_t>(flags.GetInt("store-capacity"));
   if (!ParseMapPrecision(flags.GetString("map-precision"), &options.map_precision)) {
@@ -207,6 +212,10 @@ int main(int argc, char** argv) {
     return 1;
   }
   options.gpu_count = static_cast<int>(flags.GetInt("gpus"));
+  if (options.gpu_count < 1) {
+    std::cerr << "error: --gpus must be >= 1\n";
+    return 1;
+  }
   options.cache_bytes =
       static_cast<uint64_t>(flags.GetDouble("cache-gb") * (1ULL << 30));
   options.cache_fraction = flags.GetDouble("cache-fraction");
@@ -221,6 +230,11 @@ int main(int argc, char** argv) {
   options.tier.nvme_link.fixed_latency_sec = flags.GetDouble("nvme-latency-us") * 1e-6;
   options.tier.allow_direct_nvme_gpu = flags.GetBool("direct-nvme-gpu");
   options.tier.host_policy = flags.GetString("host-policy");
+  if (EvictionRule rule; !ParseEvictionRule(options.tier.host_policy, &rule)) {
+    std::cerr << "error: unknown host policy '" << options.tier.host_policy
+              << "' (expected LRU | LFU | fMoE-PriorityLFU)\n";
+    return 1;
+  }
   options.tier.kv_bytes_per_token = flags.GetDouble("kv-bytes-per-token");
   options.host_stage_candidates = static_cast<int>(flags.GetInt("host-stage-candidates"));
   options.map_shards = static_cast<int>(flags.GetInt("map-shards"));
@@ -269,8 +283,12 @@ int main(int argc, char** argv) {
   std::vector<std::string> systems;
   if (flags.GetString("system") == "all") {
     systems = PaperSystemNames();
-  } else {
+  } else if (IsSystemName(flags.GetString("system"))) {
     systems.push_back(flags.GetString("system"));
+  } else {
+    std::cerr << "error: unknown system '" << flags.GetString("system")
+              << "' (expected all or a name from src/harness/systems.h)\n";
+    return 1;
   }
 
   const std::string mode_name = flags.GetString("mode");

@@ -10,8 +10,8 @@
 // the store's equivalence tests allow. Block boundaries depend only on the element index,
 // so a row's result never depends on which other rows share the call.
 //
-// The hot kernels are vectorized through src/util/simd.h (compile-time dispatch over
-// AVX2/SSE2/NEON/scalar). The abstraction fixes the logical lane layout and reduction trees,
+// The hot kernels are vectorized through src/util/simd.h (compile-time dispatch: AVX2, or
+// the scalar form). The abstraction fixes the logical lane layout and reduction trees,
 // so the vectorized kernels are bitwise identical to the scalar reference on the fp32 path —
 // `fmoe::scalar::` exposes that reference (same kernel source compiled with vectorization
 // forced off) for differential tests and honest benchmark baselines. Everything stays
@@ -26,8 +26,8 @@
 
 namespace fmoe {
 
-// Name of the SIMD backend the hot kernels were compiled against: "avx2", "sse2", "neon", or
-// "scalar". Determined at build time (see FMOE_SIMD in CMakeLists.txt).
+// Name of the SIMD backend the hot kernels were compiled against: "avx2" or "scalar".
+// Determined at build time (see FMOE_SIMD in CMakeLists.txt).
 const char* SimdLevelName();
 
 double Dot(std::span<const double> a, std::span<const double> b);

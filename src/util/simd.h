@@ -5,19 +5,19 @@
 //
 //   FMOE_SIMD_FORCE_SCALAR  -> scalar   (reference backend; plain C++ loops)
 //   __AVX2__                -> avx2     (8-wide float, 4-wide double, 8-wide int32)
-//   __SSE2__ / x86-64       -> sse2     (two 4-wide float halves, two 2-wide double halves)
-//   __ARM_NEON              -> neon     (two 4-wide float halves; double/int paths scalar)
 //   otherwise               -> scalar
+//
+// Hosts without AVX2 run the scalar backend: it is the bitwise reference, so they compute
+// exactly what an AVX2 host does, only slower.
 //
 // The abstraction deliberately fixes the *logical* lane group independent of the hardware
 // width: F32x8 is always eight float lanes, F64x4 always four double lanes, I32x8 always
 // eight int32 lanes. A kernel written against these groups performs the same arithmetic, in
 // the same per-lane order, on every backend — lane k of F32x8 accumulates exactly the same
-// float addition chain whether it lives in one __m256 lane, one of two __m128 lanes, or a
-// plain float array slot. Combined with the reduction helpers below (which commit to one
-// fixed pairwise tree), this makes the vectorized kernels bitwise identical to the scalar
-// reference, which is the determinism contract the Expert Map Store's goldens rely on
-// (DESIGN.md §5g).
+// float addition chain whether it lives in one __m256 lane or a plain float array slot.
+// Combined with the reduction helpers below (which commit to one fixed pairwise tree), this
+// makes the vectorized kernels bitwise identical to the scalar reference, which is the
+// determinism contract the Expert Map Store's goldens rely on (DESIGN.md §5g).
 //
 // Rules for kernel authors:
 //   * Never use fused multiply-add: Add(acc, Mul(a, b)) must stay two rounding steps on every
@@ -38,19 +38,9 @@
 #include <cstring>
 #include <limits>
 
-#if defined(FMOE_SIMD_FORCE_SCALAR)
-#define FMOE_SIMD_LEVEL_SCALAR 1
-#elif defined(__AVX2__)
+#if defined(__AVX2__) && !defined(FMOE_SIMD_FORCE_SCALAR)
 #define FMOE_SIMD_LEVEL_AVX2 1
 #include <immintrin.h>
-#elif defined(__SSE2__) || defined(_M_X64) || (defined(_M_IX86_FP) && _M_IX86_FP >= 2)
-#define FMOE_SIMD_LEVEL_SSE2 1
-#include <emmintrin.h>
-#elif defined(__ARM_NEON) || defined(__ARM_NEON__)
-#define FMOE_SIMD_LEVEL_NEON 1
-#include <arm_neon.h>
-#else
-#define FMOE_SIMD_LEVEL_SCALAR 1
 #endif
 
 namespace fmoe {
@@ -58,10 +48,6 @@ namespace simd {
 
 #if defined(FMOE_SIMD_LEVEL_AVX2)
 inline constexpr const char* kLevelName = "avx2";
-#elif defined(FMOE_SIMD_LEVEL_SSE2)
-inline constexpr const char* kLevelName = "sse2";
-#elif defined(FMOE_SIMD_LEVEL_NEON)
-inline constexpr const char* kLevelName = "neon";
 #else
 inline constexpr const char* kLevelName = "scalar";
 #endif
@@ -111,66 +97,6 @@ static inline double ReduceAddPairwise(F32x8 a) {
   return static_cast<double>(_mm_cvtss_f32(_mm_add_ss(pair4(lo), pair4(hi))));
 }
 
-#elif defined(FMOE_SIMD_LEVEL_SSE2)
-
-struct F32x8 {
-  __m128 lo;
-  __m128 hi;
-};
-
-static inline F32x8 ZeroF32x8() { return {_mm_setzero_ps(), _mm_setzero_ps()}; }
-static inline F32x8 LoadF32x8(const float* p) { return {_mm_loadu_ps(p), _mm_loadu_ps(p + 4)}; }
-static inline F32x8 BroadcastF32x8(float x) { return {_mm_set1_ps(x), _mm_set1_ps(x)}; }
-static inline F32x8 Add(F32x8 a, F32x8 b) {
-  return {_mm_add_ps(a.lo, b.lo), _mm_add_ps(a.hi, b.hi)};
-}
-static inline F32x8 Mul(F32x8 a, F32x8 b) {
-  return {_mm_mul_ps(a.lo, b.lo), _mm_mul_ps(a.hi, b.hi)};
-}
-static inline void Store(float* p, F32x8 a) {
-  _mm_storeu_ps(p, a.lo);
-  _mm_storeu_ps(p + 4, a.hi);
-}
-
-static inline double ReduceAddPairwise(F32x8 a) {
-  const auto pair4 = [](__m128 q) {
-    const __m128 swapped = _mm_shuffle_ps(q, q, _MM_SHUFFLE(2, 3, 0, 1));
-    const __m128 p = _mm_add_ps(q, swapped);
-    const __m128 cross = _mm_shuffle_ps(p, p, _MM_SHUFFLE(1, 0, 3, 2));
-    return _mm_add_ss(p, cross);
-  };
-  return static_cast<double>(_mm_cvtss_f32(_mm_add_ss(pair4(a.lo), pair4(a.hi))));
-}
-
-#elif defined(FMOE_SIMD_LEVEL_NEON)
-
-struct F32x8 {
-  float32x4_t lo;
-  float32x4_t hi;
-};
-
-static inline F32x8 ZeroF32x8() { return {vdupq_n_f32(0.0f), vdupq_n_f32(0.0f)}; }
-static inline F32x8 LoadF32x8(const float* p) { return {vld1q_f32(p), vld1q_f32(p + 4)}; }
-static inline F32x8 BroadcastF32x8(float x) { return {vdupq_n_f32(x), vdupq_n_f32(x)}; }
-static inline F32x8 Add(F32x8 a, F32x8 b) {
-  return {vaddq_f32(a.lo, b.lo), vaddq_f32(a.hi, b.hi)};
-}
-static inline F32x8 Mul(F32x8 a, F32x8 b) {
-  return {vmulq_f32(a.lo, b.lo), vmulq_f32(a.hi, b.hi)};
-}
-static inline void Store(float* p, F32x8 a) {
-  vst1q_f32(p, a.lo);
-  vst1q_f32(p + 4, a.hi);
-}
-
-static inline double ReduceAddPairwise(F32x8 a) {
-  const auto pair4 = [](float32x4_t q) {
-    const float32x2_t p = vpadd_f32(vget_low_f32(q), vget_high_f32(q));  // [l0+l1, l2+l3]
-    return vget_lane_f32(vpadd_f32(p, p), 0);                            // (l0+l1)+(l2+l3)
-  };
-  return static_cast<double>(pair4(a.lo) + pair4(a.hi));
-}
-
 #else  // scalar
 
 struct F32x8 {
@@ -206,8 +132,7 @@ static inline double ReduceAddPairwise(F32x8 a) {
 #endif
 
 // ---------------------------------------------------------------------------
-// F64x4: four double lanes. NEON builds fall back to the scalar form (armv7 has no f64
-// vectors and the double paths are not the hot loops).
+// F64x4: four double lanes.
 //
 // Besides IEEE arithmetic, F64x4 carries what the transcendental kernels (math_kernels.h)
 // need to work on a lane's bits: CmpLt/CmpEq return all-ones/all-zero lane masks (false for
@@ -295,110 +220,7 @@ static inline F64x4 ShiftRightBits(F64x4 a) {
   return {_mm256_castsi256_pd(_mm256_srli_epi64(_mm256_castpd_si256(a.v), kBits))};
 }
 
-#elif defined(FMOE_SIMD_LEVEL_SSE2)
-
-struct F64x4 {
-  __m128d lo;
-  __m128d hi;
-};
-
-static inline F64x4 ZeroF64x4() { return {_mm_setzero_pd(), _mm_setzero_pd()}; }
-static inline F64x4 LoadF64x4(const double* p) { return {_mm_loadu_pd(p), _mm_loadu_pd(p + 2)}; }
-static inline F64x4 BroadcastF64x4(double x) { return {_mm_set1_pd(x), _mm_set1_pd(x)}; }
-static inline F64x4 Add(F64x4 a, F64x4 b) {
-  return {_mm_add_pd(a.lo, b.lo), _mm_add_pd(a.hi, b.hi)};
-}
-static inline F64x4 Sub(F64x4 a, F64x4 b) {
-  return {_mm_sub_pd(a.lo, b.lo), _mm_sub_pd(a.hi, b.hi)};
-}
-static inline F64x4 Mul(F64x4 a, F64x4 b) {
-  return {_mm_mul_pd(a.lo, b.lo), _mm_mul_pd(a.hi, b.hi)};
-}
-static inline F64x4 Div(F64x4 a, F64x4 b) {
-  return {_mm_div_pd(a.lo, b.lo), _mm_div_pd(a.hi, b.hi)};
-}
-static inline F64x4 Max(F64x4 a, F64x4 b) {
-  return {_mm_max_pd(a.lo, b.lo), _mm_max_pd(a.hi, b.hi)};
-}
-static inline void Store(double* p, F64x4 a) {
-  _mm_storeu_pd(p, a.lo);
-  _mm_storeu_pd(p + 2, a.hi);
-}
-static inline F64x4 WidenF32x4(const float* p) {
-  const __m128 f = _mm_loadu_ps(p);
-  return {_mm_cvtps_pd(f), _mm_cvtps_pd(_mm_movehl_ps(f, f))};
-}
-static inline int GtMask(F64x4 a, F64x4 b) {
-  return _mm_movemask_pd(_mm_cmpgt_pd(a.lo, b.lo)) |
-         (_mm_movemask_pd(_mm_cmpgt_pd(a.hi, b.hi)) << 2);
-}
-static inline int EqMask(F64x4 a, F64x4 b) {
-  return _mm_movemask_pd(_mm_cmpeq_pd(a.lo, b.lo)) |
-         (_mm_movemask_pd(_mm_cmpeq_pd(a.hi, b.hi)) << 2);
-}
-static inline int FiniteMask(F64x4 a) {
-  const __m128d zero = _mm_setzero_pd();
-  return _mm_movemask_pd(_mm_cmpeq_pd(_mm_sub_pd(a.lo, a.lo), zero)) |
-         (_mm_movemask_pd(_mm_cmpeq_pd(_mm_sub_pd(a.hi, a.hi), zero)) << 2);
-}
-static inline double ReduceMax(F64x4 a) {
-  const __m128d m = _mm_max_pd(a.lo, a.hi);
-  return _mm_cvtsd_f64(_mm_max_sd(m, _mm_unpackhi_pd(m, m)));
-}
-static inline double ReduceAddPairwiseF64(F64x4 a) {
-  const __m128d s01 = _mm_add_sd(a.lo, _mm_unpackhi_pd(a.lo, a.lo));
-  const __m128d s23 = _mm_add_sd(a.hi, _mm_unpackhi_pd(a.hi, a.hi));
-  return _mm_cvtsd_f64(_mm_add_sd(s01, s23));
-}
-static inline F64x4 Min(F64x4 a, F64x4 b) {
-  return {_mm_min_pd(a.lo, b.lo), _mm_min_pd(a.hi, b.hi)};
-}
-static inline F64x4 Sqrt(F64x4 a) { return {_mm_sqrt_pd(a.lo), _mm_sqrt_pd(a.hi)}; }
-static inline F64x4 CmpLt(F64x4 a, F64x4 b) {
-  return {_mm_cmplt_pd(a.lo, b.lo), _mm_cmplt_pd(a.hi, b.hi)};
-}
-static inline F64x4 CmpEq(F64x4 a, F64x4 b) {
-  return {_mm_cmpeq_pd(a.lo, b.lo), _mm_cmpeq_pd(a.hi, b.hi)};
-}
-static inline F64x4 And(F64x4 a, F64x4 b) {
-  return {_mm_and_pd(a.lo, b.lo), _mm_and_pd(a.hi, b.hi)};
-}
-static inline F64x4 Or(F64x4 a, F64x4 b) { return {_mm_or_pd(a.lo, b.lo), _mm_or_pd(a.hi, b.hi)}; }
-static inline F64x4 AndNot(F64x4 a, F64x4 b) {
-  return {_mm_andnot_pd(a.lo, b.lo), _mm_andnot_pd(a.hi, b.hi)};
-}
-// No blendv below SSE4.1: (mask & a) | (~mask & b).
-static inline F64x4 Select(F64x4 mask, F64x4 a, F64x4 b) {
-  return Or(And(mask, a), AndNot(mask, b));
-}
-static inline F64x4 LoadBitsF64x4(const uint64_t* p) {
-  return {_mm_castsi128_pd(_mm_loadu_si128(reinterpret_cast<const __m128i*>(p))),
-          _mm_castsi128_pd(_mm_loadu_si128(reinterpret_cast<const __m128i*>(p + 2)))};
-}
-static inline F64x4 BroadcastBitsF64x4(uint64_t bits) {
-  const __m128d b = _mm_castsi128_pd(_mm_set1_epi64x(static_cast<long long>(bits)));
-  return {b, b};
-}
-static inline F64x4 AddBits(F64x4 a, F64x4 b) {
-  return {_mm_castsi128_pd(_mm_add_epi64(_mm_castpd_si128(a.lo), _mm_castpd_si128(b.lo))),
-          _mm_castsi128_pd(_mm_add_epi64(_mm_castpd_si128(a.hi), _mm_castpd_si128(b.hi)))};
-}
-static inline F64x4 SubBits(F64x4 a, F64x4 b) {
-  return {_mm_castsi128_pd(_mm_sub_epi64(_mm_castpd_si128(a.lo), _mm_castpd_si128(b.lo))),
-          _mm_castsi128_pd(_mm_sub_epi64(_mm_castpd_si128(a.hi), _mm_castpd_si128(b.hi)))};
-}
-template <int kBits>
-static inline F64x4 ShiftLeftBits(F64x4 a) {
-  return {_mm_castsi128_pd(_mm_slli_epi64(_mm_castpd_si128(a.lo), kBits)),
-          _mm_castsi128_pd(_mm_slli_epi64(_mm_castpd_si128(a.hi), kBits))};
-}
-template <int kBits>
-static inline F64x4 ShiftRightBits(F64x4 a) {
-  return {_mm_castsi128_pd(_mm_srli_epi64(_mm_castpd_si128(a.lo), kBits)),
-          _mm_castsi128_pd(_mm_srli_epi64(_mm_castpd_si128(a.hi), kBits))};
-}
-
-#else  // NEON double paths and scalar share the plain form.
+#else  // scalar
 
 struct F64x4 {
   double v[4];
@@ -540,8 +362,7 @@ static inline F64x4 ShiftRightBits(F64x4 a) {
 
 // ---------------------------------------------------------------------------
 // I32x8: eight int32 lanes for the quantized (int8) column kernel. Integer arithmetic is
-// exact, so only the AVX2 backend bothers with intrinsics; every other backend uses the
-// scalar form and still produces bitwise-identical results.
+// exact, so the AVX2 backend and the scalar form produce bitwise-identical results.
 // ---------------------------------------------------------------------------
 
 #if defined(FMOE_SIMD_LEVEL_AVX2)

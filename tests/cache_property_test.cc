@@ -87,10 +87,10 @@ constexpr uint64_t kPinHeavyMix[16] = {0, 0, 0, 0, 0, 1, 2, 2, 9, 9, 8, 8, 4, 6,
 // *result_out (ASSERT_* macros require a void return).
 void RunStream(const std::string& policy_name, const StreamOptions& options,
                StreamResult* result_out = nullptr) {
-  const std::unique_ptr<EvictionPolicy> policy = MakeEvictionPolicy(policy_name);
+  const EvictionRule rule = EvictionRuleNamed(policy_name);
   const uint64_t capacity = options.capacity;
-  ExpertCache indexed(capacity, policy.get());
-  ReferenceExpertCache reference(capacity, policy.get());
+  ExpertCache indexed(capacity, rule);
+  ReferenceExpertCache reference(capacity, rule);
 
   Rng rng(options.seed);
   std::map<uint64_t, int> pins;  // Local pin ledger so pin/unpin/remove stay legal.
@@ -349,9 +349,8 @@ INSTANTIATE_TEST_SUITE_P(
 // range and zero. Decay is an eager sweep in both caches, so every frequency and the whole
 // eviction order must stay bitwise equal.
 TEST(CacheRebaseTest, LongDecayHorizonStaysExactAndRebasesSparsely) {
-  const std::unique_ptr<EvictionPolicy> policy = MakeEvictionPolicy("LFU");
-  ExpertCache indexed(10000, policy.get());
-  ReferenceExpertCache reference(10000, policy.get());
+  ExpertCache indexed(10000, EvictionRule::kLfu);
+  ReferenceExpertCache reference(10000, EvictionRule::kLfu);
   Rng rng(7);
   for (uint64_t key = 0; key < 32; ++key) {
     CacheEntry entry;

@@ -21,15 +21,15 @@ CacheEntry Entry(uint64_t key, uint64_t bytes = 10) {
   return entry;
 }
 
-class ExpertCacheTest : public ::testing::Test {
- protected:
-  LruEvictionPolicy lru_;
-  LfuEvictionPolicy lfu_;
-  PriorityLfuEvictionPolicy priority_;
-};
+constexpr EvictionRule kLru = EvictionRule::kLru;
+constexpr EvictionRule kLfu = EvictionRule::kLfu;
+constexpr EvictionRule kPriorityLfu = EvictionRule::kPriorityLfu;
+constexpr EvictionRule kAllRules[] = {kLru, kLfu, kPriorityLfu};
+
+using ExpertCacheTest = ::testing::Test;
 
 TEST_F(ExpertCacheTest, InsertAndFind) {
-  ExpertCache cache(100, &lru_);
+  ExpertCache cache(100, kLru);
   EXPECT_TRUE(cache.Insert(Entry(1), 0.0, nullptr));
   EXPECT_TRUE(cache.Contains(1));
   EXPECT_EQ(cache.size(), 1u);
@@ -39,20 +39,20 @@ TEST_F(ExpertCacheTest, InsertAndFind) {
 }
 
 TEST_F(ExpertCacheTest, DuplicateInsertRejected) {
-  ExpertCache cache(100, &lru_);
+  ExpertCache cache(100, kLru);
   EXPECT_TRUE(cache.Insert(Entry(1), 0.0, nullptr));
   EXPECT_FALSE(cache.Insert(Entry(1), 0.0, nullptr));
   EXPECT_EQ(cache.size(), 1u);
 }
 
 TEST_F(ExpertCacheTest, OversizedEntryRejected) {
-  ExpertCache cache(100, &lru_);
+  ExpertCache cache(100, kLru);
   EXPECT_FALSE(cache.Insert(Entry(1, 200), 0.0, nullptr));
   EXPECT_EQ(cache.stats().rejected_insertions, 1u);
 }
 
 TEST_F(ExpertCacheTest, EvictsLruVictimWhenFull) {
-  ExpertCache cache(30, &lru_);
+  ExpertCache cache(30, kLru);
   CacheEntry a = Entry(1);
   a.last_access = 1.0;
   CacheEntry b = Entry(2);
@@ -71,7 +71,7 @@ TEST_F(ExpertCacheTest, EvictsLruVictimWhenFull) {
 }
 
 TEST_F(ExpertCacheTest, EvictsMultipleVictimsForLargeEntry) {
-  ExpertCache cache(30, &lru_);
+  ExpertCache cache(30, kLru);
   cache.Insert(Entry(1), 0.0, nullptr);
   cache.Insert(Entry(2), 1.0, nullptr);
   cache.Insert(Entry(3), 2.0, nullptr);
@@ -83,7 +83,7 @@ TEST_F(ExpertCacheTest, EvictsMultipleVictimsForLargeEntry) {
 }
 
 TEST_F(ExpertCacheTest, PinnedEntriesAreNotEvicted) {
-  ExpertCache cache(20, &lru_);
+  ExpertCache cache(20, kLru);
   cache.Insert(Entry(1), 0.0, nullptr);
   cache.Insert(Entry(2), 1.0, nullptr);
   cache.Pin(1);
@@ -95,7 +95,7 @@ TEST_F(ExpertCacheTest, PinnedEntriesAreNotEvicted) {
 }
 
 TEST_F(ExpertCacheTest, InsertFailsAndRollsBackWhenEverythingPinned) {
-  ExpertCache cache(20, &lru_);
+  ExpertCache cache(20, kLru);
   cache.Insert(Entry(1), 0.0, nullptr);
   cache.Insert(Entry(2), 1.0, nullptr);
   cache.Pin(1);
@@ -111,7 +111,7 @@ TEST_F(ExpertCacheTest, InsertFailsAndRollsBackWhenEverythingPinned) {
 }
 
 TEST_F(ExpertCacheTest, RollbackRestoresVictimsWhenInsertUltimatelyFails) {
-  ExpertCache cache(30, &lru_);
+  ExpertCache cache(30, kLru);
   CacheEntry unpinned = Entry(1);
   unpinned.last_access = 0.0;
   cache.Insert(unpinned, 0.0, nullptr);
@@ -129,11 +129,10 @@ TEST_F(ExpertCacheTest, RollbackRestoresVictimsWhenInsertUltimatelyFails) {
 // A rejected insert must leave the cache exactly as it was: residents, their rank order,
 // the eviction order (ties included), byte accounting, and every stat but the rejection count.
 TEST_F(ExpertCacheTest, RejectedInsertChangesNoState) {
-  for (const EvictionPolicy* policy :
-       {static_cast<const EvictionPolicy*>(&lru_), static_cast<const EvictionPolicy*>(&lfu_),
-        static_cast<const EvictionPolicy*>(&priority_)}) {
+  for (const EvictionRule rule : kAllRules) {
+    SCOPED_TRACE(static_cast<int>(rule));
     for (uint64_t n = 3; n <= 40; ++n) {
-      ExpertCache cache(10 * n, policy);
+      ExpertCache cache(10 * n, rule);
       for (uint64_t key = 1; key <= n; ++key) {
         CacheEntry entry = Entry(key);
         entry.last_access = static_cast<double>(key % 5);
@@ -148,8 +147,8 @@ TEST_F(ExpertCacheTest, RejectedInsertChangesNoState) {
       const CacheStats stats = cache.stats();
       std::vector<CacheEntry> evicted;
       EXPECT_FALSE(cache.Insert(Entry(1000, 30), 10.0, &evicted));  // Needs three slots.
-      EXPECT_EQ(cache.Keys(), keys) << policy->name() << " n=" << n;
-      EXPECT_EQ(cache.EvictionOrder(10.0), order) << policy->name() << " n=" << n;
+      EXPECT_EQ(cache.Keys(), keys) << "n=" << n;
+      EXPECT_EQ(cache.EvictionOrder(10.0), order) << "n=" << n;
       EXPECT_EQ(cache.used_bytes(), 10 * n);
       EXPECT_TRUE(evicted.empty());
       EXPECT_EQ(cache.stats().insertions, stats.insertions);
@@ -160,7 +159,7 @@ TEST_F(ExpertCacheTest, RejectedInsertChangesNoState) {
 }
 
 TEST_F(ExpertCacheTest, RemoveReturnsEntry) {
-  ExpertCache cache(100, &lru_);
+  ExpertCache cache(100, kLru);
   CacheEntry entry = Entry(5);
   entry.probability = 0.7;
   cache.Insert(entry, 0.0, nullptr);
@@ -173,7 +172,7 @@ TEST_F(ExpertCacheTest, RemoveReturnsEntry) {
 }
 
 TEST_F(ExpertCacheTest, TouchBumpsFrequencyAndRecency) {
-  ExpertCache cache(100, &lfu_);
+  ExpertCache cache(100, kLfu);
   cache.Insert(Entry(1), 0.0, nullptr);
   cache.Touch(1, 3.0);
   cache.Touch(1, 4.0);
@@ -184,7 +183,7 @@ TEST_F(ExpertCacheTest, TouchBumpsFrequencyAndRecency) {
 }
 
 TEST_F(ExpertCacheTest, DecayFrequenciesAges) {
-  ExpertCache cache(100, &lfu_);
+  ExpertCache cache(100, kLfu);
   cache.Insert(Entry(1), 0.0, nullptr);
   cache.Touch(1, 1.0);
   cache.DecayFrequencies(0.5);
@@ -192,7 +191,7 @@ TEST_F(ExpertCacheTest, DecayFrequenciesAges) {
 }
 
 TEST_F(ExpertCacheTest, SetProbabilityOnlyAffectsResident) {
-  ExpertCache cache(100, &priority_);
+  ExpertCache cache(100, kPriorityLfu);
   cache.Insert(Entry(1), 0.0, nullptr);
   cache.SetProbability(1, 0.42);
   cache.SetProbability(2, 0.99);  // Absent: silently ignored.
@@ -200,7 +199,7 @@ TEST_F(ExpertCacheTest, SetProbabilityOnlyAffectsResident) {
 }
 
 TEST_F(ExpertCacheTest, LfuEvictsLeastFrequent) {
-  ExpertCache cache(20, &lfu_);
+  ExpertCache cache(20, kLfu);
   cache.Insert(Entry(1), 0.0, nullptr);
   cache.Insert(Entry(2), 0.0, nullptr);
   cache.Touch(1, 1.0);
@@ -213,7 +212,7 @@ TEST_F(ExpertCacheTest, LfuEvictsLeastFrequent) {
 }
 
 TEST_F(ExpertCacheTest, PriorityLfuKeepsHighProbabilityExpert) {
-  ExpertCache cache(20, &priority_);
+  ExpertCache cache(20, kPriorityLfu);
   CacheEntry likely = Entry(1);
   likely.probability = 0.9;
   CacheEntry unlikely = Entry(2);
@@ -227,7 +226,7 @@ TEST_F(ExpertCacheTest, PriorityLfuKeepsHighProbabilityExpert) {
 }
 
 TEST_F(ExpertCacheTest, EvictionOrderSortsMostEvictableFirst) {
-  ExpertCache cache(100, &lru_);
+  ExpertCache cache(100, kLru);
   for (uint64_t key = 1; key <= 4; ++key) {
     CacheEntry entry = Entry(key);
     entry.last_access = static_cast<double>(key);
@@ -243,7 +242,7 @@ TEST_F(ExpertCacheTest, EvictionOrderSortsMostEvictableFirst) {
 }
 
 TEST_F(ExpertCacheTest, KeysReturnsAllResidents) {
-  ExpertCache cache(100, &lru_);
+  ExpertCache cache(100, kLru);
   cache.Insert(Entry(1), 0.0, nullptr);
   cache.Insert(Entry(7), 0.0, nullptr);
   auto keys = cache.Keys();
@@ -252,7 +251,7 @@ TEST_F(ExpertCacheTest, KeysReturnsAllResidents) {
 }
 
 TEST_F(ExpertCacheTest, StatsCountInsertionsAndEvictions) {
-  ExpertCache cache(20, &lru_);
+  ExpertCache cache(20, kLru);
   cache.Insert(Entry(1), 0.0, nullptr);
   cache.Insert(Entry(2), 1.0, nullptr);
   cache.Insert(Entry(3), 2.0, nullptr);  // Evicts one.
@@ -261,7 +260,7 @@ TEST_F(ExpertCacheTest, StatsCountInsertionsAndEvictions) {
 }
 
 TEST_F(ExpertCacheTest, NestedPinUnpin) {
-  ExpertCache cache(10, &lru_);
+  ExpertCache cache(10, kLru);
   cache.Insert(Entry(1), 0.0, nullptr);
   cache.Pin(1);
   cache.Pin(1);
@@ -274,7 +273,7 @@ TEST_F(ExpertCacheTest, NestedPinUnpin) {
 }
 
 TEST_F(ExpertCacheTest, PinnedBestVictimIsSkippedAndEvictedAfterUnpin) {
-  ExpertCache cache(30, &lru_);
+  ExpertCache cache(30, kLru);
   for (uint64_t key = 1; key <= 3; ++key) {
     CacheEntry entry = Entry(key);
     entry.last_access = static_cast<double>(key);
@@ -302,10 +301,9 @@ TEST_F(ExpertCacheTest, PinnedBestVictimIsSkippedAndEvictedAfterUnpin) {
 // `roles[i]` is the index, in Keys() order, of the entry given the i-th smallest last access;
 // `touched` (if >= 0) is re-accessed at `now`, leaving a fresh score among the tied ones.
 uint64_t TiedLruVictim(const std::vector<size_t>& roles, int touched, uint64_t* reference_victim) {
-  const LruEvictionPolicy lru;
   std::vector<uint64_t> order;
   {
-    ExpertCache probe(1000, &lru);
+    ExpertCache probe(1000, kLru);
     for (uint64_t key = 1; key <= roles.size(); ++key) {
       probe.Insert(Entry(key), 0.0, nullptr);
     }
@@ -324,8 +322,8 @@ uint64_t TiedLruVictim(const std::vector<size_t>& roles, int touched, uint64_t* 
     t = std::nextafter(t, 1.0);
   }
   const double now = 1e6;
-  ExpertCache cache(10 * roles.size(), &lru);
-  ReferenceExpertCache reference(10 * roles.size(), &lru);
+  ExpertCache cache(10 * roles.size(), kLru);
+  ReferenceExpertCache reference(10 * roles.size(), kLru);
   for (uint64_t key = 1; key <= roles.size(); ++key) {
     const size_t rank = static_cast<size_t>(
         std::find(order.begin(), order.end(), key) - order.begin());
@@ -360,10 +358,10 @@ TEST_F(ExpertCacheTest, EqualScoreBelowTheTopWinsOnIterationOrder) {
 // instant. Equal scores must come out newest insert first, the order PickVictim breaks ties by,
 // not by key.
 TEST_F(ExpertCacheTest, EvictionOrderFrontIsTheNextVictimUnderTies) {
-  const EvictionPolicy* policies[] = {&lru_, &lfu_, &priority_};
-  for (const EvictionPolicy* policy : policies) {
-    ExpertCache cache(10 * 24, policy);
-    ReferenceExpertCache reference(10 * 24, policy);
+  for (const EvictionRule rule : kAllRules) {
+    SCOPED_TRACE(static_cast<int>(rule));
+    ExpertCache cache(10 * 24, rule);
+    ReferenceExpertCache reference(10 * 24, rule);
     Rng rng(11);
     double now = 1.0;
     int checked = 0;
@@ -389,17 +387,17 @@ TEST_F(ExpertCacheTest, EvictionOrderFrontIsTheNextVictimUnderTies) {
         entry.last_access = now;
         entry.probability = 0.5;  // One probability: PriorityLFU ties exactly on the plateau.
         const std::vector<uint64_t> order = cache.EvictionOrder(now);
-        ASSERT_EQ(order, reference.EvictionOrder(now)) << policy->name() << " op " << op;
+        ASSERT_EQ(order, reference.EvictionOrder(now)) << "op " << op;
         std::vector<CacheEntry> evicted;
         ASSERT_TRUE(cache.Insert(entry, now, &evicted));
         ASSERT_TRUE(reference.Insert(entry, now, nullptr));
         if (!evicted.empty()) {
-          ASSERT_EQ(evicted.front().key, order.front()) << policy->name() << " op " << op;
+          ASSERT_EQ(evicted.front().key, order.front()) << "op " << op;
           ++checked;
         }
       }
     }
-    EXPECT_GT(checked, 100) << policy->name();
+    EXPECT_GT(checked, 100);
   }
 }
 
@@ -407,12 +405,11 @@ TEST_F(ExpertCacheTest, EvictionOrderFrontIsTheNextVictimUnderTies) {
 // one last access, no hits and one probability tie exactly, and a pick takes them in reverse
 // insertion order. The keys are spread so that many share a hash bucket in any small table.
 TEST_F(ExpertCacheTest, EqualScoresEvictNewestInsertFirst) {
-  for (const EvictionPolicy* policy :
-       {static_cast<const EvictionPolicy*>(&lru_), static_cast<const EvictionPolicy*>(&lfu_),
-        static_cast<const EvictionPolicy*>(&priority_)}) {
+  for (const EvictionRule rule : kAllRules) {
+    SCOPED_TRACE(static_cast<int>(rule));
     constexpr uint64_t kCount = 48;
-    ExpertCache cache(10 * kCount, policy);
-    ReferenceExpertCache reference(10 * kCount, policy);
+    ExpertCache cache(10 * kCount, rule);
+    ReferenceExpertCache reference(10 * kCount, rule);
     std::vector<uint64_t> inserted;
     for (uint64_t i = 0; i < kCount; ++i) {
       CacheEntry entry = Entry(7 + 13 * ((i * 29) % kCount));
@@ -423,10 +420,10 @@ TEST_F(ExpertCacheTest, EqualScoresEvictNewestInsertFirst) {
       inserted.push_back(entry.key);
     }
     const std::vector<uint64_t> newest_first(inserted.rbegin(), inserted.rend());
-    EXPECT_EQ(cache.Keys(), newest_first) << policy->name();
-    EXPECT_EQ(cache.EvictionOrder(2.0), newest_first) << policy->name();
-    EXPECT_EQ(reference.Keys(), newest_first) << policy->name();
-    EXPECT_EQ(reference.EvictionOrder(2.0), newest_first) << policy->name();
+    EXPECT_EQ(cache.Keys(), newest_first);
+    EXPECT_EQ(cache.EvictionOrder(2.0), newest_first);
+    EXPECT_EQ(reference.Keys(), newest_first);
+    EXPECT_EQ(reference.EvictionOrder(2.0), newest_first);
     // One entry the size of the whole cache evicts every resident, in pick order.
     std::vector<CacheEntry> evicted;
     ASSERT_TRUE(cache.Insert(Entry(1, 10 * kCount), 2.0, &evicted));
@@ -434,7 +431,7 @@ TEST_F(ExpertCacheTest, EqualScoresEvictNewestInsertFirst) {
     for (const CacheEntry& victim : evicted) {
       victims.push_back(victim.key);
     }
-    EXPECT_EQ(victims, newest_first) << policy->name();
+    EXPECT_EQ(victims, newest_first);
   }
 }
 
@@ -442,12 +439,11 @@ TEST_F(ExpertCacheTest, EqualScoresEvictNewestInsertFirst) {
 // first churned hundreds of other keys through it (growing its key table) must order the same
 // residents exactly as a fresh cache does.
 TEST_F(ExpertCacheTest, TieOrderIgnoresChurnHistory) {
-  for (const EvictionPolicy* policy :
-       {static_cast<const EvictionPolicy*>(&lru_), static_cast<const EvictionPolicy*>(&lfu_),
-        static_cast<const EvictionPolicy*>(&priority_)}) {
-    ExpertCache fresh(10 * 64, policy);
-    ExpertCache churned(10 * 64, policy);
-    ReferenceExpertCache reference_churned(10 * 64, policy);
+  for (const EvictionRule rule : kAllRules) {
+    SCOPED_TRACE(static_cast<int>(rule));
+    ExpertCache fresh(10 * 64, rule);
+    ExpertCache churned(10 * 64, rule);
+    ReferenceExpertCache reference_churned(10 * 64, rule);
     for (uint64_t key = 100000; key < 100512; ++key) {
       ASSERT_TRUE(churned.Insert(Entry(key, 1), 0.0, nullptr));
       ASSERT_TRUE(reference_churned.Insert(Entry(key, 1), 0.0, nullptr));
@@ -470,10 +466,10 @@ TEST_F(ExpertCacheTest, TieOrderIgnoresChurnHistory) {
       ASSERT_TRUE(churned.Insert(entry, entry.last_access, nullptr));
       ASSERT_TRUE(reference_churned.Insert(entry, entry.last_access, nullptr));
     }
-    EXPECT_EQ(churned.Keys(), fresh.Keys()) << policy->name();
-    EXPECT_EQ(churned.EvictionOrder(5.0), fresh.EvictionOrder(5.0)) << policy->name();
-    EXPECT_EQ(reference_churned.Keys(), fresh.Keys()) << policy->name();
-    EXPECT_EQ(reference_churned.EvictionOrder(5.0), fresh.EvictionOrder(5.0)) << policy->name();
+    EXPECT_EQ(churned.Keys(), fresh.Keys());
+    EXPECT_EQ(churned.EvictionOrder(5.0), fresh.EvictionOrder(5.0));
+    EXPECT_EQ(reference_churned.Keys(), fresh.Keys());
+    EXPECT_EQ(reference_churned.EvictionOrder(5.0), fresh.EvictionOrder(5.0));
   }
 }
 

@@ -32,9 +32,8 @@ class CacheFuzzTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(CacheFuzzTest, MatchesReferenceModelUnderRandomOps) {
   Rng rng(GetParam());
-  LfuEvictionPolicy policy;
   const uint64_t capacity = 200;
-  ExpertCache cache(capacity, &policy);
+  ExpertCache cache(capacity, EvictionRule::kLfu);
 
   std::map<uint64_t, ReferenceEntry> reference;
   uint64_t reference_bytes = 0;

@@ -9,6 +9,8 @@
 #include <iterator>
 #include <string>
 
+#include <sys/wait.h>
+
 #include <gtest/gtest.h>
 
 #include "src/core/map_store_io.h"
@@ -192,6 +194,25 @@ TEST(FmoeSimSaveStoreTest, MapShardsWritesAShardedFileThatReloads) {
   EXPECT_EQ(loaded.records, saved);
   EXPECT_EQ(store.size(), saved);
   std::remove(store_path.c_str());
+  std::remove(log_path.c_str());
+}
+
+// Bad flag values are rejected before anything runs: an "error:" line and exit status 1, not
+// a failed check. `--host-policy` is validated even when no host pool is configured.
+TEST(FmoeSimFlagsTest, BadValuesExitOneWithAnError) {
+  const std::string log_path = testing::TempDir() + "fmoe_sim_bad_flag.log";
+  for (const char* bad : {"--system bogus", "--host-policy lru", "--gpus 0", "--distance 0",
+                          "--host-policy bogus --nvme-backing"}) {
+    const std::string command = std::string(FMOE_SIM_BINARY) + " --model tiny " + bad +
+                                " > /dev/null 2> " + log_path;
+    const int status = std::system(command.c_str());
+    ASSERT_TRUE(WIFEXITED(status)) << command;
+    EXPECT_EQ(WEXITSTATUS(status), 1) << command;
+    std::ifstream log(log_path);
+    const std::string text((std::istreambuf_iterator<char>(log)),
+                           std::istreambuf_iterator<char>());
+    EXPECT_EQ(text.rfind("error: ", 0), 0u) << command << "\n" << text;
+  }
   std::remove(log_path.c_str());
 }
 

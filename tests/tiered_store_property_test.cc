@@ -194,8 +194,7 @@ void RunSchedule(const FuzzConfig& fuzz) {
   config.host_capacity_bytes = fuzz.host_capacity;
   config.allow_direct_nvme_gpu = fuzz.allow_direct;
   config.host_policy = fuzz.host_policy;
-  const std::unique_ptr<EvictionPolicy> gpu_policy = MakeEvictionPolicy("fMoE-PriorityLFU");
-  TieredExpertStore store(kGpuCapacity, gpu_policy.get(), config);
+  TieredExpertStore store(kGpuCapacity, EvictionRule::kPriorityLfu, config);
   EngineDriver driver(store, fuzz.allow_direct);
 
   Rng rng(fuzz.seed);
@@ -359,8 +358,7 @@ void InsertPending(TieredExpertStore& store, uint64_t key, uint64_t bytes) {
 
 TEST(TieredStoreTest, DisabledStoreIsInert) {
   TierConfig config;  // nvme_backing defaults off.
-  const std::unique_ptr<EvictionPolicy> policy = MakeEvictionPolicy("LRU");
-  TieredExpertStore store(kGpuCapacity, policy.get(), config);
+  TieredExpertStore store(kGpuCapacity, EvictionRule::kLru, config);
   EXPECT_FALSE(store.enabled());
   EXPECT_EQ(store.StageToHost(1, kExpertBytes, 0.0, 0.5), 0u);
   CacheEntry victim;
@@ -395,8 +393,7 @@ TEST(TieredStoreTest, DisabledStoreIsInert) {
 // issue to landing: the link's start lands the GPU entry at the start plus the transfer, and
 // a fill cancelled before its start (its entry was evicted) leaves no record and never runs.
 TEST(TieredStoreTest, DisabledStoreLandsAndCancelsDeviceLinkFills) {
-  const std::unique_ptr<EvictionPolicy> policy = MakeEvictionPolicy("LRU");
-  TieredExpertStore store(kGpuCapacity, policy.get(), TierConfig{});
+  TieredExpertStore store(kGpuCapacity, EvictionRule::kLru, TierConfig{});
   PcieLink gpu(LinkConfig{});
   store.AttachDeviceLink(gpu);
   const double busy_until = gpu.DemandLoad(0.0, kExpertBytes);  // The fills queue behind it.
@@ -432,8 +429,7 @@ TEST(TieredStoreTest, DisabledStoreLandsAndCancelsDeviceLinkFills) {
 }
 
 TEST(TieredStoreTest, QueuedStagePromotesToDemandLoadOnce) {
-  const std::unique_ptr<EvictionPolicy> policy = MakeEvictionPolicy("LRU");
-  TieredExpertStore store(kGpuCapacity, policy.get(), ThreeTier(100));
+  TieredExpertStore store(kGpuCapacity, EvictionRule::kLru, ThreeTier(100));
   PcieLink gpu(LinkConfig{});
   store.AttachDeviceLink(gpu);
 
@@ -468,8 +464,7 @@ TEST(TieredStoreTest, QueuedStagePromotesToDemandLoadOnce) {
 }
 
 TEST(TieredStoreTest, HostPoolFullOfPinnedStagesFallsBackToTransient) {
-  const std::unique_ptr<EvictionPolicy> policy = MakeEvictionPolicy("LRU");
-  TieredExpertStore store(kGpuCapacity, policy.get(), ThreeTier(2 * kExpertBytes));
+  TieredExpertStore store(kGpuCapacity, EvictionRule::kLru, ThreeTier(2 * kExpertBytes));
   PcieLink gpu(LinkConfig{});
   store.AttachDeviceLink(gpu);
 
@@ -503,8 +498,7 @@ TEST(TieredStoreTest, HostPoolFullOfPinnedStagesFallsBackToTransient) {
 // No early hop: a chained host→GPU hop never starts before its staging's completion, even
 // when the GPU link is idle the moment the staging starts.
 TEST(TieredStoreTest, ChainedHopNeverStartsBeforeItsStaging) {
-  const std::unique_ptr<EvictionPolicy> policy = MakeEvictionPolicy("LRU");
-  TieredExpertStore store(kGpuCapacity, policy.get(), ThreeTier(480));
+  TieredExpertStore store(kGpuCapacity, EvictionRule::kLru, ThreeTier(480));
   PcieLink gpu(LinkConfig{});
   store.AttachDeviceLink(gpu);
 
@@ -540,8 +534,7 @@ TEST(TieredStoreTest, ChainedHopNeverStartsBeforeItsStaging) {
 // Cancelling a chained fill (its GPU entry was evicted) leaves the staging to land as a
 // plain host copy: no hop ever reaches the GPU link.
 TEST(TieredStoreTest, CancelledChainLandsAsPlainHostCopy) {
-  const std::unique_ptr<EvictionPolicy> policy = MakeEvictionPolicy("LRU");
-  TieredExpertStore store(kGpuCapacity, policy.get(), ThreeTier(100));
+  TieredExpertStore store(kGpuCapacity, EvictionRule::kLru, ThreeTier(100));
   PcieLink gpu(LinkConfig{});
   store.AttachDeviceLink(gpu);
 
@@ -573,10 +566,9 @@ TEST(TieredStoreTest, CancelledChainLandsAsPlainHostCopy) {
 TEST(TieredStoreTest, PromotionReadyTimesMatchHandComputedRoutes) {
   constexpr uint64_t kBytes = 3'500'000;
   constexpr double kNow = 1e-4;
-  const std::unique_ptr<EvictionPolicy> policy = MakeEvictionPolicy("LRU");
 
   {  // Host copy: the hop is queued on the GPU link behind a copy that lands at c.
-    TieredExpertStore store(kBytes * 4, policy.get(), ThreeTier(kBytes * 4));
+    TieredExpertStore store(kBytes * 4, EvictionRule::kLru, ThreeTier(kBytes * 4));
     PcieLink gpu(LinkConfig{});
     store.AttachDeviceLink(gpu);
     ASSERT_NE(store.StageToHost(1, kBytes, 0.0, 0.5), 0u);  // Idle link: starts at 0.
@@ -593,7 +585,7 @@ TEST(TieredStoreTest, PromotionReadyTimesMatchHandComputedRoutes) {
     EXPECT_EQ(gpu.queued_prefetch_count(), 0u);
   }
   {  // Chained: the staging is queued behind an NVMe demand load busy until d.
-    TieredExpertStore store(kBytes * 4, policy.get(), ThreeTier(kBytes * 4));
+    TieredExpertStore store(kBytes * 4, EvictionRule::kLru, ThreeTier(kBytes * 4));
     PcieLink gpu(LinkConfig{});
     store.AttachDeviceLink(gpu);
     const double d = store.nvme_link().DemandLoad(0.0, kBytes);
@@ -609,7 +601,7 @@ TEST(TieredStoreTest, PromotionReadyTimesMatchHandComputedRoutes) {
     EXPECT_EQ(store.nvme_link().prefetch_count(), 0u);
   }
   {  // Direct: the fill is queued on the NVMe link behind a demand load busy until d.
-    TieredExpertStore store(kBytes * 4, policy.get(), ThreeTier(kBytes * 4, true));
+    TieredExpertStore store(kBytes * 4, EvictionRule::kLru, ThreeTier(kBytes * 4, true));
     PcieLink gpu(LinkConfig{});
     store.AttachDeviceLink(gpu);
     const double d = store.nvme_link().DemandLoad(0.0, kBytes);
