@@ -219,7 +219,7 @@ ExperimentResult ServeInOrder(const ExperimentTask& task, const std::vector<Requ
   for (int r = 0; r < count; ++r) {
     replicas.push_back(MakeReplica(task, r, count));
     if (closed_loop) {
-      replicas.back().controller = MakeAdmissionController(admission);
+      replicas.back().controller = std::make_unique<AdmissionController>(admission);
       replicas.back().engine->SetAdmissionController(replicas.back().controller.get());
     }
   }

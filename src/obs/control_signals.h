@@ -1,28 +1,20 @@
-// Stall attribution and the live control-plane signals built on it (DESIGN.md §5j).
+// Stall attribution: the taxonomy and the classifier behind it (DESIGN.md §5f, §5j).
 //
 // Every demand-stall second is classified as never-prefetched / prefetch-in-flight /
-// evicted-before-use. The pieces:
+// evicted-before-use. StallStateMachine is the per-key prefetch-lifecycle classifier. Each
+// ServingEngine owns exactly one, always on, fed at the engine's own hook points; the trace,
+// the stall report and a closed-loop admission controller's stall window
+// (src/serving/admission.h) all read its verdicts, so each miss is classified once.
 //
-//   * StallStateMachine — the per-key prefetch-lifecycle classifier. Each ServingEngine owns
-//     exactly one, always on, fed at the engine's own hook points; the trace and the live
-//     signals both read its verdicts, so each miss is classified once.
-//   * ControlSignals — a windowed snapshot of the rates a closed-loop admission controller
-//     needs: per-class stall rates, queueing delay, cache-thrash ratio, prefetch-in-flight
-//     share (see src/serving/admission.h for the consumers).
-//   * ControlSignalTracker — accumulates timestamped events in virtual time and samples them
-//     over a sliding window. Unlike a trace (a pure observer that only copies the engine's
-//     attribution out), its output *is* read back by controllers — attaching one only changes
-//     a run when a closed-loop admission policy acts on the samples.
-//
-// Everything here runs in virtual time (the engine's SimClock), so closed-loop decisions are
-// deterministic: the same trace + knobs produce the same controller actions on any machine.
+// Everything here runs in virtual time (the engine's SimClock), so closed-loop decisions made
+// on these verdicts are deterministic: the same trace + knobs produce the same controller
+// actions on any machine.
 #ifndef FMOE_SRC_OBS_CONTROL_SIGNALS_H_
 #define FMOE_SRC_OBS_CONTROL_SIGNALS_H_
 
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 namespace fmoe {
@@ -109,80 +101,6 @@ class StallStateMachine {
 
   StallAttribution stall_;
   std::vector<uint8_t> key_state_;
-};
-
-// Windowed signal snapshot handed to admission controllers. All rates are per second of
-// *virtual* time over the sampling window; ratios are shares of the window's stall seconds.
-struct ControlSignals {
-  double window_sec = 0.0;  // Effective window (<= configured; shorter early in the run).
-  double sampled_at = 0.0;  // Virtual time of the sample.
-
-  // Stall seconds accrued per second of window, split by cause.
-  std::array<double, static_cast<size_t>(StallClass::kCount)> stall_rate = {};
-  double total_stall_rate = 0.0;
-
-  // Share of the window's stall seconds by cause; 0 when the window saw no stall.
-  // cache_thrash_ratio is the evicted-before-use share (the thrash signature: prefetched
-  // copies pushed out before first use); inflight_share is the prefetch-in-flight share
-  // (lead-time bound: prefetches issued but landing late).
-  double cache_thrash_ratio = 0.0;
-  double inflight_share = 0.0;
-
-  // Queueing delay of admissions inside the window (seconds from arrival to engine start).
-  double queueing_delay_mean = 0.0;
-  double queueing_delay_max = 0.0;
-
-  // Mean lockstep-iteration duration inside the window (0 when none completed).
-  double iteration_time_mean = 0.0;
-
-  uint64_t stalls = 0;      // Served misses in the window (including zero-stall ones).
-  uint64_t admissions = 0;  // Requests admitted in the window.
-  uint64_t iterations = 0;  // Iterations completed in the window.
-};
-
-// Sliding-window accumulator over timestamped control events. Events older than
-// `window_sec` before the sample instant are dropped; Sample() is pure w.r.t. the
-// simulation (it never mutates anything the engine reads).
-class ControlSignalTracker {
- public:
-  explicit ControlSignalTracker(double window_sec = 0.5);
-
-  double window_sec() const { return window_sec_; }
-
-  // A served miss stalled the pipeline for `seconds` (>= 0) with cause `cls` at time `now`.
-  void RecordStall(StallClass cls, double seconds, double now);
-  // A request entered the running batch at `now` after waiting `queueing_delay` seconds.
-  void RecordAdmission(double queueing_delay, double now);
-  // A lockstep iteration of duration `duration` completed at `now`.
-  void RecordIteration(double duration, double now);
-
-  // Snapshot of the window ending at `now`.
-  ControlSignals Sample(double now) const;
-
-  // Drops all recorded events (metrics reset after warmup).
-  void Clear();
-
- private:
-  struct StallEvent {
-    double at;
-    double seconds;
-    StallClass cls;
-  };
-  struct ValueEvent {
-    double at;
-    double value;
-  };
-
-  // Drops events older than now - window from the front of each deque.
-  void Expire(double now) const;
-
-  double window_sec_;
-  // Mutable so Sample() can expire lazily; expiry only forgets data Sample() would ignore.
-  mutable std::deque<StallEvent> stalls_;
-  mutable std::deque<ValueEvent> admissions_;
-  mutable std::deque<ValueEvent> iterations_;
-  double first_event_at_ = 0.0;
-  bool has_events_ = false;
 };
 
 }  // namespace fmoe

@@ -379,7 +379,7 @@ void ServingEngine::CompleteExpert(const ExpertJob& job) {
         job.tier_source == TieredExpertStore::Tier::kNvme ? StallTier::kNvme : StallTier::kHost,
         stall);
     if (admission_ != nullptr) {
-      admission_->signals()->RecordStall(job.stall_class, stall, clock_.now());
+      admission_->RecordStall(job.stall_class, stall, clock_.now());
     }
   }
   stall_.OnExpertServed(key);
@@ -417,7 +417,7 @@ void ServingEngine::CompleteExpert(const ExpertJob& job) {
   }
 }
 
-double ServingEngine::RunIteration(std::vector<BatchMember*>& active) {
+void ServingEngine::RunIteration(std::vector<BatchMember*>& active) {
   const double iteration_start = clock_.now();
   const uint64_t hits_before = metrics_.expert_hits();
   const uint64_t misses_before = metrics_.expert_misses();
@@ -541,10 +541,9 @@ double ServingEngine::RunIteration(std::vector<BatchMember*>& active) {
   store_.Tick(clock_.now());
   cluster_.Tick(clock_.now());
 
-  const double duration = clock_.now() - iteration_start;
-  metrics_.RecordIteration(duration, all_prefill, metrics_.expert_hits() - hits_before,
+  metrics_.RecordIteration(clock_.now() - iteration_start, all_prefill,
+                           metrics_.expert_hits() - hits_before,
                            metrics_.expert_misses() - misses_before);
-  return duration;
 }
 
 int ServingEngine::TraceSlotTrack(int slot) {
@@ -577,9 +576,6 @@ void ServingEngine::AdmitRequest(const Request& request) {
   member->metrics.request_id = request.id;
   member->metrics.arrival_time = request.arrival_time;
   member->metrics.start_time = clock_.now();
-  if (admission_ != nullptr) {
-    admission_->signals()->RecordAdmission(member->metrics.QueueingDelay(), clock_.now());
-  }
   policy_->OnRequestAdmitted(*this, member->context);
   active_members_.push_back(std::move(member));
 }
@@ -599,10 +595,7 @@ bool ServingEngine::StepIteration() {
   for (const auto& member : active_members_) {
     active.push_back(member.get());
   }
-  const double duration = RunIteration(active);
-  if (admission_ != nullptr) {
-    admission_->signals()->RecordIteration(duration, clock_.now());
-  }
+  RunIteration(active);
 
   std::vector<std::unique_ptr<BatchMember>> still_active;
   still_active.reserve(active_members_.size());

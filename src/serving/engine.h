@@ -102,7 +102,7 @@ class ServingEngine : public EngineHandle {
   RunMetrics& metrics() { return metrics_; }
   const RunMetrics& metrics() const { return metrics_; }
   // Also resets the stall attribution and clears the attached trace and the admission
-  // controller's live signal window, so the recorded events, the attribution, and controller
+  // controller's stall window, so the recorded events, the attribution, and controller
   // inputs cover exactly the window the metrics describe (warmup runs are discarded from all
   // of them). The classifier keeps its per-key prefetch state: warmup prefetches are still
   // live intent afterwards.
@@ -113,7 +113,7 @@ class ServingEngine : public EngineHandle {
       trace_->ClearEvents();
     }
     if (admission_ != nullptr) {
-      admission_->signals()->Clear();
+      admission_->Clear();
     }
     if (oracle_ != nullptr) {
       oracle_->Clear(clock_.now());
@@ -123,11 +123,11 @@ class ServingEngine : public EngineHandle {
   // --- Control plane (DESIGN.md §5j). Detached by default: every hook is a single
   // null-pointer check and the engine replays the legacy path byte-identically. ---
 
-  // Attaches an admission controller. The engine records demand stalls (as its one classifier
-  // labels them), admission queueing delays and iteration durations into the controller's
-  // signal tracker in virtual time, and pulls the effective prefetch distance from it at
-  // every iteration boundary. The batch-limit and shedding halves of the interface are
-  // consumed by the scheduler / cluster harness.
+  // Attaches an admission controller. The engine records each served miss's demand stall (as
+  // its one classifier labels it) into the controller's stall window in virtual time, and
+  // pulls the effective prefetch distance from it at every iteration boundary. The
+  // batch-limit and shedding halves of the interface are consumed by the scheduler / cluster
+  // harness.
   void SetAdmissionController(AdmissionController* controller) {
     admission_ = controller;
     if (controller == nullptr) {
@@ -193,8 +193,7 @@ class ServingEngine : public EngineHandle {
   };
 
   // One lockstep iteration over the active members, each at its own token position.
-  // Returns iteration duration.
-  double RunIteration(std::vector<BatchMember*>& active);
+  void RunIteration(std::vector<BatchMember*>& active);
 
   // Serving an activated expert is split in two so one layer's demand transfers overlap
   // across device links: IssueExpert classifies hit/miss and starts any needed transfer
@@ -270,7 +269,7 @@ class ServingEngine : public EngineHandle {
   std::vector<int> trace_slot_tracks_;  // batch_slot -> track id, registered lazily.
 
   // The run's only stall classifier, fed at the engine's hook points whatever is attached;
-  // the trace and the admission controller's live signals both read its verdicts.
+  // the trace and the admission controller's stall window both read its verdicts.
   StallStateMachine stall_;
   // Control plane (null = detached; same single-pointer-check contract as tracing).
   AdmissionController* admission_ = nullptr;  // Not owned.

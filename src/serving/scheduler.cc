@@ -18,7 +18,7 @@ ContinuousBatchScheduler::~ContinuousBatchScheduler() {
 }
 
 void ContinuousBatchScheduler::ResetController() {
-  controller_ = MakeAdmissionController(options_.admission);
+  controller_ = std::make_unique<AdmissionController>(options_.admission);
   if (options_.admission.policy == AdmissionPolicyKind::kOpenLoop) {
     // Open loop never reads signals and never moves a knob: leave the engine detached so the
     // default configuration replays the legacy code path exactly (no signal feed, no

@@ -7,10 +7,10 @@
 // concurrent requests can be studied. fMoE's per-slot matchers make its policy naturally
 // multi-tenant.
 //
-// Admission itself is pluggable (DESIGN.md §5j): every batch-limit / shed decision goes
-// through an AdmissionController. The default open-loop controller reproduces the historical
-// fixed-knob behaviour bit for bit; the gradient controller closes the loop on live
-// stall-attribution signals (see src/serving/admission.h).
+// Admission goes through one AdmissionController (DESIGN.md §5j): every batch-limit / shed
+// decision is its call. Its default open-loop policy reproduces the historical fixed-knob
+// behaviour bit for bit; the gradient policy closes the loop on the engine's classified
+// demand stalls (see src/serving/admission.h).
 #ifndef FMOE_SRC_SERVING_SCHEDULER_H_
 #define FMOE_SRC_SERVING_SCHEDULER_H_
 

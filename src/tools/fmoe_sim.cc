@@ -101,12 +101,12 @@ int main(int argc, char** argv) {
                   "end-to-end latency objective in milliseconds; the gradient policy sheds "
                   "queued requests whose wait already burns the budget (0 = no shedding)");
   flags.AddDouble("admission-window-s", 0.5,
-                  "signal window in virtual seconds for the gradient controller");
+                  "stall window in virtual seconds for the gradient controller (> 0)");
   flags.AddDouble("admission-gain", 0.5,
-                  "AIMD gain for the gradient controller (multiplicative decrease on cache "
-                  "thrash, additive increase on recovery)");
+                  "AIMD gain for the gradient controller, in (0, 1) (multiplicative decrease "
+                  "on cache thrash, additive increase on recovery)");
   flags.AddDouble("admission-update-s", 0.05,
-                  "gradient controller update cadence in virtual seconds");
+                  "gradient controller update cadence in virtual seconds (>= 0)");
   flags.AddInt("distance", 3, "prefetch distance d in layers");
   flags.AddInt("max-decode", 32,
                "offline mode: cap on decode tokens per request (0 = dataset default); online "
@@ -196,6 +196,10 @@ int main(int argc, char** argv) {
     std::cerr << "error: unknown dataset '" << flags.GetString("dataset") << "'\n";
     return 1;
   }
+  if (flags.GetInt("history") < 0) {
+    std::cerr << "error: --history must be >= 0\n";
+    return 1;
+  }
   options.history_requests = static_cast<size_t>(flags.GetInt("history"));
   options.test_requests = static_cast<size_t>(flags.GetInt("requests"));
   options.batch_size = static_cast<int>(flags.GetInt("batch"));
@@ -221,6 +225,10 @@ int main(int argc, char** argv) {
   options.cache_fraction = flags.GetDouble("cache-fraction");
   options.matcher_latency_scale = flags.GetDouble("matcher-latency-scale");
   options.matcher_queue_depth = static_cast<int>(flags.GetInt("matcher-queue-depth"));
+  if (options.matcher_queue_depth < 1) {
+    std::cerr << "error: --matcher-queue-depth must be >= 1\n";
+    return 1;
+  }
   options.seed = static_cast<uint64_t>(flags.GetInt("seed"));
   const double host_capacity_gb = flags.GetDouble("host-capacity-gb");
   options.tier.nvme_backing = flags.GetBool("nvme-backing") || host_capacity_gb > 0.0;
@@ -267,6 +275,18 @@ int main(int argc, char** argv) {
   sched.admission.window_sec = flags.GetDouble("admission-window-s");
   sched.admission.gain = flags.GetDouble("admission-gain");
   sched.admission.update_period_sec = flags.GetDouble("admission-update-s");
+  if (!(sched.admission.window_sec > 0.0)) {
+    std::cerr << "error: --admission-window-s must be > 0\n";
+    return 1;
+  }
+  if (!(sched.admission.gain > 0.0 && sched.admission.gain < 1.0)) {
+    std::cerr << "error: --admission-gain must be in (0, 1)\n";
+    return 1;
+  }
+  if (!(sched.admission.update_period_sec >= 0.0)) {
+    std::cerr << "error: --admission-update-s must be >= 0\n";
+    return 1;
+  }
   sched.max_batch_size = static_cast<int>(flags.GetInt("max-batch"));
   if (sched.max_batch_size < 1) {
     std::cerr << "error: --max-batch must be >= 1\n";

@@ -23,12 +23,12 @@ AdmissionOptions GradientOptions() {
   return options;
 }
 
-// Drives the controller's signal tracker with `n` stall events of class `cls`, then runs one
-// control update at `now`.
+// Records `n` stall events of class `cls` into the controller's window, then runs one control
+// update at `now`.
 void UpdateWithStalls(AdmissionController* controller, StallClass cls, int n, double seconds,
                       double now) {
   for (int i = 0; i < n; ++i) {
-    controller->signals()->RecordStall(cls, seconds, now);
+    controller->RecordStall(cls, seconds, now);
   }
   controller->BeginAdmission(now);
 }
@@ -46,23 +46,35 @@ TEST(AdmissionPolicyTest, ParseAndName) {
 
 TEST(AdmissionPolicyTest, FactoryDispatchesOnPolicy) {
   AdmissionOptions options;
-  EXPECT_EQ(MakeAdmissionController(options)->kind(), AdmissionPolicyKind::kOpenLoop);
+  EXPECT_EQ(AdmissionController(options).kind(), AdmissionPolicyKind::kOpenLoop);
+  EXPECT_STREQ(AdmissionController(options).name(), "open-loop");
   options.policy = AdmissionPolicyKind::kGradient;
-  EXPECT_EQ(MakeAdmissionController(options)->kind(), AdmissionPolicyKind::kGradient);
+  EXPECT_EQ(AdmissionController(options).kind(), AdmissionPolicyKind::kGradient);
+  EXPECT_STREQ(AdmissionController(options).name(), "gradient");
 }
 
 TEST(OpenLoopAdmissionTest, NeverMovesAnyKnob) {
-  OpenLoopAdmissionController controller(AdmissionOptions{});
-  // Even with heavy recorded distress, open loop returns the configured values verbatim.
-  controller.signals()->RecordStall(StallClass::kEvictedBeforeUse, 5.0, 1.0);
-  controller.BeginAdmission(1.0);
-  EXPECT_EQ(controller.BatchLimit(4, 1.0), 4);
-  EXPECT_EQ(controller.PrefetchDistance(3, 1.0), 3);
+  // Gradient-style values everywhere, policy left at open loop.
+  AdmissionOptions options = GradientOptions();
+  options.policy = AdmissionPolicyKind::kOpenLoop;
+  options.slo_sec = 0.001;
+  AdmissionController controller(options);
+  EXPECT_EQ(controller.BatchLimit(4, 0.0), 4);
+  // Even with heavy recorded distress of both kinds, open loop never updates and returns
+  // the configured values verbatim.
+  for (int step = 1; step <= 4; ++step) {
+    const double now = static_cast<double>(step);
+    UpdateWithStalls(&controller, StallClass::kEvictedBeforeUse, 4, 5.0, now);
+    UpdateWithStalls(&controller, StallClass::kPrefetchInFlight, 8, 5.0, now);
+  }
+  EXPECT_EQ(controller.control_updates(), 0u);
+  EXPECT_EQ(controller.BatchLimit(4, 4.0), 4);
+  EXPECT_EQ(controller.PrefetchDistance(3, 4.0), 3);
   EXPECT_FALSE(controller.ShouldReject(At(0.0), 1000.0));
 }
 
 TEST(AdmissionCountersTest, HooksMaintainConservation) {
-  OpenLoopAdmissionController controller(AdmissionOptions{});
+  AdmissionController controller(AdmissionOptions{});
   controller.OnArrived(5);
   controller.OnAdmitted();
   controller.OnAdmitted();
@@ -73,12 +85,12 @@ TEST(AdmissionCountersTest, HooksMaintainConservation) {
 }
 
 TEST(GradientAdmissionTest, SeedsBatchLimitFromConfiguredMax) {
-  GradientAdmissionController controller(GradientOptions());
+  AdmissionController controller(GradientOptions());
   EXPECT_EQ(controller.BatchLimit(4, 0.0), 4);
 }
 
 TEST(GradientAdmissionTest, ThrashShrinksBatchMultiplicatively) {
-  GradientAdmissionController controller(GradientOptions());
+  AdmissionController controller(GradientOptions());
   ASSERT_EQ(controller.BatchLimit(8, 0.0), 8);
   // Every stall second in the window is evicted-before-use: thrash ratio 1 > threshold.
   UpdateWithStalls(&controller, StallClass::kEvictedBeforeUse, 4, 0.1, 0.5);
@@ -89,19 +101,18 @@ TEST(GradientAdmissionTest, ThrashShrinksBatchMultiplicatively) {
 }
 
 TEST(GradientAdmissionTest, BatchLimitNeverFallsBelowMinBatch) {
-  AdmissionOptions options = GradientOptions();
-  options.min_batch = 2;
-  GradientAdmissionController controller(options);
+  AdmissionController controller(GradientOptions());
   ASSERT_EQ(controller.BatchLimit(4, 0.0), 4);
   for (int step = 1; step <= 8; ++step) {
     UpdateWithStalls(&controller, StallClass::kEvictedBeforeUse, 4, 0.1,
                      0.5 * static_cast<double>(step));
   }
-  EXPECT_EQ(controller.BatchLimit(4, 5.0), 2);
+  EXPECT_DOUBLE_EQ(controller.controlled_batch_limit(), AdmissionController::kMinBatch);
+  EXPECT_EQ(controller.BatchLimit(4, 5.0), AdmissionController::kMinBatch);
 }
 
 TEST(GradientAdmissionTest, HealthyWindowsGrowTheBatchBackAdditively) {
-  GradientAdmissionController controller(GradientOptions());
+  AdmissionController controller(GradientOptions());
   ASSERT_EQ(controller.BatchLimit(8, 0.0), 8);
   UpdateWithStalls(&controller, StallClass::kEvictedBeforeUse, 4, 0.1, 0.5);
   ASSERT_EQ(controller.BatchLimit(8, 0.5), 4);
@@ -115,21 +126,19 @@ TEST(GradientAdmissionTest, HealthyWindowsGrowTheBatchBackAdditively) {
 }
 
 TEST(GradientAdmissionTest, InFlightPressureRaisesPrefetchDistance) {
-  AdmissionOptions options = GradientOptions();
-  options.max_prefetch_distance = 5;
-  GradientAdmissionController controller(options);
+  AdmissionController controller(GradientOptions());
   EXPECT_EQ(controller.PrefetchDistance(3, 0.0), 3);
   UpdateWithStalls(&controller, StallClass::kPrefetchInFlight, 4, 0.1, 0.5);
   EXPECT_EQ(controller.distance_boost(), 1);
   EXPECT_EQ(controller.PrefetchDistance(3, 0.5), 4);
-  // Boost is capped at max_prefetch_distance no matter how long the pressure lasts.
+  // Boost is capped at kMaxPrefetchDistance no matter how long the pressure lasts.
   for (int step = 1; step <= 10; ++step) {
     UpdateWithStalls(&controller, StallClass::kPrefetchInFlight, 4, 0.1,
                      0.5 + 0.5 * static_cast<double>(step));
   }
-  EXPECT_EQ(controller.PrefetchDistance(3, 6.0), 5);
+  EXPECT_EQ(controller.PrefetchDistance(3, 6.0), AdmissionController::kMaxPrefetchDistance);
   // Anti-windup: the boost integrator is capped at the same clamp as the output.
-  EXPECT_EQ(controller.distance_boost(), options.max_prefetch_distance);
+  EXPECT_EQ(controller.distance_boost(), AdmissionController::kMaxPrefetchDistance);
   // And decays once the in-flight share drops (quiet updates, stalls expired).
   const int peak = controller.distance_boost();
   controller.BeginAdmission(100.0);
@@ -143,9 +152,8 @@ TEST(GradientAdmissionTest, InFlightPressureRaisesPrefetchDistance) {
 
 TEST(GradientAdmissionTest, ShedsOnceWaitBurnsTheSloBudget) {
   AdmissionOptions options = GradientOptions();
-  options.slo_sec = 2.0;
-  options.shed_fraction = 0.5;
-  GradientAdmissionController controller(options);
+  options.slo_sec = 2.0;  // kShedFraction 0.5 of it: a 1.0 s wait budget.
+  AdmissionController controller(options);
   EXPECT_FALSE(controller.ShouldReject(At(10.0), 10.9));  // Waited 0.9 < 1.0.
   EXPECT_TRUE(controller.ShouldReject(At(10.0), 11.1));   // Waited 1.1 > 1.0.
 }
@@ -153,14 +161,14 @@ TEST(GradientAdmissionTest, ShedsOnceWaitBurnsTheSloBudget) {
 TEST(GradientAdmissionTest, ZeroSloDisablesShedding) {
   AdmissionOptions options = GradientOptions();
   options.slo_sec = 0.0;
-  GradientAdmissionController controller(options);
+  AdmissionController controller(options);
   EXPECT_FALSE(controller.ShouldReject(At(0.0), 1.0e6));
 }
 
 TEST(GradientAdmissionTest, UpdateCadenceIsBoundedByPeriod) {
   AdmissionOptions options = GradientOptions();
   options.update_period_sec = 1.0;
-  GradientAdmissionController controller(options);
+  AdmissionController controller(options);
   // Twenty polls across 2 s of virtual time: at most 1 (initial) + 2 period boundaries.
   for (int poll = 0; poll <= 20; ++poll) {
     controller.BeginAdmission(0.1 * static_cast<double>(poll));
@@ -168,13 +176,84 @@ TEST(GradientAdmissionTest, UpdateCadenceIsBoundedByPeriod) {
   EXPECT_EQ(controller.control_updates(), 3u);
 }
 
+// The stall window: the controller reads the evicted-before-use and prefetch-in-flight shares
+// of the stall seconds recorded within window_sec before each update.
+TEST(AdmissionWindowTest, EmptyWindowIsHealthy) {
+  AdmissionController controller(GradientOptions());
+  ASSERT_EQ(controller.BatchLimit(4, 0.0), 4);
+  controller.BeginAdmission(10.0);
+  EXPECT_DOUBLE_EQ(controller.controlled_batch_limit(), 4.5);  // One additive step.
+  EXPECT_EQ(controller.distance_boost(), 0);
+  // Zero-second stalls (fully hidden misses) leave the window without stall seconds: healthy.
+  UpdateWithStalls(&controller, StallClass::kEvictedBeforeUse, 4, 0.0, 10.5);
+  EXPECT_DOUBLE_EQ(controller.controlled_batch_limit(), 5.0);
+}
+
+TEST(AdmissionWindowTest, EventsOutsideTheWindowExpire) {
+  AdmissionOptions options = GradientOptions();  // window_sec = 1.0.
+  AdmissionController expired(options);
+  ASSERT_EQ(expired.BatchLimit(8, 0.0), 8);
+  expired.RecordStall(StallClass::kEvictedBeforeUse, 0.5, 10.0);
+  expired.RecordStall(StallClass::kPrefetchInFlight, 0.5, 10.0);
+  UpdateWithStalls(&expired, StallClass::kNeverPrefetched, 1, 0.25, 12.0);
+  // Both distress events fell out of [11.0, 12.0]: only the never-prefetched stall is left.
+  EXPECT_DOUBLE_EQ(expired.controlled_batch_limit(), 8.5);
+  EXPECT_EQ(expired.distance_boost(), 0);
+
+  // An update expires against its own instant too: at 12.5 the window is [11.5, 12.5], so a
+  // stall at exactly 11.5 still counts and one at 11.4 does not.
+  AdmissionController boundary(options);
+  ASSERT_EQ(boundary.BatchLimit(8, 0.0), 8);
+  boundary.RecordStall(StallClass::kNeverPrefetched, 1.0, 11.4);  // Kept: thrash ratio 0.2.
+  boundary.RecordStall(StallClass::kEvictedBeforeUse, 0.25, 11.5);
+  boundary.BeginAdmission(12.5);
+  EXPECT_DOUBLE_EQ(boundary.controlled_batch_limit(), 4.0);  // Thrash ratio 1: shrink.
+}
+
+TEST(AdmissionWindowTest, SharesSplitTheWindowsStallSeconds) {
+  // Evicted-before-use 0.3 and in-flight 0.6 of 1.0 stall second: above both thresholds.
+  AdmissionController distressed(GradientOptions());
+  ASSERT_EQ(distressed.BatchLimit(8, 0.0), 8);
+  distressed.RecordStall(StallClass::kEvictedBeforeUse, 0.3, 10.0);
+  distressed.RecordStall(StallClass::kPrefetchInFlight, 0.6, 10.5);
+  UpdateWithStalls(&distressed, StallClass::kNeverPrefetched, 1, 0.1, 11.0);
+  EXPECT_DOUBLE_EQ(distressed.controlled_batch_limit(), 4.0);
+  EXPECT_EQ(distressed.distance_boost(), 1);
+
+  // The same seconds diluted by one more never-prefetched second: shares 0.15 and 0.3, below
+  // both thresholds, so the window is healthy.
+  AdmissionController diluted(GradientOptions());
+  ASSERT_EQ(diluted.BatchLimit(8, 0.0), 8);
+  diluted.RecordStall(StallClass::kEvictedBeforeUse, 0.3, 10.0);
+  diluted.RecordStall(StallClass::kPrefetchInFlight, 0.6, 10.5);
+  UpdateWithStalls(&diluted, StallClass::kNeverPrefetched, 1, 1.1, 11.0);
+  EXPECT_DOUBLE_EQ(diluted.controlled_batch_limit(), 8.5);
+  EXPECT_EQ(diluted.distance_boost(), 0);
+}
+
+TEST(AdmissionWindowTest, ClearForgetsEveryStall) {
+  AdmissionController controller(GradientOptions());
+  ASSERT_EQ(controller.BatchLimit(8, 0.0), 8);
+  controller.OnArrived(3);
+  controller.RecordStall(StallClass::kEvictedBeforeUse, 0.5, 10.0);
+  controller.RecordStall(StallClass::kPrefetchInFlight, 0.5, 10.0);
+  controller.Clear();
+  controller.BeginAdmission(10.1);
+  EXPECT_DOUBLE_EQ(controller.controlled_batch_limit(), 8.5);
+  EXPECT_EQ(controller.distance_boost(), 0);
+  EXPECT_EQ(controller.counters().arrived, 3u);  // Only the stall window is cleared.
+}
+
 TEST(GradientAdmissionDeathTest, RejectsNonsenseKnobs) {
   AdmissionOptions options = GradientOptions();
   options.gain = 1.5;
-  EXPECT_DEATH(GradientAdmissionController{options}, "gain");
+  EXPECT_DEATH(AdmissionController{options}, "gain");
   options = GradientOptions();
-  options.min_batch = 0;
-  EXPECT_DEATH(GradientAdmissionController{options}, "min_batch");
+  options.window_sec = 0.0;
+  EXPECT_DEATH(AdmissionController{options}, "window_sec");
+  options = GradientOptions();
+  options.update_period_sec = -1.0;
+  EXPECT_DEATH(AdmissionController{options}, "update_period_sec");
 }
 
 }  // namespace

@@ -132,79 +132,5 @@ TEST(StallAttributionTest, TierBucketsPartitionIndependently) {
   EXPECT_DOUBLE_EQ(stall.TierSum(), stall.total_seconds);
 }
 
-TEST(ControlSignalTrackerTest, EmptyTrackerSamplesZeros) {
-  ControlSignalTracker tracker(0.5);
-  const ControlSignals s = tracker.Sample(10.0);
-  EXPECT_DOUBLE_EQ(s.window_sec, 0.5);
-  EXPECT_DOUBLE_EQ(s.total_stall_rate, 0.0);
-  EXPECT_DOUBLE_EQ(s.cache_thrash_ratio, 0.0);
-  EXPECT_EQ(s.stalls, 0u);
-  EXPECT_EQ(s.admissions, 0u);
-  EXPECT_EQ(s.iterations, 0u);
-}
-
-TEST(ControlSignalTrackerTest, RatesAreStallSecondsPerWindowSecond) {
-  ControlSignalTracker tracker(2.0);
-  tracker.RecordStall(StallClass::kNeverPrefetched, 0.4, 10.0);
-  tracker.RecordStall(StallClass::kNeverPrefetched, 0.2, 11.0);
-  const ControlSignals s = tracker.Sample(12.0);
-  EXPECT_DOUBLE_EQ(s.window_sec, 2.0);
-  EXPECT_DOUBLE_EQ(s.total_stall_rate, 0.3);  // 0.6 stall seconds over a 2 s window.
-  EXPECT_EQ(s.stalls, 2u);
-}
-
-TEST(ControlSignalTrackerTest, EventsOutsideTheWindowExpire) {
-  ControlSignalTracker tracker(1.0);
-  tracker.RecordStall(StallClass::kNeverPrefetched, 0.5, 10.0);
-  tracker.RecordStall(StallClass::kEvictedBeforeUse, 0.25, 12.0);
-  const ControlSignals s = tracker.Sample(12.5);
-  EXPECT_EQ(s.stalls, 1u);  // The event at t=10 fell out of [11.5, 12.5].
-  EXPECT_DOUBLE_EQ(s.cache_thrash_ratio, 1.0);
-}
-
-TEST(ControlSignalTrackerTest, EffectiveWindowShrinksEarlyInTheRun) {
-  ControlSignalTracker tracker(10.0);
-  tracker.RecordStall(StallClass::kNeverPrefetched, 0.5, 100.0);
-  const ControlSignals s = tracker.Sample(100.5);
-  // Only 0.5 s elapsed since the first event: rates use that, not the configured 10 s.
-  EXPECT_DOUBLE_EQ(s.window_sec, 0.5);
-  EXPECT_DOUBLE_EQ(s.total_stall_rate, 1.0);
-}
-
-TEST(ControlSignalTrackerTest, SharesSplitTheWindowsStallSeconds) {
-  ControlSignalTracker tracker(4.0);
-  tracker.RecordStall(StallClass::kEvictedBeforeUse, 0.3, 10.0);
-  tracker.RecordStall(StallClass::kPrefetchInFlight, 0.6, 10.5);
-  tracker.RecordStall(StallClass::kNeverPrefetched, 0.1, 11.0);
-  const ControlSignals s = tracker.Sample(12.0);
-  EXPECT_DOUBLE_EQ(s.cache_thrash_ratio, 0.3);
-  EXPECT_DOUBLE_EQ(s.inflight_share, 0.6);
-}
-
-TEST(ControlSignalTrackerTest, AdmissionAndIterationAggregates) {
-  ControlSignalTracker tracker(4.0);
-  tracker.RecordAdmission(0.2, 10.0);
-  tracker.RecordAdmission(0.6, 11.0);
-  tracker.RecordIteration(0.05, 10.5);
-  tracker.RecordIteration(0.15, 11.5);
-  const ControlSignals s = tracker.Sample(12.0);
-  EXPECT_EQ(s.admissions, 2u);
-  EXPECT_DOUBLE_EQ(s.queueing_delay_mean, 0.4);
-  EXPECT_DOUBLE_EQ(s.queueing_delay_max, 0.6);
-  EXPECT_EQ(s.iterations, 2u);
-  EXPECT_DOUBLE_EQ(s.iteration_time_mean, 0.1);
-}
-
-TEST(ControlSignalTrackerTest, ClearForgetsEverything) {
-  ControlSignalTracker tracker(4.0);
-  tracker.RecordStall(StallClass::kNeverPrefetched, 0.5, 10.0);
-  tracker.RecordAdmission(0.2, 10.0);
-  tracker.Clear();
-  const ControlSignals s = tracker.Sample(10.1);
-  EXPECT_EQ(s.stalls, 0u);
-  EXPECT_EQ(s.admissions, 0u);
-  EXPECT_DOUBLE_EQ(s.window_sec, 4.0);  // No first-event anchor: configured window again.
-}
-
 }  // namespace
 }  // namespace fmoe

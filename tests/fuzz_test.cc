@@ -319,12 +319,9 @@ TEST_P(SchedulerFuzzTest, ControllerBookkeepingConsistent) {
     sched.admission.policy =
         closed_loop ? AdmissionPolicyKind::kGradient : AdmissionPolicyKind::kOpenLoop;
     sched.admission.slo_sec = rng.NextBool(0.5) ? 0.02 + rng.NextDouble() : 0.0;
-    sched.admission.shed_fraction = 0.05 + 0.95 * rng.NextDouble();
     sched.admission.window_sec = 0.05 + rng.NextDouble();
     sched.admission.update_period_sec = rng.NextBool(0.3) ? 0.0 : 0.05 * rng.NextDouble();
     sched.admission.gain = 0.05 + 0.9 * rng.NextDouble();
-    sched.admission.thrash_threshold = rng.NextDouble();
-    sched.admission.inflight_threshold = rng.NextDouble();
     ContinuousBatchScheduler scheduler(&engine, sched);
 
     const size_t request_count = 4 + rng.NextBounded(28);

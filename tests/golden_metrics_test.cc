@@ -170,19 +170,16 @@ TEST(GoldenMetricsTest, ScheduledOpenLoopMixtralSmall) {
   CompareOrUpdate("scheduled_mixtral_small.json", RenderReport(results));
 }
 
-// The open-loop policy must ignore every controller knob: a scheduled run with all gradient
-// gains/thresholds/SLO set to aggressive non-default values — but the policy left at open
-// loop — replays the committed scheduled golden byte-identically (the closed-loop analogue of
-// DisabledTierConfigIsByteIdenticalToLegacy, pinned against the file on disk).
+// The open-loop policy must ignore every controller knob: a scheduled run with the gradient
+// gain, window, cadence and SLO set to aggressive non-default values — but the policy left at
+// open loop — replays the committed scheduled golden byte-identically (the closed-loop analogue
+// of DisabledTierConfigIsByteIdenticalToLegacy, pinned against the file on disk).
 TEST(GoldenMetricsTest, OpenLoopKnobsMatchCommittedScheduledGolden) {
   SchedulerOptions sched;
-  sched.admission.slo_sec = 0.001;       // Would shed nearly everything if honoured.
-  sched.admission.shed_fraction = 0.01;
+  sched.admission.slo_sec = 0.001;  // Would shed nearly everything if honoured.
   sched.admission.window_sec = 0.01;
   sched.admission.update_period_sec = 0.0;
   sched.admission.gain = 0.9;
-  sched.admission.thrash_threshold = 0.0;
-  sched.admission.inflight_threshold = 0.0;
   TraceProfile trace;
   std::vector<ExperimentResult> results;
   for (const std::string& system : {std::string("fMoE"), std::string("DeepSpeed-Inference")}) {

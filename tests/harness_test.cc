@@ -202,7 +202,11 @@ TEST(FmoeSimSaveStoreTest, MapShardsWritesAShardedFileThatReloads) {
 TEST(FmoeSimFlagsTest, BadValuesExitOneWithAnError) {
   const std::string log_path = testing::TempDir() + "fmoe_sim_bad_flag.log";
   for (const char* bad : {"--system bogus", "--host-policy lru", "--gpus 0", "--distance 0",
-                          "--host-policy bogus --nvme-backing"}) {
+                          "--host-policy bogus --nvme-backing", "--matcher-queue-depth 0",
+                          "--history -1", "--mode scheduled --admission-window-s 0",
+                          "--mode scheduled --admission-policy gradient --admission-gain 1.5",
+                          "--mode scheduled --admission-policy gradient --admission-window-s 0",
+                          "--mode scheduled --admission-policy gradient --admission-update-s -1"}) {
     const std::string command = std::string(FMOE_SIM_BINARY) + " --model tiny " + bad +
                                 " > /dev/null 2> " + log_path;
     const int status = std::system(command.c_str());

@@ -215,12 +215,9 @@ TEST_F(SchedulerTest, OpenLoopKnobValuesAreInert) {
   };
   AdmissionOptions loud;  // Every knob off-default, policy still open loop.
   loud.slo_sec = 0.001;
-  loud.shed_fraction = 0.01;
   loud.window_sec = 0.01;
   loud.update_period_sec = 0.0;
   loud.gain = 0.9;
-  loud.thrash_threshold = 0.0;
-  loud.inflight_threshold = 0.0;
   const auto base = run(AdmissionOptions{});
   const auto knobbed = run(loud);
   ASSERT_EQ(base.size(), knobbed.size());
@@ -254,7 +251,7 @@ TEST_F(SchedulerTest, GradientShedsStaleRequestsAndConserves) {
   // Every served request's wait respected the shed threshold.
   for (const RequestMetrics& metrics : completed) {
     EXPECT_LE(metrics.QueueingDelay(),
-              options.admission.slo_sec * options.admission.shed_fraction + 1e-9);
+              options.admission.slo_sec * AdmissionController::kShedFraction + 1e-9);
   }
 }
 
