@@ -4,7 +4,6 @@
 #include <limits>
 #include <utility>
 
-#include "src/obs/control_signals.h"
 #include "src/obs/trace_recorder.h"
 #include "src/util/logging.h"
 #include "src/util/math.h"
@@ -15,93 +14,10 @@ namespace {
 // Score-column sentinel of free and pinned slots: NaN compares false, so no scan picks it.
 constexpr double kNoScore = std::numeric_limits<double>::quiet_NaN();
 
-// splitmix64 finalizer: expert keys are small dense integers, so the open-addressed table
-// needs real avalanche to avoid probe clustering.
-uint64_t MixKey(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
 }  // namespace
 
 ExpertCache::ExpertCache(uint64_t capacity_bytes, EvictionRule rule)
-    : capacity_bytes_(capacity_bytes), rule_(rule) {
-  table_keys_.assign(16, 0);
-  table_slots_.assign(16, kNilSlot);
-  table_mask_ = 15;
-}
-
-// --- Open-addressed key -> slot table. ---
-
-uint32_t ExpertCache::LookupSlot(uint64_t key) const {
-  size_t i = MixKey(key) & table_mask_;
-  while (table_slots_[i] != kNilSlot) {
-    if (table_keys_[i] == key) {
-      return table_slots_[i];
-    }
-    i = (i + 1) & table_mask_;
-  }
-  return kNilSlot;
-}
-
-void ExpertCache::TableInsert(uint64_t key, uint32_t slot) {
-  if ((table_used_ + 1) * 10 >= table_keys_.size() * 7) {
-    TableGrow();
-  }
-  size_t i = MixKey(key) & table_mask_;
-  while (table_slots_[i] != kNilSlot) {
-    i = (i + 1) & table_mask_;
-  }
-  table_keys_[i] = key;
-  table_slots_[i] = slot;
-  ++table_used_;
-}
-
-void ExpertCache::TableErase(uint64_t key) {
-  size_t i = MixKey(key) & table_mask_;
-  while (table_slots_[i] == kNilSlot || table_keys_[i] != key) {
-    FMOE_CHECK_MSG(table_slots_[i] != kNilSlot, "table erase of absent key " << key);
-    i = (i + 1) & table_mask_;
-  }
-  // Backward-shift deletion keeps probe chains contiguous without tombstones.
-  size_t hole = i;
-  size_t j = (i + 1) & table_mask_;
-  while (table_slots_[j] != kNilSlot) {
-    const size_t home = MixKey(table_keys_[j]) & table_mask_;
-    // Move j into the hole unless j's probe path starts after the hole.
-    const bool reachable = ((j - home) & table_mask_) >= ((j - hole) & table_mask_);
-    if (reachable) {
-      table_keys_[hole] = table_keys_[j];
-      table_slots_[hole] = table_slots_[j];
-      hole = j;
-    }
-    j = (j + 1) & table_mask_;
-  }
-  table_slots_[hole] = kNilSlot;
-  --table_used_;
-}
-
-void ExpertCache::TableGrow() {
-  const size_t new_size = table_keys_.size() * 2;
-  std::vector<uint64_t> old_keys = std::move(table_keys_);
-  std::vector<uint32_t> old_slots = std::move(table_slots_);
-  table_keys_.assign(new_size, 0);
-  table_slots_.assign(new_size, kNilSlot);
-  table_mask_ = new_size - 1;
-  for (size_t i = 0; i < old_slots.size(); ++i) {
-    if (old_slots[i] == kNilSlot) {
-      continue;
-    }
-    size_t j = MixKey(old_keys[i]) & table_mask_;
-    while (table_slots_[j] != kNilSlot) {
-      j = (j + 1) & table_mask_;
-    }
-    table_keys_[j] = old_keys[i];
-    table_slots_[j] = old_slots[i];
-  }
-}
+    : capacity_bytes_(capacity_bytes), rule_(rule) {}
 
 // --- Eviction. ---
 
@@ -186,7 +102,10 @@ void ExpertCache::InsertResident(const CacheEntry& entry) {
   }
   rank_[slot] = ~++insert_count_;
   RefreshScore(slot);
-  TableInsert(entry.key, slot);
+  if (entry.key >= slot_of_key_.size()) {
+    slot_of_key_.resize(entry.key + 1, kNilSlot);
+  }
+  slot_of_key_[entry.key] = slot;
   used_bytes_ += entry.bytes;
   ++occupied_;
 }
@@ -198,7 +117,7 @@ CacheEntry ExpertCache::RemoveResident(uint64_t key) {
   if (out.pin_count > 0) {
     pinned_bytes_ -= out.bytes;
   }
-  TableErase(key);
+  slot_of_key_[key] = kNilSlot;
   used_bytes_ -= bytes_[slot];
   --occupied_;
   occupied_flag_[slot] = 0;
@@ -220,6 +139,7 @@ ConstEntryRef ExpertCache::Find(uint64_t key) const {
 }
 
 bool ExpertCache::Insert(const CacheEntry& entry, double now, std::vector<CacheEntry>* evicted) {
+  FMOE_CHECK_MSG(entry.key >> 32 == 0, "expert key " << entry.key << " is not a flat index");
   if (LookupSlot(entry.key) != kNilSlot) {
     return false;
   }

@@ -5,14 +5,19 @@
 // probabilities to stamp on entries) lives in the offloading policies; all *timing* (when a
 // transfer completes) lives in the memsim link — the cache stores the resulting ready_at.
 //
+// Precondition: keys are flat expert indices (layer * experts_per_layer + expert, as
+// ServingEngine::KeyOf builds them), so every key is small and dense: below L * J. The cache
+// finds a key's slot in a column indexed by the key itself, which costs 4 bytes per key up to
+// the largest one inserted; Insert aborts on a key of 2^32 or more.
+//
 // Storage is slot-based structure-of-arrays: every per-entry field lives in its own parallel
-// array indexed by a dense slot handle, slots recycle through a free list, and an
-// open-addressed hash table maps keys to slots. Victim selection is one O(n) SIMD argmax
-// (ArgMaxScore, src/util/math.h) over a per-slot score column kept exact on every mutation;
-// equal scores go to the newest insert, read from a per-slot insertion rank. Frequency decay
-// is an eager sweep. See DESIGN.md §5d. The semantics, including tie-breaking under equal
-// eviction scores and the exact floating-point trajectory of decayed frequencies, are
-// bit-identical to the naive linear-scan implementation in reference_cache.h.
+// array indexed by a dense slot handle, and slots recycle through a free list. Victim
+// selection is one O(n) SIMD argmax (ArgMaxScore, src/util/math.h) over a per-slot score
+// column kept exact on every mutation; equal scores go to the newest insert, read from a
+// per-slot insertion rank. Frequency decay is an eager sweep. See DESIGN.md §5d. The
+// semantics, including tie-breaking under equal eviction scores and the exact floating-point
+// trajectory of decayed frequencies, are bit-identical to the naive linear-scan
+// implementation in reference_cache.h.
 #ifndef FMOE_SRC_CACHE_EXPERT_CACHE_H_
 #define FMOE_SRC_CACHE_EXPERT_CACHE_H_
 
@@ -179,11 +184,10 @@ class ExpertCache {
 
   static constexpr uint32_t kNilSlot = 0xffffffffu;
 
-  // --- Key -> slot open-addressed table (linear probing, backward-shift deletion). ---
-  uint32_t LookupSlot(uint64_t key) const;
-  void TableInsert(uint64_t key, uint32_t slot);
-  void TableErase(uint64_t key);
-  void TableGrow();
+  // A key past the end of the key -> slot column is absent.
+  uint32_t LookupSlot(uint64_t key) const {
+    return key < slot_of_key_.size() ? slot_of_key_[key] : kNilSlot;
+  }
 
   // --- Eviction. ---
   CacheEntry EntryAt(uint32_t slot) const;
@@ -227,12 +231,9 @@ class ExpertCache {
   // newest insert.
   std::vector<uint64_t> rank_;
   std::vector<uint32_t> free_slots_;
-
-  // Open-addressed key -> slot table (power-of-two capacity).
-  std::vector<uint64_t> table_keys_;
-  std::vector<uint32_t> table_slots_;
-  size_t table_mask_ = 0;
-  size_t table_used_ = 0;
+  // Key -> slot, indexed by the flat key; kNilSlot for absent keys. Grown by Insert to cover
+  // the key, never shrunk.
+  std::vector<uint32_t> slot_of_key_;
 
   std::vector<CacheEntry> victims_scratch_;
 };

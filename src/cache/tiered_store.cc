@@ -58,8 +58,8 @@ void TieredExpertStore::StartFill(uint64_t key, uint64_t tag, double now, double
     link.EnqueuePrefetchAfter(now, tag, bytes, earliest);
     return;
   }
-  const auto stage_it = stage_tag_by_key_.find(key);
-  if (stage_it == stage_tag_by_key_.end() && config_.allow_direct_nvme_gpu) {
+  const uint64_t staging = StageTagOf(key);
+  if (staging == 0 && config_.allow_direct_nvme_gpu) {
     ++stats_.direct_loads;
     fill_by_tag_[tag].route = Route::kDirect;
     nvme_link_.EnqueuePrefetch(now, tag, bytes);
@@ -67,9 +67,8 @@ void TieredExpertStore::StartFill(uint64_t key, uint64_t tag, double now, double
   }
   // Chain onto the staging in flight for this key, or issue one.
   const uint64_t stage_tag =
-      stage_it != stage_tag_by_key_.end()
-          ? stage_it->second
-          : StageInternal(key, bytes, now, probability, /*require_host_backed=*/false);
+      staging != 0 ? staging
+                   : StageInternal(key, bytes, now, probability, /*require_host_backed=*/false);
   ++stats_.gpu_fills_chained;
   if (const auto it = stage_by_tag_.find(stage_tag); it != stage_by_tag_.end()) {
     it->second.chained_tag = tag;
@@ -159,9 +158,8 @@ double TieredExpertStore::DemandFill(uint64_t key, uint64_t bytes, double now, P
 }
 
 void TieredExpertStore::EraseFill(std::unordered_map<uint64_t, PendingFill>::iterator it) {
-  if (const auto stage = stage_tag_by_key_.find(it->second.key);
-      stage != stage_tag_by_key_.end()) {
-    StageInfo& info = stage_by_tag_.at(stage->second);
+  if (const uint64_t stage_tag = StageTagOf(it->second.key); stage_tag != 0) {
+    StageInfo& info = stage_by_tag_.at(stage_tag);
     if (info.chained_tag == it->first) {
       info.chained_tag = 0;
     }
@@ -188,9 +186,7 @@ double TieredExpertStore::EnsureHostSide(uint64_t key, uint64_t bytes, double no
   }
   // Any still-queued staging is promoted: cancel the queued NVMe prefetch and jump the NVMe
   // queue with a demand load (mirroring the GPU link's queued-promoted discipline).
-  const auto stage_it = stage_tag_by_key_.find(key);
-  if (stage_it != stage_tag_by_key_.end()) {
-    const uint64_t stage_tag = stage_it->second;
+  if (const uint64_t stage_tag = StageTagOf(key); stage_tag != 0) {
     nvme_link_.CancelQueuedPrefetch(stage_tag);
     EraseStage(stage_tag, key);
     ++stats_.stage_promotions;
@@ -242,7 +238,7 @@ uint64_t TieredExpertStore::StageToHost(uint64_t key, uint64_t bytes, double now
     host_.SetProbability(key, probability);
     return 0;
   }
-  if (stage_tag_by_key_.contains(key)) {
+  if (StageTagOf(key) != 0) {
     // A transient (bounce-buffer) staging for this key is already in flight; issuing a
     // second one would fork the per-key stage bookkeeping.
     return 0;
@@ -273,7 +269,10 @@ uint64_t TieredExpertStore::StageInternal(uint64_t key, uint64_t bytes, double n
     return 0;
   }
   stage_by_tag_.emplace(tag, StageInfo{key, host_backed});
-  stage_tag_by_key_.emplace(key, tag);
+  if (key >= stage_tag_of_key_.size()) {
+    stage_tag_of_key_.resize(key + 1, 0);
+  }
+  stage_tag_of_key_[key] = tag;
   ++stats_.stages_issued;
   nvme_link_.EnqueuePrefetch(now, tag, bytes);
   TraceMove(host_backed ? "stage-issue" : "stage-issue-transient", key, bytes, now);
@@ -312,9 +311,8 @@ void TieredExpertStore::OnNvmeScheduled(uint64_t tag, double completion) {
 
 void TieredExpertStore::EraseStage(uint64_t tag, uint64_t key) {
   stage_by_tag_.erase(tag);
-  const auto it = stage_tag_by_key_.find(key);
-  if (it != stage_tag_by_key_.end() && it->second == tag) {
-    stage_tag_by_key_.erase(it);
+  if (StageTagOf(key) == tag) {
+    stage_tag_of_key_[key] = 0;
   }
 }
 
@@ -384,12 +382,12 @@ void TieredExpertStore::TraceHostOccupancy(double now) {
 }
 
 bool TieredExpertStore::BookkeepingConsistent() const {
-  if (stage_by_tag_.size() != stage_tag_by_key_.size()) {
+  const auto idle_keys = std::count(stage_tag_of_key_.begin(), stage_tag_of_key_.end(), 0u);
+  if (stage_by_tag_.size() != stage_tag_of_key_.size() - static_cast<size_t>(idle_keys)) {
     return false;
   }
   for (const auto& [tag, info] : stage_by_tag_) {
-    const auto key_it = stage_tag_by_key_.find(info.key);
-    if (key_it == stage_tag_by_key_.end() || key_it->second != tag) {
+    if (StageTagOf(info.key) != tag) {
       return false;
     }
     const ConstEntryRef entry = host_.Find(info.key);

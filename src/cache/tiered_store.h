@@ -198,6 +198,10 @@ class TieredExpertStore {
   void OnFillStarted(uint64_t tag, double completion);
   void CancelFill(uint64_t tag);
   void DemoteGpuVictim(const CacheEntry& victim, double now);
+  // The tag of `key`'s staging in flight, 0 when none.
+  uint64_t StageTagOf(uint64_t key) const {
+    return key < stage_tag_of_key_.size() ? stage_tag_of_key_[key] : 0;
+  }
   void EraseStage(uint64_t tag, uint64_t key);
   void EraseFill(std::unordered_map<uint64_t, PendingFill>::iterator it);
   void NoteHostSpills(double now);
@@ -218,7 +222,9 @@ class TieredExpertStore {
 
   uint64_t next_stage_tag_ = 1;
   std::unordered_map<uint64_t, StageInfo> stage_by_tag_;
-  std::unordered_map<uint64_t, uint64_t> stage_tag_by_key_;
+  // Per-key column of the staging in flight (its tag; 0 = none), indexed by the flat key and
+  // grown on stage issue. Stage tags start at 1, so 0 is never a tag.
+  std::vector<uint64_t> stage_tag_of_key_;
   // Every GPU fill whose transfer has not started, on any route, keyed by its GPU tag.
   std::unordered_map<uint64_t, PendingFill> fill_by_tag_;
   std::vector<CacheEntry> host_victims_scratch_;

@@ -1,8 +1,8 @@
 // Deterministic parallel execution of experiment plans.
 //
 // RunPlan executes every task of an ExperimentPlan through RunTask — serially at jobs=1
-// (byte-identical to the historical one-call-at-a-time benches), or on a worker thread pool
-// at jobs=N — and returns the results in plan order. Determinism holds by construction: each
+// (byte-identical to the historical one-call-at-a-time benches), or on up to N worker
+// threads at jobs=N — and returns the results in plan order. Determinism holds by construction: each
 // task is a pure function of its own declaration with a seed fixed at plan-build time (see
 // plan.h), RunTask constructs every stateful component (engines, gate simulators, caches,
 // policies) per call with no shared mutable state — a caller-supplied arrival list is only
@@ -27,8 +27,8 @@
 namespace fmoe {
 
 struct RunnerOptions {
-  // Worker threads. 1 = run inline on the calling thread (no pool); <= 0 = one per
-  // hardware thread.
+  // Worker threads. 1 = run inline on the calling thread (no thread started); <= 0 = one
+  // per hardware thread.
   int jobs = 1;
   // Optional trace recorder attached to exactly one task (`trace_task`, a plan index). One
   // task because a recorder holds a single virtual timeline; tracing never changes results,

@@ -22,11 +22,7 @@ ServingEngine::ServingEngine(const ModelConfig& model, const EngineConfig& confi
       policy_(policy),
       gate_(model, config.gate, config.seed),
       embedder_(model, config.gate.num_clusters,
-                [&config] {
-                  EmbedderProfile profile = config.embedder;
-                  profile.phase_period = config.gate.phase_period;
-                  return profile;
-                }(),
+                EmbedderProfile{.phase_period = config.gate.phase_period},
                 config.seed ^ 0x9e3779b9ULL),
       cost_(model, config.hardware),
       cluster_(config.gpu_count, config.gpu),

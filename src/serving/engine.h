@@ -47,7 +47,6 @@ struct EngineConfig {
   GpuConfig gpu;
   HardwareProfile hardware;
   GateProfile gate;
-  EmbedderProfile embedder;
   uint64_t seed = 1;
   // Pub-sub matcher-worker model (§4.3): published async jobs complete `scale * cost` after
   // the worker picks them up. 0 reproduces the historical instantaneous semantics exactly

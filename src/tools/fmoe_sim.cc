@@ -14,8 +14,10 @@
 //   fmoe_sim --model mixtral --system fMoE --save-store /tmp/mixtral.store
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "src/cache/eviction_policy.h"
@@ -58,6 +60,31 @@ bool ResolveDataset(const std::string& name, DatasetProfile* dataset) {
   } else {
     return false;
   }
+  return true;
+}
+
+// Prints an `error:` line saying what `--flag` must be, unless `ok`; returns `ok`.
+bool Require(bool ok, const char* flag, const char* requirement) {
+  if (!ok) {
+    std::cerr << "error: --" << flag << " must be " << requirement << "\n";
+  }
+  return ok;
+}
+
+// Reads integer flag `name` into `*out` when its int64 value is at least `min` and fits in T,
+// checked before the cast; otherwise prints an `error:` line and returns false.
+template <typename T>
+bool ReadIntFlag(const FlagParser& flags, const char* name, int64_t min, T* out) {
+  const int64_t value = flags.GetInt(name);
+  if (value < min) {
+    std::cerr << "error: --" << name << " must be >= " << min << "\n";
+    return false;
+  }
+  if (!std::in_range<T>(value)) {
+    std::cerr << "error: --" << name << " must be <= " << std::numeric_limits<T>::max() << "\n";
+    return false;
+  }
+  *out = static_cast<T>(value);
   return true;
 }
 
@@ -196,46 +223,57 @@ int main(int argc, char** argv) {
     std::cerr << "error: unknown dataset '" << flags.GetString("dataset") << "'\n";
     return 1;
   }
-  if (flags.GetInt("history") < 0) {
-    std::cerr << "error: --history must be >= 0\n";
+  // A byte budget in GiB converts to uint64 bytes only below 2^34 GiB.
+  constexpr double kMaxGib = 0x1p34;
+  const double cache_gb = flags.GetDouble("cache-gb");
+  options.cache_fraction = flags.GetDouble("cache-fraction");
+  const double host_capacity_gb = flags.GetDouble("host-capacity-gb");
+  options.matcher_latency_scale = flags.GetDouble("matcher-latency-scale");
+  options.tier.nvme_link.bandwidth_bytes_per_sec = flags.GetDouble("nvme-gbps") * 1e9;
+  options.tier.nvme_link.fixed_latency_sec = flags.GetDouble("nvme-latency-us") * 1e-6;
+  SchedulerOptions sched;
+  sched.admission.slo_sec = flags.GetDouble("slo-ms") * 1e-3;
+  sched.admission.window_sec = flags.GetDouble("admission-window-s");
+  sched.admission.gain = flags.GetDouble("admission-gain");
+  sched.admission.update_period_sec = flags.GetDouble("admission-update-s");
+  int jobs = 1;
+  if (!ReadIntFlag(flags, "history", 0, &options.history_requests) ||
+      !ReadIntFlag(flags, "requests", 0, &options.test_requests) ||
+      !ReadIntFlag(flags, "batch", 1, &options.batch_size) ||
+      !ReadIntFlag(flags, "distance", 1, &options.prefetch_distance) ||
+      !ReadIntFlag(flags, "max-decode", 0, &options.max_decode_tokens) ||
+      !ReadIntFlag(flags, "store-capacity", 1, &options.store_capacity) ||
+      !ReadIntFlag(flags, "gpus", 1, &options.gpu_count) ||
+      !ReadIntFlag(flags, "matcher-queue-depth", 1, &options.matcher_queue_depth) ||
+      !ReadIntFlag(flags, "host-stage-candidates", 0, &options.host_stage_candidates) ||
+      !ReadIntFlag(flags, "map-shards", 1, &options.map_shards) ||
+      !ReadIntFlag(flags, "replicas", 1, &options.replicas) ||
+      !ReadIntFlag(flags, "max-batch", 1, &sched.max_batch_size) ||
+      !ReadIntFlag(flags, "jobs", 0, &jobs) ||
+      !Require(cache_gb >= 0.0 && cache_gb < kMaxGib, "cache-gb", "in [0, 2^34)") ||
+      !Require(options.cache_fraction >= 0.0 && options.cache_fraction <= 1.0, "cache-fraction",
+               "in [0, 1]") ||
+      !Require(host_capacity_gb >= 0.0 && host_capacity_gb < kMaxGib, "host-capacity-gb",
+               "in [0, 2^34)") ||
+      !Require(options.matcher_latency_scale >= 0.0, "matcher-latency-scale", ">= 0") ||
+      !Require(options.tier.nvme_link.bandwidth_bytes_per_sec > 0.0, "nvme-gbps", "> 0") ||
+      !Require(options.tier.nvme_link.fixed_latency_sec >= 0.0, "nvme-latency-us", ">= 0") ||
+      !Require(sched.admission.window_sec > 0.0, "admission-window-s", "> 0") ||
+      !Require(sched.admission.gain > 0.0 && sched.admission.gain < 1.0, "admission-gain",
+               "in (0, 1)") ||
+      !Require(sched.admission.update_period_sec >= 0.0, "admission-update-s", ">= 0")) {
     return 1;
   }
-  options.history_requests = static_cast<size_t>(flags.GetInt("history"));
-  options.test_requests = static_cast<size_t>(flags.GetInt("requests"));
-  options.batch_size = static_cast<int>(flags.GetInt("batch"));
-  options.prefetch_distance = static_cast<int>(flags.GetInt("distance"));
-  if (options.prefetch_distance < 1) {
-    std::cerr << "error: --distance must be >= 1\n";
-    return 1;
-  }
-  options.max_decode_tokens = static_cast<int>(flags.GetInt("max-decode"));
-  options.store_capacity = static_cast<size_t>(flags.GetInt("store-capacity"));
   if (!ParseMapPrecision(flags.GetString("map-precision"), &options.map_precision)) {
     std::cerr << "error: unknown map precision '" << flags.GetString("map-precision")
               << "' (expected fp32 | fp16 | int8)\n";
     return 1;
   }
-  options.gpu_count = static_cast<int>(flags.GetInt("gpus"));
-  if (options.gpu_count < 1) {
-    std::cerr << "error: --gpus must be >= 1\n";
-    return 1;
-  }
-  options.cache_bytes =
-      static_cast<uint64_t>(flags.GetDouble("cache-gb") * (1ULL << 30));
-  options.cache_fraction = flags.GetDouble("cache-fraction");
-  options.matcher_latency_scale = flags.GetDouble("matcher-latency-scale");
-  options.matcher_queue_depth = static_cast<int>(flags.GetInt("matcher-queue-depth"));
-  if (options.matcher_queue_depth < 1) {
-    std::cerr << "error: --matcher-queue-depth must be >= 1\n";
-    return 1;
-  }
+  options.cache_bytes = static_cast<uint64_t>(cache_gb * (1ULL << 30));
   options.seed = static_cast<uint64_t>(flags.GetInt("seed"));
-  const double host_capacity_gb = flags.GetDouble("host-capacity-gb");
   options.tier.nvme_backing = flags.GetBool("nvme-backing") || host_capacity_gb > 0.0;
   options.tier.host_capacity_bytes =
       static_cast<uint64_t>(host_capacity_gb * static_cast<double>(1ULL << 30));
-  options.tier.nvme_link.bandwidth_bytes_per_sec = flags.GetDouble("nvme-gbps") * 1e9;
-  options.tier.nvme_link.fixed_latency_sec = flags.GetDouble("nvme-latency-us") * 1e-6;
   options.tier.allow_direct_nvme_gpu = flags.GetBool("direct-nvme-gpu");
   options.tier.host_policy = flags.GetString("host-policy");
   if (EvictionRule rule; !ParseEvictionRule(options.tier.host_policy, &rule)) {
@@ -244,17 +282,6 @@ int main(int argc, char** argv) {
     return 1;
   }
   options.tier.kv_bytes_per_token = flags.GetDouble("kv-bytes-per-token");
-  options.host_stage_candidates = static_cast<int>(flags.GetInt("host-stage-candidates"));
-  options.map_shards = static_cast<int>(flags.GetInt("map-shards"));
-  if (options.map_shards < 1) {
-    std::cerr << "error: --map-shards must be >= 1\n";
-    return 1;
-  }
-  options.replicas = static_cast<int>(flags.GetInt("replicas"));
-  if (options.replicas < 1) {
-    std::cerr << "error: --replicas must be >= 1\n";
-    return 1;
-  }
   if (!ParseRouterPolicy(flags.GetString("router-policy"), &options.router_policy)) {
     std::cerr << "error: unknown router policy '" << flags.GetString("router-policy")
               << "' (expected round-robin | least-loaded | semantic-affinity)\n";
@@ -265,31 +292,9 @@ int main(int argc, char** argv) {
               << "' (expected replicate | partition)\n";
     return 1;
   }
-  SchedulerOptions sched;
   if (!ParseAdmissionPolicy(flags.GetString("admission-policy"), &sched.admission.policy)) {
     std::cerr << "error: unknown admission policy '" << flags.GetString("admission-policy")
               << "' (expected open-loop | gradient)\n";
-    return 1;
-  }
-  sched.admission.slo_sec = flags.GetDouble("slo-ms") * 1e-3;
-  sched.admission.window_sec = flags.GetDouble("admission-window-s");
-  sched.admission.gain = flags.GetDouble("admission-gain");
-  sched.admission.update_period_sec = flags.GetDouble("admission-update-s");
-  if (!(sched.admission.window_sec > 0.0)) {
-    std::cerr << "error: --admission-window-s must be > 0\n";
-    return 1;
-  }
-  if (!(sched.admission.gain > 0.0 && sched.admission.gain < 1.0)) {
-    std::cerr << "error: --admission-gain must be in (0, 1)\n";
-    return 1;
-  }
-  if (!(sched.admission.update_period_sec >= 0.0)) {
-    std::cerr << "error: --admission-update-s must be >= 0\n";
-    return 1;
-  }
-  sched.max_batch_size = static_cast<int>(flags.GetInt("max-batch"));
-  if (sched.max_batch_size < 1) {
-    std::cerr << "error: --max-batch must be >= 1\n";
     return 1;
   }
   const std::string discipline = flags.GetString("discipline");
@@ -376,7 +381,7 @@ int main(int argc, char** argv) {
     plan.Add(std::move(task));
   }
   ObservedRunOptions observers;
-  observers.jobs = static_cast<int>(flags.GetInt("jobs"));
+  observers.jobs = jobs;
   observers.trace_out = flags.GetString("trace-out");
   observers.trace_task = flags.GetInt("trace-task");
   observers.oracle_out = flags.GetString("oracle-out");

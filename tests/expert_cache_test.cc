@@ -38,6 +38,24 @@ TEST_F(ExpertCacheTest, InsertAndFind) {
   EXPECT_FALSE(static_cast<bool>(cache.Find(2)));
 }
 
+// Keys index the key -> slot column directly: a key past its end reads as absent everywhere.
+TEST_F(ExpertCacheTest, KeyPastTheIndexReadsAsAbsent) {
+  ExpertCache cache(100, kLru);
+  ASSERT_TRUE(cache.Insert(Entry(3), 0.0, nullptr));
+  EXPECT_FALSE(cache.Contains(4));
+  EXPECT_FALSE(cache.Contains(uint64_t{1} << 40));
+  EXPECT_FALSE(static_cast<bool>(std::as_const(cache).Find(1000)));
+  EXPECT_FALSE(cache.Remove(1000, nullptr));
+  cache.SetProbability(1000, 0.5);  // Ignored, like any absent key.
+  EXPECT_EQ(cache.Keys(), std::vector<uint64_t>{3});
+}
+
+// A key of 2^32 or more is not a flat expert index.
+TEST(ExpertCacheDeathTest, KeyOfTwoToThe32Aborts) {
+  ExpertCache cache(100, kLru);
+  EXPECT_DEATH(cache.Insert(Entry(uint64_t{1} << 32), 0.0, nullptr), "not a flat index");
+}
+
 TEST_F(ExpertCacheTest, DuplicateInsertRejected) {
   ExpertCache cache(100, kLru);
   EXPECT_TRUE(cache.Insert(Entry(1), 0.0, nullptr));

@@ -198,7 +198,8 @@ TEST(FmoeSimSaveStoreTest, MapShardsWritesAShardedFileThatReloads) {
 }
 
 // Bad flag values are rejected before anything runs: an "error:" line and exit status 1, not
-// a failed check. `--host-policy` is validated even when no host pool is configured.
+// a failed check. `--host-policy` is validated even when no host pool is configured, and an
+// integer flag is range-checked before it is narrowed (4294967297 is 1 as a 32-bit int).
 TEST(FmoeSimFlagsTest, BadValuesExitOneWithAnError) {
   const std::string log_path = testing::TempDir() + "fmoe_sim_bad_flag.log";
   for (const char* bad : {"--system bogus", "--host-policy lru", "--gpus 0", "--distance 0",
@@ -206,7 +207,11 @@ TEST(FmoeSimFlagsTest, BadValuesExitOneWithAnError) {
                           "--history -1", "--mode scheduled --admission-window-s 0",
                           "--mode scheduled --admission-policy gradient --admission-gain 1.5",
                           "--mode scheduled --admission-policy gradient --admission-window-s 0",
-                          "--mode scheduled --admission-policy gradient --admission-update-s -1"}) {
+                          "--mode scheduled --admission-policy gradient --admission-update-s -1",
+                          "--requests -1", "--gpus 4294967297", "--store-capacity 0",
+                          "--store-capacity -1", "--nvme-backing --nvme-gbps 0",
+                          "--nvme-latency-us -1", "--matcher-latency-scale -1", "--cache-gb -1",
+                          "--cache-fraction -1", "--host-capacity-gb -1"}) {
     const std::string command = std::string(FMOE_SIM_BINARY) + " --model tiny " + bad +
                                 " > /dev/null 2> " + log_path;
     const int status = std::system(command.c_str());

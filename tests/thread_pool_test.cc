@@ -3,53 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <thread>
 #include <vector>
 
 namespace fmoe {
 namespace {
 
-TEST(ThreadPoolTest, RunsEverySubmittedTask) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([&counter] { counter.fetch_add(1, std::memory_order_relaxed); });
-  }
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPoolTest, ClampsThreadCountToAtLeastOne) {
-  ThreadPool pool(0);
-  EXPECT_EQ(pool.thread_count(), 1);
-  ThreadPool negative(-3);
-  EXPECT_EQ(negative.thread_count(), 1);
-}
-
-TEST(ThreadPoolTest, WaitBlocksUntilInFlightTasksFinish) {
-  ThreadPool pool(2);
-  std::atomic<bool> done{false};
-  pool.Submit([&done] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    done.store(true, std::memory_order_release);
-  });
-  pool.Wait();
-  EXPECT_TRUE(done.load(std::memory_order_acquire));
-}
-
-TEST(ThreadPoolTest, SubmitAfterWaitKeepsWorking) {
-  ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  pool.Submit([&counter] { counter.fetch_add(1); });
-  pool.Wait();
-  pool.Submit([&counter] { counter.fetch_add(1); });
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 2);
-}
-
 TEST(ThreadPoolTest, HardwareThreadsIsPositive) {
-  EXPECT_GE(ThreadPool::HardwareThreads(), 1);
+  EXPECT_GE(HardwareThreads(), 1);
 }
 
 TEST(ParallelForIndexTest, VisitsEveryIndexExactlyOnce) {

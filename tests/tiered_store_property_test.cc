@@ -7,11 +7,11 @@
 // demotion, frequency decay, and link ticks. The store lands, cancels and promotes the fills.
 // After every operation the invariants that define tier correctness must hold:
 //
-//   * Consistent tier bookkeeping — stage maps are mutual inverses, host-backed staging
-//     entries stay pending+pinned on their tag, transient stagings own no host entry, every
-//     fill record names a pending GPU entry carrying its tag and every pending GPU entry with
-//     a tag has a record (TieredExpertStore::BookkeepingConsistent); host occupancy never
-//     exceeds capacity.
+//   * Consistent tier bookkeeping — the stage map and the per-key stage-tag column are mutual
+//     inverses, host-backed staging entries stay pending+pinned on their tag, transient
+//     stagings own no host entry, every fill record names a pending GPU entry carrying its tag
+//     and every pending GPU entry with a tag has a record
+//     (TieredExpertStore::BookkeepingConsistent); host occupancy never exceeds capacity.
 //   * Fill conservation — every fill the driver started is still open (a store record),
 //     started on a link (a GPU-link prefetch, or an NVMe-link prefetch that is not a landed
 //     staging), cancelled or promoted. A transfer that started for a cancelled or promoted
